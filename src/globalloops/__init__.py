@@ -3,7 +3,8 @@
 The pipeline builds a tree-cotree decomposition of the mesh and its dual
 graph, transports cocycle values along dual-tree paths, and emits integer
 generator representatives partitioned into handle, hole and contact
-classes.  A deliberately slow exact-arithmetic oracle validates the output
+classes.  An oracle built on its own incidence tables, with exact integer
+cocycle checks and sparse ranks modulo a prime, validates the output
 independently.
 """
 

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--verify",
         action="store_true",
-        help="run the exact oracle and append its report; nonzero exit on failure",
+        help="run the verification oracle and append its report; nonzero exit on failure",
     )
     p_compute.add_argument(
         "--oracle-cap",

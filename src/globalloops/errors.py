@@ -63,7 +63,7 @@ class UnknownEdgeId(KeyError):
 
 
 class MeshTooLargeForOracle(Exception):
-    """The exact-arithmetic oracle refuses meshes above its edge cap."""
+    """The verification oracle refuses meshes above its edge cap."""
 
 
 class OffParseError(Exception):

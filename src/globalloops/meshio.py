@@ -192,10 +192,6 @@ def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def write_report(path: str | Path, report: dict) -> None:
-    Path(path).write_text(render_report(report))
-
-
 def report_to_generators(
     report: dict, complex: SurfaceComplex
 ) -> list[tuple[str, int, Cochain1]]:

@@ -1,10 +1,34 @@
-"""Brute-force exact verification, independent of the main pipeline.
+"""Independent verification of a generator set, by exact and modular ranks.
 
 Everything here re-derives edges and incidence signs from the raw face
 list rather than reusing the pipeline's tables, so a bug in the fast path
-cannot hide from the checks.  Ranks use fraction-free integer elimination
-and homology uses an integer Smith normal form; both are deliberately cubic
-and refuse meshes above a configurable edge cap.
+cannot hide from the checks.
+
+Ranks come from one sparse elimination, ``sparse_rank``, over GF(p) for the
+fixed prime ``PRIME`` = 2**31 - 1, and over GF(2) for torsion.  The verdict
+stays sound:
+
+* The relative vertex coboundary d0 is a graph incidence matrix, hence
+  totally unimodular, so its rank over GF(p) equals its rank over Q.
+* A rank over GF(p) never exceeds the rank over Q.  When the generators
+  stacked on d0 reach full rank over GF(p), they are independent over Q
+  modulo relative coboundaries: a passed independence check is a
+  certificate.
+* The cocycle check is exact integer arithmetic.
+* A Betti number computed over GF(p) is never below the rational one, and
+  independent relative cocycles number at most the rational one.  So the
+  count check and the independence check pass together only when the
+  count equals the rational Betti number.
+* On a surface the only torsion is Z/2: every invariant factor of a
+  coboundary or boundary map is 0, 1 or 2.  Ranks over the odd prime then
+  equal rational ranks, and H1 of the closed-up complex has one Z/2 for
+  each unit of rank that its face boundary map loses over GF(2).
+
+``exact_rank`` (fraction-free Bareiss elimination) and
+``smith_invariant_factors`` (integer Smith normal form) are dense and cubic.
+They are kept as the reference that tests compare the sparse ranks with on
+small meshes; no check calls them.  Every check refuses meshes above an
+edge cap.
 """
 
 from __future__ import annotations
@@ -20,7 +44,10 @@ from .surface import (
     build_closed_complex,
 )
 
-DEFAULT_EDGE_CAP = 5000
+# Verify time grows about as E**1.2.  At this cap the slowest measured
+# mesh family took about 5 s and 130 MB (table in CHANGES.md).
+DEFAULT_EDGE_CAP = 40_000
+PRIME = 2**31 - 1
 
 
 def exact_rank(rows: list[list[int]]) -> int:
@@ -125,6 +152,59 @@ def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
     return factors
 
 
+def sparse_rank(rows, p: int = PRIME) -> int:
+    """Rank over GF(p) of a matrix given as sparse rows ``{column: value}``.
+
+    ``p`` is ``PRIME`` or 2.  Elimination is right-looking with a
+    Markowitz-style pivot order: the shortest remaining row first, pivoting
+    on its column with the fewest remaining rows, so that little fill-in is
+    created.  The input rows are not modified.
+    """
+    # Imported here so that start-up of a run without --verify stays as is.
+    from heapq import heapify, heappop, heappush
+
+    active: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        reduced = {c: v % p for c, v in row.items() if v % p}
+        if reduced:
+            active[i] = reduced
+            for c in reduced:
+                cols.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in active.items()]
+    heapify(heap)
+    rank = 0
+    while heap:
+        length, i = heappop(heap)
+        pivot_row = active.get(i)
+        if pivot_row is None or len(pivot_row) != length:
+            continue  # stale entry: the row was eliminated or has changed
+        del active[i]
+        for c in pivot_row:
+            cols[c].discard(i)
+        col = min(pivot_row, key=lambda c: len(cols[c]))
+        rank += 1
+        inv = pow(pivot_row[col], p - 2, p)
+        rest = [(c, v) for c, v in pivot_row.items() if c != col]
+        for j in cols.pop(col):
+            row = active[j]
+            factor = row.pop(col) * inv % p
+            for c, v in rest:
+                value = (row.get(c, 0) - factor * v) % p
+                if value:
+                    if c not in row:
+                        cols[c].add(j)
+                    row[c] = value
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(j)
+            if row:
+                heappush(heap, (len(row), j))
+            else:
+                del active[j]
+    return rank
+
+
 @dataclass
 class _Incidence:
     """Edge table rebuilt from scratch out of the raw face list."""
@@ -161,8 +241,48 @@ class _Incidence:
         return inc
 
 
-def _insulated_pairs(complex: SurfaceComplex, partition: BoundaryPartition):
-    return {complex.edges[eid] for eid in partition.insulated_edges}
+def _check_cap(num_edges: int, cap: int) -> None:
+    if num_edges > cap:
+        raise MeshTooLargeForOracle(
+            f"{num_edges} edges exceeds the oracle cap of {cap}"
+        )
+
+
+@dataclass
+class _Relative:
+    """The relative cochain complex in oracle edge ids, as sparse rows.
+
+    Columns are oracle edge ids; insulated edges have no column.
+    """
+
+    insulated: set[int]
+    num_edges: int
+    d0: list[dict[int, int]]  # one row per relative vertex
+    d1: list[dict[int, int]]  # one row per face
+
+    @classmethod
+    def build(cls, complex: SurfaceComplex, partition: BoundaryPartition, inc):
+        insulated = {inc.index[complex.edges[eid]] for eid in partition.insulated_edges}
+        insulated_vertices = {v for eid in insulated for v in inc.edges[eid]}
+        # Vertices touching the insulated subcomplex get no d0 row.  Every
+        # insulated edge has both ends there, so the rows hold relative
+        # edges only, and no row is empty.
+        d0 = {v: {} for v in range(complex.num_vertices) if v not in insulated_vertices}
+        for eid, (a, b) in enumerate(inc.edges):
+            if b in d0:
+                d0[b][eid] = 1
+            if a in d0:
+                d0[a][eid] = -1
+        d1 = [
+            {eid: sign for eid, sign in signs if eid not in insulated}
+            for signs in inc.face_signs
+        ]
+        return cls(
+            insulated=insulated,
+            num_edges=len(inc.edges) - len(insulated),
+            d0=list(d0.values()),
+            d1=d1,
+        )
 
 
 def betti1_relative(
@@ -170,53 +290,14 @@ def betti1_relative(
     partition: BoundaryPartition,
     cap: int = DEFAULT_EDGE_CAP,
 ) -> int:
-    """Exact dimension of the first relative cohomology space.
+    """Dimension of the first relative cohomology space.
 
     Standard rank-nullity on the relative cochain complex: relative edge
     count minus the ranks of the two restricted coboundary maps.
     """
-    if complex.num_edges > cap:
-        raise MeshTooLargeForOracle(
-            f"{complex.num_edges} edges exceeds the oracle cap of {cap}"
-        )
-    inc = _Incidence.from_faces(complex.faces)
-    insulated = {inc.index[pair] for pair in _insulated_pairs(complex, partition)}
-    insulated_vertices: set[int] = set()
-    for eid in insulated:
-        insulated_vertices.update(inc.edges[eid])
-
-    rel_edges = [e for e in range(len(inc.edges)) if e not in insulated]
-    edge_col = {e: i for i, e in enumerate(rel_edges)}
-
-    d1_rows = []
-    for signs in inc.face_signs:
-        row = [0] * len(rel_edges)
-        for eid, sign in signs:
-            if eid in edge_col:
-                row[edge_col[eid]] = sign
-        d1_rows.append(row)
-
-    d0_rows = _relative_d0_rows(
-        inc, complex.num_vertices, rel_edges, insulated_vertices
-    )
-    return len(rel_edges) - exact_rank(d1_rows) - exact_rank(d0_rows)
-
-
-def _relative_d0_rows(inc, num_vertices, rel_edges, insulated_vertices):
-    """Vertex coboundary restricted to relative cells, one dense row per
-    relative vertex.  Vertices touching the insulated subcomplex get no row;
-    every remaining vertex has only relative edges, so no row is zero."""
-    rows = {}
-    for v in range(num_vertices):
-        if v not in insulated_vertices:
-            rows[v] = [0] * len(rel_edges)
-    for col, eid in enumerate(rel_edges):
-        a, b = inc.edges[eid]
-        if b in rows:
-            rows[b][col] += 1
-        if a in rows:
-            rows[a][col] -= 1
-    return [rows[v] for v in sorted(rows)]
+    _check_cap(complex.num_edges, cap)
+    rel = _Relative.build(complex, partition, _Incidence.from_faces(complex.faces))
+    return rel.num_edges - sparse_rank(rel.d1) - sparse_rank(rel.d0)
 
 
 def is_orientable(complex: SurfaceComplex) -> bool:
@@ -225,8 +306,11 @@ def is_orientable(complex: SurfaceComplex) -> bool:
     Works per face-connectivity component, so a disconnected complex is
     orientable iff every component is.
     """
-    inc = _Incidence.from_faces(complex.faces)
-    n_faces = len(complex.faces)
+    return _orientable(_Incidence.from_faces(complex.faces))
+
+
+def _orientable(inc: _Incidence) -> bool:
+    n_faces = len(inc.face_signs)
     sign = [0] * n_faces
     for seed in range(n_faces):
         if sign[seed]:
@@ -259,31 +343,14 @@ def homology_snf(
 ) -> tuple[int, list[int]]:
     """First homology of the closed-up complex over the integers.
 
-    Returns the free rank and the nontrivial invariant factors, computed
-    from Smith normal forms of the two boundary matrices.
+    Returns the free rank and the nontrivial invariant factors.  On a
+    surface these are all 2, one for each unit of rank that the face
+    boundary map loses over GF(2) against GF(p) (see the module docstring).
     """
-    if closed.num_edges > cap:
-        raise MeshTooLargeForOracle(
-            f"{closed.num_edges} edges exceeds the oracle cap of {cap}"
-        )
-    d1_rows = []
-    for row in closed.d1:
-        dense = [0] * closed.num_vertices
-        for v, coeff in row.items():
-            dense[v] = coeff
-        d1_rows.append(dense)
-    d2_rows = []
-    for row in closed.d2:
-        dense = [0] * closed.num_edges
-        for eid, coeff in row.items():
-            dense[eid] = coeff
-        d2_rows.append(dense)
-
-    rank_d1 = exact_rank(d1_rows)
-    factors_d2 = smith_invariant_factors(d2_rows) if d2_rows else []
-    rank_d2 = sum(1 for f in factors_d2 if f)
-    betti = closed.num_edges - rank_d1 - rank_d2
-    torsion = [f for f in factors_d2 if f > 1]
+    _check_cap(closed.num_edges, cap)
+    rank_d2 = sparse_rank(closed.d2)
+    betti = closed.num_edges - sparse_rank(closed.d1) - rank_d2
+    torsion = [2] * (rank_d2 - sparse_rank(closed.d2, 2))
     return betti, torsion
 
 
@@ -309,32 +376,30 @@ def verify(
     generators,
     cap: int = DEFAULT_EDGE_CAP,
 ) -> VerificationReport:
-    """Full validation of a generator set against the brute-force oracle.
+    """Full validation of a generator set against the oracle.
 
     Checks, in order: every generator is a relative cocycle; the count
-    matches the exact Betti number; the generators are independent modulo
+    matches the Betti number; the generators are independent modulo
     relative coboundaries; the twisted-edge count agrees with orientability
     and integer torsion; the per-class sizes match the dimension formulas.
     """
-    if complex.num_edges > cap:
-        raise MeshTooLargeForOracle(
-            f"{complex.num_edges} edges exceeds the oracle cap of {cap}"
-        )
+    _check_cap(complex.num_edges, cap)
     failures: list[str] = []
     inc = _Incidence.from_faces(complex.faces)
-    insulated = {inc.index[pair] for pair in _insulated_pairs(complex, partition)}
-    insulated_vertices: set[int] = set()
-    for eid in insulated:
-        insulated_vertices.update(inc.edges[eid])
+    rel = _Relative.build(complex, partition, inc)
 
     # 1. Relative cocycle condition, using the oracle's own incidence.
     cocycle_ok = []
+    gen_rows = []
     for gi, gen in enumerate(generators.generators):
         translated = {
             inc.index[complex.edges[eid]]: val
             for eid, val in gen.cochain.coeffs.items()
         }
-        ok = all(eid not in insulated for eid in translated)
+        gen_rows.append(
+            {eid: val for eid, val in translated.items() if eid not in rel.insulated}
+        )
+        ok = len(gen_rows[-1]) == len(translated)
         if ok:
             face_sums: dict[int, int] = {}
             for eid, val in translated.items():
@@ -347,34 +412,21 @@ def verify(
         if not ok:
             failures.append(f"generator {gi} is not a relative cocycle")
 
-    # 2. Count against the exact Betti number.
-    betti = betti1_relative(complex, partition, cap=cap)
+    # 2. Count against the Betti number.
+    rank_d0 = sparse_rank(rel.d0)
+    betti = rel.num_edges - sparse_rank(rel.d1) - rank_d0
     count = len(generators.generators)
     if count != betti:
         failures.append(f"{count} generators but Betti number is {betti}")
 
     # 3. Independence modulo relative coboundaries: stacking the generators
     # on top of a spanning set of the coboundary image must add full rank.
-    rel_edges = [e for e in range(len(inc.edges)) if e not in insulated]
-    edge_col = {e: i for i, e in enumerate(rel_edges)}
-    d0_rows = _relative_d0_rows(
-        inc, complex.num_vertices, rel_edges, insulated_vertices
-    )
-    gen_rows = []
-    for gen in generators.generators:
-        row = [0] * len(rel_edges)
-        for eid, val in gen.cochain.coeffs.items():
-            oid = inc.index[complex.edges[eid]]
-            if oid in edge_col:
-                row[edge_col[oid]] = val
-        gen_rows.append(row)
-    rank_d0 = exact_rank(d0_rows)
-    independence_ok = exact_rank(gen_rows + d0_rows) == count + rank_d0
+    independence_ok = sparse_rank(gen_rows + rel.d0) == count + rank_d0
     if not independence_ok:
         failures.append("generators are dependent modulo relative coboundaries")
 
     # 4. Twisted edges vs orientability vs integer torsion.
-    orientable = is_orientable(complex)
+    orientable = _orientable(inc)
     twisted = generators.num_twisted_edges
     if (twisted > 0) == orientable:
         failures.append(

@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
+    CountMismatch,
     DegenerateFace,
     DuplicateFace,
     IsolatedVertex,
@@ -483,5 +484,10 @@ def build_closed_complex(complex: SurfaceComplex) -> ClosedComplex:
         edge_map=edge_map,
         vertex_map=vertex_map,
     )
-    assert closed.euler_characteristic == euler_characteristic(complex) + len(holes)
+    expected = euler_characteristic(complex) + len(holes)
+    if closed.euler_characteristic != expected:
+        raise CountMismatch(
+            f"closed complex has Euler characteristic {closed.euler_characteristic}, "
+            f"expected {expected}"
+        )
     return closed

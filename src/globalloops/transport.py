@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cochain import Cochain1
-from .errors import EdgeNotOnFace
+from .errors import CountMismatch, EdgeNotOnFace
 from .forest import Path
 from .surface import SurfaceComplex
 
@@ -49,9 +49,8 @@ def transport(
         face = faces[i]
         # Signs are +-1, so the sign ratio is just their product.
         value = -complex.incidence(face, eid) * complex.incidence(face, prev_edge) * value
-        assert eid != start_edge and eid != end_edge, (
-            "tree path may not revisit the transported edge pair"
-        )
+        if eid == start_edge or eid == end_edge:
+            raise CountMismatch("tree path revisits the transported edge pair")
         coeffs[eid] = value
         prev_edge = eid
 

@@ -256,3 +256,28 @@ def random_contact_arc(complex, seed, max_len=3):
     length = rng.randint(1, min(max_len, len(cyc.edges) - 1))
     start = rng.randrange(len(cyc.edges))
     return {cyc.edges[(start + i) % len(cyc.edges)] for i in range(length)}
+
+
+def mixed_surface(n=16):
+    """Every generator class in one file, with E > 2000 at the default n.
+
+    A disjoint union of a torus with a hole (handles), a Klein bottle
+    minus a disk (crosscaps), a pair of pants (holes), a Moebius strip and
+    an annulus, with two contact arcs of two edges on every boundary circle
+    of at least eight edges.  Returns the complex and its contact edge ids.
+    """
+    from globalloops import boundary_components
+
+    K = disjoint_union(
+        torus_with_hole(n, n),
+        klein_minus_disk(n, n),
+        pair_of_pants(3 * n // 2),
+        moebius(3 * n // 2),
+        annulus(4 * n, 6),
+    )
+    contact = set()
+    for cyc in boundary_components(K):
+        if len(cyc.edges) >= 8:
+            half = len(cyc.edges) // 2
+            contact |= {cyc.edges[i] for i in (0, 1, half, half + 1)}
+    return K, contact

@@ -1,8 +1,11 @@
-"""Exact-arithmetic oracle: ranks, Smith form, Betti numbers, verification."""
+"""Oracle: sparse and dense ranks, Smith form, Betti numbers, verification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshes
+from globalloops import oracle
 from globalloops import (
     Cochain1,
     betti1_relative,
@@ -15,7 +18,58 @@ from globalloops import (
     verify,
 )
 from globalloops.errors import MeshTooLargeForOracle
-from globalloops.oracle import exact_rank, smith_invariant_factors
+from globalloops.oracle import PRIME, exact_rank, smith_invariant_factors, sparse_rank
+from test_acceptance import corpus_with_contacts
+
+
+def dense(rows, width):
+    out = []
+    for row in rows:
+        full = [0] * width
+        for col, value in row.items():
+            full[col] = value
+        out.append(full)
+    return out
+
+
+def dense_homology(closed, cap=None):
+    """H1 of a closed complex from the dense exact rank and Smith form."""
+    factors = smith_invariant_factors(dense(closed.d2, closed.num_edges))
+    rank_d2 = sum(1 for f in factors if f)
+    rank_d1 = exact_rank(dense(closed.d1, closed.num_vertices))
+    return closed.num_edges - rank_d1 - rank_d2, [f for f in factors if f > 1]
+
+
+def dense_rank(rows, p=PRIME):
+    """Stand-in for sparse_rank that takes the exact dense route."""
+    assert p == PRIME  # the GF(2) rank only serves homology_snf
+    rows = list(rows)
+    width = 1 + max((col for row in rows for col in row), default=-1)
+    return exact_rank(dense(rows, width))
+
+
+def every_test_mesh():
+    """Each builder of the mesh module, at its default size or a few seeds."""
+    out = [
+        meshes.triangle(),
+        meshes.two_triangles(),
+        meshes.octahedron(),
+        meshes.disk(6),
+        meshes.annulus(6),
+        meshes.torus_grid(4, 4),
+        meshes.csaszar_torus(),
+        meshes.moebius(6),
+        meshes.klein_grid(5, 4),
+        meshes.klein_minus_disk(),
+        meshes.torus_with_hole(),
+        meshes.pair_of_pants(),
+        meshes.genus2(),
+        meshes.disjoint_union(meshes.klein_grid(5, 4), meshes.moebius(6)),
+        meshes.mixed_surface(3)[0],
+    ]
+    out += [meshes.random_disk(seed) for seed in range(3)]
+    out += [meshes.random_annulus(seed) for seed in range(3)]
+    return out
 
 
 class TestExactRank:
@@ -44,6 +98,46 @@ class TestExactRank:
             [41, 43, 47, 53],
         ]
         assert exact_rank(mat) == 4
+
+
+@st.composite
+def integer_matrices(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    n_cols = draw(st.integers(min_value=1, max_value=12))
+    rows = [
+        draw(st.lists(st.integers(-2, 2), min_size=n_cols, max_size=n_cols))
+        for _ in range(n_rows)
+    ]
+    # Zero out some whole rows and columns, which elimination must skip.
+    zero_rows = draw(st.sets(st.integers(0, max(n_rows - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, n_cols - 1)))
+    return [
+        [0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+
+
+class TestSparseRank:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    def test_matches_exact_rank(self, mat):
+        rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
+        assert sparse_rank(rows) == exact_rank(mat)
+
+    def test_rank_over_two_drops_on_even_factors(self):
+        rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+        assert sparse_rank(rows) == 2
+        assert sparse_rank(rows, 2) == 1
+        assert sparse_rank([{0: 2}], 2) == 0
+
+    def test_input_rows_are_left_alone(self):
+        rows = [{0: 1, 1: 2}, {0: 3, 1: 4}, {1: 5}]
+        copies = [dict(row) for row in rows]
+        assert sparse_rank(rows) == 2
+        assert rows == copies
+
+    def test_entries_are_reduced_modulo_the_prime(self):
+        assert sparse_rank([{0: PRIME}, {1: PRIME + 1}]) == 1
 
 
 class TestSmithForm:
@@ -126,6 +220,12 @@ class TestHomologySnf:
     def test_genus2(self):
         closed = build_closed_complex(meshes.genus2())
         assert homology_snf(closed) == (4, [])
+
+
+    def test_matches_dense_smith_form_on_every_test_mesh(self):
+        for K in every_test_mesh():
+            closed = build_closed_complex(K)
+            assert homology_snf(closed) == dense_homology(closed), K
 
 
 class TestSelfConsistency:
@@ -215,3 +315,28 @@ class TestVerify:
         bp = classify_boundary(K, set())
         with pytest.raises(MeshTooLargeForOracle):
             verify(K, bp, compute_generators(K), cap=3)
+
+    def test_same_report_as_the_dense_routines(self, monkeypatch):
+        def reports():
+            out = []
+            for _, K, contact in corpus_with_contacts():
+                bp = classify_boundary(K, contact)
+                out.append(verify(K, bp, compute_generators(K, contact)))
+            return out
+
+        sparse_reports = reports()
+        monkeypatch.setattr(oracle, "sparse_rank", dense_rank)
+        monkeypatch.setattr(oracle, "homology_snf", dense_homology)
+        assert sparse_reports == reports()
+
+    def test_passes_beyond_the_reach_of_the_dense_routines(self):
+        # E > 2000 with handles, crosscaps, holes and contact arcs; the dense
+        # routines took minutes at this size.
+        K, contact = meshes.mixed_surface()
+        assert K.num_edges > 2000
+        gens = compute_generators(K, contact)
+        report = verify(K, classify_boundary(K, contact), gens)
+        assert report.passed, report.failures
+        assert {g.kind for g in gens.generators} == {"ha", "ho", "co"}
+        assert not report.orientable
+        assert report.torsion_coefficients == [2, 2]

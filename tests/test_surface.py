@@ -11,7 +11,9 @@ from globalloops import (
     connected_components,
     euler_characteristic,
 )
+from globalloops import surface
 from globalloops.errors import (
+    CountMismatch,
     DegenerateFace,
     DuplicateFace,
     IsolatedVertex,
@@ -238,6 +240,13 @@ class TestClosedComplex:
             closed = build_closed_complex(K)
             holes = len(boundary_components(K))
             assert closed.euler_characteristic == euler_characteristic(K) + holes
+
+    def test_euler_characteristic_mismatch_raises(self, monkeypatch):
+        # The closed complex must gain one to the Euler characteristic per
+        # boundary circle; a miscount is an internal failure, not an assert.
+        monkeypatch.setattr(surface, "euler_characteristic", lambda K: 1)
+        with pytest.raises(CountMismatch):
+            build_closed_complex(meshes.annulus(6))
 
     def test_boundary_of_boundary_vanishes(self):
         for K in corpus():

@@ -13,7 +13,7 @@ from globalloops import (
     is_orientable,
     transport,
 )
-from globalloops.errors import EdgeNotOnFace
+from globalloops.errors import CountMismatch, EdgeNotOnFace
 from globalloops.forest import Path
 
 
@@ -78,6 +78,16 @@ def test_bad_edge_pair_rejected():
     off_face = K.edge_index[(0, 1)]  # not on face 1
     with pytest.raises(EdgeNotOnFace):
         transport(K, Path(nodes=(1,), edges=()), off_face, shared)
+
+
+def test_path_through_the_start_edge_raises():
+    # A tree path never crosses the edge it transports from; a path that
+    # does is an internal failure and must raise even under python -O.
+    K = meshes.two_triangles()
+    shared = K.edge_index[(1, 2)]
+    end = K.edge_index[(1, 3)]
+    with pytest.raises(CountMismatch):
+        transport(K, Path(nodes=(0, 1), edges=(shared,)), shared, end)
 
 
 @given(st.integers(min_value=0, max_value=11), st.data())
