@@ -8,7 +8,8 @@ import math
 import sys
 from pathlib import Path
 
-from globalloops import boundary_components, build_complex
+from globalloops import build_complex
+from globalloops.surface import boundary_components
 from globalloops.meshio import write_off
 
 

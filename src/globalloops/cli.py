@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 file or parse error, 2 topology error,
-3 verification failure (including an oracle refusal under --verify).
+3 verification failure (including an oracle refusal under --verify),
+4 internal error (a violated invariant of the computation, not bad input).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from . import bench as bench_mod
 from . import meshio, oracle
 from .errors import (
     ContactSpecError,
+    InternalError,
     MeshTooLargeForOracle,
     OffParseError,
     TopologyError,
@@ -170,6 +172,9 @@ def main(argv=None) -> int:
         return cmd_bench(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -29,16 +29,16 @@ class NotABoundaryEdge(TopologyError):
     """A contact edge is missing from the mesh boundary."""
 
 
-class DisconnectedComplex(TopologyError):
-    """An operation that requires a connected complex got a disconnected one."""
+class InternalError(Exception):
+    """Base class for internal invariant failures: a bug, not bad input."""
 
 
-class DualDisconnected(TopologyError):
-    """Internal consistency failure: the constrained dual graph fell apart."""
+class DualDisconnected(InternalError):
+    """The constrained dual graph fell apart."""
 
 
-class CountMismatch(TopologyError):
-    """Internal consistency failure: a cell or generator count is off."""
+class CountMismatch(InternalError):
+    """A cell or generator count is off."""
 
 
 class UnsupportedContactLayout(TopologyError):

@@ -1,12 +1,16 @@
-"""Tree-cotree decomposition: boundary-first primal tree, constrained dual
-tree with its boundary augmentation, and unique tree paths.
+"""Tree-cotree decomposition over the whole complex: a boundary-first primal
+spanning forest, a constrained dual spanning forest, and unique tree paths.
 
-The primal spanning tree is grown breadth first inside each boundary circle
-(covering all but one edge of the circle) and then extended breadth first
-over the rest of the complex.  The dual tree spans the face nodes using only
-dual edges whose primal edge avoids the primal tree; afterwards the dual
-edge and leaf node of each circle's leftover edge are appended.  The edges
-in neither tree index the candidate generators.
+Both forests hold one tree per connected component, so one pass over the
+complex serves every component.  Primal roots are taken in ascending vertex
+id; each primal tree is grown breadth first inside every boundary circle of
+its component (covering all but one edge of the circle) and then extended
+breadth first over the rest of the component.  Each dual tree is rooted at
+the minimal face of its component and spans its faces by crossing interior
+edges that avoid the primal forest, a face's edges in ascending edge id.
+The interior edges in neither forest index the candidate generators; the
+one leftover edge of each boundary circle is in neither forest and is not a
+candidate.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .dual import DualGraph
-from .errors import CountMismatch, DisconnectedComplex, DualDisconnected, NodeNotInTree
+from .errors import CountMismatch, DualDisconnected, NodeNotInTree
 from .surface import BoundaryCycle, SurfaceComplex, euler_characteristic
 
 
@@ -31,7 +34,7 @@ class Path:
 
 
 class Tree:
-    """Rooted tree over dense integer node ids with parent-pointer paths.
+    """Rooted forest over dense integer node ids with parent-pointer paths.
 
     Path extraction lifts the deeper endpoint to the common level and then
     walks both chains to the meeting node, so each query costs O(path
@@ -43,6 +46,7 @@ class Tree:
         self.parent_edge = [-1] * num_nodes
         self.depth = [0] * num_nodes
         self.member = [False] * num_nodes
+        self.roots: list[int] = []
         self.edge_ids: set[int] = set()
 
     def __contains__(self, node: int) -> bool:
@@ -50,6 +54,7 @@ class Tree:
 
     def add_root(self, node: int) -> None:
         self.member[node] = True
+        self.roots.append(node)
 
     def attach(self, child: int, parent: int, edge_id: int) -> None:
         self.parent[child] = parent
@@ -63,6 +68,7 @@ class Tree:
             raise NodeNotInTree(a)
         if not self.member[b]:
             raise NodeNotInTree(b)
+        start, end = a, b
         left_nodes: list[int] = []
         left_edges: list[int] = []
         right_nodes: list[int] = []
@@ -82,6 +88,8 @@ class Tree:
             right_nodes.append(b)
             right_edges.append(self.parent_edge[b])
             b = self.parent[b]
+        if a < 0:
+            raise NodeNotInTree(f"nodes {start} and {end} lie in different trees")
         nodes = left_nodes + [a] + right_nodes[::-1]
         edges = left_edges + right_edges[::-1]
         return Path(nodes=tuple(nodes), edges=tuple(edges))
@@ -89,13 +97,10 @@ class Tree:
 
 @dataclass
 class TreeCotree:
-    """Primal and dual spanning trees plus the leftover edge bookkeeping."""
+    """Primal and dual spanning forests plus the leftover edge bookkeeping."""
 
     primal: Tree
     dual: Tree
-    primal_edge_ids: set[int]
-    dual_edge_ids_preaug: set[int]
-    dual_edge_ids: set[int]
     leftover_per_hole: list[int]  # one boundary edge per circle, in circle order
     candidate_edges: list[int] = field(default_factory=list)  # sorted, in neither tree
 
@@ -103,17 +108,16 @@ class TreeCotree:
 def build_primal_tree(
     complex: SurfaceComplex, holes: list[BoundaryCycle]
 ) -> tuple[Tree, list[int]]:
-    """Boundary-first primal spanning tree.
+    """Boundary-first primal spanning forest, one tree per component.
 
-    Returns the tree and the per-circle leftover boundary edges.  When the
-    global BFS first touches a circle's partial tree, the whole fragment is
-    absorbed at once (re-rooted at the touched vertex) so none of its edges
-    are lost.  Raises DisconnectedComplex when the complex is not connected.
+    Returns the forest and the per-circle leftover boundary edges.  When a
+    breadth-first search first touches a circle's partial tree, the whole
+    fragment is absorbed at once (re-rooted at the touched vertex) so none
+    of its edges are lost.
     """
     nv = complex.num_vertices
     fragment_of = [-1] * nv
     fragment_adj: list[dict[int, list[tuple[int, int]]]] = []
-    fragment_root: list[int] = []
     leftovers: list[int] = []
     boundary = set(complex.boundary_edge_ids)
 
@@ -150,7 +154,6 @@ def build_primal_tree(
         for v in cyc.vertices:
             fragment_of[v] = k
         fragment_adj.append(tree_adj)
-        fragment_root.append(root)
 
     tree = Tree(nv)
     queue: deque[int] = deque()
@@ -175,87 +178,83 @@ def build_primal_tree(
                     queue.append(w)
                     inner.append(w)
 
-    absorb(0, -1, -1)
-    while queue:
-        u = queue.popleft()
-        for eid, w in complex.vertex_edges[u]:
-            if eid in boundary or tree.member[w]:
-                continue
-            absorb(w, u, eid)
-
-    if not all(tree.member):
-        raise DisconnectedComplex("primal spanning tree does not reach every vertex")
+    for root in range(nv):
+        if tree.member[root]:
+            continue
+        absorb(root, -1, -1)
+        while queue:
+            u = queue.popleft()
+            for eid, w in complex.vertex_edges[u]:
+                if eid in boundary or tree.member[w]:
+                    continue
+                absorb(w, u, eid)
     return tree, leftovers
 
 
-def build_dual_tree(
-    complex: SurfaceComplex,
-    dual: DualGraph,
-    primal_edge_ids: set[int],
-    leftovers: list[int],
-) -> tuple[Tree, set[int]]:
-    """Dual spanning tree over face nodes, avoiding primal-tree duals.
+def build_dual_tree(complex: SurfaceComplex, primal: Tree) -> Tree:
+    """Dual spanning forest over the faces, avoiding primal-forest edges.
 
-    Returns the augmented tree and its pre-augmentation edge set.  The
-    leftover boundary dual edges are appended as leaves afterwards.
+    Each component's tree is rooted at its minimal face and crosses only
+    interior edges.  Raises DualDisconnected when the constrained dual graph
+    splits a component, i.e. when it needs more roots than the primal forest.
     """
-    tree = Tree(dual.num_nodes)
-    if dual.num_face_nodes == 0:
-        return tree, set()
-    tree.add_root(0)
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for eid, w in dual.adjacency[u]:
-            if w >= dual.num_face_nodes or eid in primal_edge_ids:
-                continue
-            if not tree.member[w]:
-                tree.attach(w, u, eid)
-                queue.append(w)
-    if not all(tree.member[:dual.num_face_nodes]):
+    tree = Tree(complex.num_faces)
+    queue: deque[int] = deque()
+    for root in range(complex.num_faces):
+        if tree.member[root]:
+            continue
+        tree.add_root(root)
+        queue.append(root)
+        while queue:
+            u = queue.popleft()
+            for eid, _ in sorted(complex.face_edges[u]):
+                incident = complex.edge_faces[eid]
+                if len(incident) == 1 or eid in primal.edge_ids:
+                    continue
+                w = incident[1] if incident[0] == u else incident[0]
+                if not tree.member[w]:
+                    tree.attach(w, u, eid)
+                    queue.append(w)
+    if len(tree.roots) > len(primal.roots):
         raise DualDisconnected(
-            "constrained dual graph does not connect all face nodes"
+            "constrained dual graph does not connect all faces of a component"
         )
-    preaug = set(tree.edge_ids)
-    for eid in leftovers:
-        face = complex.edge_faces[eid][0]
-        tree.attach(dual.boundary_node_of_edge[eid], face, eid)
-    return tree, preaug
+    return tree
 
 
 def build_tree_cotree(
-    complex: SurfaceComplex, dual: DualGraph, holes: list[BoundaryCycle]
+    complex: SurfaceComplex, holes: list[BoundaryCycle]
 ) -> TreeCotree:
-    """Full decomposition for a connected complex, candidate edges included."""
+    """Full decomposition of the complex, candidate edges included."""
     primal, leftovers = build_primal_tree(complex, holes)
-    dual_tree, preaug = build_dual_tree(complex, dual, primal.edge_ids, leftovers)
     tc = TreeCotree(
         primal=primal,
-        dual=dual_tree,
-        primal_edge_ids=primal.edge_ids,
-        dual_edge_ids_preaug=preaug,
-        dual_edge_ids=set(dual_tree.edge_ids),
+        dual=build_dual_tree(complex, primal),
         leftover_per_hole=leftovers,
     )
-    tc.candidate_edges = compute_candidate_edges(complex, tc, len(holes))
+    tc.candidate_edges = compute_candidate_edges(complex, tc)
     return tc
 
 
-def compute_candidate_edges(
-    complex: SurfaceComplex, tc: TreeCotree, num_holes: int
-) -> list[int]:
-    """Edges in neither tree; these index the candidate generators.
+def compute_candidate_edges(complex: SurfaceComplex, tc: TreeCotree) -> list[int]:
+    """Edges in neither tree, leftovers excluded; they index the candidate
+    generators.
 
-    For a connected complex their number must equal 2 minus the Euler
-    characteristic of the closed-up surface; a mismatch means the trees are
-    inconsistent and raises CountMismatch.
+    Their number must equal 2C minus the Euler characteristic minus the
+    number of boundary circles (one leftover each), for C components; with
+    one root per component in each forest this is the per-component count
+    2 - chi - h summed.  A mismatch means the trees are inconsistent and
+    raises CountMismatch.
     """
+    leftovers = set(tc.leftover_per_hole)
     candidates = [
         eid
         for eid in range(complex.num_edges)
-        if eid not in tc.primal_edge_ids and eid not in tc.dual_edge_ids
+        if eid not in tc.primal.edge_ids
+        and eid not in tc.dual.edge_ids
+        and eid not in leftovers
     ]
-    expected = 2 - euler_characteristic(complex) - num_holes
+    expected = 2 * len(tc.primal.roots) - euler_characteristic(complex) - len(leftovers)
     if len(candidates) != expected:
         raise CountMismatch(
             f"{len(candidates)} candidate edges, expected {expected}"

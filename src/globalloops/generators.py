@@ -1,6 +1,9 @@
 """Construction of the three generator classes and the assembled basis.
 
-Per connected component the pipeline produces:
+One pass classifies the boundary and grows the primal and dual spanning
+forests over the whole complex (one tree per connected component, see
+``forest``).  The candidate edges, boundary circles and contact components
+are then grouped by component, and per component the pipeline produces:
 
 * handle generators, one per candidate edge (edges in neither spanning
   tree), via self-pair transport around the dual tree; on non-orientable
@@ -12,8 +15,8 @@ Per connected component the pipeline produces:
   transport between contact edges, plus one extra generator anchored at the
   twisted edge when the component is non-orientable.
 
-All coefficients are integers; the same representatives serve as a basis
-over the reals.
+Every id is the complex's own.  All coefficients are integers; the same
+representatives serve as a basis over the reals.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cochain import Cochain1
-from .dual import build_dual
-from .errors import CountMismatch, NotABoundaryEdge, UnsupportedContactLayout
+from .errors import CountMismatch, UnsupportedContactLayout
 from .forest import TreeCotree, build_tree_cotree
 from .surface import (
+    BoundaryCycle,
     BoundaryPartition,
     SurfaceComplex,
     classify_boundary,
@@ -55,8 +58,6 @@ class ComponentMeta:
     num_twisted_edges: int
     orientable: bool
     betti1: int
-    fixed_hole: int | None = None
-    fixed_contact: int | None = None
     anchor_edge: int | None = None  # twisted edge all combinations anchor to
 
 
@@ -106,9 +107,9 @@ class GeneratorSet:
 
 
 def handles(
-    complex: SurfaceComplex, tc: TreeCotree
+    complex: SurfaceComplex, tc: TreeCotree, candidates: list[int]
 ) -> tuple[list[Cochain1], list[int], int | None]:
-    """Handle generators for one connected component.
+    """Handle generators from one component's sorted candidate edges.
 
     Returns (generators, twisted candidate edges, anchor edge).  Twisted
     candidates are the ones whose self-pair transport fails; when present,
@@ -118,7 +119,7 @@ def handles(
     """
     by_edge: dict[int, Cochain1] = {}
     twisted: list[int] = []
-    for eid in tc.candidate_edges:
+    for eid in candidates:
         f1, f2 = sorted(complex.edge_faces[eid])
         path = tc.dual.path(f1, f2)
         result = transport(complex, path, eid, eid)
@@ -128,7 +129,7 @@ def handles(
             twisted.append(eid)
 
     if not twisted:
-        return [by_edge[eid] for eid in tc.candidate_edges], [], None
+        return [by_edge[eid] for eid in candidates], [], None
 
     anchor = min(twisted)
     fa1, fa2 = sorted(complex.edge_faces[anchor])
@@ -136,7 +137,7 @@ def handles(
         if eid == anchor:
             continue
         by_edge[eid] = _combine_through_anchor(complex, tc, eid, anchor, fa1, fa2)
-    gens = [by_edge[eid] for eid in tc.candidate_edges if eid != anchor]
+    gens = [by_edge[eid] for eid in candidates if eid != anchor]
     return gens, twisted, anchor
 
 
@@ -155,15 +156,15 @@ def _combine_through_anchor(complex, tc, eid, anchor, anchor_f1, anchor_f2):
     return Cochain1(out)
 
 
-def holes(complex: SurfaceComplex, partition: BoundaryPartition) -> list[Cochain1]:
+def holes(complex: SurfaceComplex, cycles: list[BoundaryCycle]) -> list[Cochain1]:
     """Hole generators: vertex coboundary of each non-fixed circle indicator.
 
-    The fixed circle is the one whose minimal vertex id is largest.  The
-    support of each generator consists exactly of the edges with one
-    endpoint on the circle, so no boundary edge is touched and the result is
-    a relative cocycle even under full insulation.
+    ``cycles`` are one component's circles in ascending order of minimal
+    vertex id; the fixed circle is the last one.  The support of each
+    generator consists exactly of the edges with one endpoint on the circle,
+    so no boundary edge is touched and the result is a relative cocycle even
+    under full insulation.
     """
-    cycles = partition.hole_components
     out = []
     for cyc in cycles[:-1]:
         members = set(cyc.vertices)
@@ -180,17 +181,16 @@ def holes(complex: SurfaceComplex, partition: BoundaryPartition) -> list[Cochain
 def contacts(
     complex: SurfaceComplex,
     tc: TreeCotree,
-    partition: BoundaryPartition,
-    twisted: list[int],
+    comps: list[list[int]],
     anchor: int | None,
 ) -> list[Cochain1]:
-    """Contact generators, reusing the dual tree and the twisted-edge data.
+    """Contact generators from one component's contact components.
 
-    One transport generator per contact component short of the fixed one
-    (largest minimal vertex id); non-orientable components get one extra
-    generator built from the two paths to the anchor edge.
+    ``comps`` are in ascending order of minimal vertex id.  One transport
+    generator per contact component short of the fixed (last) one; a
+    non-orientable component, which has an anchor edge, gets one extra
+    generator built from the two paths to the anchor.
     """
-    comps = partition.contact_components
     fixed_edge = min(comps[-1])
     fixed_face = complex.edge_faces[fixed_edge][0]
     out = []
@@ -201,8 +201,7 @@ def contacts(
         result = transport(complex, path, eid, fixed_edge)
         out.append(result.cochain)
 
-    if twisted:
-        assert anchor is not None
+    if anchor is not None:
         fa1, fa2 = sorted(complex.edge_faces[anchor])
         first = transport(
             complex, tc.dual.path(fixed_face, fa1), fixed_edge, anchor
@@ -231,95 +230,79 @@ def _expected_counts(meta: ComponentMeta) -> tuple[int, int, int]:
     return n_ha, n_ho, n_co
 
 
-def compute_component(
-    complex: SurfaceComplex, contact_edges: set[int], component_id: int = 0
-) -> tuple[list[Generator], ComponentMeta]:
-    """Run the full pipeline on one connected component."""
-    partition = classify_boundary(complex, contact_edges)
-    _reject_full_circle_contacts(complex, partition)
-    dual = build_dual(complex)
-    tc = build_tree_cotree(complex, dual, partition.hole_components)
-
-    ha, twisted, anchor = handles(complex, tc)
-    ho = holes(complex, partition) if partition.num_holes else []
-    co = (
-        contacts(complex, tc, partition, twisted, anchor)
-        if partition.num_contacts
-        else []
-    )
-
-    meta = ComponentMeta(
-        component_id=component_id,
-        num_holes=partition.num_holes,
-        num_contacts=partition.num_contacts,
-        num_candidate_edges=len(tc.candidate_edges),
-        num_twisted_edges=len(twisted),
-        orientable=not twisted,
-        betti1=len(ha) + len(ho) + len(co),
-        fixed_hole=partition.num_holes - 1 if partition.num_holes else None,
-        fixed_contact=partition.num_contacts - 1 if partition.num_contacts else None,
-        anchor_edge=anchor,
-    )
-    expected = _expected_counts(meta)
-    if (len(ha), len(ho), len(co)) != expected:
-        raise CountMismatch(
-            f"class sizes {(len(ha), len(ho), len(co))} do not match {expected}"
-        )
-
-    gens = (
-        [Generator(HANDLE, component_id, g) for g in ha]
-        + [Generator(HOLE, component_id, g) for g in ho]
-        + [Generator(CONTACT, component_id, g) for g in co]
-    )
-    return gens, meta
-
-
-def _reject_full_circle_contacts(complex, partition):
-    circle_sizes = {
-        min(cyc.edges): len(cyc.edges) for cyc in partition.hole_components
+def _reject_full_circle_contacts(partition: BoundaryPartition) -> None:
+    circle_of_edge = {
+        eid: cyc for cyc in partition.hole_components for eid in cyc.edges
     }
-    circle_of_edge: dict[int, int] = {}
-    for cyc in partition.hole_components:
-        key = min(cyc.edges)
-        for eid in cyc.edges:
-            circle_of_edge[eid] = key
     for j, comp in enumerate(partition.contact_components):
-        key = circle_of_edge[comp[0]]
-        if len(comp) == circle_sizes[key]:
+        cyc = circle_of_edge[comp[0]]
+        if len(comp) == len(cyc.edges):
             raise UnsupportedContactLayout(
-                f"contact component {j} covers an entire boundary circle; "
-                "leave at least one insulated edge on each circle with contacts"
+                f"contact component {j} covers the entire boundary circle "
+                f"through vertex {cyc.vertices[0]}; leave at least one "
+                "insulated edge on each circle with contacts"
             )
 
 
 def compute_generators(
     complex: SurfaceComplex, contact_edges: set[int] | frozenset[int] = frozenset()
 ) -> GeneratorSet:
-    """Compute the full generator basis, one component at a time.
+    """Compute the full generator basis in one pass over the complex.
 
-    Results are re-embedded into the parent complex's edge ids; metadata
-    (anchor edges included) is reported in parent ids as well.
+    Components come in ascending order of their minimal face id; generators
+    and metadata (anchor edges included) use the complex's own edge ids.
     """
-    contact_edges = set(contact_edges)
-    for eid in contact_edges:
-        if not 0 <= eid < complex.num_edges:
-            raise NotABoundaryEdge(f"edge id {eid} is not an edge of the mesh")
+    partition = classify_boundary(complex, contact_edges)
+    _reject_full_circle_contacts(partition)
+    tc = build_tree_cotree(complex, partition.hole_components)
+
+    parts = connected_components(complex)
+    comp_of_face = [0] * complex.num_faces
+    for cid, face_ids in enumerate(parts):
+        for fid in face_ids:
+            comp_of_face[fid] = cid
+
+    def component_of(eid: int) -> int:
+        return comp_of_face[complex.edge_faces[eid][0]]
+
+    candidates: list[list[int]] = [[] for _ in parts]
+    for eid in tc.candidate_edges:
+        candidates[component_of(eid)].append(eid)
+    cycles: list[list[BoundaryCycle]] = [[] for _ in parts]
+    for cyc in partition.hole_components:
+        cycles[component_of(cyc.edges[0])].append(cyc)
+    contact_comps: list[list[list[int]]] = [[] for _ in parts]
+    for comp in partition.contact_components:
+        contact_comps[component_of(comp[0])].append(comp)
 
     out = GeneratorSet()
-    for cid, emb in enumerate(connected_components(complex)):
-        sub = emb.complex
-        global_of_sub = emb.edges
-        sub_of_global = {g: s for s, g in enumerate(global_of_sub)}
-        sub_contacts = {
-            sub_of_global[eid] for eid in contact_edges if eid in sub_of_global
-        }
-        gens, meta = compute_component(sub, sub_contacts, component_id=cid)
-        for gen in gens:
-            remapped = Cochain1(
-                {global_of_sub[eid]: v for eid, v in gen.cochain.coeffs.items()}
+    for cid in range(len(parts)):
+        ha, twisted, anchor = handles(complex, tc, candidates[cid])
+        ho = holes(complex, cycles[cid])
+        co = (
+            contacts(complex, tc, contact_comps[cid], anchor)
+            if contact_comps[cid]
+            else []
+        )
+        meta = ComponentMeta(
+            component_id=cid,
+            num_holes=len(cycles[cid]),
+            num_contacts=len(contact_comps[cid]),
+            num_candidate_edges=len(candidates[cid]),
+            num_twisted_edges=len(twisted),
+            orientable=not twisted,
+            betti1=len(ha) + len(ho) + len(co),
+            anchor_edge=anchor,
+        )
+        expected = _expected_counts(meta)
+        if (len(ha), len(ho), len(co)) != expected:
+            raise CountMismatch(
+                f"class sizes {(len(ha), len(ho), len(co))} do not match {expected}"
             )
-            out.generators.append(Generator(gen.kind, cid, remapped))
-        if meta.anchor_edge is not None:
-            meta.anchor_edge = global_of_sub[meta.anchor_edge]
+        out.generators += (
+            [Generator(HANDLE, cid, g) for g in ha]
+            + [Generator(HOLE, cid, g) for g in ho]
+            + [Generator(CONTACT, cid, g) for g in co]
+        )
         out.components.append(meta)
     return out

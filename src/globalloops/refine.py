@@ -30,8 +30,3 @@ def refine(complex: SurfaceComplex) -> SurfaceComplex:
         )
     return build_complex(base + complex.num_edges, faces, coords=coords)
 
-
-def refine_times(complex: SurfaceComplex, levels: int) -> SurfaceComplex:
-    for _ in range(levels):
-        complex = refine(complex)
-    return complex

@@ -128,16 +128,6 @@ class ClosedComplex:
         return self.num_vertices - self.num_edges + self.num_faces
 
 
-@dataclass
-class ComponentEmbedding:
-    """A face-connectivity component plus maps back into the parent complex."""
-
-    complex: SurfaceComplex
-    vertices: list[int]  # sub vertex id -> parent vertex id
-    edges: list[int]  # sub edge id -> parent edge id
-    faces: list[int]  # sub face id -> parent face id
-
-
 def build_complex(
     vertex_count: int,
     faces: list[Face],
@@ -202,7 +192,7 @@ def build_complex(
         if not vertex_edges[v]:
             raise IsolatedVertex(f"vertex {v} belongs to no face")
 
-    _check_vertex_links(vertex_count, clean_faces, edges, edge_face_lists, face_edges)
+    _check_vertex_links(clean_faces, edges, edge_face_lists, face_edges, vertex_edges)
 
     boundary_edge_ids = [
         eid for eid, fl in enumerate(edge_face_lists) if len(fl) == 1
@@ -220,20 +210,15 @@ def build_complex(
     )
 
 
-def _check_vertex_links(vertex_count, faces, edges, edge_face_lists, face_edges):
+def _check_vertex_links(faces, edges, edge_face_lists, face_edges, vertex_edges):
     # The faces around each vertex must form a single fan (path or cycle);
     # two fans meeting at a point is a pinch, which the algorithms do not
     # support.  Walk the fan from a boundary edge (or anywhere on a closed
     # fan) and require that it reaches every face at the vertex.
-    face_count_at = [0] * vertex_count
+    face_count_at = [0] * len(vertex_edges)
     for f in faces:
         for v in f:
             face_count_at[v] += 1
-
-    vertex_edge_ids: list[list[int]] = [[] for _ in range(vertex_count)]
-    for eid, (a, b) in enumerate(edges):
-        vertex_edge_ids[a].append(eid)
-        vertex_edge_ids[b].append(eid)
 
     def other_edge_at(fid, v, eid):
         for eid2, _ in face_edges[fid]:
@@ -243,17 +228,16 @@ def _check_vertex_links(vertex_count, faces, edges, edge_face_lists, face_edges)
                     return eid2
         raise AssertionError("triangle lost an edge at its own vertex")
 
-    for v in range(vertex_count):
-        local = vertex_edge_ids[v]
+    for v, local in enumerate(vertex_edges):
         if face_count_at[v] <= 1:
             continue
         entry = None
-        for eid in local:
+        for eid, _ in local:
             if len(edge_face_lists[eid]) == 1:
                 entry = eid
                 break
         if entry is None:
-            entry = local[0]
+            entry = local[0][0]
         start = edge_face_lists[entry][0]
         cur, in_edge = start, entry
         visited = 1
@@ -381,12 +365,11 @@ def classify_boundary(
     )
 
 
-def connected_components(complex: SurfaceComplex) -> list[ComponentEmbedding]:
-    """Face-connectivity components with index maps back into the parent.
+def connected_components(complex: SurfaceComplex) -> list[list[int]]:
+    """Face-connectivity components as ascending lists of face ids.
 
     Faces are adjacent when they share an edge.  Components come out in
-    ascending order of their minimal face id; faces and vertices inside a
-    component keep their relative order.
+    ascending order of their minimal face id.
     """
     comp_of_face = [-1] * complex.num_faces
     comp_count = 0
@@ -404,39 +387,10 @@ def connected_components(complex: SurfaceComplex) -> list[ComponentEmbedding]:
                         queue.append(other)
         comp_count += 1
 
-    if comp_count == 1:
-        # Connected: reuse the complex itself behind identity maps.
-        return [
-            ComponentEmbedding(
-                complex=complex,
-                vertices=list(range(complex.num_vertices)),
-                edges=list(range(complex.num_edges)),
-                faces=list(range(complex.num_faces)),
-            )
-        ]
-
-    embeddings = []
-    for cid in range(comp_count):
-        face_ids = [f for f in range(complex.num_faces) if comp_of_face[f] == cid]
-        vert_ids = sorted({v for f in face_ids for v in complex.faces[f]})
-        vmap = {v: i for i, v in enumerate(vert_ids)}
-        sub_faces = [
-            (vmap[a], vmap[b], vmap[c])
-            for a, b, c in (complex.faces[f] for f in face_ids)
-        ]
-        sub_coords = None
-        if complex.coords is not None:
-            sub_coords = [complex.coords[v] for v in vert_ids]
-        sub = build_complex(len(vert_ids), sub_faces, coords=sub_coords)
-        edge_ids = [
-            complex.edge_index[(vert_ids[a], vert_ids[b])] for a, b in sub.edges
-        ]
-        embeddings.append(
-            ComponentEmbedding(
-                complex=sub, vertices=vert_ids, edges=edge_ids, faces=face_ids
-            )
-        )
-    return embeddings
+    components: list[list[int]] = [[] for _ in range(comp_count)]
+    for fid, cid in enumerate(comp_of_face):
+        components[cid].append(fid)
+    return components
 
 
 def build_closed_complex(complex: SurfaceComplex) -> ClosedComplex:

@@ -190,7 +190,7 @@ def disjoint_union(*complexes):
 
 def boundary_arc(complex, circle_index, length, start=0):
     """Edge ids of a contact arc on one boundary circle."""
-    from globalloops import boundary_components
+    from globalloops.surface import boundary_components
 
     cyc = boundary_components(complex)[circle_index]
     assert length < len(cyc.edges)
@@ -248,7 +248,7 @@ def random_annulus(seed, steps=12):
 
 def random_contact_arc(complex, seed, max_len=3):
     """A random proper contact arc on a random boundary circle."""
-    from globalloops import boundary_components
+    from globalloops.surface import boundary_components
 
     rng = random.Random(seed)
     cycles = boundary_components(complex)
@@ -266,7 +266,7 @@ def mixed_surface(n=16):
     an annulus, with two contact arcs of two edges on every boundary circle
     of at least eight edges.  Returns the complex and its contact edge ids.
     """
-    from globalloops import boundary_components
+    from globalloops.surface import boundary_components
 
     K = disjoint_union(
         torus_with_hole(n, n),

@@ -8,19 +8,14 @@ import functools
 import json
 
 import meshes
-from globalloops import (
-    betti1_relative,
-    build_closed_complex,
-    build_dual,
-    build_tree_cotree,
+from globalloops.cochain import evaluate, is_relative_cocycle
+from globalloops.forest import build_tree_cotree
+from globalloops.generators import compute_generators
+from globalloops.oracle import betti1_relative, homology_snf, is_orientable, verify
+from globalloops.surface import (
     boundary_components,
+    build_closed_complex,
     classify_boundary,
-    compute_generators,
-    evaluate,
-    homology_snf,
-    is_orientable,
-    is_relative_cocycle,
-    verify,
 )
 from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.cli import main as cli_main
@@ -101,7 +96,7 @@ def test_handle_generators_and_pairing():
         assert len(gens.generators) == expected
         bp = classify_boundary(K, set())
         assert betti1_relative(K, bp) == expected
-        tc = build_tree_cotree(K, build_dual(K), boundary_components(K))
+        tc = build_tree_cotree(K, boundary_components(K))
         for i, g in enumerate(gens.ha):
             for j, eid in enumerate(tc.candidate_edges):
                 pairing = evaluate(g, fundamental_cycle(K, tc, eid))

@@ -3,7 +3,9 @@
 import json
 
 import meshes
+from globalloops import generators
 from globalloops.cli import main
+from globalloops.errors import CountMismatch
 from globalloops.meshio import write_off
 
 
@@ -50,6 +52,12 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "χ=0" in out
         assert "boundary components=0" in out
+
+    def test_union_summary(self, tmp_path, capsys):
+        path = tmp_path / "union.off"
+        write_off(path, meshes.disjoint_union(meshes.csaszar_torus(), meshes.annulus(6)))
+        assert main(["info", str(path)]) == 0
+        assert "connected components=2" in capsys.readouterr().out
 
 
 class TestCompute:
@@ -123,6 +131,18 @@ class TestCompute:
         code = main(["compute", str(mesh), "--verify", "--oracle-cap", "3"])
         assert code == 3
         assert "refused" in capsys.readouterr().err
+
+    def test_internal_error_is_exit_four(self, tmp_path, capsys, monkeypatch):
+        # A violated invariant is a bug, not bad input: exit 4, not 2.
+        mesh = tmp_path / "torus.off"
+        write_off(mesh, meshes.csaszar_torus())
+
+        def broken(*args, **kwargs):
+            raise CountMismatch("tree path revisits the transported edge pair")
+
+        monkeypatch.setattr(generators, "transport", broken)
+        assert main(["compute", str(mesh)]) == 4
+        assert "internal error: tree path revisits" in capsys.readouterr().err
 
     def test_vtk_written(self, tmp_path):
         mesh = write_annulus(tmp_path)

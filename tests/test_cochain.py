@@ -5,15 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meshes
-from globalloops import (
+from globalloops.cochain import (
     Cochain1,
-    boundary_components,
-    classify_boundary,
     coboundary0,
     coboundary1,
     evaluate,
     is_relative_cocycle,
 )
+from globalloops.surface import boundary_components, classify_boundary
 from globalloops.errors import UnknownEdgeId
 
 ANNULUS = meshes.annulus(6)

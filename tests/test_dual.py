@@ -1,66 +1,68 @@
-"""Dual graph structure and its invariants."""
+"""The dual graph that the dual forest walks: face nodes joined across the
+interior edges, read from ``face_edges`` and ``edge_faces``."""
 
 from collections import deque
 
 import meshes
-from globalloops import build_dual
+
+
+def dual_neighbors(K, face):
+    """(edge id, face) pairs across the interior edges of a face."""
+    out = []
+    for eid, _ in sorted(K.face_edges[face]):
+        incident = K.edge_faces[eid]
+        if len(incident) == 2:
+            out.append((eid, incident[1] if incident[0] == face else incident[0]))
+    return out
 
 
 def test_single_triangle_is_a_star():
     K = meshes.triangle()
-    dual = build_dual(K)
-    assert dual.num_face_nodes == 1
-    assert dual.num_boundary_nodes == 3
-    assert len(dual.dual_edges) == 3
-    assert all(0 in pair for pair in dual.dual_edges)
-    # Boundary dual nodes are leaves.
-    for node in range(1, dual.num_nodes):
-        assert len(dual.adjacency[node]) == 1
+    assert K.num_faces == 1
+    assert len(K.boundary_edge_ids) == 3
+    assert all(K.edge_faces[eid] == (0,) for eid in range(K.num_edges))
+    assert dual_neighbors(K, 0) == []
 
 
 def test_octahedron_is_three_regular():
-    dual = build_dual(meshes.octahedron())
-    assert dual.num_face_nodes == 8
-    assert dual.num_boundary_nodes == 0
-    assert len(dual.dual_edges) == 12
-    assert all(len(dual.adjacency[n]) == 3 for n in range(8))
+    K = meshes.octahedron()
+    assert K.num_faces == 8
+    assert K.boundary_edge_ids == []
+    assert K.num_edges == 12
+    assert all(len(dual_neighbors(K, f)) == 3 for f in range(8))
 
 
 def test_one_dual_edge_per_primal_edge():
     K = meshes.annulus(6)
-    dual = build_dual(K)
-    assert len(dual.dual_edges) == K.num_edges == 24
+    assert len(K.edge_faces) == K.num_edges == 24
+    assert all(len(incident) in (1, 2) for incident in K.edge_faces)
 
 
 def test_back_maps_are_inverse():
     K = meshes.moebius(6)
-    dual = build_dual(K)
-    for eid in K.boundary_edge_ids:
-        node = dual.boundary_node_of_edge[eid]
-        assert dual.edge_of_boundary_node[node - dual.num_face_nodes] == eid
-    for eid, pair in enumerate(dual.dual_edges):
-        faces = set(K.edge_faces[eid])
-        face_side = {n for n in pair if dual.is_face_node(n)}
-        assert face_side == faces
+    for eid, incident in enumerate(K.edge_faces):
+        for f in incident:
+            assert eid in {e for e, _ in K.face_edges[f]}
+    for f, triple in enumerate(K.face_edges):
+        for eid, _ in triple:
+            assert f in K.edge_faces[eid]
 
 
 def test_face_degree_is_three():
     for K in (meshes.annulus(6), meshes.csaszar_torus(), meshes.moebius(6)):
-        dual = build_dual(K)
-        for f in range(dual.num_face_nodes):
-            assert len(dual.adjacency[f]) == 3
+        for f in range(K.num_faces):
+            assert len({eid for eid, _ in K.face_edges[f]}) == 3
 
 
 def test_interior_subgraph_is_connected():
     # Restricting to face nodes and interior dual edges keeps one component.
     for K in (meshes.annulus(6), meshes.pair_of_pants(), meshes.genus2()):
-        dual = build_dual(K)
         seen = {0}
         queue = deque([0])
         while queue:
             u = queue.popleft()
-            for eid, w in dual.adjacency[u]:
-                if dual.is_face_node(w) and w not in seen:
+            for _, w in dual_neighbors(K, u):
+                if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        assert len(seen) == dual.num_face_nodes
+        assert len(seen) == K.num_faces

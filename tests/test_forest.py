@@ -5,59 +5,58 @@ from collections import deque
 import pytest
 
 import meshes
-from globalloops import boundary_components, build_dual, build_tree_cotree
-from globalloops.errors import NodeNotInTree
+from globalloops.errors import DualDisconnected, NodeNotInTree
+from globalloops.forest import Tree, build_dual_tree, build_primal_tree, build_tree_cotree
+from globalloops.surface import boundary_components
 
 
 def decompose(K):
-    dual = build_dual(K)
-    holes = boundary_components(K)
-    return dual, build_tree_cotree(K, dual, holes)
+    return build_tree_cotree(K, boundary_components(K))
 
 
 def test_single_triangle():
     K = meshes.triangle()
-    _, tc = decompose(K)
-    assert len(tc.primal_edge_ids) == 2
+    tc = decompose(K)
+    assert len(tc.primal.edge_ids) == 2
     assert len(tc.leftover_per_hole) == 1
-    assert len(tc.dual_edge_ids_preaug) == 0
-    assert len(tc.dual_edge_ids) == 1  # the appended leaf
+    assert tc.dual.edge_ids == set()  # one face, nothing to cross
     assert tc.candidate_edges == []
 
 
 def test_annulus_leftovers_one_per_circle():
     K = meshes.annulus(6)
     holes = boundary_components(K)
-    _, tc = decompose(K)
+    tc = decompose(K)
     assert len(tc.leftover_per_hole) == 2
     for leftover, cyc in zip(tc.leftover_per_hole, holes):
         assert leftover in set(cyc.edges)
-    assert len(tc.dual_edge_ids) == (K.num_faces - 1) + 2
+        assert leftover not in tc.primal.edge_ids | tc.dual.edge_ids
+    assert len(tc.dual.edge_ids) == K.num_faces - 1
     assert tc.candidate_edges == []
 
 
 def test_boundary_tree_is_spanning_inside_each_circle():
     K = meshes.pair_of_pants()
     holes = boundary_components(K)
-    _, tc = decompose(K)
+    tc = decompose(K)
     for cyc, leftover in zip(holes, tc.leftover_per_hole):
-        inside = set(cyc.edges) & tc.primal_edge_ids
+        inside = set(cyc.edges) & tc.primal.edge_ids
         assert len(inside) == len(cyc.edges) - 1
         assert leftover not in inside
 
 
 def test_closed_torus():
     K = meshes.csaszar_torus()
-    _, tc = decompose(K)
-    assert len(tc.primal_edge_ids) == K.num_vertices - 1
+    tc = decompose(K)
+    assert len(tc.primal.edge_ids) == K.num_vertices - 1
     assert tc.leftover_per_hole == []
     assert len(tc.candidate_edges) == 2
 
 
 def test_octahedron_dual_tree_size():
     K = meshes.octahedron()
-    _, tc = decompose(K)
-    assert len(tc.dual_edge_ids) == 7
+    tc = decompose(K)
+    assert len(tc.dual.edge_ids) == 7
 
 
 def test_candidate_counts():
@@ -69,12 +68,13 @@ def test_candidate_counts():
         (meshes.genus2(), 4),
     ]
     for K, expected in expectations:
-        _, tc = decompose(K)
+        tc = decompose(K)
         assert len(tc.candidate_edges) == expected
 
 
 def test_edge_partition():
-    # Primal tree, dual tree and candidates split the edges exactly.
+    # Primal tree, dual tree, circle leftovers and candidates split the
+    # edges exactly.
     for K in (
         meshes.annulus(6),
         meshes.moebius(6),
@@ -82,8 +82,13 @@ def test_edge_partition():
         meshes.genus2(),
         meshes.klein_minus_disk(),
     ):
-        _, tc = decompose(K)
-        groups = [tc.primal_edge_ids, tc.dual_edge_ids, set(tc.candidate_edges)]
+        tc = decompose(K)
+        groups = [
+            tc.primal.edge_ids,
+            tc.dual.edge_ids,
+            set(tc.leftover_per_hole),
+            set(tc.candidate_edges),
+        ]
         assert sum(len(g) for g in groups) == K.num_edges
         assert set.union(*groups) == set(range(K.num_edges))
         for eid in tc.candidate_edges:
@@ -93,14 +98,14 @@ def test_edge_partition():
 class TestTreePaths:
     def test_trivial_path(self):
         K = meshes.annulus(6)
-        _, tc = decompose(K)
+        tc = decompose(K)
         path = tc.dual.path(3, 3)
         assert path.nodes == (3,)
         assert path.edges == ()
 
     def test_adjacent_nodes(self):
         K = meshes.annulus(6)
-        _, tc = decompose(K)
+        tc = decompose(K)
         child = next(
             n for n in range(K.num_faces) if tc.dual.parent[n] >= 0
         )
@@ -112,7 +117,7 @@ class TestTreePaths:
     def test_matches_breadth_first_search(self):
         # Brute-force BFS over the tree edges is the independent oracle.
         K = meshes.disk(6)
-        _, tc = decompose(K)
+        tc = decompose(K)
         adj = {}
         for node in range(K.num_faces):
             parent = tc.dual.parent[node]
@@ -143,12 +148,39 @@ class TestTreePaths:
                 assert path.edges == expected_edges
 
     def test_missing_node_raises(self):
-        K = meshes.annulus(6)
-        dual, tc = decompose(K)
-        outside = next(
-            n
-            for n in range(dual.num_face_nodes, dual.num_nodes)
-            if not tc.dual.member[n]
-        )
+        tree = Tree(3)
+        tree.add_root(0)
+        tree.attach(1, 0, 7)
         with pytest.raises(NodeNotInTree):
-            tc.dual.path(0, outside)
+            tree.path(0, 2)
+
+    def test_path_between_trees_raises(self):
+        torus = meshes.csaszar_torus()
+        tc = decompose(meshes.disjoint_union(torus, meshes.annulus(6)))
+        with pytest.raises(NodeNotInTree):
+            tc.dual.path(0, torus.num_faces)
+        with pytest.raises(NodeNotInTree):
+            tc.primal.path(0, torus.num_vertices)
+
+
+def test_one_tree_per_component():
+    torus, moebius = meshes.csaszar_torus(), meshes.moebius(6)
+    K = meshes.disjoint_union(torus, moebius, meshes.annulus(6))
+    tc = decompose(K)
+    offsets_v = [0, torus.num_vertices, torus.num_vertices + moebius.num_vertices]
+    offsets_f = [0, torus.num_faces, torus.num_faces + moebius.num_faces]
+    assert tc.primal.roots == offsets_v
+    assert tc.dual.roots == offsets_f
+    assert len(tc.primal.edge_ids) == K.num_vertices - 3
+    assert len(tc.dual.edge_ids) == K.num_faces - 3
+    # Torus 2, Moebius strip 1, annulus 0.
+    assert len(tc.candidate_edges) == 3
+
+
+def test_split_dual_forest_raises():
+    # Blocking every interior edge leaves each face its own dual tree.
+    K = meshes.annulus(6)
+    primal, _ = build_primal_tree(K, boundary_components(K))
+    primal.edge_ids |= {e for e in range(K.num_edges) if not K.is_boundary_edge(e)}
+    with pytest.raises(DualDisconnected):
+        build_dual_tree(K, primal)

@@ -1,20 +1,21 @@
 """Generator classes, assembly, and their contracts."""
 
+import re
+
 import pytest
 
 import meshes
-from globalloops import (
+from globalloops.cochain import coboundary0, evaluate, is_relative_cocycle
+from globalloops.errors import NotABoundaryEdge, UnsupportedContactLayout
+from globalloops.forest import build_tree_cotree
+from globalloops.generators import compute_generators
+from globalloops.oracle import verify
+from globalloops.surface import (
     boundary_components,
-    build_dual,
-    build_tree_cotree,
+    build_complex,
     classify_boundary,
-    coboundary0,
-    compute_generators,
-    evaluate,
-    is_relative_cocycle,
-    verify,
+    connected_components,
 )
-from globalloops.errors import UnsupportedContactLayout
 
 
 def fundamental_cycle(K, tc, eid):
@@ -70,8 +71,7 @@ class TestHandles:
         # Each handle generator pairs to 1 with its own candidate edge's
         # cycle and to 0 with the others.
         for K in (meshes.csaszar_torus(), meshes.genus2()):
-            dual = build_dual(K)
-            tc = build_tree_cotree(K, dual, boundary_components(K))
+            tc = build_tree_cotree(K, boundary_components(K))
             gens = compute_generators(K)
             assert len(gens.ha) == len(tc.candidate_edges)
             for i, g in enumerate(gens.ha):
@@ -262,3 +262,70 @@ class TestAssembly:
         assert [g.kind for g in a.generators] == [g.kind for g in b.generators]
         assert [g.cochain for g in a.generators] == [g.cochain for g in b.generators]
         assert a.components == b.components
+
+
+def component_alone(K, face_ids, contact):
+    """One component rebuilt as its own complex, with a map from its edge
+    ids back to the edge ids of K."""
+    verts = sorted({v for f in face_ids for v in K.faces[f]})
+    local = {v: i for i, v in enumerate(verts)}
+    sub = build_complex(
+        len(verts), [tuple(local[v] for v in K.faces[f]) for f in face_ids]
+    )
+    to_parent = [K.edge_index[(verts[a], verts[b])] for a, b in sub.edges]
+    sub_contact = {s for s, e in enumerate(to_parent) if e in contact}
+    return sub, sub_contact, to_parent
+
+
+class TestSinglePass:
+    """The pass over the whole complex speaks in the complex's own ids."""
+
+    def two_annuli(self):
+        return meshes.disjoint_union(meshes.annulus(6), meshes.annulus(6))
+
+    def test_non_boundary_contact_names_mesh_edge(self):
+        K = self.two_annuli()
+        eid = K.edge_index[(13, 19)]
+        assert not K.is_boundary_edge(eid)
+        with pytest.raises(NotABoundaryEdge, match=re.escape(f"edge (13, 19) (id {eid})")):
+            compute_generators(K, {eid})
+
+    def test_full_circle_contact_names_mesh_vertex(self):
+        K = self.two_annuli()
+        circle = boundary_components(K)[2]
+        assert circle.vertices[0] == 12
+        with pytest.raises(
+            UnsupportedContactLayout, match="entire boundary circle through vertex 12"
+        ):
+            compute_generators(K, set(circle.edges))
+
+    def test_one_edge_port_warning_names_mesh_edge(self):
+        K = self.two_annuli()
+        eid = K.edge_index[(12, 13)]
+        with pytest.warns(UserWarning, match=re.escape("single edge (12, 13)")):
+            compute_generators(K, {eid})
+
+    def test_union_matches_components_computed_alone(self):
+        K, contact = meshes.mixed_surface()
+        gens = compute_generators(K, contact)
+        parts = connected_components(K)
+        assert len(gens.components) == len(parts) == 5
+        for cid, face_ids in enumerate(parts):
+            sub, sub_contact, to_parent = component_alone(K, face_ids, contact)
+            alone = compute_generators(sub, sub_contact)
+            mapped = [
+                (g.kind, {to_parent[e]: v for e, v in g.cochain.coeffs.items()})
+                for g in alone.generators
+            ]
+            ours = [
+                (g.kind, dict(g.cochain.coeffs))
+                for g in gens.generators
+                if g.component == cid
+            ]
+            assert ours == mapped, cid
+            (meta,) = alone.components
+            expected_anchor = (
+                None if meta.anchor_edge is None else to_parent[meta.anchor_edge]
+            )
+            assert gens.components[cid].anchor_edge == expected_anchor
+            assert gens.components[cid].betti1 == meta.betti1

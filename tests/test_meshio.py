@@ -3,7 +3,7 @@
 import pytest
 
 import meshes
-from globalloops import compute_generators
+from globalloops.generators import compute_generators
 from globalloops.errors import ContactSpecError, NotABoundaryEdge, OffParseError
 from globalloops.meshio import (
     parse_contacts,

@@ -6,16 +6,13 @@ from hypothesis import strategies as st
 
 import meshes
 from globalloops import oracle
-from globalloops import (
-    Cochain1,
-    betti1_relative,
+from globalloops.cochain import Cochain1
+from globalloops.generators import compute_generators
+from globalloops.oracle import betti1_relative, homology_snf, is_orientable, verify
+from globalloops.surface import (
     boundary_components,
     build_closed_complex,
     classify_boundary,
-    compute_generators,
-    homology_snf,
-    is_orientable,
-    verify,
 )
 from globalloops.errors import MeshTooLargeForOracle
 from globalloops.oracle import PRIME, exact_rank, smith_invariant_factors, sparse_rank

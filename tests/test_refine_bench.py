@@ -1,9 +1,9 @@
 """Refinement arithmetic and the growth-exponent fit."""
 
 import meshes
-from globalloops import boundary_components, euler_characteristic
 from globalloops.bench import fit_exponent, run_refinement_bench
-from globalloops.refine import refine, refine_times
+from globalloops.refine import refine
+from globalloops.surface import boundary_components, euler_characteristic
 
 
 def test_one_to_four_counts():
@@ -17,7 +17,7 @@ def test_one_to_four_counts():
 
 def test_topology_preserved():
     K = meshes.annulus(6)
-    fine = refine_times(K, 2)
+    fine = refine(refine(K))
     assert len(boundary_components(fine)) == 2
     M = meshes.moebius(6)
     fine_m = refine(M)

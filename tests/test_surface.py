@@ -3,7 +3,8 @@
 import pytest
 
 import meshes
-from globalloops import (
+from globalloops import surface
+from globalloops.surface import (
     boundary_components,
     build_closed_complex,
     build_complex,
@@ -11,7 +12,6 @@ from globalloops import (
     connected_components,
     euler_characteristic,
 )
-from globalloops import surface
 from globalloops.errors import (
     CountMismatch,
     DegenerateFace,
@@ -73,6 +73,14 @@ class TestBuildComplex:
     def test_pinch_vertex_rejected(self):
         with pytest.raises(PinchVertex):
             build_complex(5, [(0, 1, 2), (0, 3, 4)])
+
+    def test_pinch_between_closed_fans_rejected(self):
+        # Two octahedra sharing vertex 0: both fans there are closed cycles.
+        octa = meshes.octahedron()
+        shift = [0] + [v + 5 for v in range(1, octa.num_vertices)]
+        faces = octa.faces + [tuple(shift[v] for v in f) for f in octa.faces]
+        with pytest.raises(PinchVertex, match="vertex 0 joins more than one face fan"):
+            build_complex(2 * octa.num_vertices - 1, faces)
 
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -193,28 +201,21 @@ class TestConnectedComponents:
         assert len(connected_components(K)) == 2
 
     def test_annulus_is_connected(self):
-        embs = connected_components(meshes.annulus(6))
-        assert len(embs) == 1
-        assert embs[0].complex.num_edges == 24
-        assert embs[0].edges == list(range(24))
+        K = meshes.annulus(6)
+        assert connected_components(K) == [list(range(K.num_faces))]
 
     def test_torus_with_moebius(self):
         K = meshes.disjoint_union(meshes.csaszar_torus(), meshes.moebius(6))
-        embs = connected_components(K)
-        assert len(embs) == 2
-        counts = sorted(
-            (e.complex.num_vertices, e.complex.num_edges, e.complex.num_faces)
-            for e in embs
-        )
+        parts = connected_components(K)
+        assert parts == [list(range(14)), list(range(14, 26))]
+        counts = []
+        for face_ids in parts:
+            verts = {v for f in face_ids for v in K.faces[f]}
+            edges = {eid for f in face_ids for eid, _ in K.face_edges[f]}
+            # No edge reaches a face of another component.
+            assert {g for e in edges for g in K.edge_faces[e]} == set(face_ids)
+            counts.append((len(verts), len(edges), len(face_ids)))
         assert counts == [(7, 21, 14), (12, 24, 12)]
-        # Index maps re-embed edges faithfully.
-        for emb in embs:
-            for sub_eid, parent_eid in enumerate(emb.edges):
-                a, b = emb.complex.edges[sub_eid]
-                assert K.edges[parent_eid] == (
-                    emb.vertices[a],
-                    emb.vertices[b],
-                )
 
 
 class TestClosedComplex:

@@ -5,21 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meshes
-from globalloops import (
-    boundary_components,
-    build_complex,
-    build_dual,
-    build_tree_cotree,
-    is_orientable,
-    transport,
-)
 from globalloops.errors import CountMismatch, EdgeNotOnFace
-from globalloops.forest import Path
+from globalloops.forest import Path, build_tree_cotree
+from globalloops.oracle import is_orientable
+from globalloops.surface import boundary_components, build_complex
+from globalloops.transport import transport
 
 
 def decompose(K):
-    dual = build_dual(K)
-    return dual, build_tree_cotree(K, dual, boundary_components(K))
+    return build_tree_cotree(K, boundary_components(K))
 
 
 def test_single_face_transport():
@@ -35,7 +29,7 @@ def test_single_face_transport():
 def test_self_pairs_succeed_on_orientable_surfaces():
     for K in (meshes.csaszar_torus(), meshes.torus_grid(4, 4), meshes.genus2()):
         assert is_orientable(K)
-        _, tc = decompose(K)
+        tc = decompose(K)
         assert tc.candidate_edges
         for eid in tc.candidate_edges:
             f1, f2 = sorted(K.edge_faces[eid])
@@ -48,7 +42,7 @@ def test_self_pairs_succeed_on_orientable_surfaces():
 def test_self_pair_fails_on_moebius():
     K = meshes.moebius(6)
     assert not is_orientable(K)
-    _, tc = decompose(K)
+    tc = decompose(K)
     (eid,) = tc.candidate_edges
     f1, f2 = sorted(K.edge_faces[eid])
     result = transport(K, tc.dual.path(f1, f2), eid, eid)
@@ -60,7 +54,7 @@ def test_facewise_sums_vanish_along_the_path():
     # Interior path faces see exactly two support edges whose signed
     # contributions cancel.
     K = meshes.csaszar_torus()
-    _, tc = decompose(K)
+    tc = decompose(K)
     eid = tc.candidate_edges[0]
     f1, f2 = sorted(K.edge_faces[eid])
     path = tc.dual.path(f1, f2)
@@ -95,7 +89,7 @@ def test_orientation_of_faces_does_not_matter(flip, data):
     # Reversing any stored face orientation leaves the transported values
     # unchanged, once edge ids are matched up by vertex pair.
     base = meshes.annulus(6)
-    _, tc = decompose(base)
+    tc = decompose(base)
     faces = list(base.faces)
     a, b, c = faces[flip]
     faces[flip] = (a, c, b)
