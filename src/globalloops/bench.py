@@ -21,50 +21,56 @@ class BenchLevel:
     seconds: float
 
 
-def time_pipeline(complex: SurfaceComplex, repeats: int = 3) -> float:
-    """Best-of-N wall time of the full pipeline, construction included.
+def time_pipeline(complex: SurfaceComplex) -> float:
+    """Wall time of one run of the full pipeline, construction included.
 
     The collector is paused during the timed region so allocation bursts do
     not distort the growth fit.
     """
-    best = math.inf
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            rebuilt = build_complex(
-                complex.num_vertices, complex.faces, coords=complex.coords
-            )
-            compute_generators(rebuilt, frozenset())
-            best = min(best, time.perf_counter() - t0)
-            gc.collect()
+        t0 = time.perf_counter()
+        rebuilt = build_complex(
+            complex.num_vertices, complex.faces, coords=complex.coords
+        )
+        compute_generators(rebuilt, frozenset())
+        seconds = time.perf_counter() - t0
+        gc.collect()
     finally:
         if was_enabled:
             gc.enable()
-    return best
+    return seconds
 
 
 def run_refinement_bench(
     base: SurfaceComplex, levels: int, repeats: int = 3
 ) -> list[BenchLevel]:
-    """Time the pipeline on the base mesh and `levels` refinements of it."""
-    out = []
-    mesh = base
-    for level in range(levels + 1):
-        seconds = time_pipeline(mesh, repeats=repeats)
-        out.append(
-            BenchLevel(
-                level=level,
-                num_vertices=mesh.num_vertices,
-                num_edges=mesh.num_edges,
-                num_faces=mesh.num_faces,
-                seconds=seconds,
-            )
+    """Time the pipeline on the base mesh and `levels` refinements of it.
+
+    Each of the `repeats` rounds times every level once, and the best time
+    of each level is kept.  A slow spell of a shared machine outlasts one
+    timing, so timing a level's repeats back to back lets one spell slow
+    them all and tilt the growth fit; spread over rounds, it costs each
+    level at most the rounds it overlaps.
+    """
+    family = [base]
+    for _ in range(levels):
+        family.append(refine(family[-1]))
+    best = [math.inf] * len(family)
+    for _ in range(max(repeats, 1)):
+        for level, mesh in enumerate(family):
+            best[level] = min(best[level], time_pipeline(mesh))
+    return [
+        BenchLevel(
+            level=level,
+            num_vertices=mesh.num_vertices,
+            num_edges=mesh.num_edges,
+            num_faces=mesh.num_faces,
+            seconds=best[level],
         )
-        if level < levels:
-            mesh = refine(mesh)
-    return out
+        for level, mesh in enumerate(family)
+    ]
 
 
 def fit_exponent(points: list[tuple[int, float]]) -> float:

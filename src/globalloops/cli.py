@@ -23,7 +23,6 @@ from .generators import compute_generators
 from .oracle import DEFAULT_EDGE_CAP
 from .surface import (
     boundary_components,
-    classify_boundary,
     connected_components,
     euler_characteristic,
 )
@@ -65,7 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("mesh", help="OFF base mesh file")
     p_bench.add_argument("--levels", type=int, default=4, help="refinement levels")
     p_bench.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats per level (best kept)"
+        "--repeats",
+        type=int,
+        default=3,
+        help="timing rounds over all levels (best time per level kept)",
     )
     p_bench.add_argument(
         "--fit-from", type=int, default=0, help="first level used in the growth fit"
@@ -112,10 +114,9 @@ def cmd_compute(args) -> int:
     verification = None
     exit_code = 0
     if args.verify:
-        partition = classify_boundary(complex, contact_edges)
         try:
             verification = oracle.verify(
-                complex, partition, generators, cap=args.oracle_cap
+                complex, generators.partition, generators, cap=args.oracle_cap
             )
         except MeshTooLargeForOracle as exc:
             print(f"error: verification refused: {exc}", file=sys.stderr)

@@ -45,30 +45,32 @@ class Tree:
         self.parent = [-1] * num_nodes
         self.parent_edge = [-1] * num_nodes
         self.depth = [0] * num_nodes
-        self.member = [False] * num_nodes
+        # Index into ``roots`` of each node's tree; -1 outside the forest.
+        self.tree_of = [-1] * num_nodes
         self.roots: list[int] = []
         self.edge_ids: set[int] = set()
 
     def __contains__(self, node: int) -> bool:
-        return self.member[node]
+        return self.tree_of[node] >= 0
 
     def add_root(self, node: int) -> None:
-        self.member[node] = True
+        self.tree_of[node] = len(self.roots)
         self.roots.append(node)
 
     def attach(self, child: int, parent: int, edge_id: int) -> None:
         self.parent[child] = parent
         self.parent_edge[child] = edge_id
         self.depth[child] = self.depth[parent] + 1
-        self.member[child] = True
+        self.tree_of[child] = self.tree_of[parent]
         self.edge_ids.add(edge_id)
 
     def path(self, a: int, b: int) -> Path:
-        if not self.member[a]:
+        if a not in self:
             raise NodeNotInTree(a)
-        if not self.member[b]:
+        if b not in self:
             raise NodeNotInTree(b)
-        start, end = a, b
+        if self.tree_of[a] != self.tree_of[b]:
+            raise NodeNotInTree(f"nodes {a} and {b} lie in different trees")
         left_nodes: list[int] = []
         left_edges: list[int] = []
         right_nodes: list[int] = []
@@ -88,8 +90,6 @@ class Tree:
             right_nodes.append(b)
             right_edges.append(self.parent_edge[b])
             b = self.parent[b]
-        if a < 0:
-            raise NodeNotInTree(f"nodes {start} and {end} lie in different trees")
         nodes = left_nodes + [a] + right_nodes[::-1]
         edges = left_edges + right_edges[::-1]
         return Path(nodes=tuple(nodes), edges=tuple(edges))
@@ -173,19 +173,19 @@ def build_primal_tree(
         while inner:
             u = inner.popleft()
             for eid, w in adj[u]:
-                if not tree.member[w]:
+                if tree.tree_of[w] < 0:
                     tree.attach(w, u, eid)
                     queue.append(w)
                     inner.append(w)
 
     for root in range(nv):
-        if tree.member[root]:
+        if tree.tree_of[root] >= 0:
             continue
         absorb(root, -1, -1)
         while queue:
             u = queue.popleft()
             for eid, w in complex.vertex_edges[u]:
-                if eid in boundary or tree.member[w]:
+                if eid in boundary or tree.tree_of[w] >= 0:
                     continue
                 absorb(w, u, eid)
     return tree, leftovers
@@ -201,7 +201,7 @@ def build_dual_tree(complex: SurfaceComplex, primal: Tree) -> Tree:
     tree = Tree(complex.num_faces)
     queue: deque[int] = deque()
     for root in range(complex.num_faces):
-        if tree.member[root]:
+        if tree.tree_of[root] >= 0:
             continue
         tree.add_root(root)
         queue.append(root)
@@ -212,7 +212,7 @@ def build_dual_tree(complex: SurfaceComplex, primal: Tree) -> Tree:
                 if len(incident) == 1 or eid in primal.edge_ids:
                     continue
                 w = incident[1] if incident[0] == u else incident[0]
-                if not tree.member[w]:
+                if tree.tree_of[w] < 0:
                     tree.attach(w, u, eid)
                     queue.append(w)
     if len(tree.roots) > len(primal.roots):

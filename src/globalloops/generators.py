@@ -3,7 +3,8 @@
 One pass classifies the boundary and grows the primal and dual spanning
 forests over the whole complex (one tree per connected component, see
 ``forest``).  The candidate edges, boundary circles and contact components
-are then grouped by component, and per component the pipeline produces:
+are then grouped by component, a face's component being the index of its
+dual tree, and per component the pipeline produces:
 
 * handle generators, one per candidate edge (edges in neither spanning
   tree), via self-pair transport around the dual tree; on non-orientable
@@ -31,7 +32,6 @@ from .surface import (
     BoundaryPartition,
     SurfaceComplex,
     classify_boundary,
-    connected_components,
 )
 from .transport import transport
 
@@ -65,6 +65,8 @@ class ComponentMeta:
 class GeneratorSet:
     generators: list[Generator] = field(default_factory=list)
     components: list[ComponentMeta] = field(default_factory=list)
+    # The boundary partition the generators were built on, for ``verify``.
+    partition: BoundaryPartition | None = None
 
     def of_kind(self, kind: str) -> list[Cochain1]:
         return [g.cochain for g in self.generators if g.kind == kind]
@@ -251,32 +253,32 @@ def compute_generators(
 
     Components come in ascending order of their minimal face id; generators
     and metadata (anchor edges included) use the complex's own edge ids.
+    The boundary partition is kept on the result for ``oracle.verify``.
     """
     partition = classify_boundary(complex, contact_edges)
     _reject_full_circle_contacts(partition)
     tc = build_tree_cotree(complex, partition.hole_components)
 
-    parts = connected_components(complex)
-    comp_of_face = [0] * complex.num_faces
-    for cid, face_ids in enumerate(parts):
-        for fid in face_ids:
-            comp_of_face[fid] = cid
+    # The dual forest has exactly one tree per component (build_dual_tree
+    # raises otherwise), rooted at its minimal face in ascending order.
+    components = range(len(tc.dual.roots))
+    comp_of_face = tc.dual.tree_of
 
     def component_of(eid: int) -> int:
         return comp_of_face[complex.edge_faces[eid][0]]
 
-    candidates: list[list[int]] = [[] for _ in parts]
+    candidates: list[list[int]] = [[] for _ in components]
     for eid in tc.candidate_edges:
         candidates[component_of(eid)].append(eid)
-    cycles: list[list[BoundaryCycle]] = [[] for _ in parts]
+    cycles: list[list[BoundaryCycle]] = [[] for _ in components]
     for cyc in partition.hole_components:
         cycles[component_of(cyc.edges[0])].append(cyc)
-    contact_comps: list[list[list[int]]] = [[] for _ in parts]
+    contact_comps: list[list[list[int]]] = [[] for _ in components]
     for comp in partition.contact_components:
         contact_comps[component_of(comp[0])].append(comp)
 
-    out = GeneratorSet()
-    for cid in range(len(parts)):
+    out = GeneratorSet(partition=partition)
+    for cid in components:
         ha, twisted, anchor = handles(complex, tc, candidates[cid])
         ho = holes(complex, cycles[cid])
         co = (

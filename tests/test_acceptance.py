@@ -169,7 +169,7 @@ def test_randomized_robustness():
 
 @criterion("linear-scaling")
 def test_linear_scaling():
-    levels = run_refinement_bench(meshes.annulus(8), levels=5, repeats=3)
+    levels = run_refinement_bench(meshes.annulus(8), levels=5, repeats=5)
     fitted = fit_exponent(
         [(l.num_edges, l.seconds) for l in levels if l.level >= 2]
     )

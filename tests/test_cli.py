@@ -2,11 +2,15 @@
 
 import json
 
+import pytest
+
 import meshes
 from globalloops import generators
 from globalloops.cli import main
 from globalloops.errors import CountMismatch
-from globalloops.meshio import write_off
+from globalloops.meshio import render_report, report_dict, write_off
+from globalloops.oracle import verify
+from globalloops.surface import classify_boundary
 
 
 def write_annulus(tmp_path, name="annulus.off"):
@@ -104,6 +108,27 @@ class TestCompute:
         assert code == 0
         report = json.loads(out.read_text())
         assert sorted(g["class"] for g in report["generators"]) == ["co", "ho"]
+
+    def test_one_edge_port_warns_once_under_verify(self, tmp_path):
+        K = meshes.annulus(6)
+        mesh = write_annulus(tmp_path)
+        (port,) = meshes.boundary_arc(K, 0, 1)
+        contact_file = tmp_path / "port.txt"
+        contact_file.write_text(f"{K.edges[port][0]} {K.edges[port][1]}\n")
+        out = tmp_path / "report.json"
+        with pytest.warns(UserWarning, match="one-edge port") as record:
+            code = main(
+                ["compute", str(mesh), "--contacts", str(contact_file),
+                 "--out", str(out), "--verify"]
+            )
+        assert code == 0
+        assert len(record) == 1
+
+        with pytest.warns(UserWarning):
+            gens = generators.compute_generators(K, {port})
+            partition = classify_boundary(K, {port})
+        expected = render_report(report_dict(K, gens, verify(K, partition, gens)))
+        assert out.read_text() == expected
 
     def test_missing_file_is_exit_one(self, tmp_path, capsys):
         missing = tmp_path / "nope.off"

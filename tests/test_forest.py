@@ -7,7 +7,7 @@ import pytest
 import meshes
 from globalloops.errors import DualDisconnected, NodeNotInTree
 from globalloops.forest import Tree, build_dual_tree, build_primal_tree, build_tree_cotree
-from globalloops.surface import boundary_components
+from globalloops.surface import boundary_components, connected_components
 
 
 def decompose(K):
@@ -171,6 +171,10 @@ def test_one_tree_per_component():
     offsets_f = [0, torus.num_faces, torus.num_faces + moebius.num_faces]
     assert tc.primal.roots == offsets_v
     assert tc.dual.roots == offsets_f
+    # Each face is labelled with its component, numbered as
+    # connected_components numbers them.
+    for cid, faces in enumerate(connected_components(K)):
+        assert {tc.dual.tree_of[f] for f in faces} == {cid}
     assert len(tc.primal.edge_ids) == K.num_vertices - 3
     assert len(tc.dual.edge_ids) == K.num_faces - 3
     # Torus 2, Moebius strip 1, annulus 0.

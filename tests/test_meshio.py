@@ -1,8 +1,13 @@
-"""OFF parsing, contact files, report round-trip, VTK overlay."""
+"""OFF parsing, contact files, report round-trip and bytes, VTK overlay."""
+
+import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import meshes
+from globalloops.cli import main
 from globalloops.generators import compute_generators
 from globalloops.errors import ContactSpecError, NotABoundaryEdge, OffParseError
 from globalloops.meshio import (
@@ -15,6 +20,8 @@ from globalloops.meshio import (
     write_vtk,
 )
 from globalloops.meshio import load_off
+from globalloops.oracle import verify
+from globalloops.surface import boundary_components, classify_boundary
 
 GOOD_OFF = """OFF
 # a lone triangle
@@ -136,6 +143,104 @@ class TestReport:
         r1 = render_report(report_dict(K, compute_generators(K)))
         r2 = render_report(report_dict(K, compute_generators(K)))
         assert r1 == r2
+
+
+def reference_render(report):
+    """The byte contract of ``render_report``."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+counts = st.integers(0, 10**6)
+# Quotes, backslashes, control and non-ASCII characters exercise escaping.
+texts = st.text(st.sampled_from('ab "\\/\n\t\x00\x7f\u00e9\u2028\U0001f600')) | st.text()
+edge_records = st.fixed_dictionaries(
+    {"v_a": counts, "v_b": counts, "coefficient": st.integers(-(10**30), 10**30)}
+)
+generator_records = st.fixed_dictionaries(
+    {
+        "class": st.sampled_from(["ha", "ho", "co"]) | texts,
+        "component_id": st.integers(0, 40),
+        "edges": st.lists(edge_records, max_size=5),
+    }
+)
+component_metas = st.fixed_dictionaries(
+    {
+        "component_id": counts,
+        "N_ho": counts,
+        "N_co": counts,
+        "E_M": counts,
+        "E_M_II": counts,
+        "orientable": st.booleans(),
+        "betti1": counts,
+    }
+)
+metas = st.fixed_dictionaries(
+    {
+        "components": st.lists(component_metas, max_size=4),
+        "N_ho": counts,
+        "N_co": counts,
+        "E_M": counts,
+        "E_M_II": counts,
+        "orientable": st.booleans(),
+        "betti1": counts,
+    }
+)
+verifications = st.fixed_dictionaries(
+    {
+        "betti1_relative": counts,
+        "generator_count": counts,
+        "cocycle_ok": st.lists(st.booleans(), max_size=4),
+        "independence_ok": st.booleans(),
+        "orientable": st.booleans(),
+        "torsion_coefficients": st.lists(st.just(2), max_size=3),
+        "dimension_formula_ok": st.booleans(),
+        "failures": st.lists(texts, max_size=3),
+        "passed": st.booleans(),
+    }
+)
+reports = st.fixed_dictionaries(
+    {"generators": st.lists(generator_records, max_size=5), "meta": metas},
+    optional={"verification": verifications},
+)
+
+EDGELESS = {"class": "ho", "component_id": 3, "edges": []}
+WIDE = {"class": "ha", "component_id": 0,
+        "edges": [{"v_a": 0, "v_b": 10**12, "coefficient": -(10**20)}]}
+META = {"components": [], "N_ho": 0, "N_co": 0, "E_M": 0, "E_M_II": 0,
+        "orientable": True, "betti1": 0}
+FAILED = {"betti1_relative": 1, "generator_count": 0, "cocycle_ok": [],
+          "independence_ok": True, "orientable": False,
+          "torsion_coefficients": [2], "dimension_formula_ok": False,
+          "failures": ['count "0" \\ expected 1 \u2014 caf\u00e9'], "passed": False}
+
+
+class TestRenderBytes:
+    @settings(deadline=None)
+    @given(reports)
+    @example({"generators": [], "meta": META})
+    @example({"generators": [EDGELESS, WIDE], "meta": META, "verification": FAILED})
+    def test_equals_indented_json(self, report):
+        assert render_report(report) == reference_render(report)
+
+    def test_cli_report_on_every_class_with_arcs(self, tmp_path):
+        # Five components, two contact arcs on every circle of eight or more
+        # edges and one two-edge arc on each shorter circle.
+        K, contact = meshes.mixed_surface()
+        for k, cyc in enumerate(boundary_components(K)):
+            if not contact & set(cyc.edges):
+                contact |= meshes.boundary_arc(K, k, 2)
+        mesh, contacts, out = (tmp_path / n for n in ("m.off", "c.txt", "r.json"))
+        write_off(mesh, K)
+        contacts.write_text(
+            "".join(f"{K.edges[e][0]} {K.edges[e][1]}\n" for e in sorted(contact))
+        )
+        argv = ["compute", str(mesh), "--contacts", str(contacts), "--out", str(out)]
+        assert main([*argv, "--verify"]) == 0
+
+        gens = compute_generators(K, contact)
+        report = report_dict(K, gens, verify(K, classify_boundary(K, contact), gens))
+        assert len(report["meta"]["components"]) == 5
+        assert out.read_text() == reference_render(report)
 
 
 class TestVtk:
