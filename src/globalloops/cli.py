@@ -1,14 +1,17 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 file or parse error, 2 topology error,
-3 verification failure (including an oracle refusal under --verify),
-4 internal error (a violated invariant of the computation, not bad input).
+Exit codes: 0 success, 1 file or parse error (a file that cannot be read
+or written, or is not UTF-8), 2 topology error, 3 verification failure
+(including an oracle refusal under --verify), 4 internal error (a violated
+invariant of the computation, not bad input).  ``main`` maps each failure
+to its code and one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from . import bench as bench_mod
 from . import meshio, oracle
@@ -75,52 +78,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_mesh(path: str):
+@contextmanager
+def _reading(path: str):
+    """Name ``path`` on a decode, parse or topology failure raised while reading it."""
     try:
+        yield
+    except (UnicodeDecodeError, OffParseError, ContactSpecError, TopologyError) as exc:
+        exc.filename = path
+        raise
+
+
+def _load_mesh(path: str):
+    with _reading(path):
         return meshio.load_off(path)
-    except FileNotFoundError:
-        print(f"error: cannot read mesh file {path}", file=sys.stderr)
-        raise SystemExit(1) from None
-    except OffParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(1) from None
-    except (TopologyError, ValueError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
 
 
 def cmd_compute(args) -> int:
     complex = _load_mesh(args.mesh)
     contact_edges: set[int] = set()
     if args.contacts:
-        try:
+        with _reading(args.contacts):
             contact_edges = meshio.load_contacts(args.contacts, complex)
-        except FileNotFoundError:
-            print(f"error: cannot read contact file {args.contacts}", file=sys.stderr)
-            return 1
-        except ContactSpecError as exc:
-            print(f"error: {args.contacts}: {exc}", file=sys.stderr)
-            return 1
-        except TopologyError as exc:
-            print(f"error: {args.contacts}: {exc}", file=sys.stderr)
-            return 2
-
-    try:
-        generators = compute_generators(complex, contact_edges)
-    except TopologyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    generators = compute_generators(complex, contact_edges)
 
     verification = None
     exit_code = 0
     if args.verify:
-        try:
-            verification = oracle.verify(
-                complex, generators.partition, generators, cap=args.oracle_cap
-            )
-        except MeshTooLargeForOracle as exc:
-            print(f"error: verification refused: {exc}", file=sys.stderr)
-            return 3
+        verification = oracle.verify(
+            complex, generators.partition, generators, cap=args.oracle_cap
+        )
         if not verification.passed:
             for failure in verification.failures:
                 print(f"verification failure: {failure}", file=sys.stderr)
@@ -165,17 +151,27 @@ def cmd_bench(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The one place where a failure becomes an exit code and a stderr line.
     try:
         if args.command == "compute":
             return cmd_compute(args)
         if args.command == "info":
             return cmd_info(args)
         return cmd_bench(args)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    except MeshTooLargeForOracle as exc:
+        print(f"error: verification refused: {exc}", file=sys.stderr)
+        return 3
+    except (
+        OSError, UnicodeDecodeError, OffParseError, ContactSpecError, TopologyError
+    ) as exc:
+        detail = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        where = getattr(exc, "filename", None)
+        prefix = f"{where}: " if where else ""
+        print(f"error: {prefix}{detail}", file=sys.stderr)
+        return 2 if isinstance(exc, TopologyError) else 1
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ def parse_off(text: str) -> tuple[int, list[tuple[float, float, float]], list[tu
 
 
 def load_off(path: str | Path) -> SurfaceComplex:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     nv, coords, faces = parse_off(text)
     return build_complex(nv, faces, coords=coords)
 
@@ -139,7 +139,7 @@ def parse_contacts(text: str, complex: SurfaceComplex) -> set[int]:
 
 
 def load_contacts(path: str | Path, complex: SurfaceComplex) -> set[int]:
-    return parse_contacts(Path(path).read_text(), complex)
+    return parse_contacts(Path(path).read_text(encoding="utf-8"), complex)
 
 
 def report_dict(

@@ -2,7 +2,11 @@
 
 Everything here re-derives edges and incidence signs from the raw face
 list rather than reusing the pipeline's tables, so a bug in the fast path
-cannot hide from the checks.
+cannot hide from the checks.  The boundary circles, the contact components
+and the closed-up complex (each circle collapsed to a point) all come from
+one union-find over vertex pairs of that incidence; of the pipeline's
+output only the partition's edge ids and the generators are read, each
+translated into oracle edge ids by vertex pair.
 
 Ranks come from one sparse elimination, ``sparse_rank``, over GF(p) for the
 fixed prime ``PRIME`` = 2**31 - 1, and over GF(2) for torsion.  The verdict
@@ -36,13 +40,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import MeshTooLargeForOracle
-from .surface import (
-    BoundaryPartition,
-    ClosedComplex,
-    SurfaceComplex,
-    build_closed_complex,
-)
+from .errors import CountMismatch, MeshTooLargeForOracle
+from .surface import BoundaryPartition, SurfaceComplex
 
 # Verify time grows about as E**1.2.  At this cap the slowest measured
 # mesh family took about 5 s and 130 MB (table in CHANGES.md).
@@ -240,6 +239,11 @@ class _Incidence:
         inc.boundary = {e for e, fl in enumerate(edge_faces) if len(fl) == 1}
         return inc
 
+    @property
+    def euler_characteristic(self) -> int:
+        num_vertices = len({v for edge in self.edges for v in edge})
+        return num_vertices - len(self.edges) + len(self.face_signs)
+
 
 def _check_cap(num_edges: int, cap: int) -> None:
     if num_edges > cap:
@@ -338,19 +342,68 @@ def _orientable(inc: _Incidence) -> bool:
     return True
 
 
-def homology_snf(
-    closed: ClosedComplex, cap: int = DEFAULT_EDGE_CAP
-) -> tuple[int, list[int]]:
+def _roots(pairs) -> dict[int, int]:
+    """Union-find over vertex pairs: each vertex named maps to its class root."""
+    parent: dict[int, int] = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {x: find(x) for x in parent}
+
+
+def _closed_rows(inc: _Incidence):
+    """Integer boundary maps of the closed-up complex, as sparse rows.
+
+    Each boundary circle collapses to one 0-cell, named by its union-find
+    root; other vertices are their own cells, and boundary edges are
+    deleted.  Returns the 0-cell count, ``d1`` (one row per kept edge over
+    0-cells, empty when both ends land on the same cell) and ``d2`` (one row
+    per face over oracle edge ids).  The Euler characteristic grows by
+    exactly the number of circles; anything else raises CountMismatch.
+    """
+    root = _roots(inc.edges[eid] for eid in inc.boundary)
+    circles = len(set(root.values()))
+    cells = len({root.get(v, v) for edge in inc.edges for v in edge})
+    d1 = []
+    for eid, (a, b) in enumerate(inc.edges):
+        if eid not in inc.boundary:
+            ca, cb = root.get(a, a), root.get(b, b)
+            d1.append({cb: 1, ca: -1} if ca != cb else {})
+    d2 = [
+        {eid: sign for eid, sign in signs if eid not in inc.boundary}
+        for signs in inc.face_signs
+    ]
+    chi = cells - len(d1) + len(d2)
+    if chi != inc.euler_characteristic + circles:
+        raise CountMismatch(
+            f"closed complex has Euler characteristic {chi}, "
+            f"expected {inc.euler_characteristic + circles}"
+        )
+    return cells, d1, d2
+
+
+def homology_snf(inc: _Incidence, cap: int = DEFAULT_EDGE_CAP) -> tuple[int, list[int]]:
     """First homology of the closed-up complex over the integers.
 
     Returns the free rank and the nontrivial invariant factors.  On a
     surface these are all 2, one for each unit of rank that the face
     boundary map loses over GF(2) against GF(p) (see the module docstring).
     """
-    _check_cap(closed.num_edges, cap)
-    rank_d2 = sparse_rank(closed.d2)
-    betti = closed.num_edges - sparse_rank(closed.d1) - rank_d2
-    torsion = [2] * (rank_d2 - sparse_rank(closed.d2, 2))
+    _, d1, d2 = _closed_rows(inc)
+    _check_cap(len(d1), cap)
+    rank_d2 = sparse_rank(d2)
+    betti = len(d1) - sparse_rank(d1) - rank_d2
+    torsion = [2] * (rank_d2 - sparse_rank(d2, 2))
     return betti, torsion
 
 
@@ -432,7 +485,7 @@ def verify(
         failures.append(
             f"twisted edge count {twisted} contradicts orientable={orientable}"
         )
-    _, torsion = homology_snf(build_closed_complex(complex), cap=cap)
+    _, torsion = homology_snf(inc, cap=cap)
     if (len(torsion) > 0) == orientable:
         failures.append(
             f"torsion {torsion} contradicts orientable={orientable}"
@@ -441,8 +494,11 @@ def verify(
     # 5. Class sizes against the dimension formulas, with the hole and
     # contact counts recomputed on the oracle side.
     kinds = [g.kind for g in generators.generators]
-    n_ho_oracle = _count_boundary_circles(inc)
-    n_co_oracle = _count_contact_components(complex, inc, partition)
+    n_ho_oracle = len(set(_roots(inc.edges[eid] for eid in inc.boundary).values()))
+    contact_pairs = (
+        inc.edges[inc.index[complex.edges[eid]]] for eid in partition.contact_edges
+    )
+    n_co_oracle = len(set(_roots(contact_pairs).values()))
     formula_failures: list[str] = []
     per_comp_holes = [m.num_holes for m in generators.components]
     if n_ho_oracle != sum(per_comp_holes):
@@ -488,49 +544,3 @@ def verify(
         dimension_formula_ok=dimension_formula_ok,
         failures=failures,
     )
-
-
-def _count_boundary_circles(inc: _Incidence) -> int:
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in inc.boundary:
-        for v in inc.edges[eid]:
-            parent.setdefault(v, v)
-    for eid in inc.boundary:
-        a, b = inc.edges[eid]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in parent})
-
-
-def _count_contact_components(
-    complex: SurfaceComplex, inc: _Incidence, partition: BoundaryPartition
-) -> int:
-    contact_ids = {
-        inc.index[complex.edges[eid]] for eid in partition.contact_edges
-    }
-    parent = {e: e for e in contact_ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    by_vertex: dict[int, list[int]] = {}
-    for eid in contact_ids:
-        for v in inc.edges[eid]:
-            by_vertex.setdefault(v, []).append(eid)
-    for edges_here in by_vertex.values():
-        for other in edges_here[1:]:
-            ra, rb = find(edges_here[0]), find(other)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(e) for e in contact_ids})

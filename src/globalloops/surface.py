@@ -1,7 +1,10 @@
 """Indexed triangulations: incidence numbers, boundary structure, components.
 
 The complex is purely combinatorial; vertex coordinates, when present, are
-carried along only so that exporters can write them back out.
+carried along only so that exporters can write them back out.  This module
+holds what the generator pipeline runs and nothing else: the oracle
+(``oracle.py``) rebuilds its own incidence from the face list and closes up
+the surface itself.
 """
 
 from __future__ import annotations
@@ -85,16 +88,16 @@ class BoundaryCycle:
 class BoundaryPartition:
     """Split of the boundary into contact components and the insulated rest.
 
-    The insulated part is a closed subcomplex: it holds every non-contact
-    boundary edge together with both endpoints of each such edge, so the
-    interface vertices between contact and insulation belong to it.
+    The insulated part is a closed subcomplex: every non-contact boundary
+    edge together with both endpoints of each such edge, so the interface
+    vertices between contact and insulation belong to it.  Only its edges
+    are stored; the vertices follow from them.
     """
 
     hole_components: list[BoundaryCycle]
     contact_components: list[list[int]]
     contact_edges: set[int]
     insulated_edges: set[int]
-    insulated_vertices: set[int]
 
     @property
     def num_holes(self) -> int:
@@ -103,29 +106,6 @@ class BoundaryPartition:
     @property
     def num_contacts(self) -> int:
         return len(self.contact_components)
-
-
-@dataclass
-class ClosedComplex:
-    """CW complex obtained by collapsing each boundary circle to a point.
-
-    Boundary edges are deleted and the vertices of the k-th circle are all
-    identified to one new 0-cell.  Only the integer boundary maps survive:
-    ``d1[e]`` maps vertex id to coefficient (empty when both endpoints land
-    on the same 0-cell) and ``d2[f]`` maps edge id to coefficient.
-    """
-
-    num_vertices: int
-    num_edges: int
-    num_faces: int
-    d1: list[dict[int, int]]
-    d2: list[dict[int, int]]
-    edge_map: list[int]  # closed edge id -> edge id in the source complex
-    vertex_map: list[int]  # source vertex id -> closed vertex id
-
-    @property
-    def euler_characteristic(self) -> int:
-        return self.num_vertices - self.num_edges + self.num_faces
 
 
 def build_complex(
@@ -226,7 +206,7 @@ def _check_vertex_links(faces, edges, edge_face_lists, face_edges, vertex_edges)
                 a, b = edges[eid2]
                 if a == v or b == v:
                     return eid2
-        raise AssertionError("triangle lost an edge at its own vertex")
+        raise CountMismatch(f"face {fid} has no second edge at its vertex {v}")
 
     for v, local in enumerate(vertex_edges):
         if face_count_at[v] <= 1:
@@ -351,17 +331,11 @@ def classify_boundary(
                 stacklevel=2,
             )
 
-    insulated_edges = boundary - contact
-    insulated_vertices: set[int] = set()
-    for eid in insulated_edges:
-        insulated_vertices.update(complex.edges[eid])
-
     return BoundaryPartition(
         hole_components=holes,
         contact_components=components,
         contact_edges=contact,
-        insulated_edges=insulated_edges,
-        insulated_vertices=insulated_vertices,
+        insulated_edges=boundary - contact,
     )
 
 
@@ -391,57 +365,3 @@ def connected_components(complex: SurfaceComplex) -> list[list[int]]:
     for fid, cid in enumerate(comp_of_face):
         components[cid].append(fid)
     return components
-
-
-def build_closed_complex(complex: SurfaceComplex) -> ClosedComplex:
-    """Collapse each boundary circle to a single 0-cell.
-
-    Interior vertices keep their relative order and the circle cells are
-    appended after them; boundary edges are deleted.  The Euler
-    characteristic grows by exactly the number of boundary circles.
-    """
-    holes = boundary_components(complex)
-    circle_of_vertex: dict[int, int] = {}
-    for k, cyc in enumerate(holes):
-        for v in cyc.vertices:
-            circle_of_vertex[v] = k
-
-    interior = [v for v in range(complex.num_vertices) if v not in circle_of_vertex]
-    vertex_map = [-1] * complex.num_vertices
-    for i, v in enumerate(interior):
-        vertex_map[v] = i
-    for v, k in circle_of_vertex.items():
-        vertex_map[v] = len(interior) + k
-
-    boundary = set(complex.boundary_edge_ids)
-    edge_map = [eid for eid in range(complex.num_edges) if eid not in boundary]
-    closed_id = {eid: i for i, eid in enumerate(edge_map)}
-
-    d1: list[dict[int, int]] = []
-    for eid in edge_map:
-        a, b = complex.edges[eid]
-        row: dict[int, int] = {}
-        row[vertex_map[b]] = row.get(vertex_map[b], 0) + 1
-        row[vertex_map[a]] = row.get(vertex_map[a], 0) - 1
-        d1.append({v: c for v, c in row.items() if c})
-
-    d2: list[dict[int, int]] = []
-    for triple in complex.face_edges:
-        d2.append({closed_id[eid]: sign for eid, sign in triple if eid in closed_id})
-
-    closed = ClosedComplex(
-        num_vertices=len(interior) + len(holes),
-        num_edges=len(edge_map),
-        num_faces=complex.num_faces,
-        d1=d1,
-        d2=d2,
-        edge_map=edge_map,
-        vertex_map=vertex_map,
-    )
-    expected = euler_characteristic(complex) + len(holes)
-    if closed.euler_characteristic != expected:
-        raise CountMismatch(
-            f"closed complex has Euler characteristic {closed.euler_characteristic}, "
-            f"expected {expected}"
-        )
-    return closed

@@ -11,12 +11,14 @@ import meshes
 from globalloops.cochain import evaluate, is_relative_cocycle
 from globalloops.forest import build_tree_cotree
 from globalloops.generators import compute_generators
-from globalloops.oracle import betti1_relative, homology_snf, is_orientable, verify
-from globalloops.surface import (
-    boundary_components,
-    build_closed_complex,
-    classify_boundary,
+from globalloops.oracle import (
+    _Incidence,
+    betti1_relative,
+    homology_snf,
+    is_orientable,
+    verify,
 )
+from globalloops.surface import boundary_components, classify_boundary
 from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.cli import main as cli_main
 from globalloops.meshio import write_off
@@ -138,7 +140,7 @@ def test_torsion_orientability_equivalence():
         gens = compute_generators(K, contact)
         twisted = gens.num_twisted_edges > 0
         non_orientable = not is_orientable(K)
-        _, torsion = homology_snf(build_closed_complex(K))
+        _, torsion = homology_snf(_Incidence.from_faces(K.faces))
         assert twisted == non_orientable == (torsion == [2]), name
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import meshes
-from globalloops import generators
+from globalloops import generators, meshio
 from globalloops.cli import main
 from globalloops.errors import CountMismatch
 from globalloops.meshio import render_report, report_dict, write_off
@@ -168,6 +168,60 @@ class TestCompute:
         monkeypatch.setattr(generators, "transport", broken)
         assert main(["compute", str(mesh)]) == 4
         assert "internal error: tree path revisits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["mesh", "contacts"])
+    @pytest.mark.parametrize("failure", ["directory", "permission"])
+    def test_unreadable_input_is_exit_one(
+        self, tmp_path, capsys, monkeypatch, role, failure
+    ):
+        mesh = write_annulus(tmp_path)
+        bad = tmp_path / "input"
+        if failure == "directory":
+            bad.mkdir()
+        else:
+            # Permission bits do not stop a superuser, so the read is refused
+            # at the loader instead.
+            bad.write_text("")
+            loader = "load_off" if role == "mesh" else "load_contacts"
+
+            def refuse(path, *args):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(meshio, loader, refuse)
+        if role == "mesh":
+            argv = ["compute", str(bad)]
+        else:
+            argv = ["compute", str(mesh), "--contacts", str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
+
+    def test_mesh_not_utf8_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.off"
+        bad.write_bytes("OFF\n# maille déformée\n".encode("latin-1"))
+        assert main(["compute", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
+        assert "utf-8" in err[0]
+
+    def test_contacts_not_utf8_is_exit_one(self, tmp_path, capsys):
+        mesh = write_annulus(tmp_path)
+        bad = tmp_path / "contacts.txt"
+        bad.write_bytes(b"\xff\xfe0 1\n")
+        assert main(["compute", str(mesh), "--contacts", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
+
+    @pytest.mark.parametrize("flag", ["--out", "--vtk"])
+    def test_output_into_missing_directory_is_exit_one(self, tmp_path, capsys, flag):
+        mesh = write_annulus(tmp_path)
+        target = tmp_path / "missing" / "result"
+        argv = ["compute", str(mesh), flag, str(target)]
+        if flag == "--vtk":
+            argv += ["--out", str(tmp_path / "report.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0]
 
     def test_vtk_written(self, tmp_path):
         mesh = write_annulus(tmp_path)

@@ -1,4 +1,7 @@
-"""Oracle: sparse and dense ranks, Smith form, Betti numbers, verification."""
+"""Oracle: sparse and dense ranks, Smith form, closed-up complex, Betti
+numbers, verification."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +12,8 @@ from globalloops import oracle
 from globalloops.cochain import Cochain1
 from globalloops.generators import compute_generators
 from globalloops.oracle import betti1_relative, homology_snf, is_orientable, verify
-from globalloops.surface import (
-    boundary_components,
-    build_closed_complex,
-    classify_boundary,
-)
-from globalloops.errors import MeshTooLargeForOracle
+from globalloops.surface import boundary_components, classify_boundary, euler_characteristic
+from globalloops.errors import CountMismatch, MeshTooLargeForOracle
 from globalloops.oracle import PRIME, exact_rank, smith_invariant_factors, sparse_rank
 from test_acceptance import corpus_with_contacts
 
@@ -29,12 +28,17 @@ def dense(rows, width):
     return out
 
 
-def dense_homology(closed, cap=None):
-    """H1 of a closed complex from the dense exact rank and Smith form."""
-    factors = smith_invariant_factors(dense(closed.d2, closed.num_edges))
+def incidence(K):
+    return oracle._Incidence.from_faces(K.faces)
+
+
+def dense_homology(inc, cap=None):
+    """H1 of the closed-up complex from the dense exact rank and Smith form."""
+    _, d1, d2 = oracle._closed_rows(inc)
+    factors = smith_invariant_factors(dense(d2, len(inc.edges)))
     rank_d2 = sum(1 for f in factors if f)
-    rank_d1 = exact_rank(dense(closed.d1, closed.num_vertices))
-    return closed.num_edges - rank_d1 - rank_d2, [f for f in factors if f > 1]
+    rank_d1 = exact_rank(dense(d1, 1 + max(v for edge in inc.edges for v in edge)))
+    return len(d1) - rank_d1 - rank_d2, [f for f in factors if f > 1]
 
 
 def dense_rank(rows, p=PRIME):
@@ -199,30 +203,71 @@ class TestOrientability:
 
 class TestHomologySnf:
     def test_disk_closure_is_a_sphere(self):
-        closed = build_closed_complex(meshes.disk(6))
-        assert homology_snf(closed) == (0, [])
+        assert homology_snf(incidence(meshes.disk(6))) == (0, [])
 
     def test_closed_torus(self):
-        closed = build_closed_complex(meshes.csaszar_torus())
-        assert homology_snf(closed) == (2, [])
+        assert homology_snf(incidence(meshes.csaszar_torus())) == (2, [])
 
     def test_moebius_closure_is_projective_plane(self):
-        closed = build_closed_complex(meshes.moebius(6))
-        assert homology_snf(closed) == (0, [2])
+        assert homology_snf(incidence(meshes.moebius(6))) == (0, [2])
 
     def test_klein_bottle(self):
-        closed = build_closed_complex(meshes.klein_minus_disk())
-        assert homology_snf(closed) == (1, [2])
+        assert homology_snf(incidence(meshes.klein_minus_disk())) == (1, [2])
 
     def test_genus2(self):
-        closed = build_closed_complex(meshes.genus2())
-        assert homology_snf(closed) == (4, [])
-
+        assert homology_snf(incidence(meshes.genus2())) == (4, [])
 
     def test_matches_dense_smith_form_on_every_test_mesh(self):
         for K in every_test_mesh():
-            closed = build_closed_complex(K)
-            assert homology_snf(closed) == dense_homology(closed), K
+            inc = incidence(K)
+            assert homology_snf(inc) == dense_homology(inc), K
+
+
+def closed_chi(inc):
+    cells, d1, d2 = oracle._closed_rows(inc)
+    return cells - len(d1) + len(d2)
+
+
+class TestClosedComplex:
+    def test_closed_surface_unchanged(self):
+        K = meshes.csaszar_torus()
+        cells, d1, d2 = oracle._closed_rows(incidence(K))
+        assert (cells, len(d1), len(d2)) == (K.num_vertices, K.num_edges, K.num_faces)
+
+    def test_disk_closes_to_sphere(self):
+        assert closed_chi(incidence(meshes.disk(6))) == 2
+
+    def test_annulus_closes_to_sphere(self):
+        cells, d1, d2 = oracle._closed_rows(incidence(meshes.annulus(6)))
+        assert (cells, len(d1), len(d2)) == (2, 12, 12)
+        assert cells - len(d1) + len(d2) == 2
+
+    def test_chi_shift_equals_hole_count(self):
+        for K in every_test_mesh():
+            holes = len(boundary_components(K))
+            assert closed_chi(incidence(K)) == euler_characteristic(K) + holes
+
+    def test_euler_characteristic_mismatch_raises(self, monkeypatch):
+        # The closed complex must gain one to the Euler characteristic per
+        # boundary circle; a miscount is an internal failure, not an assert.
+        monkeypatch.setattr(
+            oracle._Incidence, "euler_characteristic", property(lambda inc: 1)
+        )
+        with pytest.raises(CountMismatch):
+            oracle._closed_rows(incidence(meshes.annulus(6)))
+
+    def test_boundary_of_boundary_vanishes(self):
+        for K in every_test_mesh():
+            inc = incidence(K)
+            _, d1, d2 = oracle._closed_rows(inc)
+            kept = [eid for eid in range(len(inc.edges)) if eid not in inc.boundary]
+            d1_of = dict(zip(kept, d1))
+            for face_row in d2:
+                sums = {}
+                for eid, fcoeff in face_row.items():
+                    for v, ecoeff in d1_of[eid].items():
+                        sums[v] = sums.get(v, 0) + fcoeff * ecoeff
+                assert all(v == 0 for v in sums.values())
 
 
 class TestSelfConsistency:
@@ -238,7 +283,7 @@ class TestSelfConsistency:
             meshes.klein_minus_disk(),
         ):
             bp = classify_boundary(K, set())
-            closed_rank, _ = homology_snf(build_closed_complex(K))
+            closed_rank, _ = homology_snf(incidence(K))
             holes = len(boundary_components(K))
             assert betti1_relative(K, bp) - closed_rank == max(holes - 1, 0)
 
@@ -270,7 +315,7 @@ class TestSelfConsistency:
             meshes.klein_minus_disk(),
             meshes.genus2(),
         ):
-            _, torsion = homology_snf(build_closed_complex(K))
+            _, torsion = homology_snf(incidence(K))
             assert torsion in ([], [2])
 
 
@@ -312,6 +357,16 @@ class TestVerify:
         bp = classify_boundary(K, set())
         with pytest.raises(MeshTooLargeForOracle):
             verify(K, bp, compute_generators(K), cap=3)
+
+    @pytest.mark.parametrize("build", [meshes.moebius, meshes.annulus])
+    def test_ignores_the_pipeline_boundary_table(self, build):
+        # The oracle finds the boundary in its own incidence, so emptying the
+        # pipeline's boundary edge list after the run must not change the
+        # verdict (torsion on the Moebius strip, circles on the annulus).
+        K = build(6)
+        gens = compute_generators(K)
+        report = verify(dataclasses.replace(K, boundary_edge_ids=[]), gens.partition, gens)
+        assert report.passed, report.failures
 
     def test_same_report_as_the_dense_routines(self, monkeypatch):
         def reports():

@@ -1,19 +1,16 @@
-"""Complex construction, boundary structure, components and closure."""
+"""Complex construction, boundary structure and components."""
 
 import pytest
 
 import meshes
-from globalloops import surface
 from globalloops.surface import (
     boundary_components,
-    build_closed_complex,
     build_complex,
     classify_boundary,
     connected_components,
     euler_characteristic,
 )
 from globalloops.errors import (
-    CountMismatch,
     DegenerateFace,
     DuplicateFace,
     IsolatedVertex,
@@ -169,16 +166,13 @@ class TestClassifyBoundary:
             map(sorted, [arc1, arc2])
         )
         assert len(bp.insulated_edges) == 6
-        # Interface vertices belong to the insulated subcomplex.
-        interface = set()
-        for eid in bp.insulated_edges:
-            interface.update(K.edges[eid])
-        assert interface == bp.insulated_vertices
+        # The insulated subcomplex is the insulated edges with their ends;
+        # each arc meets it in its two interface vertices.
+        insulated_vertices = {v for eid in bp.insulated_edges for v in K.edges[eid]}
+        assert len(insulated_vertices) == 8
         for arc in (arc1, arc2):
-            arc_vertices = set()
-            for eid in arc:
-                arc_vertices.update(K.edges[eid])
-            assert len(arc_vertices & bp.insulated_vertices) == 2
+            arc_vertices = {v for eid in arc for v in K.edges[eid]}
+            assert len(arc_vertices & insulated_vertices) == 2
 
     def test_interior_edge_rejected(self):
         K = meshes.annulus(6)
@@ -216,45 +210,3 @@ class TestConnectedComponents:
             assert {g for e in edges for g in K.edge_faces[e]} == set(face_ids)
             counts.append((len(verts), len(edges), len(face_ids)))
         assert counts == [(7, 21, 14), (12, 24, 12)]
-
-
-class TestClosedComplex:
-    def test_closed_surface_unchanged(self):
-        K = meshes.csaszar_torus()
-        closed = build_closed_complex(K)
-        assert closed.num_vertices == K.num_vertices
-        assert closed.num_edges == K.num_edges
-        assert closed.num_faces == K.num_faces
-
-    def test_disk_closes_to_sphere(self):
-        closed = build_closed_complex(meshes.disk(6))
-        assert closed.euler_characteristic == 2
-
-    def test_annulus_closes_to_sphere(self):
-        K = meshes.annulus(6)
-        closed = build_closed_complex(K)
-        assert (closed.num_vertices, closed.num_edges, closed.num_faces) == (2, 12, 12)
-        assert closed.euler_characteristic == 2
-
-    def test_chi_shift_equals_hole_count(self):
-        for K in corpus():
-            closed = build_closed_complex(K)
-            holes = len(boundary_components(K))
-            assert closed.euler_characteristic == euler_characteristic(K) + holes
-
-    def test_euler_characteristic_mismatch_raises(self, monkeypatch):
-        # The closed complex must gain one to the Euler characteristic per
-        # boundary circle; a miscount is an internal failure, not an assert.
-        monkeypatch.setattr(surface, "euler_characteristic", lambda K: 1)
-        with pytest.raises(CountMismatch):
-            build_closed_complex(meshes.annulus(6))
-
-    def test_boundary_of_boundary_vanishes(self):
-        for K in corpus():
-            closed = build_closed_complex(K)
-            for face_row in closed.d2:
-                sums = {}
-                for eid, fcoeff in face_row.items():
-                    for v, ecoeff in closed.d1[eid].items():
-                        sums[v] = sums.get(v, 0) + fcoeff * ecoeff
-                assert all(v == 0 for v in sums.values())
