@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 file or parse error (a file that cannot be read
-or written, or is not UTF-8), 2 topology error, 3 verification failure
+Exit codes: 0 success, 1 file, parse or usage error (a file that cannot
+be read or written, or is not UTF-8; bench options that leave the growth
+fit fewer than two levels), 2 topology error, 3 verification failure
 (including an oracle refusal under --verify), 4 internal error (a violated
 invariant of the computation, not bad input).  ``main`` maps each failure
 to its code and one ``error:`` line on stderr.
@@ -21,6 +22,7 @@ from .errors import (
     MeshTooLargeForOracle,
     OffParseError,
     TopologyError,
+    UsageError,
 )
 from .generators import compute_generators
 from .oracle import DEFAULT_EDGE_CAP
@@ -73,7 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="timing rounds over all levels (best time per level kept)",
     )
     p_bench.add_argument(
-        "--fit-from", type=int, default=0, help="first level used in the growth fit"
+        "--fit-from",
+        type=int,
+        default=0,
+        help="first level of the growth fit, which needs at least two levels "
+        "up to --levels (exit 1 otherwise)",
     )
     return parser
 
@@ -141,6 +147,12 @@ def cmd_info(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    fitted = args.levels + 1 - max(args.fit_from, 0)
+    if fitted < 2:
+        raise UsageError(
+            f"the growth fit needs at least two levels; --levels {args.levels} "
+            f"--fit-from {args.fit_from} leaves {max(fitted, 0)}"
+        )
     complex = _load_mesh(args.mesh)
     levels = bench_mod.run_refinement_bench(
         complex, levels=args.levels, repeats=args.repeats
@@ -165,7 +177,8 @@ def main(argv=None) -> int:
         print(f"error: verification refused: {exc}", file=sys.stderr)
         return 3
     except (
-        OSError, UnicodeDecodeError, OffParseError, ContactSpecError, TopologyError
+        OSError, UnicodeDecodeError, OffParseError, ContactSpecError, TopologyError,
+        UsageError,
     ) as exc:
         detail = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
         where = getattr(exc, "filename", None)

@@ -62,6 +62,10 @@ class UnknownEdgeId(KeyError):
     """A cochain references an edge id outside the complex."""
 
 
+class UsageError(Exception):
+    """Command-line options the command cannot honour."""
+
+
 class MeshTooLargeForOracle(Exception):
     """The verification oracle refuses meshes above its edge cap."""
 

@@ -1,5 +1,6 @@
 """Tree-cotree decomposition over the whole complex: a boundary-first primal
-spanning forest, a constrained dual spanning forest, and unique tree paths.
+spanning forest and a constrained dual spanning forest that carries a face
+orientation.
 
 Both forests hold one tree per connected component, so one pass over the
 complex serves every component.  Primal roots are taken in ascending vertex
@@ -11,6 +12,15 @@ edges that avoid the primal forest, a face's edges in ascending edge id.
 The interior edges in neither forest index the candidate generators; the
 one leftover edge of each boundary circle is in neither forest and is not a
 candidate.
+
+While the dual forest grows it records, per face, an orientation
+``sigma`` (+1 or -1) that agrees across every dual-tree edge:
+sigma(root) = +1 and sigma(child) = -sigma(parent) inc(parent, e)
+inc(child, e) for the parent edge e, so the two faces of a tree edge
+traverse it in opposite directions once reoriented.  ``tau[f]`` is
+sigma(f) inc(f, parent edge of f), the reoriented sign of a face on its
+parent edge.  Both come from the signed pairs of ``face_edges``; transport
+(``transport.py``) reads its values off them in closed form.
 """
 
 from __future__ import annotations
@@ -18,27 +28,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import CountMismatch, DualDisconnected, NodeNotInTree
+from .errors import CountMismatch, DualDisconnected
 from .surface import BoundaryCycle, SurfaceComplex, euler_characteristic
 
 
-@dataclass
-class Path:
-    """Alternating node/edge walk: edges[i] joins nodes[i] and nodes[i+1]."""
-
-    nodes: tuple[int, ...]
-    edges: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
 class Tree:
-    """Rooted forest over dense integer node ids with parent-pointer paths.
+    """Rooted forest over dense integer node ids, by parent pointers.
 
-    Path extraction lifts the deeper endpoint to the common level and then
-    walks both chains to the meeting node, so each query costs O(path
-    length) after the O(size) construction.
+    Walking both endpoints up to their meeting node, the deeper one first,
+    visits the unique tree path in O(path length).
     """
 
     def __init__(self, num_nodes: int):
@@ -49,9 +47,9 @@ class Tree:
         self.tree_of = [-1] * num_nodes
         self.roots: list[int] = []
         self.edge_ids: set[int] = set()
-
-    def __contains__(self, node: int) -> bool:
-        return self.tree_of[node] >= 0
+        # Dual forest only: face orientation and its sign on the parent edge.
+        self.sigma = [1] * num_nodes
+        self.tau = [0] * num_nodes
 
     def add_root(self, node: int) -> None:
         self.tree_of[node] = len(self.roots)
@@ -63,36 +61,6 @@ class Tree:
         self.depth[child] = self.depth[parent] + 1
         self.tree_of[child] = self.tree_of[parent]
         self.edge_ids.add(edge_id)
-
-    def path(self, a: int, b: int) -> Path:
-        if a not in self:
-            raise NodeNotInTree(a)
-        if b not in self:
-            raise NodeNotInTree(b)
-        if self.tree_of[a] != self.tree_of[b]:
-            raise NodeNotInTree(f"nodes {a} and {b} lie in different trees")
-        left_nodes: list[int] = []
-        left_edges: list[int] = []
-        right_nodes: list[int] = []
-        right_edges: list[int] = []
-        while self.depth[a] > self.depth[b]:
-            left_nodes.append(a)
-            left_edges.append(self.parent_edge[a])
-            a = self.parent[a]
-        while self.depth[b] > self.depth[a]:
-            right_nodes.append(b)
-            right_edges.append(self.parent_edge[b])
-            b = self.parent[b]
-        while a != b:
-            left_nodes.append(a)
-            left_edges.append(self.parent_edge[a])
-            a = self.parent[a]
-            right_nodes.append(b)
-            right_edges.append(self.parent_edge[b])
-            b = self.parent[b]
-        nodes = left_nodes + [a] + right_nodes[::-1]
-        edges = left_edges + right_edges[::-1]
-        return Path(nodes=tuple(nodes), edges=tuple(edges))
 
 
 @dataclass
@@ -195,10 +163,13 @@ def build_dual_tree(complex: SurfaceComplex, primal: Tree) -> Tree:
     """Dual spanning forest over the faces, avoiding primal-forest edges.
 
     Each component's tree is rooted at its minimal face and crosses only
-    interior edges.  Raises DualDisconnected when the constrained dual graph
-    splits a component, i.e. when it needs more roots than the primal forest.
+    interior edges; ``sigma`` and ``tau`` are filled in as it grows (see the
+    module docstring).  Raises DualDisconnected when the constrained dual
+    graph splits a component, i.e. when it needs more roots than the primal
+    forest.
     """
     tree = Tree(complex.num_faces)
+    sigma, tau, parent_edge = tree.sigma, tree.tau, tree.parent_edge
     queue: deque[int] = deque()
     for root in range(complex.num_faces):
         if tree.tree_of[root] >= 0:
@@ -207,13 +178,20 @@ def build_dual_tree(complex: SurfaceComplex, primal: Tree) -> Tree:
         queue.append(root)
         while queue:
             u = queue.popleft()
-            for eid, _ in sorted(complex.face_edges[u]):
+            sides = sorted(complex.face_edges[u])
+            for eid, sign in sides:
+                if eid == parent_edge[u]:
+                    sigma[u] = tau[u] * sign
+                    break
+            for eid, sign in sides:
                 incident = complex.edge_faces[eid]
                 if len(incident) == 1 or eid in primal.edge_ids:
                     continue
                 w = incident[1] if incident[0] == u else incident[0]
                 if tree.tree_of[w] < 0:
                     tree.attach(w, u, eid)
+                    # sigma(w) inc(w, e) = -sigma(u) inc(u, e) on a tree edge.
+                    tau[w] = -sigma[u] * sign
                     queue.append(w)
     if len(tree.roots) > len(primal.roots):
         raise DualDisconnected(

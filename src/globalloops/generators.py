@@ -8,8 +8,9 @@ dual tree, and per component the pipeline produces:
 
 * handle generators, one per candidate edge (edges in neither spanning
   tree), via self-pair transport around the dual tree; on non-orientable
-  components the twisted candidates are combined pairwise against a fixed
-  anchor edge instead,
+  components the twisted candidates (an O(1) sign test, see
+  ``transport``) are combined pairwise against a fixed anchor edge
+  instead,
 * hole generators, one per boundary circle except a fixed one, as vertex
   coboundaries of circle indicators,
 * contact generators, one per contact component except a fixed one, via
@@ -33,7 +34,7 @@ from .surface import (
     SurfaceComplex,
     classify_boundary,
 )
-from .transport import transport
+from .transport import is_twisted, transport
 
 HANDLE = "ha"
 HOLE = "ho"
@@ -114,47 +115,42 @@ def handles(
     """Handle generators from one component's sorted candidate edges.
 
     Returns (generators, twisted candidate edges, anchor edge).  Twisted
-    candidates are the ones whose self-pair transport fails; when present,
-    the minimal one becomes the anchor, is dropped from the output, and every
-    other twisted candidate is rebuilt by combining its two face-to-face
-    transports toward the anchor.
+    candidates are the ones whose self-pair loop reverses orientation; when
+    present, the minimal one becomes the anchor, is dropped from the output,
+    and every other twisted candidate is rebuilt by combining its two
+    face-to-face transports toward the anchor.
     """
+    dual = tc.dual
     by_edge: dict[int, Cochain1] = {}
     twisted: list[int] = []
     for eid in candidates:
-        f1, f2 = sorted(complex.edge_faces[eid])
-        path = tc.dual.path(f1, f2)
-        result = transport(complex, path, eid, eid)
-        if result.consistent:
-            by_edge[eid] = result.cochain
-        else:
+        if is_twisted(complex, dual, eid):
             twisted.append(eid)
+        else:
+            f1, f2 = sorted(complex.edge_faces[eid])
+            by_edge[eid] = transport(complex, dual, f1, f2, eid, eid)
 
     if not twisted:
         return [by_edge[eid] for eid in candidates], [], None
 
     anchor = min(twisted)
-    fa1, fa2 = sorted(complex.edge_faces[anchor])
     for eid in twisted:
-        if eid == anchor:
-            continue
-        by_edge[eid] = _combine_through_anchor(complex, tc, eid, anchor, fa1, fa2)
+        if eid != anchor:
+            faces = sorted(complex.edge_faces[eid])
+            by_edge[eid] = _to_anchor(complex, dual, faces, eid, anchor, (eid, anchor))
     gens = [by_edge[eid] for eid in candidates if eid != anchor]
     return gens, twisted, anchor
 
 
-def _combine_through_anchor(complex, tc, eid, anchor, anchor_f1, anchor_f2):
-    """Pairwise combination of the two transports from a twisted edge to the
-    anchor; the combined cochain keeps the first transport's values on the
-    edge pair and sums elsewhere."""
-    f1, f2 = sorted(complex.edge_faces[eid])
-    first = transport(complex, tc.dual.path(f1, anchor_f1), eid, anchor)
-    second = transport(complex, tc.dual.path(f2, anchor_f2), eid, anchor)
-    out = dict(first.cochain.coeffs)
-    for k, v in second.cochain.coeffs.items():
-        if k == eid or k == anchor:
-            continue
-        out[k] = out.get(k, 0) + v
+def _to_anchor(complex, dual, faces, edge, anchor, keep):
+    """Sum of two transports from ``edge``, on faces[0] and faces[1], to the
+    anchor on its first and second face; the edges in ``keep`` take the
+    first transport's value alone."""
+    fa1, fa2 = sorted(complex.edge_faces[anchor])
+    out = dict(transport(complex, dual, faces[0], fa1, edge, anchor).coeffs)
+    for k, v in transport(complex, dual, faces[1], fa2, edge, anchor).coeffs.items():
+        if k not in keep:
+            out[k] = out.get(k, 0) + v
     return Cochain1(out)
 
 
@@ -199,24 +195,11 @@ def contacts(
     for comp in comps[:-1]:
         eid = min(comp)
         face = complex.edge_faces[eid][0]
-        path = tc.dual.path(face, fixed_face)
-        result = transport(complex, path, eid, fixed_edge)
-        out.append(result.cochain)
+        out.append(transport(complex, tc.dual, face, fixed_face, eid, fixed_edge))
 
     if anchor is not None:
-        fa1, fa2 = sorted(complex.edge_faces[anchor])
-        first = transport(
-            complex, tc.dual.path(fixed_face, fa1), fixed_edge, anchor
-        )
-        second = transport(
-            complex, tc.dual.path(fixed_face, fa2), fixed_edge, anchor
-        )
-        coeffs = dict(first.cochain.coeffs)
-        for k, v in second.cochain.coeffs.items():
-            if k == anchor:
-                continue
-            coeffs[k] = coeffs.get(k, 0) + v
-        out.append(Cochain1(coeffs))
+        both = (fixed_face, fixed_face)
+        out.append(_to_anchor(complex, tc.dual, both, fixed_edge, anchor, (anchor,)))
     return out
 
 

@@ -1,67 +1,89 @@
-"""Cocycle transport along a dual-tree path.
+"""Cocycle transport along a dual-tree path, in closed form.
 
-Starting from value 1 on an edge of the first face, the value is pushed
-across each face of the path so that the running face sums stay zero, and
-finally onto a target edge of the last face.  For a self-pair (start equals
-target) the transported value must come back as +1; otherwise the loop is
-orientation-reversing and the zero cochain is returned.
+Transport puts +1 on a start edge of the first face and pushes the value
+across each face of the dual-tree path so that every face sum along the way
+is zero, then carries it onto an end edge of the last face.  The dual
+forest's face orientation ``sigma`` and parent-edge sign ``tau`` (see
+``forest.py``) give every value without visiting the faces in order.  With
+c = -sigma(first) inc(first, start):
+
+* an upward path edge, from a face a to its parent, carries c tau(a),
+* a downward path edge, from the parent of a face b to b, carries -c tau(b),
+* the end edge carries c sigma(last) inc(last, end).
+
+A self-pair (start = end = e, between faces f1 and f2) must come back as
++1; it comes back as -1, the loop through e reversing orientation, exactly
+when sigma(f1) inc(f1, e) sigma(f2) inc(f2, e) = +1.  These are the paper's
+twisted edges (E_M_II), which ``is_twisted`` finds in O(1) before any path
+is walked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cochain import Cochain1
-from .errors import CountMismatch, EdgeNotOnFace
-from .forest import Path
+from .errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
+from .forest import Tree
 from .surface import SurfaceComplex
 
 
-@dataclass
-class TransportResult:
-    cochain: Cochain1
-    consistent: bool
+def is_twisted(complex: SurfaceComplex, dual: Tree, edge: int) -> bool:
+    """True when the loop that crosses interior ``edge`` once and closes
+    through the dual tree reverses orientation."""
+    f1, f2 = complex.edge_faces[edge]
+    return (
+        dual.sigma[f1] * complex.incidence(f1, edge)
+        * dual.sigma[f2] * complex.incidence(f2, edge)
+    ) == 1
 
 
 def transport(
-    complex: SurfaceComplex, path: Path, start_edge: int, end_edge: int
-) -> TransportResult:
-    """Build a candidate 1-cocycle from a dual path and an edge pair.
+    complex: SurfaceComplex,
+    dual: Tree,
+    first: int,
+    last: int,
+    start_edge: int,
+    end_edge: int,
+) -> Cochain1:
+    """Build a candidate 1-cocycle along the dual-tree path from face
+    ``first`` to face ``last``, starting at +1 on ``start_edge`` (on the
+    first face) and ending on ``end_edge`` (on the last face).
 
-    The path nodes must all be face nodes, with start_edge on the first face
-    and end_edge on the last.  All transported values are +1 or -1; the
-    start edge always carries +1.  A failed self-pair yields the zero
-    cochain with consistent=False.
+    Every value is +1 or -1.  A self-pair (``end_edge == start_edge``)
+    must not be twisted.  Raises NodeNotInTree for faces in different
+    trees, EdgeNotOnFace for an end edge off its face, and CountMismatch
+    when the tree path crosses either end edge.
     """
-    faces = path.nodes
-    first, last = faces[0], faces[-1]
-    if first >= complex.num_faces or last >= complex.num_faces:
-        raise EdgeNotOnFace(f"path endpoints {first}, {last} are not face nodes")
-    if complex.incidence(first, start_edge) == 0:
+    tree_of = dual.tree_of
+    if tree_of[first] < 0 or tree_of[first] != tree_of[last]:
+        raise NodeNotInTree(f"faces {first} and {last} are not in one dual tree")
+    start_sign = complex.incidence(first, start_edge)
+    if start_sign == 0:
         raise EdgeNotOnFace(f"edge {start_edge} is not on face {first}")
-    if complex.incidence(last, end_edge) == 0:
+    end_sign = complex.incidence(last, end_edge)
+    if end_sign == 0:
         raise EdgeNotOnFace(f"edge {end_edge} is not on face {last}")
 
+    parent, parent_edge, depth, tau = dual.parent, dual.parent_edge, dual.depth, dual.tau
+    up = -dual.sigma[first] * start_sign
+    down = -up
     coeffs = {start_edge: 1}
-    prev_edge = start_edge
-    value = 1
-    for i, eid in enumerate(path.edges):
-        face = faces[i]
-        # Signs are +-1, so the sign ratio is just their product.
-        value = -complex.incidence(face, eid) * complex.incidence(face, prev_edge) * value
-        if eid == start_edge or eid == end_edge:
-            raise CountMismatch("tree path revisits the transported edge pair")
-        coeffs[eid] = value
-        prev_edge = eid
+    a, b = first, last
+    while a != b:  # the deeper end steps toward the meeting node
+        if depth[a] >= depth[b]:
+            coeffs[parent_edge[a]] = up * tau[a]
+            a = parent[a]
+        else:
+            coeffs[parent_edge[b]] = down * tau[b]
+            b = parent[b]
 
-    carried = (
-        -complex.incidence(last, end_edge) * complex.incidence(last, prev_edge) * value
-    )
-    if end_edge == start_edge:
-        # The initial +1 plus the carried value: cancellation means the loop
-        # reverses orientation and no cocycle exists along it.
-        if carried != 1:
-            return TransportResult(cochain=Cochain1(), consistent=False)
-        return TransportResult(cochain=Cochain1(coeffs), consistent=True)
-    coeffs[end_edge] = carried
-    return TransportResult(cochain=Cochain1(coeffs), consistent=True)
+    steps = depth[first] + depth[last] - 2 * depth[a]
+    if len(coeffs) != 1 + steps or (end_edge != start_edge and end_edge in coeffs):
+        raise CountMismatch("tree path revisits the transported edge pair")
+    carried = up * dual.sigma[last] * end_sign
+    if end_edge != start_edge:
+        coeffs[end_edge] = carried
+    elif carried != 1:
+        raise CountMismatch(f"self-pair transport across twisted edge {end_edge}")
+    cochain = Cochain1()
+    cochain.coeffs = coeffs  # every value is +1 or -1: nothing to normalize
+    return cochain

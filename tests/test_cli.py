@@ -250,3 +250,14 @@ class TestBench:
         out = capsys.readouterr().out
         assert "fitted exponent" in out
         assert out.splitlines()[0].startswith("level")
+
+    @pytest.mark.parametrize(
+        "flags", [["--levels", "0"], ["--levels", "1", "--fit-from", "3"]]
+    )
+    def test_fewer_than_two_fitted_levels_is_exit_one(self, tmp_path, capsys, flags):
+        # The growth fit needs two levels; refuse before refining or timing.
+        mesh = write_annulus(tmp_path)
+        assert main(["bench", str(mesh), "--repeats", "1", *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "two levels" in err[0]

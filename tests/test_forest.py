@@ -1,13 +1,15 @@
-"""Tree-cotree decomposition and tree paths."""
+"""Tree-cotree decomposition, dual-forest orientation and tree paths."""
 
 from collections import deque
 
 import pytest
 
 import meshes
+import reference
 from globalloops.errors import DualDisconnected, NodeNotInTree
 from globalloops.forest import Tree, build_dual_tree, build_primal_tree, build_tree_cotree
 from globalloops.surface import boundary_components, connected_components
+from globalloops.transport import transport
 
 
 def decompose(K):
@@ -95,13 +97,24 @@ def test_edge_partition():
             assert not K.is_boundary_edge(eid)
 
 
+def transport_support(K, dual, a, b):
+    """Support of a transport from face a to face b minus its two end edges,
+    the ends chosen off the tree path (three edges per face leave room)."""
+    path_edges = set(reference.tree_path(dual, a, b).edges)
+    start = next(e for e, _ in K.face_edges[a] if e not in path_edges)
+    end = next(e for e, _ in K.face_edges[b] if e != start and e not in path_edges)
+    support = set(transport(K, dual, a, b, start, end).coeffs)
+    assert {start, end} <= support
+    return support - {start, end}
+
+
 class TestTreePaths:
+    # Transport walks the dual-tree path by parent pointers; its support is
+    # the path plus the two end edges.
     def test_trivial_path(self):
         K = meshes.annulus(6)
         tc = decompose(K)
-        path = tc.dual.path(3, 3)
-        assert path.nodes == (3,)
-        assert path.edges == ()
+        assert transport_support(K, tc.dual, 3, 3) == set()
 
     def test_adjacent_nodes(self):
         K = meshes.annulus(6)
@@ -110,9 +123,9 @@ class TestTreePaths:
             n for n in range(K.num_faces) if tc.dual.parent[n] >= 0
         )
         parent = tc.dual.parent[child]
-        path = tc.dual.path(child, parent)
-        assert len(path.nodes) == 2
-        assert path.edges == (tc.dual.parent_edge[child],)
+        expected = {tc.dual.parent_edge[child]}
+        assert transport_support(K, tc.dual, child, parent) == expected
+        assert transport_support(K, tc.dual, parent, child) == expected
 
     def test_matches_breadth_first_search(self):
         # Brute-force BFS over the tree edges is the independent oracle.
@@ -143,24 +156,48 @@ class TestTreePaths:
                     nodes.append(prev)
                 expected_nodes = tuple(reversed(nodes))
                 expected_edges = tuple(reversed(edges))
-                path = tc.dual.path(a, b)
+                path = reference.tree_path(tc.dual, a, b)
                 assert path.nodes == expected_nodes
                 assert path.edges == expected_edges
+                assert transport_support(K, tc.dual, a, b) == set(expected_edges)
 
     def test_missing_node_raises(self):
-        tree = Tree(3)
+        K = meshes.annulus(6)
+        tree = Tree(K.num_faces)
         tree.add_root(0)
         tree.attach(1, 0, 7)
         with pytest.raises(NodeNotInTree):
-            tree.path(0, 2)
+            transport(K, tree, 0, 2, K.face_edges[0][0][0], K.face_edges[2][0][0])
 
     def test_path_between_trees_raises(self):
         torus = meshes.csaszar_torus()
-        tc = decompose(meshes.disjoint_union(torus, meshes.annulus(6)))
+        K = meshes.disjoint_union(torus, meshes.annulus(6))
+        tc = decompose(K)
+        far = torus.num_faces
         with pytest.raises(NodeNotInTree):
-            tc.dual.path(0, torus.num_faces)
-        with pytest.raises(NodeNotInTree):
-            tc.primal.path(0, torus.num_vertices)
+            transport(K, tc.dual, 0, far, K.face_edges[0][0][0], K.face_edges[far][0][0])
+        assert tc.primal.tree_of[0] != tc.primal.tree_of[torus.num_vertices]
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        meshes.annulus(6),
+        meshes.moebius(6),
+        meshes.klein_minus_disk(),
+        meshes.random_annulus(3),
+        meshes.disjoint_union(meshes.csaszar_torus(), meshes.moebius(6)),
+    ],
+)
+def test_dual_orientation_matches_its_definition(K):
+    # sigma and tau, read off face_edges while the forest grows, equal the
+    # defining formulas evaluated with incidence() on the finished forest.
+    dual = decompose(K).dual
+    sigma, tau = list(dual.sigma), list(dual.tau)
+    reference.orient(K, dual)
+    assert (sigma, tau) == (dual.sigma, dual.tau)
+    assert {sigma[root] for root in dual.roots} == {1}
+    assert set(sigma) <= {-1, 1}
 
 
 def test_one_tree_per_component():

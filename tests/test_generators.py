@@ -5,6 +5,7 @@ import re
 import pytest
 
 import meshes
+import reference
 from globalloops.cochain import coboundary0, evaluate, is_relative_cocycle
 from globalloops.errors import NotABoundaryEdge, UnsupportedContactLayout
 from globalloops.forest import build_tree_cotree
@@ -23,7 +24,7 @@ def fundamental_cycle(K, tc, eid):
     oriented along the extra edge."""
     tail, head = K.edges[eid]
     chain = {eid: 1}
-    path = tc.primal.path(head, tail)
+    path = reference.tree_path(tc.primal, head, tail)
     at = head
     for node, edge in zip(path.nodes, path.edges):
         a, b = K.edges[edge]
