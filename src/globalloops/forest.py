@@ -4,9 +4,10 @@ orientation.
 
 Both forests hold one tree per connected component, so one pass over the
 complex serves every component.  Primal roots are taken in ascending vertex
-id; each primal tree is grown breadth first inside every boundary circle of
-its component (covering all but one edge of the circle) and then extended
-breadth first over the rest of the component.  Each dual tree is rooted at
+id; each primal tree grows breadth first over interior edges and takes every
+boundary circle it touches whole, as the path of all its edges but one, read
+off the circle's traversal order (each boundary vertex has exactly two
+boundary edges, so a circle is a simple cycle).  Each dual tree is rooted at
 the minimal face of its component and spans its faces by crossing interior
 edges that avoid the primal forest, a face's edges in ascending edge id.
 The interior edges in neither forest index the candidate generators; the
@@ -78,73 +79,51 @@ def build_primal_tree(
 ) -> tuple[Tree, list[int]]:
     """Boundary-first primal spanning forest, one tree per component.
 
-    Returns the forest and the per-circle leftover boundary edges.  When a
-    breadth-first search first touches a circle's partial tree, the whole
-    fragment is absorbed at once (re-rooted at the touched vertex) so none
-    of its edges are lost.
+    Returns the forest and the per-circle leftover boundary edges.  A circle
+    of n edges keeps ``edges[n // 2]`` out of the forest, the edge at which
+    a breadth-first search from ``vertices[0]`` toward ``vertices[1]`` first
+    would close up, for odd and even n alike.  When the breadth-first search
+    over the mesh first touches a circle, the rest of the circle is attached
+    at once as a path: outward from the touched vertex, one vertex per arm
+    in turn, the arm toward ``vertices[0]`` first (from ``vertices[0]``
+    itself, the arm through ``vertices[1]``).
     """
     nv = complex.num_vertices
-    fragment_of = [-1] * nv
-    fragment_adj: list[dict[int, list[tuple[int, int]]]] = []
-    leftovers: list[int] = []
-    boundary = set(complex.boundary_edge_ids)
-
+    circle_of = [-1] * nv
+    position = [0] * nv
     for k, cyc in enumerate(holes):
-        root = min(cyc.vertices)
-        comp_edges = set(cyc.edges)
-        # BFS restricted to this circle, lower vertex id first.
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in cyc.vertices}
-        for eid in cyc.edges:
-            a, b = complex.edges[eid]
-            adj[a].append((eid, b))
-            adj[b].append((eid, a))
-        for v in adj:
-            adj[v].sort(key=lambda item: item[1])
-        visited = {root}
-        used: set[int] = set()
-        queue = deque([root])
-        tree_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in cyc.vertices}
-        while queue:
-            u = queue.popleft()
-            for eid, w in adj[u]:
-                if w not in visited:
-                    visited.add(w)
-                    used.add(eid)
-                    tree_adj[u].append((eid, w))
-                    tree_adj[w].append((eid, u))
-                    queue.append(w)
-        leftover = sorted(comp_edges - used)
-        if len(leftover) != 1:
-            raise CountMismatch(
-                f"boundary circle {k} left {len(leftover)} edges out of its tree"
-            )
-        leftovers.append(leftover[0])
-        for v in cyc.vertices:
-            fragment_of[v] = k
-        fragment_adj.append(tree_adj)
+        for i, v in enumerate(cyc.vertices):
+            circle_of[v] = k
+            position[v] = i
+    leftovers = [cyc.edges[len(cyc.edges) // 2] for cyc in holes]
+    boundary = set(complex.boundary_edge_ids)
 
     tree = Tree(nv)
     queue: deque[int] = deque()
 
     def absorb(entry: int, parent: int, edge_id: int) -> None:
-        # Attach the fragment containing `entry`, re-rooted at `entry`.
+        # Attach `entry` and, when it lies on a circle, the rest of that circle.
         if parent < 0:
             tree.add_root(entry)
         else:
             tree.attach(entry, parent, edge_id)
         queue.append(entry)
-        k = fragment_of[entry]
+        k = circle_of[entry]
         if k < 0:
             return
-        adj = fragment_adj[k]
-        inner = deque([entry])
-        while inner:
-            u = inner.popleft()
-            for eid, w in adj[u]:
-                if tree.tree_of[w] < 0:
-                    tree.attach(w, u, eid)
-                    queue.append(w)
-                    inner.append(w)
+        verts, edges = holes[k].vertices, holes[k].edges
+        n, i = len(edges), position[entry]
+        up = (n // 2 - i) % n  # steps toward increasing index before the leftover
+        arms = [(-1, n - 1 - up), (1, up)]  # (direction, length)
+        if not 0 < i <= n // 2:
+            arms.reverse()
+        for step in range(1, max(up, n - 1 - up) + 1):
+            for direction, length in arms:
+                if step <= length:
+                    j = (i + direction * step) % n
+                    edge = edges[j] if direction < 0 else edges[j - 1]
+                    tree.attach(verts[j], verts[(j - direction) % n], edge)
+                    queue.append(verts[j])
 
     for root in range(nv):
         if tree.tree_of[root] >= 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import (
     CountMismatch,
@@ -283,8 +284,12 @@ def classify_boundary(
     """Partition the boundary into contact components and the insulated rest.
 
     Contact components are connected by edge adjacency (shared vertices)
-    within the boundary.  Raises NotABoundaryEdge when a contact edge is not
-    on the boundary.
+    within the boundary.  Every boundary vertex has exactly two boundary
+    edges, so a component is a maximal run of contact edges along one
+    circle, and a circle without insulated edges is one component.  Each
+    component lists its edge ids in ascending order; components come in
+    ascending order of their minimal vertex.  Raises NotABoundaryEdge when a
+    contact edge is not on the boundary.
     """
     contact = set(contact_edges)
     boundary = set(complex.boundary_edge_ids)
@@ -298,29 +303,15 @@ def classify_boundary(
 
     holes = boundary_components(complex)
 
-    at_vertex: dict[int, list[int]] = {}
-    for eid in contact:
-        a, b = complex.edges[eid]
-        at_vertex.setdefault(a, []).append(eid)
-        at_vertex.setdefault(b, []).append(eid)
-
     components: list[list[int]] = []
-    seen: set[int] = set()
-    for seed in sorted(contact):
-        if seed in seen:
-            continue
-        queue = deque([seed])
-        seen.add(seed)
-        comp = []
-        while queue:
-            eid = queue.popleft()
-            comp.append(eid)
-            for v in complex.edges[eid]:
-                for other in at_vertex[v]:
-                    if other not in seen:
-                        seen.add(other)
-                        queue.append(other)
-        components.append(sorted(comp))
+    for cyc in holes:
+        edges = cyc.edges
+        # Start just past an insulated edge so that no run wraps around.
+        start = next((i + 1 for i, eid in enumerate(edges) if eid not in contact), 0)
+        rotated = edges[start:] + edges[:start]
+        for in_contact, run in groupby(rotated, contact.__contains__):
+            if in_contact:
+                components.append(sorted(run))
     components.sort(key=lambda comp: min(complex.edges[e][0] for e in comp))
 
     for j, comp in enumerate(components):

@@ -4,8 +4,12 @@ All builders are deterministic; the random ones take an explicit seed.
 Coordinates are attached only where a test needs export (OFF or VTK).
 """
 
+import functools
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 from globalloops import build_complex
 
@@ -281,3 +285,52 @@ def mixed_surface(n=16):
             half = len(cyc.edges) // 2
             contact |= {cyc.edges[i] for i in (0, 1, half, half + 1)}
     return K, contact
+
+
+@functools.cache
+def workloads():
+    """The benchmark's input generator, imported read-only (it is not a
+    package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def scrambled(seed):
+    """A union of benchmark constructions of seeded sizes, relabelled, face
+    shuffled and partly flipped by the benchmark's own ``scramble``, so each
+    boundary circle's minimal vertex falls anywhere along it."""
+    wl = workloads()
+    parts = [
+        wl.annulus(3 + seed % 5, 2 + seed % 3),
+        wl.moebius(3 + seed % 4),
+        wl.pants(4 + seed % 3, 3),
+        wl.klein_minus_strip(5, 4),
+    ]
+    s = wl.scramble(wl.union(parts), random.Random(seed))
+    return build_complex(s.num_vertices, s.faces)
+
+
+@functools.cache
+def _mixed():
+    return mixed_surface()[0]
+
+
+SAMPLE_KINDS = ("random_annulus", "random_disk", "union", "scrambled", "mixed_surface")
+
+
+def sample(kind, seed):
+    """One seeded mesh of a family in SAMPLE_KINDS, for property tests;
+    ``mixed_surface`` ignores the seed and is built once."""
+    if kind == "random_annulus":
+        return random_annulus(seed)
+    if kind == "random_disk":
+        return random_disk(seed)
+    if kind == "union":
+        return disjoint_union(random_annulus(seed), moebius(6), random_disk(seed + 1))
+    if kind == "scrambled":
+        return scrambled(seed)
+    return _mixed()

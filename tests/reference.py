@@ -4,12 +4,32 @@
 every sign with ``SurfaceComplex.incidence`` and pushes the value across
 one face at a time along an explicit ``tree_path``.  The package computes
 the same values in closed form from the dual forest's face orientation.
+
+``build_primal_tree`` and ``classify_boundary`` are the original searches:
+a breadth-first search inside every boundary circle, absorbed as a
+re-rooted fragment, and a breadth-first search over contact edges that
+share a vertex.  The package reads the same trees and contact components
+off each circle's traversal order.
 """
 
+import warnings
+from collections import deque
 from dataclasses import dataclass
 
 from globalloops.cochain import Cochain1
-from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
+from globalloops.errors import (
+    CountMismatch,
+    EdgeNotOnFace,
+    NodeNotInTree,
+    NotABoundaryEdge,
+)
+from globalloops.forest import Tree
+from globalloops.surface import (
+    BoundaryCycle,
+    BoundaryPartition,
+    SurfaceComplex,
+    boundary_components,
+)
 
 
 @dataclass
@@ -108,3 +128,151 @@ def orient(complex, tree):
         )
         tree.tau[face] = tree.sigma[face] * complex.incidence(face, edge)
     return tree
+
+
+def build_primal_tree(
+    complex: SurfaceComplex, holes: list[BoundaryCycle]
+) -> tuple[Tree, list[int]]:
+    """Boundary-first primal spanning forest, one tree per component.
+
+    Returns the forest and the per-circle leftover boundary edges.  When a
+    breadth-first search first touches a circle's partial tree, the whole
+    fragment is absorbed at once (re-rooted at the touched vertex) so none
+    of its edges are lost.
+    """
+    nv = complex.num_vertices
+    fragment_of = [-1] * nv
+    fragment_adj: list[dict[int, list[tuple[int, int]]]] = []
+    leftovers: list[int] = []
+    boundary = set(complex.boundary_edge_ids)
+
+    for k, cyc in enumerate(holes):
+        root = min(cyc.vertices)
+        comp_edges = set(cyc.edges)
+        # BFS restricted to this circle, lower vertex id first.
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in cyc.vertices}
+        for eid in cyc.edges:
+            a, b = complex.edges[eid]
+            adj[a].append((eid, b))
+            adj[b].append((eid, a))
+        for v in adj:
+            adj[v].sort(key=lambda item: item[1])
+        visited = {root}
+        used: set[int] = set()
+        queue = deque([root])
+        tree_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in cyc.vertices}
+        while queue:
+            u = queue.popleft()
+            for eid, w in adj[u]:
+                if w not in visited:
+                    visited.add(w)
+                    used.add(eid)
+                    tree_adj[u].append((eid, w))
+                    tree_adj[w].append((eid, u))
+                    queue.append(w)
+        leftover = sorted(comp_edges - used)
+        if len(leftover) != 1:
+            raise CountMismatch(
+                f"boundary circle {k} left {len(leftover)} edges out of its tree"
+            )
+        leftovers.append(leftover[0])
+        for v in cyc.vertices:
+            fragment_of[v] = k
+        fragment_adj.append(tree_adj)
+
+    tree = Tree(nv)
+    queue: deque[int] = deque()
+
+    def absorb(entry: int, parent: int, edge_id: int) -> None:
+        # Attach the fragment containing `entry`, re-rooted at `entry`.
+        if parent < 0:
+            tree.add_root(entry)
+        else:
+            tree.attach(entry, parent, edge_id)
+        queue.append(entry)
+        k = fragment_of[entry]
+        if k < 0:
+            return
+        adj = fragment_adj[k]
+        inner = deque([entry])
+        while inner:
+            u = inner.popleft()
+            for eid, w in adj[u]:
+                if tree.tree_of[w] < 0:
+                    tree.attach(w, u, eid)
+                    queue.append(w)
+                    inner.append(w)
+
+    for root in range(nv):
+        if tree.tree_of[root] >= 0:
+            continue
+        absorb(root, -1, -1)
+        while queue:
+            u = queue.popleft()
+            for eid, w in complex.vertex_edges[u]:
+                if eid in boundary or tree.tree_of[w] >= 0:
+                    continue
+                absorb(w, u, eid)
+    return tree, leftovers
+
+
+def classify_boundary(
+    complex: SurfaceComplex, contact_edges: set[int] | frozenset[int] | list[int]
+) -> BoundaryPartition:
+    """Partition the boundary into contact components and the insulated rest.
+
+    Contact components are connected by edge adjacency (shared vertices)
+    within the boundary.  Raises NotABoundaryEdge when a contact edge is not
+    on the boundary.
+    """
+    contact = set(contact_edges)
+    boundary = set(complex.boundary_edge_ids)
+    for eid in sorted(contact):
+        if eid < 0 or eid >= complex.num_edges:
+            raise NotABoundaryEdge(f"edge id {eid} is not an edge of the mesh")
+        if eid not in boundary:
+            raise NotABoundaryEdge(
+                f"edge {complex.edges[eid]} (id {eid}) is not a boundary edge"
+            )
+
+    holes = boundary_components(complex)
+
+    at_vertex: dict[int, list[int]] = {}
+    for eid in contact:
+        a, b = complex.edges[eid]
+        at_vertex.setdefault(a, []).append(eid)
+        at_vertex.setdefault(b, []).append(eid)
+
+    components: list[list[int]] = []
+    seen: set[int] = set()
+    for seed in sorted(contact):
+        if seed in seen:
+            continue
+        queue = deque([seed])
+        seen.add(seed)
+        comp = []
+        while queue:
+            eid = queue.popleft()
+            comp.append(eid)
+            for v in complex.edges[eid]:
+                for other in at_vertex[v]:
+                    if other not in seen:
+                        seen.add(other)
+                        queue.append(other)
+        components.append(sorted(comp))
+    components.sort(key=lambda comp: min(complex.edges[e][0] for e in comp))
+
+    for j, comp in enumerate(components):
+        if len(comp) == 1:
+            warnings.warn(
+                f"contact component {j} consists of a single edge "
+                f"{complex.edges[comp[0]]}; a one-edge port is physically dubious",
+                stacklevel=2,
+            )
+
+    return BoundaryPartition(
+        hole_components=holes,
+        contact_components=components,
+        contact_edges=contact,
+        insulated_edges=boundary - contact,
+    )

@@ -3,6 +3,8 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshes
 import reference
@@ -225,3 +227,35 @@ def test_split_dual_forest_raises():
     primal.edge_ids |= {e for e in range(K.num_edges) if not K.is_boundary_edge(e)}
     with pytest.raises(DualDisconnected):
         build_dual_tree(K, primal)
+
+
+samples = st.builds(
+    meshes.sample, st.sampled_from(meshes.SAMPLE_KINDS), st.integers(0, 10**6)
+)
+
+
+def primal_forest(build, K):
+    tree, leftovers = build(K, boundary_components(K))
+    return tree.parent, tree.parent_edge, tree.depth, tree.roots, tree.tree_of, leftovers
+
+
+@settings(deadline=None, max_examples=100)
+@given(samples)
+def test_primal_forest_matches_the_circle_search(K):
+    # Circle paths read off the traversal order give the forest of the
+    # reference's search inside each circle, absorbed re-rooted.
+    assert primal_forest(build_primal_tree, K) == primal_forest(
+        reference.build_primal_tree, K
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12])
+def test_circle_leftover_is_the_middle_edge(n):
+    # The rim of disk(n) is traversed 1, 2, ..., n: a search from vertex 1
+    # closes up on the edge after vertex n // 2 + 1, for odd and even n.
+    K = meshes.disk(n)
+    (cyc,) = boundary_components(K)
+    tree, leftovers = build_primal_tree(K, [cyc])
+    assert leftovers == [cyc.edges[n // 2]]
+    assert K.edges[leftovers[0]] == (n // 2 + 1, n // 2 + 2)
+    assert set(cyc.edges) - tree.edge_ids == set(leftovers)

@@ -11,13 +11,9 @@ change that alters output on purpose regenerates the table with
 and says why in its change notes.
 """
 
-import functools
 import hashlib
-import importlib.util
 import json
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -30,17 +26,6 @@ from globalloops.surface import build_complex
 VERIFY_MAX_EDGES = 6000
 RANDOM_SEEDS = range(20)
 WORKLOAD_SEEDS = (1, 2, 3)
-
-
-@functools.cache
-def _load_workloads():
-    # Imported read-only from the benchmark, which is not a package.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def _builders():
@@ -96,7 +81,7 @@ def corpus():
         for seed in WORKLOAD_SEEDS:
 
             def from_workload(workload=workload, seed=seed):
-                made = _load_workloads().make_input(workload, seed)
+                made = meshes.workloads().make_input(workload, seed)
                 num_vertices, coords, faces = meshio.parse_off(made.off_text())
                 K = build_complex(num_vertices, faces, coords=coords)
                 text = made.contacts_text()

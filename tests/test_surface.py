@@ -1,8 +1,13 @@
 """Complex construction, boundary structure and components."""
 
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshes
+import reference
 from globalloops.surface import (
     boundary_components,
     build_complex,
@@ -174,6 +179,14 @@ class TestClassifyBoundary:
             arc_vertices = {v for eid in arc for v in K.edges[eid]}
             assert len(arc_vertices & insulated_vertices) == 2
 
+    def test_arc_across_the_first_vertex_counts_as_one(self):
+        K = meshes.disk(12)
+        cyc = boundary_components(K)[0]
+        arc = cyc.edges[-2:] + cyc.edges[:2]
+        bp = classify_boundary(K, set(arc))
+        assert bp.contact_components == [sorted(arc)]
+        assert len(bp.insulated_edges) == 8
+
     def test_interior_edge_rejected(self):
         K = meshes.annulus(6)
         interior = next(
@@ -187,6 +200,49 @@ class TestClassifyBoundary:
         eid = boundary_components(K)[0].edges[0]
         with pytest.warns(UserWarning):
             classify_boundary(K, {eid})
+
+
+samples = st.builds(
+    meshes.sample, st.sampled_from(meshes.SAMPLE_KINDS), st.integers(0, 10**6)
+)
+
+
+@st.composite
+def contacted(draw):
+    """A sampled mesh with, on each circle, no contact, a random subset of
+    its edges, the whole circle or an arc across its first vertex."""
+    K = draw(samples)
+    contact = set()
+    for cyc in boundary_components(K):
+        n = len(cyc.edges)
+        kind = draw(st.sampled_from(["none", "subset", "full", "across"]))
+        if kind == "subset":
+            keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            contact |= {eid for eid, k in zip(cyc.edges, keep) if k}
+        elif kind == "full":
+            contact |= set(cyc.edges)
+        elif kind == "across":
+            before = draw(st.integers(1, n - 1))
+            after = draw(st.integers(1, n - before))
+            contact |= set(cyc.edges[-before:] + cyc.edges[:after])
+    return K, contact
+
+
+def ports(classify, K, contact):
+    """Contact components and the number of one-edge-port warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        bp = classify(K, contact)
+    one_edge = [w for w in caught if "one-edge port" in str(w.message)]
+    return bp.contact_components, len(one_edge)
+
+
+@settings(deadline=None, max_examples=100)
+@given(contacted())
+def test_contact_runs_match_the_search(case):
+    # Runs along each circle give the components, in the same order, of the
+    # reference's search over contact edges that share a vertex.
+    assert ports(classify_boundary, *case) == ports(reference.classify_boundary, *case)
 
 
 class TestConnectedComponents:
