@@ -118,8 +118,7 @@ def cmd_compute(args) -> int:
                 print(f"verification failure: {failure}", file=sys.stderr)
             exit_code = 3
 
-    report = meshio.report_dict(complex, generators, verification)
-    text = meshio.render_report(report)
+    text = meshio.report_text(complex, generators, verification)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

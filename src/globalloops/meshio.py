@@ -3,24 +3,26 @@
 Report output is byte-deterministic: keys are sorted, edge records are
 sorted, and no timestamps appear anywhere in the body.
 
-The report text is exactly ``json.dumps(report, indent=2, sort_keys=True)``
-followed by a newline, but ``render_report`` does not produce it that way:
-CPython's C encoder only runs when ``indent`` is None, so an indented dump
-sends every edge record (one per support edge of every generator) through
-the pure-Python encoder, which costs more than computing the generators.  The
-writer instead knows the schema: each edge record is one ``%``-format of a
-fixed template and each generator record a fixed frame around it, while
-the small remaining blocks (``meta``, ``verification``) are dumped by
-``json`` and indented one level further.
+The report text is defined as ``render_report(report_dict(...))``, that is
+``json.dumps(report, indent=2, sort_keys=True)`` followed by a newline.  The
+CLI does not produce it that way.  CPython's C encoder only runs when
+``indent`` is None, so an indented dump sends every edge record (one per
+support edge of every generator) through the pure-Python encoder, and
+``report_dict`` first builds one dict per support edge that nothing else
+reads.  ``report_text`` writes the same bytes straight from the
+``GeneratorSet``: each edge record is one ``%``-format of a fixed template,
+made once per distinct (edge, coefficient) pair, and each generator record a
+fixed frame around them, while the small ``meta`` and ``verification``
+blocks, built by the helper ``report_dict`` also uses, are dumped by
+``json`` and indented one level further.  ``report_dict`` stays for library
+callers that want the report as data.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from pathlib import Path
 
-from .cochain import Cochain1
 from .errors import ContactSpecError, NotABoundaryEdge, OffParseError
 from .generators import GeneratorSet
 from .surface import SurfaceComplex, build_complex
@@ -142,50 +144,32 @@ def load_contacts(path: str | Path, complex: SurfaceComplex) -> set[int]:
     return parse_contacts(Path(path).read_text(encoding="utf-8"), complex)
 
 
-def report_dict(
-    complex: SurfaceComplex, generators: GeneratorSet, verification=None
-) -> dict:
-    """Structured report with one record per generator plus a meta block."""
-    gen_records = []
-    for gen in generators.generators:
-        edges = [
-            {
-                "v_a": complex.edges[eid][0],
-                "v_b": complex.edges[eid][1],
-                "coefficient": val,
-            }
-            for eid, val in gen.cochain.items_sorted()
-        ]
-        gen_records.append(
-            {"class": gen.kind, "component_id": gen.component, "edges": edges}
-        )
-    comp_records = []
-    for meta in generators.components:
-        comp_records.append(
-            {
-                "component_id": meta.component_id,
-                "N_ho": meta.num_holes,
-                "N_co": meta.num_contacts,
-                "E_M": meta.num_candidate_edges,
-                "E_M_II": meta.num_twisted_edges,
-                "orientable": meta.orientable,
-                "betti1": meta.betti1,
-            }
-        )
-    report = {
-        "generators": gen_records,
+def _summary(generators: GeneratorSet, verification=None) -> dict:
+    """The report's ``meta`` block, and its ``verification`` block if given."""
+    summary = {
         "meta": {
-            "components": comp_records,
+            "components": [
+                {
+                    "component_id": meta.component_id,
+                    "N_ho": meta.num_holes,
+                    "N_co": meta.num_contacts,
+                    "E_M": meta.num_candidate_edges,
+                    "E_M_II": meta.num_twisted_edges,
+                    "orientable": meta.orientable,
+                    "betti1": meta.betti1,
+                }
+                for meta in generators.components
+            ],
             "N_ho": generators.num_holes,
             "N_co": generators.num_contacts,
             "E_M": generators.num_candidate_edges,
             "E_M_II": generators.num_twisted_edges,
             "orientable": generators.orientable,
             "betti1": generators.betti1,
-        },
+        }
     }
     if verification is not None:
-        report["verification"] = {
+        summary["verification"] = {
             "betti1_relative": verification.betti1_relative,
             "generator_count": verification.generator_count,
             "cocycle_ok": verification.cocycle_ok,
@@ -196,10 +180,34 @@ def report_dict(
             "failures": verification.failures,
             "passed": verification.passed,
         }
-    return report
+    return summary
 
 
-_EDGE_FIELDS = operator.itemgetter("coefficient", "v_a", "v_b")
+def report_dict(
+    complex: SurfaceComplex, generators: GeneratorSet, verification=None
+) -> dict:
+    """Structured report with one record per generator plus a meta block."""
+    edges = complex.edges
+    gen_records = [
+        {
+            "class": gen.kind,
+            "component_id": gen.component,
+            "edges": [
+                {"v_a": edges[eid][0], "v_b": edges[eid][1], "coefficient": val}
+                for eid, val in gen.cochain.items_sorted()
+            ],
+        }
+        for gen in generators.generators
+    ]
+    return {"generators": gen_records, **_summary(generators, verification)}
+
+
+def render_report(report: dict) -> str:
+    """The report text of a structured report: the definition that
+    ``report_text`` matches byte for byte."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 _EDGE = (
     "        {\n"
     '          "coefficient": %d,\n'
@@ -216,55 +224,45 @@ _GENERATOR = (
 )
 
 
-def _render_generator(record: dict) -> str:
-    edges = record["edges"]
-    if edges:
-        rows = ",\n".join(map(_EDGE.__mod__, map(_EDGE_FIELDS, edges)))
-        edges_text = f"[\n{rows}\n      ]"
-    else:
-        edges_text = "[]"
-    return _GENERATOR % (
-        json.dumps(record["class"]),
-        record["component_id"],
-        edges_text,
-    )
+class _EdgeRecords(dict):
+    """``(edge id, coefficient)`` -> edge record text, formatted on first use."""
+
+    def __init__(self, edges: list[tuple[int, int]]):
+        super().__init__()
+        self.edges = edges
+
+    def __missing__(self, item: tuple[int, int]) -> str:
+        eid, val = item
+        a, b = self.edges[eid]
+        text = self[item] = _EDGE % (val, a, b)
+        return text
 
 
-def render_report(report: dict) -> str:
-    """Report text, byte-equal to ``json.dumps(report, indent=2,
-    sort_keys=True) + "\\n"`` (see the module docstring)."""
-    # One final join over the pieces, so the text is copied only once.
-    out = []
-    separator = "{\n  "
-    for key in sorted(report):
-        out.append(f"{separator}{json.dumps(key)}: ")
-        separator = ",\n  "
-        value = report[key]
-        if key == "generators" and value:
-            out.append("[\n")
-            for i, record in enumerate(value):
-                if i:
-                    out.append(",\n")
-                out.append(_render_generator(record))
-            out.append("\n  ]")
-        else:
-            out.append(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+def report_text(
+    complex: SurfaceComplex, generators: GeneratorSet, verification=None
+) -> str:
+    """Report text, byte-equal to ``render_report(report_dict(complex,
+    generators, verification))`` (see the module docstring)."""
+    records = _EdgeRecords(complex.edges)
+    # The pieces are joined once at the end, not concatenated as they come.
+    out = ['{\n  "generators": [']
+    separator = "\n"
+    for gen in generators.generators:
+        items = gen.cochain.items_sorted()
+        rows = ",\n".join(map(records.__getitem__, items))
+        out.append(separator)
+        out.append(_GENERATOR % (
+            json.dumps(gen.kind),
+            gen.component,
+            f"[\n{rows}\n      ]" if items else "[]",
+        ))
+        separator = ",\n"
+    out.append("\n  ]" if generators.generators else "]")
+    for key, value in sorted(_summary(generators, verification).items()):
+        block = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        out.append(f',\n  "{key}": {block}')
     out.append("\n}\n")
     return "".join(out)
-
-
-def report_to_generators(
-    report: dict, complex: SurfaceComplex
-) -> list[tuple[str, int, Cochain1]]:
-    """Rebuild (class, component, cochain) triples from a parsed report."""
-    out = []
-    for record in report["generators"]:
-        coeffs = {}
-        for item in record["edges"]:
-            pair = (item["v_a"], item["v_b"])
-            coeffs[complex.edge_index[pair]] = item["coefficient"]
-        out.append((record["class"], record["component_id"], Cochain1(coeffs)))
-    return out
 
 
 def write_vtk(path: str | Path, complex: SurfaceComplex, generators: GeneratorSet) -> None:

@@ -10,6 +10,9 @@ a breadth-first search inside every boundary circle, absorbed as a
 re-rooted fragment, and a breadth-first search over contact edges that
 share a vertex.  The package reads the same trees and contact components
 off each circle's traversal order.
+
+``report_to_generators`` reads a parsed report back into generators, so a
+test can check that the report loses nothing.
 """
 
 import warnings
@@ -276,3 +279,15 @@ def classify_boundary(
         contact_edges=contact,
         insulated_edges=boundary - contact,
     )
+
+
+def report_to_generators(report, complex):
+    """Rebuild (class, component, cochain) triples from a parsed report."""
+    out = []
+    for record in report["generators"]:
+        coeffs = {}
+        for item in record["edges"]:
+            pair = (item["v_a"], item["v_b"])
+            coeffs[complex.edge_index[pair]] = item["coefficient"]
+        out.append((record["class"], record["component_id"], Cochain1(coeffs)))
+    return out

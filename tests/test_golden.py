@@ -2,9 +2,11 @@
 anchor edges, so a change that claims "same bytes" proves it here.
 
 The digest covers the report text exactly as ``global-loops compute``
-writes it, with the ``--verify`` block wherever the mesh has at most
-``VERIFY_MAX_EDGES`` edges, followed by each component's anchor edge.  A
-change that alters output on purpose regenerates the table with
+writes it with ``meshio.report_text``, with the ``--verify`` block wherever
+the mesh has at most ``VERIFY_MAX_EDGES`` edges, followed by each
+component's anchor edge; a second test holds that text to its definition,
+``json.dumps(report_dict(...), indent=2, sort_keys=True)``.  A change that
+alters output on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +15,7 @@ and says why in its change notes.
 
 import hashlib
 import json
+import os
 import warnings
 
 import pytest
@@ -91,12 +94,19 @@ def corpus():
     return out
 
 
-def digest(complex, contact_edges):
+def outputs(complex, contact_edges):
+    """Generators and, where the mesh has at most ``VERIFY_MAX_EDGES``
+    edges, their verification."""
     gens = compute_generators(complex, contact_edges)
     verification = None
     if complex.num_edges <= VERIFY_MAX_EDGES:
         verification = verify(complex, gens.partition, gens)
-    text = meshio.render_report(meshio.report_dict(complex, gens, verification))
+    return gens, verification
+
+
+def digest(complex, contact_edges):
+    gens, verification = outputs(complex, contact_edges)
+    text = meshio.report_text(complex, gens, verification)
     anchors = [meta.anchor_edge for meta in gens.components]
     payload = text + "anchors " + json.dumps(anchors) + "\n"
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -163,6 +173,24 @@ def test_corpus_matches_the_table():
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_digest_unchanged(name):
     assert digest(*corpus()[name]()) == DIGESTS[name]
+
+
+@pytest.mark.filterwarnings("ignore:contact component")
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_cli_text_is_the_indented_json(name):
+    complex, contact_edges = corpus()[name]()
+    gens, verification = outputs(complex, contact_edges)
+    report = meshio.report_dict(complex, gens, verification)
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = meshio.report_text(complex, gens, verification)
+    if text != expected:
+        # pytest's own diff of two texts of megabytes takes minutes.
+        at = len(os.path.commonprefix([text, expected]))
+        window = slice(max(at - 60, 0), at + 60)
+        pytest.fail(
+            f"texts differ at character {at}: {text[window]!r} "
+            f"against {expected[window]!r}"
+        )
 
 
 if __name__ == "__main__":

@@ -7,20 +7,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meshes
+import reference
+from globalloops import meshio
 from globalloops.cli import main
-from globalloops.generators import compute_generators
+from globalloops.cochain import Cochain1
+from globalloops.generators import (
+    ComponentMeta,
+    Generator,
+    GeneratorSet,
+    compute_generators,
+)
 from globalloops.errors import ContactSpecError, NotABoundaryEdge, OffParseError
 from globalloops.meshio import (
     parse_contacts,
     parse_off,
-    render_report,
     report_dict,
-    report_to_generators,
+    report_text,
     write_off,
     write_vtk,
 )
 from globalloops.meshio import load_off
-from globalloops.oracle import verify
+from globalloops.oracle import VerificationReport, verify
 from globalloops.surface import boundary_components, classify_boundary
 
 GOOD_OFF = """OFF
@@ -117,8 +124,8 @@ class TestReport:
         K = meshes.annulus(6)
         contact = meshes.boundary_arc(K, 0, 3) | meshes.boundary_arc(K, 1, 3)
         gens = compute_generators(K, contact)
-        report = json.loads(render_report(report_dict(K, gens)))
-        rebuilt = report_to_generators(report, K)
+        report = json.loads(report_text(K, gens))
+        rebuilt = reference.report_to_generators(report, K)
         assert len(rebuilt) == len(gens.generators)
         for (kind, component, cochain), gen in zip(rebuilt, gens.generators):
             assert kind == gen.kind
@@ -140,107 +147,123 @@ class TestReport:
 
     def test_rendering_is_deterministic(self):
         K = meshes.pair_of_pants()
-        r1 = render_report(report_dict(K, compute_generators(K)))
-        r2 = render_report(report_dict(K, compute_generators(K)))
+        r1 = report_text(K, compute_generators(K))
+        r2 = report_text(K, compute_generators(K))
         assert r1 == r2
 
 
 def reference_render(report):
-    """The byte contract of ``render_report``."""
+    """The byte contract of ``report_text``: ``render_report``'s definition."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+# Generator sets over one small complex, so that an edge often carries
+# different values in different generators.
+SMALL = meshes.octahedron()
 counts = st.integers(0, 10**6)
 # Quotes, backslashes, control and non-ASCII characters exercise escaping.
 texts = st.text(st.sampled_from('ab "\\/\n\t\x00\x7f\u00e9\u2028\U0001f600')) | st.text()
-edge_records = st.fixed_dictionaries(
-    {"v_a": counts, "v_b": counts, "coefficient": st.integers(-(10**30), 10**30)}
+cochains = st.dictionaries(
+    st.integers(0, SMALL.num_edges - 1),
+    st.integers(-(10**30), 10**30).filter(bool),
+    max_size=6,
+).map(Cochain1)
+generator_records = st.builds(
+    Generator,
+    kind=st.sampled_from(["ha", "ho", "co"]) | texts,
+    component=st.integers(0, 40),
+    cochain=cochains,
 )
-generator_records = st.fixed_dictionaries(
-    {
-        "class": st.sampled_from(["ha", "ho", "co"]) | texts,
-        "component_id": st.integers(0, 40),
-        "edges": st.lists(edge_records, max_size=5),
-    }
+component_metas = st.builds(
+    ComponentMeta,
+    component_id=counts,
+    num_holes=counts,
+    num_contacts=counts,
+    num_candidate_edges=counts,
+    num_twisted_edges=counts,
+    orientable=st.booleans(),
+    betti1=counts,
+    anchor_edge=st.none() | counts,
 )
-component_metas = st.fixed_dictionaries(
-    {
-        "component_id": counts,
-        "N_ho": counts,
-        "N_co": counts,
-        "E_M": counts,
-        "E_M_II": counts,
-        "orientable": st.booleans(),
-        "betti1": counts,
-    }
+generator_sets = st.builds(
+    GeneratorSet,
+    generators=st.lists(generator_records, max_size=5),
+    components=st.lists(component_metas, max_size=4),
 )
-metas = st.fixed_dictionaries(
-    {
-        "components": st.lists(component_metas, max_size=4),
-        "N_ho": counts,
-        "N_co": counts,
-        "E_M": counts,
-        "E_M_II": counts,
-        "orientable": st.booleans(),
-        "betti1": counts,
-    }
-)
-verifications = st.fixed_dictionaries(
-    {
-        "betti1_relative": counts,
-        "generator_count": counts,
-        "cocycle_ok": st.lists(st.booleans(), max_size=4),
-        "independence_ok": st.booleans(),
-        "orientable": st.booleans(),
-        "torsion_coefficients": st.lists(st.just(2), max_size=3),
-        "dimension_formula_ok": st.booleans(),
-        "failures": st.lists(texts, max_size=3),
-        "passed": st.booleans(),
-    }
-)
-reports = st.fixed_dictionaries(
-    {"generators": st.lists(generator_records, max_size=5), "meta": metas},
-    optional={"verification": verifications},
+verifications = st.builds(
+    VerificationReport,
+    betti1_relative=counts,
+    generator_count=counts,
+    cocycle_ok=st.lists(st.booleans(), max_size=4),
+    independence_ok=st.booleans(),
+    orientable=st.booleans(),
+    torsion_coefficients=st.lists(st.just(2), max_size=3),
+    dimension_formula_ok=st.booleans(),
+    failures=st.lists(texts, max_size=3),
 )
 
-EDGELESS = {"class": "ho", "component_id": 3, "edges": []}
-WIDE = {"class": "ha", "component_id": 0,
-        "edges": [{"v_a": 0, "v_b": 10**12, "coefficient": -(10**20)}]}
-META = {"components": [], "N_ho": 0, "N_co": 0, "E_M": 0, "E_M_II": 0,
-        "orientable": True, "betti1": 0}
-FAILED = {"betti1_relative": 1, "generator_count": 0, "cocycle_ok": [],
-          "independence_ok": True, "orientable": False,
-          "torsion_coefficients": [2], "dimension_formula_ok": False,
-          "failures": ['count "0" \\ expected 1 \u2014 caf\u00e9'], "passed": False}
+# Edge 0 carries two values, one generator has no edges, and the
+# coefficient is wider than 64 bits.
+SHARED_EDGE = GeneratorSet(
+    generators=[
+        Generator("ha", 0, Cochain1({0: 1, 3: -(10**20)})),
+        Generator("ho", 3, Cochain1()),
+        Generator("co", 1, Cochain1({0: -1})),
+    ],
+    components=[ComponentMeta(0, 1, 1, 2, 0, True, 2)],
+)
+FAILED = VerificationReport(
+    betti1_relative=1, generator_count=0, cocycle_ok=[], independence_ok=True,
+    orientable=False, torsion_coefficients=[2], dimension_formula_ok=False,
+    failures=['count "0" \\ expected 1 \u2014 caf\u00e9'],
+)
+
+
+def mixed_surface_files(tmp_path):
+    """``mixed_surface`` with two contact arcs on every circle of eight or
+    more edges and one two-edge arc on each shorter circle, written out;
+    returns the complex, the contacts, the compute argv and the report path."""
+    K, contact = meshes.mixed_surface()
+    for k, cyc in enumerate(boundary_components(K)):
+        if not contact & set(cyc.edges):
+            contact |= meshes.boundary_arc(K, k, 2)
+    mesh, contacts, out = (tmp_path / n for n in ("m.off", "c.txt", "r.json"))
+    write_off(mesh, K)
+    contacts.write_text(
+        "".join(f"{K.edges[e][0]} {K.edges[e][1]}\n" for e in sorted(contact))
+    )
+    argv = ["compute", str(mesh), "--contacts", str(contacts), "--out", str(out)]
+    return K, contact, argv, out
 
 
 class TestRenderBytes:
     @settings(deadline=None)
-    @given(reports)
-    @example({"generators": [], "meta": META})
-    @example({"generators": [EDGELESS, WIDE], "meta": META, "verification": FAILED})
-    def test_equals_indented_json(self, report):
-        assert render_report(report) == reference_render(report)
+    @given(generator_sets, st.none() | verifications)
+    @example(GeneratorSet(), None)
+    @example(SHARED_EDGE, FAILED)
+    def test_equals_indented_json(self, generators, verification):
+        expected = reference_render(report_dict(SMALL, generators, verification))
+        assert report_text(SMALL, generators, verification) == expected
 
     def test_cli_report_on_every_class_with_arcs(self, tmp_path):
-        # Five components, two contact arcs on every circle of eight or more
-        # edges and one two-edge arc on each shorter circle.
-        K, contact = meshes.mixed_surface()
-        for k, cyc in enumerate(boundary_components(K)):
-            if not contact & set(cyc.edges):
-                contact |= meshes.boundary_arc(K, k, 2)
-        mesh, contacts, out = (tmp_path / n for n in ("m.off", "c.txt", "r.json"))
-        write_off(mesh, K)
-        contacts.write_text(
-            "".join(f"{K.edges[e][0]} {K.edges[e][1]}\n" for e in sorted(contact))
-        )
-        argv = ["compute", str(mesh), "--contacts", str(contacts), "--out", str(out)]
+        K, contact, argv, out = mixed_surface_files(tmp_path)
         assert main([*argv, "--verify"]) == 0
 
         gens = compute_generators(K, contact)
         report = report_dict(K, gens, verify(K, classify_boundary(K, contact), gens))
         assert len(report["meta"]["components"]) == 5
         assert out.read_text() == reference_render(report)
+
+    def test_cli_builds_no_report_dict(self, tmp_path, monkeypatch):
+        # The CLI writes the text straight from the generator set; one dict
+        # per support edge must not come back on its path.
+        def refuse(*args, **kwargs):
+            raise AssertionError("compute built the structured report")
+
+        monkeypatch.setattr(meshio, "report_dict", refuse)
+        _, _, argv, out = mixed_surface_files(tmp_path)
+        assert main([*argv, "--verify"]) == 0
+        assert json.loads(out.read_text())["verification"]["passed"]
 
 
 class TestVtk:
