@@ -14,7 +14,6 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from . import bench as bench_mod
 from . import meshio, oracle
 from .errors import (
     ContactSpecError,
@@ -146,6 +145,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench  # only this command needs refinement and its timers
+
     fitted = args.levels + 1 - max(args.fit_from, 0)
     if fitted < 2:
         raise UsageError(
@@ -153,10 +154,10 @@ def cmd_bench(args) -> int:
             f"--fit-from {args.fit_from} leaves {max(fitted, 0)}"
         )
     complex = _load_mesh(args.mesh)
-    levels = bench_mod.run_refinement_bench(
+    levels = bench.run_refinement_bench(
         complex, levels=args.levels, repeats=args.repeats
     )
-    print(bench_mod.format_table(levels, fit_from=args.fit_from))
+    print(bench.format_table(levels, fit_from=args.fit_from))
     return 0
 
 

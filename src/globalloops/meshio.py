@@ -21,6 +21,7 @@ callers that want the report as data.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 from .errors import ContactSpecError, NotABoundaryEdge, OffParseError
@@ -32,66 +33,64 @@ def parse_off(text: str) -> tuple[int, list[tuple[float, float, float]], list[tu
     """Parse OFF text into (vertex count, coordinates, triangle list).
 
     Only triangles are accepted.  Parse errors carry 1-based line numbers.
+    Each line is split once.  The blocks read no more lines than the text
+    has, so header counts, which come from outside, size nothing.
     """
     lines = text.splitlines()
-    pos = 0
-
-    def next_tokens():
-        nonlocal pos
-        while pos < len(lines):
-            lineno = pos + 1
-            raw = lines[pos].split("#", 1)[0].strip()
-            pos += 1
-            if raw:
-                return lineno, raw.split()
-        return len(lines), None
-
-    lineno, tokens = next_tokens()
-    if tokens is None or tokens != ["OFF"]:
+    rows = _token_lines(lines)
+    end = len(lines), None
+    lineno, tokens = next(rows, end)
+    if tokens != ["OFF"]:
         raise OffParseError(lineno, "expected OFF header")
-    lineno, tokens = next_tokens()
+    lineno, tokens = next(rows, end)
     if tokens is None or len(tokens) != 3:
         raise OffParseError(lineno, "expected 'vertices faces edges' counts")
     try:
-        nv, nf, _ = (int(t) for t in tokens)
+        nv, nf, _ = map(int, tokens)
     except ValueError:
         raise OffParseError(lineno, "counts must be integers") from None
     if nv < 0 or nf < 0:
         raise OffParseError(lineno, "counts must be nonnegative")
 
     coords = []
-    for _ in range(nv):
-        lineno, tokens = next_tokens()
-        if tokens is None:
-            raise OffParseError(lineno, "unexpected end of file in vertex block")
+    for lineno, tokens in islice(rows, min(nv, len(lines))):
         if len(tokens) != 3:
             raise OffParseError(lineno, f"expected 3 coordinates, got {len(tokens)}")
         try:
-            coords.append(tuple(float(t) for t in tokens))
+            coords.append(tuple(map(float, tokens)))
         except ValueError:
             raise OffParseError(lineno, "coordinates must be numbers") from None
+    if len(coords) < nv:
+        raise OffParseError(len(lines), "unexpected end of file in vertex block")
 
     faces = []
-    for _ in range(nf):
-        lineno, tokens = next_tokens()
-        if tokens is None:
-            raise OffParseError(lineno, "unexpected end of file in face block")
+    for lineno, tokens in islice(rows, min(nf, len(lines))):
         try:
-            values = [int(t) for t in tokens]
+            values = tuple(map(int, tokens))
         except ValueError:
             raise OffParseError(lineno, "face indices must be integers") from None
-        if not values or values[0] != 3 or len(values) != 4:
+        if len(values) != 4 or values[0] != 3:
             raise OffParseError(lineno, "only triangular faces ('3 i j k') are supported")
-        tri = tuple(values[1:])
+        tri = values[1:]
         for v in tri:
             if not 0 <= v < nv:
                 raise OffParseError(lineno, f"vertex index {v} out of range")
         faces.append(tri)
+    if len(faces) < nf:
+        raise OffParseError(len(lines), "unexpected end of file in face block")
 
-    lineno, tokens = next_tokens()
+    lineno, tokens = next(rows, end)
     if tokens is not None:
         raise OffParseError(lineno, "trailing content after face block")
     return nv, coords, faces
+
+
+def _token_lines(lines):
+    """(line number, tokens) of each line with content outside a '#' comment."""
+    for lineno, line in enumerate(lines, 1):
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        if tokens:
+            yield lineno, tokens
 
 
 def load_off(path: str | Path) -> SurfaceComplex:

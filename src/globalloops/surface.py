@@ -5,6 +5,12 @@ carried along only so that exporters can write them back out.  This module
 holds what the generator pipeline runs and nothing else: the oracle
 (``oracle.py``) rebuilds its own incidence from the face list and closes up
 the surface itself.
+
+``build_complex`` indexes and validates the faces in one pass over flat
+half-edge lists, with edges keyed by the integer ``a * V + b``; a failed
+check rescans the faces in order, so a fault of one face wins over a fault
+between faces.  ``boundary_components`` walks two boundary neighbours per
+vertex.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, count, groupby
+from operator import eq
 
 from .errors import (
-    CountMismatch,
     DegenerateFace,
     DuplicateFace,
     IsolatedVertex,
@@ -119,123 +125,112 @@ def build_complex(
     Edge ids and orientations are derived deterministically from the face
     order, so identical input always yields an identical complex.  Raises
     DegenerateFace, DuplicateFace, NonManifoldEdge, PinchVertex or
-    IsolatedVertex on invalid input.
+    IsolatedVertex on invalid input, and ValueError on a vertex out of
+    range; a fault of one face wins over a fault between faces.
     """
     if coords is not None and len(coords) != vertex_count:
         raise ValueError(
             f"got {len(coords)} coordinate triples for {vertex_count} vertices"
         )
+    clean_faces = list(map(tuple, faces))
+    if set(map(len, clean_faces)) - {3}:
+        raise _face_fault(faces, vertex_count)
+    # Half-edge h = 3f + i runs from tail[h] to head[h] along face f, whose
+    # third vertex is apex[h]; twin[h] is the other half-edge of its edge.
+    tail = list(chain.from_iterable(clean_faces))
+    a, b, c = tail[0::3], tail[1::3], tail[2::3]
+    head = list(chain.from_iterable(zip(b, c, a)))
+    apex = list(chain.from_iterable(zip(c, a, b)))
+    if tail and (min(tail) < 0 or max(tail) >= vertex_count or any(map(eq, tail, head))):
+        raise _face_fault(faces, vertex_count)
 
-    seen_faces: set[frozenset[int]] = set()
-    clean_faces: list[Face] = []
-    for idx, f in enumerate(faces):
-        if len(f) != 3:
-            raise DegenerateFace(f"face {idx} has {len(f)} vertices")
-        a, b, c = f
-        if a == b or b == c or a == c:
-            raise DegenerateFace(f"face {idx} repeats a vertex: {f}")
-        for v in f:
-            if not 0 <= v < vertex_count:
-                raise ValueError(f"face {idx} references vertex {v} out of range")
-        key = frozenset(f)
-        if key in seen_faces:
-            raise DuplicateFace(f"face {idx} duplicates an earlier face: {f}")
-        seen_faces.add(key)
-        clean_faces.append((a, b, c))
-
-    edge_index: dict[Edge, int] = {}
+    new_edge = {}.setdefault  # edge id by key a * vertex_count + b
     edges: list[Edge] = []
-    face_edges = []
-    edge_face_lists: list[list[int]] = []
-    for fid, (a, b, c) in enumerate(clean_faces):
-        triple = []
-        for u, w in ((a, b), (b, c), (c, a)):
-            pair = (u, w) if u < w else (w, u)
-            eid = edge_index.get(pair)
-            if eid is None:
-                eid = len(edges)
-                edge_index[pair] = eid
-                edges.append(pair)
-                edge_face_lists.append([])
-            incident = edge_face_lists[eid]
-            if len(incident) == 2:
-                raise NonManifoldEdge(f"edge {pair} lies on more than two faces")
-            incident.append(fid)
-            triple.append((eid, 1 if u < w else -1))
-        face_edges.append(tuple(triple))
-
+    first: list[int] = []  # per edge: its half-edge on the first face
+    twin = [-1] * len(tail)
+    half_edges = []  # per half-edge: (edge id, sign)
     vertex_edges: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-    for eid, (a, b) in enumerate(edges):
-        vertex_edges[a].append((eid, b))
-        vertex_edges[b].append((eid, a))
+    for h, u, w, x in zip(count(), tail, head, apex):
+        if u < w:
+            eid = new_edge(u * vertex_count + w, len(first))
+            half_edges.append((eid, 1))
+        else:
+            eid = new_edge(w * vertex_count + u, len(first))
+            half_edges.append((eid, -1))
+        if eid == len(first):
+            edges.append((u, w) if u < w else (w, u))
+            first.append(h)
+            vertex_edges[u].append((eid, w))
+            vertex_edges[w].append((eid, u))
+        else:
+            g = first[eid]
+            # A second face on an edge with the same apex repeats the first.
+            if twin[g] >= 0 or apex[g] == x:
+                raise _face_fault(faces, vertex_count) or NonManifoldEdge(
+                    f"edge {edges[eid]} lies on more than two faces"
+                )
+            twin[g], twin[h] = h, g
 
-    for v in range(vertex_count):
-        if not vertex_edges[v]:
-            raise IsolatedVertex(f"vertex {v} belongs to no face")
+    if not all(vertex_edges):
+        raise IsolatedVertex(f"vertex {vertex_edges.index([])} belongs to no face")
+    _check_fans(tail, twin, first, vertex_edges)
 
-    _check_vertex_links(clean_faces, edges, edge_face_lists, face_edges, vertex_edges)
-
-    boundary_edge_ids = [
-        eid for eid, fl in enumerate(edge_face_lists) if len(fl) == 1
-    ]
     return SurfaceComplex(
         num_vertices=vertex_count,
         edges=edges,
         faces=clean_faces,
-        face_edges=face_edges,
-        edge_faces=[tuple(fl) for fl in edge_face_lists],
-        edge_index=edge_index,
+        face_edges=list(zip(half_edges[0::3], half_edges[1::3], half_edges[2::3])),
+        edge_faces=[(g // 3,) if twin[g] < 0 else (g // 3, twin[g] // 3) for g in first],
+        edge_index=dict(zip(edges, count())),
         vertex_edges=vertex_edges,
         coords=list(coords) if coords is not None else None,
-        boundary_edge_ids=boundary_edge_ids,
+        boundary_edge_ids=[eid for eid, g in enumerate(first) if twin[g] < 0],
     )
 
 
-def _check_vertex_links(faces, edges, edge_face_lists, face_edges, vertex_edges):
-    # The faces around each vertex must form a single fan (path or cycle);
-    # two fans meeting at a point is a pinch, which the algorithms do not
-    # support.  Walk the fan from a boundary edge (or anywhere on a closed
-    # fan) and require that it reaches every face at the vertex.
-    face_count_at = [0] * len(vertex_edges)
-    for f in faces:
+def _face_fault(faces, vertex_count) -> Exception | None:
+    """The first fault of a single face, in face order: a face that is not
+    a triangle of distinct in-range vertices or repeats an earlier face."""
+    seen: set[Face] = set()
+    for idx, f in enumerate(faces):
+        if len(f) != 3:
+            return DegenerateFace(f"face {idx} has {len(f)} vertices")
+        a, b, c = f
+        if a == b or b == c or a == c:
+            return DegenerateFace(f"face {idx} repeats a vertex: {f}")
         for v in f:
-            face_count_at[v] += 1
+            if not 0 <= v < vertex_count:
+                return ValueError(f"face {idx} references vertex {v} out of range")
+        key = tuple(sorted(f))
+        if key in seen:
+            return DuplicateFace(f"face {idx} duplicates an earlier face: {f}")
+        seen.add(key)
 
-    def other_edge_at(fid, v, eid):
-        for eid2, _ in face_edges[fid]:
-            if eid2 != eid:
-                a, b = edges[eid2]
-                if a == v or b == v:
-                    return eid2
-        raise CountMismatch(f"face {fid} has no second edge at its vertex {v}")
 
+def _check_fans(tail, twin, first, vertex_edges):
+    # The faces around each vertex must form a single fan (path or cycle),
+    # not a pinch of several.  Walk a fan both ways from one edge at v,
+    # leaving each face by its other edge at v: a lone fan reaches every
+    # edge at v, and an open fan has one edge more than it has faces.
+    third = range(0, len(tail), 3)
+    before = list(chain.from_iterable(zip(range(2, len(tail), 3), third, range(1, len(tail), 3))))
+    after = list(chain.from_iterable(zip(range(1, len(tail), 3), range(2, len(tail), 3), third)))
     for v, local in enumerate(vertex_edges):
-        if face_count_at[v] <= 1:
-            continue
-        entry = None
-        for eid, _ in local:
-            if len(edge_face_lists[eid]) == 1:
-                entry = eid
-                break
-        if entry is None:
-            entry = local[0][0]
-        start = edge_face_lists[entry][0]
-        cur, in_edge = start, entry
-        visited = 1
+        start = first[local[0][0]]
+        h, walked = start, 0
         while True:
-            out_edge = other_edge_at(cur, v, in_edge)
-            incident = edge_face_lists[out_edge]
-            if len(incident) == 1:
+            walked += 1
+            h = twin[before[h] if tail[h] == v else after[h]]
+            if h < 0 or h == start:
                 break
-            nxt = incident[1] if incident[0] == cur else incident[0]
-            if nxt == start:
-                break
-            cur, in_edge = nxt, out_edge
-            visited += 1
-        if visited != face_count_at[v]:
-            raise PinchVertex(
-                f"vertex {v} joins more than one face fan"
-            )
+        if h < 0:
+            walked += 1
+            h = twin[start]
+            while h >= 0:
+                walked += 1
+                h = twin[before[h] if tail[h] == v else after[h]]
+        if walked != len(local):
+            raise PinchVertex(f"vertex {v} joins more than one face fan")
 
 
 def euler_characteristic(complex: SurfaceComplex) -> int:
@@ -248,31 +243,36 @@ def boundary_components(complex: SurfaceComplex) -> list[BoundaryCycle]:
     Components are listed by ascending minimal vertex id; each cycle starts
     at its minimal vertex and walks toward the lower-id neighbor first.
     """
-    # Every boundary vertex has exactly two boundary edges once pinch
-    # vertices are excluded, so the boundary decomposes into simple cycles.
-    at_vertex: dict[int, list[tuple[int, int]]] = {}
+    # With pinch vertices excluded every boundary vertex has two boundary
+    # edges (edge1, edge2, to end1, end2), so the boundary is simple cycles.
+    # edge1 is -1 off the boundary and once the vertex is walked.
+    n = complex.num_vertices
+    edge1, end1, edge2, end2 = [-1] * n, [-1] * n, [-1] * n, [-1] * n
     for eid in complex.boundary_edge_ids:
         a, b = complex.edges[eid]
-        at_vertex.setdefault(a, []).append((eid, b))
-        at_vertex.setdefault(b, []).append((eid, a))
+        for u, w in ((a, b), (b, a)):
+            if edge1[u] < 0:
+                edge1[u], end1[u] = eid, w
+            else:
+                edge2[u], end2[u] = eid, w
 
     cycles: list[BoundaryCycle] = []
-    visited: set[int] = set()
-    for start in sorted(at_vertex):
-        if start in visited:
+    for start in range(n):
+        if edge1[start] < 0:
             continue
-        nbrs = sorted(at_vertex[start], key=lambda item: item[1])
-        first_edge, nxt = nbrs[0]
-        verts = [start]
-        cyc_edges = [first_edge]
-        visited.add(start)
-        prev_edge = first_edge
-        cur = nxt
+        if end1[start] < end2[start]:
+            prev_edge, cur = edge1[start], end1[start]
+        else:
+            prev_edge, cur = edge2[start], end2[start]
+        edge1[start] = -1
+        verts, cyc_edges = [start], [prev_edge]
         while cur != start:
             verts.append(cur)
-            visited.add(cur)
-            (e1, w1), (e2, w2) = at_vertex[cur]
-            prev_edge, cur = (e2, w2) if e1 == prev_edge else (e1, w1)
+            e1, edge1[cur] = edge1[cur], -1
+            if e1 == prev_edge:
+                prev_edge, cur = edge2[cur], end2[cur]
+            else:
+                prev_edge, cur = e1, end1[cur]
             cyc_edges.append(prev_edge)
         cycles.append(BoundaryCycle(vertices=verts, edges=cyc_edges))
     return cycles

@@ -11,6 +11,14 @@ re-rooted fragment, and a breadth-first search over contact edges that
 share a vertex.  The package reads the same trees and contact components
 off each circle's traversal order.
 
+``build_complex`` (with ``_check_vertex_links``) and ``boundary_components``
+are the original indexing and boundary walk: tuple-keyed edges, one
+frozenset per face for duplicates, a fan walk that searches each face for
+its other edge at the vertex, and a dict of boundary neighbours sorted per
+circle.  The package makes the same complex and cycles in one pass over
+flat half-edge arrays.  ``parse_off`` is the original OFF parser, which
+fetches each non-blank line through a closure.
+
 ``report_to_generators`` reads a parsed report back into generators, so a
 test can check that the report loses nothing.
 """
@@ -22,16 +30,23 @@ from dataclasses import dataclass
 from globalloops.cochain import Cochain1
 from globalloops.errors import (
     CountMismatch,
+    DegenerateFace,
+    DuplicateFace,
     EdgeNotOnFace,
+    IsolatedVertex,
     NodeNotInTree,
+    NonManifoldEdge,
     NotABoundaryEdge,
+    OffParseError,
+    PinchVertex,
 )
 from globalloops.forest import Tree
 from globalloops.surface import (
     BoundaryCycle,
     BoundaryPartition,
+    Edge,
+    Face,
     SurfaceComplex,
-    boundary_components,
 )
 
 
@@ -219,6 +234,171 @@ def build_primal_tree(
     return tree, leftovers
 
 
+def build_complex(
+    vertex_count: int,
+    faces: list[Face],
+    coords: list[tuple[float, float, float]] | None = None,
+) -> SurfaceComplex:
+    """Build and validate the indexed triangulation from a raw face list.
+
+    Edge ids and orientations are derived deterministically from the face
+    order, so identical input always yields an identical complex.  Raises
+    DegenerateFace, DuplicateFace, NonManifoldEdge, PinchVertex or
+    IsolatedVertex on invalid input.
+    """
+    if coords is not None and len(coords) != vertex_count:
+        raise ValueError(
+            f"got {len(coords)} coordinate triples for {vertex_count} vertices"
+        )
+
+    seen_faces: set[frozenset[int]] = set()
+    clean_faces: list[Face] = []
+    for idx, f in enumerate(faces):
+        if len(f) != 3:
+            raise DegenerateFace(f"face {idx} has {len(f)} vertices")
+        a, b, c = f
+        if a == b or b == c or a == c:
+            raise DegenerateFace(f"face {idx} repeats a vertex: {f}")
+        for v in f:
+            if not 0 <= v < vertex_count:
+                raise ValueError(f"face {idx} references vertex {v} out of range")
+        key = frozenset(f)
+        if key in seen_faces:
+            raise DuplicateFace(f"face {idx} duplicates an earlier face: {f}")
+        seen_faces.add(key)
+        clean_faces.append((a, b, c))
+
+    edge_index: dict[Edge, int] = {}
+    edges: list[Edge] = []
+    face_edges = []
+    edge_face_lists: list[list[int]] = []
+    for fid, (a, b, c) in enumerate(clean_faces):
+        triple = []
+        for u, w in ((a, b), (b, c), (c, a)):
+            pair = (u, w) if u < w else (w, u)
+            eid = edge_index.get(pair)
+            if eid is None:
+                eid = len(edges)
+                edge_index[pair] = eid
+                edges.append(pair)
+                edge_face_lists.append([])
+            incident = edge_face_lists[eid]
+            if len(incident) == 2:
+                raise NonManifoldEdge(f"edge {pair} lies on more than two faces")
+            incident.append(fid)
+            triple.append((eid, 1 if u < w else -1))
+        face_edges.append(tuple(triple))
+
+    vertex_edges: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    for eid, (a, b) in enumerate(edges):
+        vertex_edges[a].append((eid, b))
+        vertex_edges[b].append((eid, a))
+
+    for v in range(vertex_count):
+        if not vertex_edges[v]:
+            raise IsolatedVertex(f"vertex {v} belongs to no face")
+
+    _check_vertex_links(clean_faces, edges, edge_face_lists, face_edges, vertex_edges)
+
+    boundary_edge_ids = [
+        eid for eid, fl in enumerate(edge_face_lists) if len(fl) == 1
+    ]
+    return SurfaceComplex(
+        num_vertices=vertex_count,
+        edges=edges,
+        faces=clean_faces,
+        face_edges=face_edges,
+        edge_faces=[tuple(fl) for fl in edge_face_lists],
+        edge_index=edge_index,
+        vertex_edges=vertex_edges,
+        coords=list(coords) if coords is not None else None,
+        boundary_edge_ids=boundary_edge_ids,
+    )
+
+
+def _check_vertex_links(faces, edges, edge_face_lists, face_edges, vertex_edges):
+    # The faces around each vertex must form a single fan (path or cycle);
+    # two fans meeting at a point is a pinch, which the algorithms do not
+    # support.  Walk the fan from a boundary edge (or anywhere on a closed
+    # fan) and require that it reaches every face at the vertex.
+    face_count_at = [0] * len(vertex_edges)
+    for f in faces:
+        for v in f:
+            face_count_at[v] += 1
+
+    def other_edge_at(fid, v, eid):
+        for eid2, _ in face_edges[fid]:
+            if eid2 != eid:
+                a, b = edges[eid2]
+                if a == v or b == v:
+                    return eid2
+        raise CountMismatch(f"face {fid} has no second edge at its vertex {v}")
+
+    for v, local in enumerate(vertex_edges):
+        if face_count_at[v] <= 1:
+            continue
+        entry = None
+        for eid, _ in local:
+            if len(edge_face_lists[eid]) == 1:
+                entry = eid
+                break
+        if entry is None:
+            entry = local[0][0]
+        start = edge_face_lists[entry][0]
+        cur, in_edge = start, entry
+        visited = 1
+        while True:
+            out_edge = other_edge_at(cur, v, in_edge)
+            incident = edge_face_lists[out_edge]
+            if len(incident) == 1:
+                break
+            nxt = incident[1] if incident[0] == cur else incident[0]
+            if nxt == start:
+                break
+            cur, in_edge = nxt, out_edge
+            visited += 1
+        if visited != face_count_at[v]:
+            raise PinchVertex(
+                f"vertex {v} joins more than one face fan"
+            )
+
+
+def boundary_components(complex: SurfaceComplex) -> list[BoundaryCycle]:
+    """Boundary circles in traversal order, one cycle per component.
+
+    Components are listed by ascending minimal vertex id; each cycle starts
+    at its minimal vertex and walks toward the lower-id neighbor first.
+    """
+    # Every boundary vertex has exactly two boundary edges once pinch
+    # vertices are excluded, so the boundary decomposes into simple cycles.
+    at_vertex: dict[int, list[tuple[int, int]]] = {}
+    for eid in complex.boundary_edge_ids:
+        a, b = complex.edges[eid]
+        at_vertex.setdefault(a, []).append((eid, b))
+        at_vertex.setdefault(b, []).append((eid, a))
+
+    cycles: list[BoundaryCycle] = []
+    visited: set[int] = set()
+    for start in sorted(at_vertex):
+        if start in visited:
+            continue
+        nbrs = sorted(at_vertex[start], key=lambda item: item[1])
+        first_edge, nxt = nbrs[0]
+        verts = [start]
+        cyc_edges = [first_edge]
+        visited.add(start)
+        prev_edge = first_edge
+        cur = nxt
+        while cur != start:
+            verts.append(cur)
+            visited.add(cur)
+            (e1, w1), (e2, w2) = at_vertex[cur]
+            prev_edge, cur = (e2, w2) if e1 == prev_edge else (e1, w1)
+            cyc_edges.append(prev_edge)
+        cycles.append(BoundaryCycle(vertices=verts, edges=cyc_edges))
+    return cycles
+
+
 def classify_boundary(
     complex: SurfaceComplex, contact_edges: set[int] | frozenset[int] | list[int]
 ) -> BoundaryPartition:
@@ -291,3 +471,69 @@ def report_to_generators(report, complex):
             coeffs[complex.edge_index[pair]] = item["coefficient"]
         out.append((record["class"], record["component_id"], Cochain1(coeffs)))
     return out
+
+
+def parse_off(text: str) -> tuple[int, list[tuple[float, float, float]], list[tuple[int, int, int]]]:
+    """Parse OFF text into (vertex count, coordinates, triangle list).
+
+    Only triangles are accepted.  Parse errors carry 1-based line numbers.
+    """
+    lines = text.splitlines()
+    pos = 0
+
+    def next_tokens():
+        nonlocal pos
+        while pos < len(lines):
+            lineno = pos + 1
+            raw = lines[pos].split("#", 1)[0].strip()
+            pos += 1
+            if raw:
+                return lineno, raw.split()
+        return len(lines), None
+
+    lineno, tokens = next_tokens()
+    if tokens is None or tokens != ["OFF"]:
+        raise OffParseError(lineno, "expected OFF header")
+    lineno, tokens = next_tokens()
+    if tokens is None or len(tokens) != 3:
+        raise OffParseError(lineno, "expected 'vertices faces edges' counts")
+    try:
+        nv, nf, _ = (int(t) for t in tokens)
+    except ValueError:
+        raise OffParseError(lineno, "counts must be integers") from None
+    if nv < 0 or nf < 0:
+        raise OffParseError(lineno, "counts must be nonnegative")
+
+    coords = []
+    for _ in range(nv):
+        lineno, tokens = next_tokens()
+        if tokens is None:
+            raise OffParseError(lineno, "unexpected end of file in vertex block")
+        if len(tokens) != 3:
+            raise OffParseError(lineno, f"expected 3 coordinates, got {len(tokens)}")
+        try:
+            coords.append(tuple(float(t) for t in tokens))
+        except ValueError:
+            raise OffParseError(lineno, "coordinates must be numbers") from None
+
+    faces = []
+    for _ in range(nf):
+        lineno, tokens = next_tokens()
+        if tokens is None:
+            raise OffParseError(lineno, "unexpected end of file in face block")
+        try:
+            values = [int(t) for t in tokens]
+        except ValueError:
+            raise OffParseError(lineno, "face indices must be integers") from None
+        if not values or values[0] != 3 or len(values) != 4:
+            raise OffParseError(lineno, "only triangular faces ('3 i j k') are supported")
+        tri = tuple(values[1:])
+        for v in tri:
+            if not 0 <= v < nv:
+                raise OffParseError(lineno, f"vertex index {v} out of range")
+        faces.append(tri)
+
+    lineno, tokens = next_tokens()
+    if tokens is not None:
+        raise OffParseError(lineno, "trailing content after face block")
+    return nv, coords, faces

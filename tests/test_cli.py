@@ -1,10 +1,15 @@
 """Command line behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import meshes
+import globalloops
 from globalloops import generators, meshio
 from globalloops.cli import main
 from globalloops.errors import CountMismatch
@@ -261,3 +266,15 @@ class TestBench:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "two levels" in err[0]
+
+
+def test_cli_import_leaves_bench_unloaded():
+    # `compute` and `info` pay no import of the refinement bench.
+    env = dict(os.environ, PYTHONPATH=str(Path(globalloops.__file__).parents[1]))
+    probe = "import sys, globalloops.cli; print(sorted(m for m in sys.modules if m.startswith('globalloops')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert "'globalloops.cli'" in out
+    assert "globalloops.bench" not in out
+    assert "globalloops.refine" not in out

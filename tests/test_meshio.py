@@ -84,6 +84,68 @@ class TestOffParsing:
         assert K2.edges == K.edges
 
 
+@st.composite
+def mutated_off(draw):
+    """Valid OFF text of a small mesh, then a few mutations of its lines."""
+    K = meshes.sample(
+        draw(st.sampled_from(("random_disk", "random_annulus", "scrambled"))),
+        draw(st.integers(0, 10**6)),
+    )
+    lines = ["OFF", f"{K.num_vertices} {K.num_faces} {K.num_edges}"]
+    lines += [f"{v}.5 {-v} 1e-3" for v in range(K.num_vertices)]
+    lines += [f"3 {a} {b} {c}" for a, b, c in K.faces]
+    junk = st.sampled_from(["x", "nan", "-inf", "1e3", "0x1", "+2", "-1", "3.0", "1_0", "99999999999999999999"])
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        i = min(at, len(lines) - 1)
+        kind = draw(st.sampled_from(
+            ["comment", "tail comment", "blank", "tabs", "truncate", "extra", "replace", "quad", "trailing", "counts"]
+        ))
+        if kind == "comment":
+            lines.insert(at, "# " + draw(st.sampled_from(["", "3 0 1 2", "OFF", "#"])))
+        elif kind == "tail comment":
+            lines[i] += draw(st.sampled_from(["#", " # 1 2", "\t#x"]))
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", " \t "])))
+        elif kind == "tabs":
+            lines[i] = lines[i].replace(" ", "\t")
+        elif kind == "truncate":
+            text = "\n".join(lines)
+            lines = text[: draw(st.integers(0, len(text)))].split("\n")
+        elif kind == "extra":
+            lines[i] += " " + draw(junk)
+        elif kind == "replace":
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(junk)
+            lines[i] = " ".join(tokens)
+        elif kind == "quad":
+            lines[i] = "4 0 1 2 3"
+        elif kind == "trailing":
+            lines.append(draw(st.sampled_from(["3 0 1 2", "0 0 0", "OFF", "x"])))
+        else:
+            counts = ["-1 2 0", "2 -1 0", "1 2", "0 0 -5", "2 1e9 0", "99999999999999999999 1 0"]
+            lines[min(1, len(lines) - 1)] = draw(st.sampled_from(counts))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def parsed(parse, text):
+    """The parse as text (NaN equals itself there), or the line and message
+    of the OffParseError; any other exception escapes."""
+    try:
+        return repr(parse(text))
+    except OffParseError as exc:
+        return exc.line, str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_off())
+@example("OFF\n99999999999999999999 1 0\n0 0 0\n")
+@example("OFF\r\n1 1 0\r\n0 0 0 # origin\r\n\r\n3 0 0 0\r\n")
+def test_off_parser_matches_the_original(text):
+    assert parsed(parse_off, text) == parsed(reference.parse_off, text)
+
+
 class TestContactParsing:
     def test_comments_and_blanks(self):
         K = meshes.annulus(6)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import meshes
 import reference
 from globalloops.surface import (
+    SurfaceComplex,
     boundary_components,
     build_complex,
     classify_boundary,
@@ -266,3 +267,146 @@ class TestConnectedComponents:
             assert {g for e in edges for g in K.edge_faces[e]} == set(face_ids)
             counts.append((len(verts), len(edges), len(face_ids)))
         assert counts == [(7, 21, 14), (12, 24, 12)]
+
+
+# --- the one-pass index against the original --------------------------------
+
+INDEX_KINDS = (
+    "random_disk",
+    "random_annulus",
+    "scrambled",
+    "mixed_surface",
+    "loops-heavy",
+    "verify-small",
+)
+
+
+def valid_input(kind, seed):
+    """(vertex count, faces, coordinates or None) of one seeded mesh."""
+    if kind in ("loops-heavy", "verify-small"):
+        surface = meshes.workloads().make_input(kind, seed).surface
+        return surface.num_vertices, surface.faces, surface.coords
+    K = meshes.mixed_surface()[0] if kind == "mixed_surface" else meshes.sample(kind, seed)
+    return K.num_vertices, K.faces, None
+
+
+def outcome(build, boundary, vertex_count, faces, coords=None):
+    """Every field of the complex, its edge-index order and its boundary
+    cycles; or the class and message of what the build raised."""
+    try:
+        K = build(vertex_count, faces, coords)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return K, list(K.edge_index.items()), boundary(K)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(INDEX_KINDS), st.integers(0, 10**6), st.booleans())
+def test_index_matches_the_original(kind, seed, as_lists):
+    # The dataclass equality compares every field, with tuples and lists
+    # kept apart, so face_edges, edge_faces and vertex_edges must match in
+    # order and in type; faces given as lists still come out as tuples.
+    vertex_count, faces, coords = valid_input(kind, seed)
+    if as_lists:
+        faces = [list(f) for f in faces]
+    new = outcome(build_complex, boundary_components, vertex_count, faces, coords)
+    ref = outcome(reference.build_complex, reference.boundary_components, vertex_count, faces, coords)
+    assert isinstance(new[0], SurfaceComplex)
+    assert new == ref
+
+
+FAULTS = (
+    "arity",
+    "repeat",
+    "range",
+    "duplicate",
+    "third_face",
+    "open_pinch",
+    "closed_pinch",
+    "isolated",
+)
+
+
+def inject(draw, fault, K, vertex_count, faces):
+    """One fault in the face list of (a relabelling of) K; returns the new
+    vertex count and face list."""
+    n = vertex_count
+    at = draw(st.integers(0, len(faces)))
+    vertex = st.integers(0, n - 1)
+    if fault == "arity":
+        size = draw(st.sampled_from([0, 1, 2, 4, 5]))
+        faces.insert(at, tuple(draw(st.lists(vertex, min_size=size, max_size=size))))
+    elif fault == "repeat":
+        a, b = draw(vertex), draw(vertex)
+        faces.insert(at, draw(st.permutations([a, a, b])))
+    elif fault == "range":
+        bad = draw(st.sampled_from([-1, n, n + 7]))
+        a, b = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+        faces.insert(at, tuple(draw(st.permutations([a, b, bad]))))
+    elif fault == "duplicate":
+        # Of a face of K, or of a lone triangle: that copy puts no third
+        # face on any edge, so only the same-apex test can catch it.
+        if draw(st.booleans()):
+            a, b, c = draw(st.sampled_from(K.faces))
+        else:
+            a, b, c = n, n + 1, n + 2
+            faces.insert(draw(st.integers(0, len(faces))), (a, b, c))
+            n += 3
+        twin = draw(st.sampled_from([(a, b, c), (b, c, a), (c, a, b), (a, c, b), (c, b, a), (b, a, c)]))
+        faces.insert(draw(st.integers(0, len(faces))), twin)
+    elif fault == "third_face":
+        # Fresh apexes until the edge carries three faces.
+        u, w = draw(st.sampled_from(K.edges))
+        for _ in range(3 - len(K.edge_faces[K.edge_index[(u, w)]])):
+            faces.insert(draw(st.integers(0, len(faces))), (u, w, n))
+            n += 1
+    elif fault == "open_pinch":
+        # A lone triangle at a vertex, on the boundary where there is one.
+        rim = sorted({v for eid in K.boundary_edge_ids for v in K.edges[eid]})
+        v = draw(st.sampled_from(rim or range(K.num_vertices)))
+        faces.insert(at, (v, n, n + 1))
+        n += 2
+    elif fault == "closed_pinch":
+        # An octahedron glued at one vertex, interior where there is one.
+        rim = {v for eid in K.boundary_edge_ids for v in K.edges[eid]}
+        inner = [v for v in range(K.num_vertices) if v not in rim]
+        v = draw(st.sampled_from(inner or range(K.num_vertices)))
+        relabel = [v] + list(range(n, n + 5))
+        for f in meshes.octahedron().faces:
+            faces.insert(draw(st.integers(0, len(faces))), tuple(relabel[u] for u in f))
+        n += 5
+    else:
+        # An unused vertex id in the middle of the range.
+        k = draw(st.integers(0, n))
+        faces = [tuple(u + (u >= k) for u in f) for f in faces]
+        n += 1
+    return n, faces
+
+
+@st.composite
+def faulted(draw):
+    K = draw(
+        st.builds(
+            meshes.sample,
+            st.sampled_from(("random_annulus", "random_disk", "union", "scrambled")),
+            st.integers(0, 10**6),
+        )
+    )
+    vertex_count, faces = K.num_vertices, list(K.faces)
+    kinds = draw(st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3))
+    for fault in kinds:
+        vertex_count, faces = inject(draw, fault, K, vertex_count, faces)
+    if draw(st.booleans()):
+        faces = [list(f) for f in faces]
+    return vertex_count, faces
+
+
+@settings(deadline=None, max_examples=300)
+@given(faulted())
+def test_faults_raise_as_the_original(case):
+    # The same class and message, so which fault wins when several are
+    # present follows the original order: single-face faults in face order,
+    # then a third face on an edge, isolated vertices, pinches.
+    new = outcome(build_complex, boundary_components, *case)
+    ref = outcome(reference.build_complex, reference.boundary_components, *case)
+    assert new == ref
