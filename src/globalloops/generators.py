@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .cochain import Cochain1
 from .errors import CountMismatch, UnsupportedContactLayout
-from .forest import TreeCotree, build_tree_cotree
+from .forest import Tree, build_tree_cotree
 from .surface import (
     BoundaryCycle,
     BoundaryPartition,
@@ -110,7 +110,7 @@ class GeneratorSet:
 
 
 def handles(
-    complex: SurfaceComplex, tc: TreeCotree, candidates: list[int]
+    complex: SurfaceComplex, dual: Tree, candidates: list[int]
 ) -> tuple[list[Cochain1], list[int], int | None]:
     """Handle generators from one component's sorted candidate edges.
 
@@ -120,14 +120,13 @@ def handles(
     and every other twisted candidate is rebuilt by combining its two
     face-to-face transports toward the anchor.
     """
-    dual = tc.dual
     by_edge: dict[int, Cochain1] = {}
     twisted: list[int] = []
     for eid in candidates:
         if is_twisted(complex, dual, eid):
             twisted.append(eid)
         else:
-            f1, f2 = sorted(complex.edge_faces[eid])
+            f1, f2 = complex.edge_faces[eid]
             by_edge[eid] = transport(complex, dual, f1, f2, eid, eid)
 
     if not twisted:
@@ -136,7 +135,7 @@ def handles(
     anchor = min(twisted)
     for eid in twisted:
         if eid != anchor:
-            faces = sorted(complex.edge_faces[eid])
+            faces = complex.edge_faces[eid]
             by_edge[eid] = _to_anchor(complex, dual, faces, eid, anchor, (eid, anchor))
     gens = [by_edge[eid] for eid in candidates if eid != anchor]
     return gens, twisted, anchor
@@ -146,7 +145,7 @@ def _to_anchor(complex, dual, faces, edge, anchor, keep):
     """Sum of two transports from ``edge``, on faces[0] and faces[1], to the
     anchor on its first and second face; the edges in ``keep`` take the
     first transport's value alone."""
-    fa1, fa2 = sorted(complex.edge_faces[anchor])
+    fa1, fa2 = complex.edge_faces[anchor]
     out = dict(transport(complex, dual, faces[0], fa1, edge, anchor).coeffs)
     for k, v in transport(complex, dual, faces[1], fa2, edge, anchor).coeffs.items():
         if k not in keep:
@@ -178,7 +177,7 @@ def holes(complex: SurfaceComplex, cycles: list[BoundaryCycle]) -> list[Cochain1
 
 def contacts(
     complex: SurfaceComplex,
-    tc: TreeCotree,
+    dual: Tree,
     comps: list[list[int]],
     anchor: int | None,
 ) -> list[Cochain1]:
@@ -195,11 +194,11 @@ def contacts(
     for comp in comps[:-1]:
         eid = min(comp)
         face = complex.edge_faces[eid][0]
-        out.append(transport(complex, tc.dual, face, fixed_face, eid, fixed_edge))
+        out.append(transport(complex, dual, face, fixed_face, eid, fixed_edge))
 
     if anchor is not None:
         both = (fixed_face, fixed_face)
-        out.append(_to_anchor(complex, tc.dual, both, fixed_edge, anchor, (anchor,)))
+        out.append(_to_anchor(complex, dual, both, fixed_edge, anchor, (anchor,)))
     return out
 
 
@@ -240,18 +239,18 @@ def compute_generators(
     """
     partition = classify_boundary(complex, contact_edges)
     _reject_full_circle_contacts(partition)
-    tc = build_tree_cotree(complex, partition.hole_components)
+    dual, candidate_edges = build_tree_cotree(complex, partition.hole_components)
 
-    # The dual forest has exactly one tree per component (build_dual_tree
+    # The dual forest has exactly one tree per component (build_tree_cotree
     # raises otherwise), rooted at its minimal face in ascending order.
-    components = range(len(tc.dual.roots))
-    comp_of_face = tc.dual.tree_of
+    components = range(len(dual.roots))
+    comp_of_face = dual.tree_of
 
     def component_of(eid: int) -> int:
         return comp_of_face[complex.edge_faces[eid][0]]
 
     candidates: list[list[int]] = [[] for _ in components]
-    for eid in tc.candidate_edges:
+    for eid in candidate_edges:
         candidates[component_of(eid)].append(eid)
     cycles: list[list[BoundaryCycle]] = [[] for _ in components]
     for cyc in partition.hole_components:
@@ -262,10 +261,10 @@ def compute_generators(
 
     out = GeneratorSet(partition=partition)
     for cid in components:
-        ha, twisted, anchor = handles(complex, tc, candidates[cid])
+        ha, twisted, anchor = handles(complex, dual, candidates[cid])
         ho = holes(complex, cycles[cid])
         co = (
-            contacts(complex, tc, contact_comps[cid], anchor)
+            contacts(complex, dual, contact_comps[cid], anchor)
             if contact_comps[cid]
             else []
         )

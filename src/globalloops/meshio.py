@@ -116,7 +116,6 @@ def parse_contacts(text: str, complex: SurfaceComplex) -> set[int]:
     boundary edge of the mesh; unknown or interior pairs raise
     NotABoundaryEdge.
     """
-    boundary = set(complex.boundary_edge_ids)
     out: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -133,7 +132,7 @@ def parse_contacts(text: str, complex: SurfaceComplex) -> set[int]:
         eid = complex.edge_index.get(pair)
         if eid is None:
             raise NotABoundaryEdge(f"line {lineno}: ({i}, {j}) is not an edge of the mesh")
-        if eid not in boundary:
+        if not complex.is_boundary_edge(eid):
             raise NotABoundaryEdge(f"line {lineno}: ({i}, {j}) is not a boundary edge")
         out.add(eid)
     return out
@@ -272,12 +271,9 @@ def write_vtk(path: str | Path, complex: SurfaceComplex, generators: GeneratorSe
     """
     if complex.coords is None:
         raise ValueError("VTK export needs vertex coordinates")
-    segments = []
-    for gi, gen in enumerate(generators.generators):
-        for eid, val in gen.cochain.items_sorted():
-            a, b = complex.edges[eid]
-            segments.append((a, b, gi, val))
-
+    edges = complex.edges
+    supports = [gen.cochain.items_sorted() for gen in generators.generators]
+    cells = sum(map(len, supports))
     lines = [
         "# vtk DataFile Version 3.0",
         "generator support overlay",
@@ -285,18 +281,11 @@ def write_vtk(path: str | Path, complex: SurfaceComplex, generators: GeneratorSe
         "DATASET POLYDATA",
         f"POINTS {complex.num_vertices} float",
     ]
-    for x, y, z in complex.coords:
-        lines.append(f"{x:.17g} {y:.17g} {z:.17g}")
-    lines.append(f"LINES {len(segments)} {3 * len(segments)}")
-    for a, b, _, _ in segments:
-        lines.append(f"2 {a} {b}")
-    lines.append(f"CELL_DATA {len(segments)}")
-    lines.append("SCALARS generator_index int 1")
-    lines.append("LOOKUP_TABLE default")
-    for _, _, gi, _ in segments:
-        lines.append(str(gi))
-    lines.append("SCALARS coefficient int 1")
-    lines.append("LOOKUP_TABLE default")
-    for _, _, _, val in segments:
-        lines.append(str(val))
+    lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in complex.coords]
+    lines.append(f"LINES {cells} {3 * cells}")
+    lines += ["2 %d %d" % edges[eid] for items in supports for eid, _ in items]
+    lines += [f"CELL_DATA {cells}", "SCALARS generator_index int 1", "LOOKUP_TABLE default"]
+    lines += [str(gi) for gi, items in enumerate(supports) for _ in items]
+    lines += ["SCALARS coefficient int 1", "LOOKUP_TABLE default"]
+    lines += [str(val) for items in supports for _, val in items]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -20,10 +20,8 @@ def refine(complex: SurfaceComplex) -> SurfaceComplex:
             coords.append(((xa + xb) / 2.0, (ya + yb) / 2.0, (za + zb) / 2.0))
 
     faces = []
-    for fid, (a, b, c) in enumerate(complex.faces):
-        eab = complex.edge_index[(a, b) if a < b else (b, a)]
-        ebc = complex.edge_index[(b, c) if b < c else (c, b)]
-        eca = complex.edge_index[(c, a) if c < a else (a, c)]
+    # A face's edges are listed in the order ab, bc, ca.
+    for (a, b, c), ((eab, _), (ebc, _), (eca, _)) in zip(complex.faces, complex.face_edges):
         mab, mbc, mca = midpoint[eab], midpoint[ebc], midpoint[eca]
         faces.extend(
             [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]

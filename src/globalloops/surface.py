@@ -42,7 +42,10 @@ class SurfaceComplex:
     edge orientation (tail a, head b).  Faces keep their input vertex order,
     which fixes each face orientation.  ``face_edges[f]`` lists the three
     (edge id, sign) pairs of face f, where the sign is +1 when the edge
-    orientation agrees with the traversal induced by the face.
+    orientation agrees with the traversal induced by the face, in the order
+    ab, bc, ca of its vertices (a, b, c).  ``edge_faces[e]`` lists the one or
+    two faces of edge e in ascending face id, since an edge is indexed from
+    its half-edge on its lower face.
     """
 
     num_vertices: int

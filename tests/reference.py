@@ -8,8 +8,10 @@ the same values in closed form from the dual forest's face orientation.
 ``build_primal_tree`` and ``classify_boundary`` are the original searches:
 a breadth-first search inside every boundary circle, absorbed as a
 re-rooted fragment, and a breadth-first search over contact edges that
-share a vertex.  The package reads the same trees and contact components
-off each circle's traversal order.
+share a vertex.  The package reads the same search order, kept only as
+edge marks, and the same contact components off each circle's traversal
+order.  The reference primal forest is a ``forest.Tree``, the package's
+dual forest type.
 
 ``build_complex`` (with ``_check_vertex_links``) and ``boundary_components``
 are the original indexing and boundary walk: tuple-keyed edges, one
@@ -19,10 +21,15 @@ circle.  The package makes the same complex and cycles in one pass over
 flat half-edge arrays.  ``parse_off`` is the original OFF parser, which
 fetches each non-blank line through a closure.
 
+``refine`` is the original 1-to-4 refinement, which looks each face's
+edge ids up by vertex pair; the package reads them off ``face_edges``.  ``write_vtk`` is the original VTK overlay writer, which
+builds one row per support edge before writing any block.
+
 ``report_to_generators`` reads a parsed report back into generators, so a
 test can check that the report loses nothing.
 """
 
+import pathlib
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -41,6 +48,7 @@ from globalloops.errors import (
     PinchVertex,
 )
 from globalloops.forest import Tree
+from globalloops.surface import build_complex as package_build_complex
 from globalloops.surface import (
     BoundaryCycle,
     BoundaryPartition,
@@ -537,3 +545,64 @@ def parse_off(text: str) -> tuple[int, list[tuple[float, float, float]], list[tu
     if tokens is not None:
         raise OffParseError(lineno, "trailing content after face block")
     return nv, coords, faces
+
+
+def refine(complex):
+    """The original 1-to-4 refinement, each face's edge ids looked up by
+    vertex pair in ``edge_index``."""
+    base = complex.num_vertices
+    midpoint = [base + eid for eid in range(complex.num_edges)]
+
+    coords = None
+    if complex.coords is not None:
+        coords = list(complex.coords)
+        for a, b in complex.edges:
+            xa, ya, za = complex.coords[a]
+            xb, yb, zb = complex.coords[b]
+            coords.append(((xa + xb) / 2.0, (ya + yb) / 2.0, (za + zb) / 2.0))
+
+    faces = []
+    for a, b, c in complex.faces:
+        eab = complex.edge_index[(a, b) if a < b else (b, a)]
+        ebc = complex.edge_index[(b, c) if b < c else (c, b)]
+        eca = complex.edge_index[(c, a) if c < a else (a, c)]
+        mab, mbc, mca = midpoint[eab], midpoint[ebc], midpoint[eca]
+        faces.extend(
+            [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+        )
+    return package_build_complex(base + complex.num_edges, faces, coords=coords)
+
+
+def write_vtk(path, complex, generators):
+    """The original VTK overlay writer, through one (a, b, generator,
+    coefficient) row per support edge."""
+    if complex.coords is None:
+        raise ValueError("VTK export needs vertex coordinates")
+    segments = []
+    for gi, gen in enumerate(generators.generators):
+        for eid, val in gen.cochain.items_sorted():
+            a, b = complex.edges[eid]
+            segments.append((a, b, gi, val))
+
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "generator support overlay",
+        "ASCII",
+        "DATASET POLYDATA",
+        f"POINTS {complex.num_vertices} float",
+    ]
+    for x, y, z in complex.coords:
+        lines.append(f"{x:.17g} {y:.17g} {z:.17g}")
+    lines.append(f"LINES {len(segments)} {3 * len(segments)}")
+    for a, b, _, _ in segments:
+        lines.append(f"2 {a} {b}")
+    lines.append(f"CELL_DATA {len(segments)}")
+    lines.append("SCALARS generator_index int 1")
+    lines.append("LOOKUP_TABLE default")
+    for _, _, gi, _ in segments:
+        lines.append(str(gi))
+    lines.append("SCALARS coefficient int 1")
+    lines.append("LOOKUP_TABLE default")
+    for _, _, _, val in segments:
+        lines.append(str(val))
+    pathlib.Path(path).write_text("\n".join(lines) + "\n")

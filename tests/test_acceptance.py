@@ -22,7 +22,7 @@ from globalloops.surface import boundary_components, classify_boundary
 from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.cli import main as cli_main
 from globalloops.meshio import write_off
-from test_generators import fundamental_cycle
+from test_generators import fundamental_cycle, primal_tree
 
 
 def criterion(name):
@@ -98,10 +98,11 @@ def test_handle_generators_and_pairing():
         assert len(gens.generators) == expected
         bp = classify_boundary(K, set())
         assert betti1_relative(K, bp) == expected
-        tc = build_tree_cotree(K, boundary_components(K))
+        _, candidates = build_tree_cotree(K, boundary_components(K))
+        primal = primal_tree(K)
         for i, g in enumerate(gens.ha):
-            for j, eid in enumerate(tc.candidate_edges):
-                pairing = evaluate(g, fundamental_cycle(K, tc, eid))
+            for j, eid in enumerate(candidates):
+                pairing = evaluate(g, fundamental_cycle(K, primal, eid))
                 assert pairing == (1 if i == j else 0)
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import meshes
 import reference
-from globalloops.errors import DualDisconnected, NodeNotInTree
+from globalloops import forest
+from globalloops.errors import CountMismatch, DualDisconnected, NodeNotInTree
 from globalloops.forest import Tree, build_dual_tree, build_primal_tree, build_tree_cotree
 from globalloops.surface import boundary_components, connected_components
 from globalloops.transport import transport
@@ -18,49 +19,62 @@ def decompose(K):
     return build_tree_cotree(K, boundary_components(K))
 
 
+def split(K):
+    """(primal tree edges, dual tree edges, circle leftovers, candidates):
+    the primal forest's marks less each circle's leftover, the dual forest's
+    parent edges, and the untaken edges."""
+    holes = boundary_components(K)
+    taken, _ = build_primal_tree(K, holes)
+    leftovers = [cyc.edges[len(cyc.edges) // 2] for cyc in holes]
+    primal = {eid for eid, mark in enumerate(taken) if mark} - set(leftovers)
+    dual, candidates = build_tree_cotree(K, holes)
+    crossed = {dual.parent_edge[f] for f in range(K.num_faces) if dual.parent[f] >= 0}
+    return primal, crossed, leftovers, candidates
+
+
 def test_single_triangle():
     K = meshes.triangle()
-    tc = decompose(K)
-    assert len(tc.primal.edge_ids) == 2
-    assert len(tc.leftover_per_hole) == 1
-    assert tc.dual.edge_ids == set()  # one face, nothing to cross
-    assert tc.candidate_edges == []
+    primal, crossed, leftovers, candidates = split(K)
+    assert len(primal) == 2
+    assert len(leftovers) == 1
+    assert crossed == set()  # one face, nothing to cross
+    assert candidates == []
 
 
 def test_annulus_leftovers_one_per_circle():
     K = meshes.annulus(6)
     holes = boundary_components(K)
-    tc = decompose(K)
-    assert len(tc.leftover_per_hole) == 2
-    for leftover, cyc in zip(tc.leftover_per_hole, holes):
+    primal, crossed, leftovers, candidates = split(K)
+    assert len(leftovers) == 2
+    for leftover, cyc in zip(leftovers, holes):
         assert leftover in set(cyc.edges)
-        assert leftover not in tc.primal.edge_ids | tc.dual.edge_ids
-    assert len(tc.dual.edge_ids) == K.num_faces - 1
-    assert tc.candidate_edges == []
+        assert leftover not in primal | crossed
+    assert len(crossed) == K.num_faces - 1
+    assert candidates == []
 
 
 def test_boundary_tree_is_spanning_inside_each_circle():
     K = meshes.pair_of_pants()
     holes = boundary_components(K)
-    tc = decompose(K)
-    for cyc, leftover in zip(holes, tc.leftover_per_hole):
-        inside = set(cyc.edges) & tc.primal.edge_ids
+    primal, _, leftovers, _ = split(K)
+    for cyc, leftover in zip(holes, leftovers):
+        inside = set(cyc.edges) & primal
         assert len(inside) == len(cyc.edges) - 1
         assert leftover not in inside
 
 
 def test_closed_torus():
     K = meshes.csaszar_torus()
-    tc = decompose(K)
-    assert len(tc.primal.edge_ids) == K.num_vertices - 1
-    assert tc.leftover_per_hole == []
-    assert len(tc.candidate_edges) == 2
+    primal, _, leftovers, candidates = split(K)
+    assert len(primal) == K.num_vertices - 1
+    assert leftovers == []
+    assert len(candidates) == 2
 
 
 def test_octahedron_dual_tree_size():
     K = meshes.octahedron()
-    tc = decompose(K)
-    assert len(tc.dual.edge_ids) == 7
+    _, crossed, _, _ = split(K)
+    assert len(crossed) == 7
 
 
 def test_candidate_counts():
@@ -72,13 +86,13 @@ def test_candidate_counts():
         (meshes.genus2(), 4),
     ]
     for K, expected in expectations:
-        tc = decompose(K)
-        assert len(tc.candidate_edges) == expected
+        _, candidates = decompose(K)
+        assert len(candidates) == expected
 
 
 def test_edge_partition():
     # Primal tree, dual tree, circle leftovers and candidates split the
-    # edges exactly.
+    # edges exactly, and the primal tree edges form a spanning forest.
     for K in (
         meshes.annulus(6),
         meshes.moebius(6),
@@ -86,17 +100,25 @@ def test_edge_partition():
         meshes.genus2(),
         meshes.klein_minus_disk(),
     ):
-        tc = decompose(K)
-        groups = [
-            tc.primal.edge_ids,
-            tc.dual.edge_ids,
-            set(tc.leftover_per_hole),
-            set(tc.candidate_edges),
-        ]
+        primal, crossed, leftovers, candidates = split(K)
+        groups = [primal, crossed, set(leftovers), set(candidates)]
         assert sum(len(g) for g in groups) == K.num_edges
         assert set.union(*groups) == set(range(K.num_edges))
-        for eid in tc.candidate_edges:
+        assert candidates == sorted(candidates)
+        for eid in candidates:
             assert not K.is_boundary_edge(eid)
+        assert len(primal) == K.num_vertices - 1
+        root = list(range(K.num_vertices))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for eid in primal:
+            a, b = (find(v) for v in K.edges[eid])
+            assert a != b
+            root[a] = b
 
 
 def transport_support(K, dual, a, b):
@@ -115,29 +137,29 @@ class TestTreePaths:
     # the path plus the two end edges.
     def test_trivial_path(self):
         K = meshes.annulus(6)
-        tc = decompose(K)
-        assert transport_support(K, tc.dual, 3, 3) == set()
+        dual, _ = decompose(K)
+        assert transport_support(K, dual, 3, 3) == set()
 
     def test_adjacent_nodes(self):
         K = meshes.annulus(6)
-        tc = decompose(K)
+        dual, _ = decompose(K)
         child = next(
-            n for n in range(K.num_faces) if tc.dual.parent[n] >= 0
+            n for n in range(K.num_faces) if dual.parent[n] >= 0
         )
-        parent = tc.dual.parent[child]
-        expected = {tc.dual.parent_edge[child]}
-        assert transport_support(K, tc.dual, child, parent) == expected
-        assert transport_support(K, tc.dual, parent, child) == expected
+        parent = dual.parent[child]
+        expected = {dual.parent_edge[child]}
+        assert transport_support(K, dual, child, parent) == expected
+        assert transport_support(K, dual, parent, child) == expected
 
     def test_matches_breadth_first_search(self):
         # Brute-force BFS over the tree edges is the independent oracle.
         K = meshes.disk(6)
-        tc = decompose(K)
+        dual, _ = decompose(K)
         adj = {}
         for node in range(K.num_faces):
-            parent = tc.dual.parent[node]
+            parent = dual.parent[node]
             if parent >= 0 and parent < K.num_faces:
-                eid = tc.dual.parent_edge[node]
+                eid = dual.parent_edge[node]
                 adj.setdefault(node, []).append((eid, parent))
                 adj.setdefault(parent, []).append((eid, node))
         for a in range(K.num_faces):
@@ -158,10 +180,10 @@ class TestTreePaths:
                     nodes.append(prev)
                 expected_nodes = tuple(reversed(nodes))
                 expected_edges = tuple(reversed(edges))
-                path = reference.tree_path(tc.dual, a, b)
+                path = reference.tree_path(dual, a, b)
                 assert path.nodes == expected_nodes
                 assert path.edges == expected_edges
-                assert transport_support(K, tc.dual, a, b) == set(expected_edges)
+                assert transport_support(K, dual, a, b) == set(expected_edges)
 
     def test_missing_node_raises(self):
         K = meshes.annulus(6)
@@ -174,11 +196,12 @@ class TestTreePaths:
     def test_path_between_trees_raises(self):
         torus = meshes.csaszar_torus()
         K = meshes.disjoint_union(torus, meshes.annulus(6))
-        tc = decompose(K)
+        dual, _ = decompose(K)
         far = torus.num_faces
         with pytest.raises(NodeNotInTree):
-            transport(K, tc.dual, 0, far, K.face_edges[0][0][0], K.face_edges[far][0][0])
-        assert tc.primal.tree_of[0] != tc.primal.tree_of[torus.num_vertices]
+            transport(K, dual, 0, far, K.face_edges[0][0][0], K.face_edges[far][0][0])
+        _, roots = build_primal_tree(K, boundary_components(K))
+        assert roots == [0, torus.num_vertices]
 
 
 @pytest.mark.parametrize(
@@ -194,7 +217,7 @@ class TestTreePaths:
 def test_dual_orientation_matches_its_definition(K):
     # sigma and tau, read off face_edges while the forest grows, equal the
     # defining formulas evaluated with incidence() on the finished forest.
-    dual = decompose(K).dual
+    dual, _ = decompose(K)
     sigma, tau = list(dual.sigma), list(dual.tau)
     reference.orient(K, dual)
     assert (sigma, tau) == (dual.sigma, dual.tau)
@@ -205,28 +228,75 @@ def test_dual_orientation_matches_its_definition(K):
 def test_one_tree_per_component():
     torus, moebius = meshes.csaszar_torus(), meshes.moebius(6)
     K = meshes.disjoint_union(torus, moebius, meshes.annulus(6))
-    tc = decompose(K)
+    dual, _ = decompose(K)
     offsets_v = [0, torus.num_vertices, torus.num_vertices + moebius.num_vertices]
     offsets_f = [0, torus.num_faces, torus.num_faces + moebius.num_faces]
-    assert tc.primal.roots == offsets_v
-    assert tc.dual.roots == offsets_f
+    assert build_primal_tree(K, boundary_components(K))[1] == offsets_v
+    assert dual.roots == offsets_f
     # Each face is labelled with its component, numbered as
     # connected_components numbers them.
     for cid, faces in enumerate(connected_components(K)):
-        assert {tc.dual.tree_of[f] for f in faces} == {cid}
-    assert len(tc.primal.edge_ids) == K.num_vertices - 3
-    assert len(tc.dual.edge_ids) == K.num_faces - 3
+        assert {dual.tree_of[f] for f in faces} == {cid}
+    primal, crossed, _, candidates = split(K)
+    assert len(primal) == K.num_vertices - 3
+    assert len(crossed) == K.num_faces - 3
     # Torus 2, Moebius strip 1, annulus 0.
-    assert len(tc.candidate_edges) == 3
+    assert len(candidates) == 3
 
 
-def test_split_dual_forest_raises():
-    # Blocking every interior edge leaves each face its own dual tree.
+def all_taken(K):
+    return bytearray([1]) * K.num_edges
+
+
+def primal_with(monkeypatch, change):
+    """Route build_tree_cotree through the real primal forest with its
+    marks passed through ``change(taken)``."""
+    real = forest.build_primal_tree
+
+    def changed(complex, holes):
+        taken, roots = real(complex, holes)
+        return change(taken), roots
+
+    monkeypatch.setattr(forest, "build_primal_tree", changed)
+
+
+def test_split_dual_forest_raises(monkeypatch):
+    # Taking every edge leaves each face its own dual tree.
     K = meshes.annulus(6)
-    primal, _ = build_primal_tree(K, boundary_components(K))
-    primal.edge_ids |= {e for e in range(K.num_edges) if not K.is_boundary_edge(e)}
+    assert build_dual_tree(K, all_taken(K)).roots == list(range(K.num_faces))
+    primal_with(monkeypatch, lambda taken: all_taken(K))
     with pytest.raises(DualDisconnected):
-        build_dual_tree(K, primal)
+        decompose(K)
+
+
+def test_lost_candidate_raises(monkeypatch):
+    # A candidate taken early is left out of both forests and the count.
+    K = meshes.csaszar_torus()
+    _, (first, _) = decompose(K)
+
+    def take_first(taken):
+        taken[first] = 1
+        return taken
+
+    primal_with(monkeypatch, take_first)
+    with pytest.raises(CountMismatch, match="1 candidate edges, expected 2"):
+        decompose(K)
+
+
+def test_boundary_candidate_raises(monkeypatch):
+    # Trading a candidate for a circle's leftover keeps the count right.
+    K = meshes.torus_with_hole()
+    (cyc,) = boundary_components(K)
+    leftover = cyc.edges[len(cyc.edges) // 2]
+    _, (first, *_) = decompose(K)
+
+    def trade(taken):
+        taken[first], taken[leftover] = 1, 0
+        return taken
+
+    primal_with(monkeypatch, trade)
+    with pytest.raises(CountMismatch, match=f"boundary edge {leftover} escaped"):
+        decompose(K)
 
 
 samples = st.builds(
@@ -234,9 +304,19 @@ samples = st.builds(
 )
 
 
-def primal_forest(build, K):
-    tree, leftovers = build(K, boundary_components(K))
-    return tree.parent, tree.parent_edge, tree.depth, tree.roots, tree.tree_of, leftovers
+def reference_marks(K):
+    """The reference primal forest as marks: its tree edges and every
+    circle edge taken; and its roots."""
+    holes = boundary_components(K)
+    tree, _ = reference.build_primal_tree(K, holes)
+    taken = bytearray(K.num_edges)
+    for eid in tree.parent_edge:
+        if eid >= 0:
+            taken[eid] = 1
+    for cyc in holes:
+        for eid in cyc.edges:
+            taken[eid] = 1
+    return taken, tree.roots
 
 
 @settings(deadline=None, max_examples=100)
@@ -244,9 +324,7 @@ def primal_forest(build, K):
 def test_primal_forest_matches_the_circle_search(K):
     # Circle paths read off the traversal order give the forest of the
     # reference's search inside each circle, absorbed re-rooted.
-    assert primal_forest(build_primal_tree, K) == primal_forest(
-        reference.build_primal_tree, K
-    )
+    assert build_primal_tree(K, boundary_components(K)) == reference_marks(K)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12])
@@ -255,7 +333,10 @@ def test_circle_leftover_is_the_middle_edge(n):
     # closes up on the edge after vertex n // 2 + 1, for odd and even n.
     K = meshes.disk(n)
     (cyc,) = boundary_components(K)
-    tree, leftovers = build_primal_tree(K, [cyc])
+    tree, leftovers = reference.build_primal_tree(K, [cyc])
     assert leftovers == [cyc.edges[n // 2]]
     assert K.edges[leftovers[0]] == (n // 2 + 1, n // 2 + 2)
-    assert set(cyc.edges) - tree.edge_ids == set(leftovers)
+    assert set(cyc.edges) - set(tree.parent_edge) == set(leftovers)
+    # The package takes the whole circle, the leftover included.
+    taken, _ = build_primal_tree(K, [cyc])
+    assert all(taken[eid] for eid in cyc.edges)

@@ -19,12 +19,18 @@ from globalloops.surface import (
 )
 
 
-def fundamental_cycle(K, tc, eid):
+def primal_tree(K):
+    """The primal forest as a tree, from the reference search that
+    ``test_forest`` holds the package's marks to."""
+    return reference.build_primal_tree(K, boundary_components(K))[0]
+
+
+def fundamental_cycle(K, primal, eid):
     """Chain of the unique cycle in the primal tree plus one extra edge,
     oriented along the extra edge."""
     tail, head = K.edges[eid]
     chain = {eid: 1}
-    path = reference.tree_path(tc.primal, head, tail)
+    path = reference.tree_path(primal, head, tail)
     at = head
     for node, edge in zip(path.nodes, path.edges):
         a, b = K.edges[edge]
@@ -72,12 +78,13 @@ class TestHandles:
         # Each handle generator pairs to 1 with its own candidate edge's
         # cycle and to 0 with the others.
         for K in (meshes.csaszar_torus(), meshes.genus2()):
-            tc = build_tree_cotree(K, boundary_components(K))
+            _, candidates = build_tree_cotree(K, boundary_components(K))
+            primal = primal_tree(K)
             gens = compute_generators(K)
-            assert len(gens.ha) == len(tc.candidate_edges)
+            assert len(gens.ha) == len(candidates)
             for i, g in enumerate(gens.ha):
-                for j, eid in enumerate(tc.candidate_edges):
-                    cycle = fundamental_cycle(K, tc, eid)
+                for j, eid in enumerate(candidates):
+                    cycle = fundamental_cycle(K, primal, eid)
                     assert evaluate(g, cycle) == (1 if i == j else 0)
 
     def test_moebius_outputs_nothing(self):

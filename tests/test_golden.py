@@ -5,7 +5,9 @@ The digest covers the report text exactly as ``global-loops compute``
 writes it with ``meshio.report_text``, with the ``--verify`` block wherever
 the mesh has at most ``VERIFY_MAX_EDGES`` edges, followed by each
 component's anchor edge; a second test holds that text to its definition,
-``json.dumps(report_dict(...), indent=2, sort_keys=True)``.  A change that
+``json.dumps(report_dict(...), indent=2, sort_keys=True)``, and a third
+checks the whole table again in a ``python -O`` subprocess, where ``assert``
+statements are stripped.  A change that
 alters output on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -16,11 +18,15 @@ and says why in its change notes.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 import meshes
+import globalloops
 from globalloops import meshio
 from globalloops.generators import compute_generators
 from globalloops.oracle import verify
@@ -191,6 +197,24 @@ def test_cli_text_is_the_indented_json(name):
             f"texts differ at character {at}: {text[window]!r} "
             f"against {expected[window]!r}"
         )
+
+
+def test_digests_hold_under_python_O():
+    # Stripped assertions must not change a single report byte.
+    tests = Path(__file__).resolve().parent
+    package_root = Path(globalloops.__file__).resolve().parents[1]
+    script = (
+        "import sys, warnings, test_golden as g\n"
+        "warnings.simplefilter('ignore')\n"
+        "assert False, 'assertions are on'\n"
+        "print([n for n, f in sorted(g.corpus().items()) if g.digest(*f()) != g.DIGESTS[n]])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (package_root, tests))))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tests, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import meshes
 import reference
+import test_golden
 from globalloops import meshio
 from globalloops.cli import main
 from globalloops.cochain import Cochain1
@@ -344,6 +345,23 @@ class TestVtk:
         assert lines_line.split()[1] == str(n_segments)
         assert "SCALARS generator_index int 1" in text
         assert "SCALARS coefficient int 1" in text
+
+    @pytest.mark.filterwarnings("ignore:contact component")
+    def test_matches_the_row_writer(self, tmp_path):
+        # Byte-equal to the original writer on every golden input with
+        # coordinates.
+        written = []
+        for name, factory in sorted(test_golden.corpus().items()):
+            K, contact_edges = factory()
+            if K.coords is None:
+                continue
+            gens = compute_generators(K, contact_edges)
+            write_vtk(tmp_path / "new.vtk", K, gens)
+            reference.write_vtk(tmp_path / "old.vtk", K, gens)
+            new, old = (tmp_path / "new.vtk").read_bytes(), (tmp_path / "old.vtk").read_bytes()
+            assert new == old, name
+            written.append(name)
+        assert {"annulus+arc", "moebius", "loops-heavy-3", "verify-small-1"} <= set(written)
 
     def test_needs_coordinates(self, tmp_path):
         K = meshes.csaszar_torus()

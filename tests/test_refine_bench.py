@@ -1,6 +1,9 @@
 """Refinement arithmetic and the growth-exponent fit."""
 
+import pytest
+
 import meshes
+import reference
 from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.refine import refine
 from globalloops.surface import boundary_components, euler_characteristic
@@ -41,6 +44,26 @@ def test_coordinates_are_midpoints():
     mid = fine.coords[K.num_vertices + eid]
     for i in range(3):
         assert mid[i] == (K.coords[a][i] + K.coords[b][i]) / 2.0
+
+
+WITH_COORDS = [
+    meshes.octahedron,
+    meshes.disk,
+    meshes.annulus,
+    meshes.moebius,
+    meshes.pair_of_pants,
+]
+
+
+@pytest.mark.parametrize("build", WITH_COORDS, ids=lambda build: build.__name__)
+def test_matches_the_edge_index_lookup(build):
+    # Edge ids read off face_edges give the faces and coordinates that the
+    # lookup by vertex pair gave, twice over.
+    K = build()
+    assert K.coords is not None
+    once = refine(K)
+    assert once == reference.refine(K)
+    assert refine(once) == reference.refine(once)
 
 
 def test_fit_exponent_recovers_linear_growth():

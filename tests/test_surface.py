@@ -313,6 +313,9 @@ def test_index_matches_the_original(kind, seed, as_lists):
     ref = outcome(reference.build_complex, reference.boundary_components, vertex_count, faces, coords)
     assert isinstance(new[0], SurfaceComplex)
     assert new == ref
+    # Handles and contacts read an edge's faces unsorted.
+    for incident in new[0].edge_faces:
+        assert list(incident) == sorted(set(incident))
 
 
 FAULTS = (

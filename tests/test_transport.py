@@ -42,12 +42,12 @@ def test_single_face_transport():
 def test_self_pairs_succeed_on_orientable_surfaces():
     for K in (meshes.csaszar_torus(), meshes.torus_grid(4, 4), meshes.genus2()):
         assert is_orientable(K)
-        tc = decompose(K)
-        assert tc.candidate_edges
-        for eid in tc.candidate_edges:
-            assert not is_twisted(K, tc.dual, eid)
+        dual, candidates = decompose(K)
+        assert candidates
+        for eid in candidates:
+            assert not is_twisted(K, dual, eid)
             f1, f2 = sorted(K.edge_faces[eid])
-            g = transport(K, tc.dual, f1, f2, eid, eid)
+            g = transport(K, dual, f1, f2, eid, eid)
             assert g[eid] == 1
             assert set(g.coeffs.values()) <= {-1, 1}
 
@@ -55,25 +55,24 @@ def test_self_pairs_succeed_on_orientable_surfaces():
 def test_self_pair_fails_on_moebius():
     K = meshes.moebius(6)
     assert not is_orientable(K)
-    tc = decompose(K)
-    (eid,) = tc.candidate_edges
-    assert is_twisted(K, tc.dual, eid)
+    dual, (eid,) = decompose(K)
+    assert is_twisted(K, dual, eid)
     f1, f2 = sorted(K.edge_faces[eid])
-    stepwise = reference.transport(K, reference.tree_path(tc.dual, f1, f2), eid, eid)
+    stepwise = reference.transport(K, reference.tree_path(dual, f1, f2), eid, eid)
     assert not stepwise.consistent
     with pytest.raises(CountMismatch, match="twisted"):
-        transport(K, tc.dual, f1, f2, eid, eid)
+        transport(K, dual, f1, f2, eid, eid)
 
 
 def test_facewise_sums_vanish_along_the_path():
     # Interior path faces see exactly two support edges whose signed
     # contributions cancel.
     K = meshes.csaszar_torus()
-    tc = decompose(K)
-    eid = tc.candidate_edges[0]
+    dual, candidates = decompose(K)
+    eid = candidates[0]
     f1, f2 = sorted(K.edge_faces[eid])
-    g = transport(K, tc.dual, f1, f2, eid, eid)
-    for fid in reference.tree_path(tc.dual, f1, f2).nodes:
+    g = transport(K, dual, f1, f2, eid, eid)
+    for fid in reference.tree_path(dual, f1, f2).nodes:
         total = sum(K.incidence(fid, e2) * val for e2, val in g.coeffs.items())
         assert total == 0
 
@@ -107,7 +106,7 @@ def test_orientation_of_faces_does_not_matter(flip, data):
     # Reversing any stored face orientation leaves the transported values
     # unchanged, once edge ids are matched up by vertex pair.
     base = meshes.annulus(6)
-    tc = decompose(base)
+    dual, _ = decompose(base)
     faces = list(base.faces)
     a, b, c = faces[flip]
     faces[flip] = (a, c, b)
@@ -119,7 +118,7 @@ def test_orientation_of_faces_does_not_matter(flip, data):
     end = data.draw(
         st.integers(min_value=0, max_value=base.num_faces - 1), label="end"
     )
-    path_edges = reference.tree_path(tc.dual, start, end).edges
+    path_edges = reference.tree_path(dual, start, end).edges
     e_start = next(
         eid for eid, _ in base.face_edges[start] if eid not in path_edges
     )
@@ -128,20 +127,20 @@ def test_orientation_of_faces_does_not_matter(flip, data):
         for eid, _ in base.face_edges[end]
         if eid != e_start and eid not in path_edges
     )
-    result = transport(base, tc.dual, start, end, e_start, e_end)
+    result = transport(base, dual, start, end, e_start, e_end)
 
     def pair(K, eid):
         return K.edges[eid]
 
     # The same tree over the flipped faces, oriented anew.
-    by_depth = sorted(range(base.num_faces), key=tc.dual.depth.__getitem__)
+    by_depth = sorted(range(base.num_faces), key=dual.depth.__getitem__)
     translated = Tree(flipped.num_faces)
     for face in by_depth:
-        parent = tc.dual.parent[face]
+        parent = dual.parent[face]
         if parent < 0:
             translated.add_root(face)
         else:
-            edge = flipped.edge_index[pair(base, tc.dual.parent_edge[face])]
+            edge = flipped.edge_index[pair(base, dual.parent_edge[face])]
             translated.attach(face, parent, edge)
     reference.orient(flipped, translated)
     result_flipped = transport(
@@ -170,7 +169,7 @@ FIXED = {
 @functools.cache
 def fixed_surface(name):
     K = FIXED[name]()
-    return K, decompose(K)
+    return (K, *decompose(K))
 
 
 def flipped_growth(grow, seed, flips):
@@ -179,7 +178,7 @@ def flipped_growth(grow, seed, flips):
     rng = random.Random(flips)
     faces = [(a, c, b) if rng.random() < 0.5 else (a, b, c) for a, b, c in K.faces]
     K = build_complex(K.num_vertices, faces)
-    return K, decompose(K)
+    return (K, *decompose(K))
 
 
 grown = st.builds(
@@ -201,8 +200,7 @@ def outcome(run):
 @settings(deadline=None)
 @given(surfaces, st.data())
 def test_closed_form_matches_stepwise(surface, data):
-    K, tc = surface
-    dual = tc.dual
+    K, dual, _ = surface
     a = data.draw(st.integers(min_value=0, max_value=K.num_faces - 1), label="a")
     same_tree = [f for f in range(K.num_faces) if dual.tree_of[f] == dual.tree_of[a]]
     b = data.draw(st.sampled_from(same_tree), label="b")
@@ -214,32 +212,32 @@ def test_closed_form_matches_stepwise(surface, data):
     assert outcome(lambda: transport(K, dual, a, b, start, end).coeffs) == expected
 
 
-def check_self_pairs(K, tc):
+def check_self_pairs(K, dual, candidates):
     """Every interior edge's self-pair: the O(1) twisted test agrees with a
     failed stepwise transport, and the untwisted ones transport alike."""
     for eid in range(K.num_edges):
         if K.is_boundary_edge(eid):
             continue
         f1, f2 = sorted(K.edge_faces[eid])
-        path = reference.tree_path(tc.dual, f1, f2)
-        closed = outcome(lambda: transport(K, tc.dual, f1, f2, eid, eid).coeffs)
+        path = reference.tree_path(dual, f1, f2)
+        closed = outcome(lambda: transport(K, dual, f1, f2, eid, eid).coeffs)
         if eid in path.edges:  # a dual-tree edge: its own path crosses it
             assert closed == "revisit"
-            assert not is_twisted(K, tc.dual, eid)
+            assert not is_twisted(K, dual, eid)
             continue
         stepwise = reference.transport(K, path, eid, eid)
-        assert is_twisted(K, tc.dual, eid) == (not stepwise.consistent)
+        assert is_twisted(K, dual, eid) == (not stepwise.consistent)
         if stepwise.consistent:
             assert closed == stepwise.cochain.coeffs
         else:
             assert closed == "revisit"
 
 
-def check_twisted_iff_non_orientable(K, tc):
+def check_twisted_iff_non_orientable(K, dual, candidates):
     for faces in connected_components(K):
         members = set(faces)
-        candidates = [e for e in tc.candidate_edges if K.edge_faces[e][0] in members]
-        has_twisted = any(is_twisted(K, tc.dual, e) for e in candidates)
+        own = [e for e in candidates if K.edge_faces[e][0] in members]
+        has_twisted = any(is_twisted(K, dual, e) for e in own)
         ids: dict[int, int] = {}
         alone = [tuple(ids.setdefault(v, len(ids)) for v in K.faces[f]) for f in faces]
         assert has_twisted == (not is_orientable(build_complex(len(ids), alone)))
@@ -247,9 +245,9 @@ def check_twisted_iff_non_orientable(K, tc):
 
 @pytest.mark.parametrize("name", sorted(FIXED))
 def test_twisted_test_on_fixed_surfaces(name):
-    K, tc = fixed_surface(name)
-    check_self_pairs(K, tc)
-    check_twisted_iff_non_orientable(K, tc)
+    surface = fixed_surface(name)
+    check_self_pairs(*surface)
+    check_twisted_iff_non_orientable(*surface)
 
 
 @settings(deadline=None, max_examples=30)
