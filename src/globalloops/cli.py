@@ -23,13 +23,10 @@ from .errors import (
     TopologyError,
     UsageError,
 )
+from .forest import build_tree_cotree
 from .generators import compute_generators
 from .oracle import DEFAULT_EDGE_CAP
-from .surface import (
-    boundary_components,
-    connected_components,
-    euler_characteristic,
-)
+from .surface import boundary_components, euler_characteristic
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,12 +130,13 @@ def cmd_info(args) -> int:
     complex = _load_mesh(args.mesh)
     chi = euler_characteristic(complex)
     holes = boundary_components(complex)
-    parts = connected_components(complex)
+    # The dual forest has one tree per component, as ``compute`` numbers them.
+    dual, _ = build_tree_cotree(complex, holes)
     orientable = oracle.is_orientable(complex)
     print(
         f"V={complex.num_vertices} E={complex.num_edges} F={complex.num_faces} "
         f"χ={chi} boundary components={len(holes)} "
-        f"connected components={len(parts)} "
+        f"connected components={len(dual.roots)} "
         f"orientable={'yes' if orientable else 'no'}"
     )
     return 0

@@ -1,18 +1,13 @@
-"""Sparse integer chains and cochains with exact coboundary maps.
+"""Sparse integer edge cochains, the form every generator takes.
 
-Chains are plain dicts mapping cell id to an integer coefficient; the
-``Cochain1`` class wraps the same representation for edge cochains and
-normalizes stored zeros away.  Everything is exact integer arithmetic.
+``Cochain1`` wraps a dict mapping edge id to an integer coefficient and
+normalizes stored zeros away.  Whether a cochain is a relative cocycle is
+checked in one place only: ``oracle.verify``, on the oracle's own incidence.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-
-from .errors import UnknownEdgeId
-from .surface import BoundaryPartition, SurfaceComplex
-
-Chain = dict[int, int]
 
 
 def normalized(coeffs: Mapping[int, int]) -> dict[int, int]:
@@ -36,80 +31,8 @@ class Cochain1:
     def __eq__(self, other) -> bool:
         return isinstance(other, Cochain1) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "Cochain1") -> "Cochain1":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return Cochain1(out)
-
-    def __neg__(self) -> "Cochain1":
-        return Cochain1({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "Cochain1") -> "Cochain1":
-        return self + (-other)
-
-    def scale(self, factor: int) -> "Cochain1":
-        return Cochain1({k: factor * v for k, v in self.coeffs.items()})
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
     def items_sorted(self) -> list[tuple[int, int]]:
         return sorted(self.coeffs.items())
 
     def __repr__(self) -> str:
         return f"Cochain1({dict(self.items_sorted())!r})"
-
-
-def evaluate(cochain: Cochain1, chain: Mapping[int, int]) -> int:
-    """Scalar pairing: sum of coefficient products over shared cells."""
-    if len(chain) < len(cochain.coeffs):
-        return sum(v * cochain.coeffs.get(k, 0) for k, v in chain.items())
-    return sum(v * chain.get(k, 0) for k, v in cochain.coeffs.items())
-
-
-def coboundary0(complex: SurfaceComplex, vertex_cochain: Mapping[int, int]) -> Cochain1:
-    """Apply the vertex-to-edge coboundary: value at head minus value at tail."""
-    out: dict[int, int] = {}
-    for eid, (tail, head) in enumerate(complex.edges):
-        val = vertex_cochain.get(head, 0) - vertex_cochain.get(tail, 0)
-        if val:
-            out[eid] = val
-    return Cochain1(out)
-
-
-def coboundary1(complex: SurfaceComplex, cochain: Cochain1) -> dict[int, int]:
-    """Apply the edge-to-face coboundary; returns the nonzero face values.
-
-    Runs in time proportional to the cochain support.  Raises UnknownEdgeId
-    when the cochain references an edge outside the complex.
-    """
-    out: dict[int, int] = {}
-    for eid, val in cochain.coeffs.items():
-        if not 0 <= eid < complex.num_edges:
-            raise UnknownEdgeId(f"edge id {eid} outside complex with {complex.num_edges} edges")
-        for fid in complex.edge_faces[eid]:
-            out[fid] = out.get(fid, 0) + complex.incidence(fid, eid) * val
-    return normalized(out)
-
-
-def is_relative_cocycle(
-    complex: SurfaceComplex, cochain: Cochain1, partition: BoundaryPartition
-) -> tuple[bool, str | None]:
-    """Check the two relative-cocycle conditions; report the first violation.
-
-    The cochain must vanish on every insulated boundary edge and its
-    coboundary must vanish on every face.
-    """
-    for eid in cochain.support:
-        if eid in partition.insulated_edges:
-            return False, f"nonzero value {cochain[eid]} on insulated boundary edge {eid}"
-    faces = coboundary1(complex, cochain)
-    if faces:
-        fid = min(faces)
-        return False, f"coboundary is {faces[fid]} on face {fid}"
-    return True, None

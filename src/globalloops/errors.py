@@ -50,16 +50,12 @@ class UnsupportedContactLayout(TopologyError):
     """
 
 
-class NodeNotInTree(KeyError):
+class NodeNotInTree(KeyError, InternalError):
     """Path endpoint is not a member of the tree."""
 
 
-class EdgeNotOnFace(ValueError):
+class EdgeNotOnFace(ValueError, InternalError):
     """Transport precondition breach: the edge does not bound the face."""
-
-
-class UnknownEdgeId(KeyError):
-    """A cochain references an edge id outside the complex."""
 
 
 class UsageError(Exception):

@@ -69,21 +69,6 @@ class GeneratorSet:
     # The boundary partition the generators were built on, for ``verify``.
     partition: BoundaryPartition | None = None
 
-    def of_kind(self, kind: str) -> list[Cochain1]:
-        return [g.cochain for g in self.generators if g.kind == kind]
-
-    @property
-    def ha(self) -> list[Cochain1]:
-        return self.of_kind(HANDLE)
-
-    @property
-    def ho(self) -> list[Cochain1]:
-        return self.of_kind(HOLE)
-
-    @property
-    def co(self) -> list[Cochain1]:
-        return self.of_kind(CONTACT)
-
     @property
     def num_holes(self) -> int:
         return sum(m.num_holes for m in self.components)

@@ -117,13 +117,11 @@ def parse_contacts(text: str, complex: SurfaceComplex) -> set[int]:
     NotABoundaryEdge.
     """
     out: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
+    lines = text.splitlines()
+    for lineno, tokens in _token_lines(lines):
         if len(tokens) != 2:
-            raise ContactSpecError(lineno, f"expected 'i j', got {raw.strip()!r}")
+            raw = lines[lineno - 1].strip()
+            raise ContactSpecError(lineno, f"expected 'i j', got {raw!r}")
         try:
             i, j = int(tokens[0]), int(tokens[1])
         except ValueError:

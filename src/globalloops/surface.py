@@ -1,4 +1,4 @@
-"""Indexed triangulations: incidence numbers, boundary structure, components.
+"""Indexed triangulations: incidence numbers and boundary structure.
 
 The complex is purely combinatorial; vertex coordinates, when present, are
 carried along only so that exporters can write them back out.  This module
@@ -10,13 +10,13 @@ the surface itself.
 half-edge lists, with edges keyed by the integer ``a * V + b``; a failed
 check rescans the faces in order, so a fault of one face wins over a fault
 between faces.  ``boundary_components`` walks two boundary neighbours per
-vertex.
+vertex.  Connected components are numbered by the dual forest
+(``forest.py``), not here.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, count, groupby
 from operator import eq
@@ -108,14 +108,6 @@ class BoundaryPartition:
     contact_components: list[list[int]]
     contact_edges: set[int]
     insulated_edges: set[int]
-
-    @property
-    def num_holes(self) -> int:
-        return len(self.hole_components)
-
-    @property
-    def num_contacts(self) -> int:
-        return len(self.contact_components)
 
 
 def build_complex(
@@ -331,31 +323,3 @@ def classify_boundary(
         contact_edges=contact,
         insulated_edges=boundary - contact,
     )
-
-
-def connected_components(complex: SurfaceComplex) -> list[list[int]]:
-    """Face-connectivity components as ascending lists of face ids.
-
-    Faces are adjacent when they share an edge.  Components come out in
-    ascending order of their minimal face id.
-    """
-    comp_of_face = [-1] * complex.num_faces
-    comp_count = 0
-    for seed in range(complex.num_faces):
-        if comp_of_face[seed] >= 0:
-            continue
-        queue = deque([seed])
-        comp_of_face[seed] = comp_count
-        while queue:
-            fid = queue.popleft()
-            for eid, _ in complex.face_edges[fid]:
-                for other in complex.edge_faces[eid]:
-                    if comp_of_face[other] < 0:
-                        comp_of_face[other] = comp_count
-                        queue.append(other)
-        comp_count += 1
-
-    components: list[list[int]] = [[] for _ in range(comp_count)]
-    for fid, cid in enumerate(comp_of_face):
-        components[cid].append(fid)
-    return components

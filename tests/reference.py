@@ -27,6 +27,12 @@ builds one row per support edge before writing any block.
 
 ``report_to_generators`` reads a parsed report back into generators, so a
 test can check that the report loses nothing.
+
+``evaluate``, ``coboundary0``, ``connected_components`` and ``of_kind`` are
+test helpers with no counterpart in the package: the pairing of a cochain
+with a chain, the vertex-to-edge coboundary, a face breadth-first search for
+components (the package numbers them by its dual forest), and one class of
+a generator set's cochains.
 """
 
 import pathlib
@@ -606,3 +612,43 @@ def write_vtk(path, complex, generators):
     for _, _, _, val in segments:
         lines.append(str(val))
     pathlib.Path(path).write_text("\n".join(lines) + "\n")
+
+
+def evaluate(cochain, chain):
+    """Scalar pairing: sum of coefficient products over shared cells."""
+    return sum(v * cochain[k] for k, v in chain.items())
+
+
+def coboundary0(complex, vertex_cochain):
+    """The vertex-to-edge coboundary: value at head minus value at tail."""
+    return Cochain1({
+        eid: vertex_cochain.get(head, 0) - vertex_cochain.get(tail, 0)
+        for eid, (tail, head) in enumerate(complex.edges)
+    })
+
+
+def connected_components(complex):
+    """Face-connectivity components as ascending lists of face ids, in
+    ascending order of their minimal face id."""
+    seen = [False] * complex.num_faces
+    components = []
+    for seed in range(complex.num_faces):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        comp, queue = [], deque([seed])
+        while queue:
+            fid = queue.popleft()
+            comp.append(fid)
+            for eid, _ in complex.face_edges[fid]:
+                for other in complex.edge_faces[eid]:
+                    if not seen[other]:
+                        seen[other] = True
+                        queue.append(other)
+        components.append(sorted(comp))
+    return components
+
+
+def of_kind(generators, kind):
+    """The cochains of one generator class ("ha", "ho" or "co"), in order."""
+    return [g.cochain for g in generators.generators if g.kind == kind]

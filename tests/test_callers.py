@@ -1,0 +1,68 @@
+"""Everything defined in ``src/globalloops`` is used by the program.
+
+Each function, class and method defined there must be referenced from
+``src/`` or ``scripts/``, or be named in ``ALLOWED`` with the reason it
+stays.  A function or class counts as referenced when its name is loaded
+(after an import) or read as ``module.name``; a method or property when an
+attribute of its name is read anywhere.  Names match by spelling, not by
+type, so two methods of one name share their references.  Dunder methods
+are called by the language and are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "globalloops"
+
+ALLOWED = {
+    "meshio.report_dict": "documented library API: the report as data",
+    "meshio.render_report": "the tested definition of the bytes report_text writes",
+    "oracle.exact_rank": "test reference for sparse_rank; perfbench binds it",
+    "oracle.smith_invariant_factors": "test reference for homology_snf; perfbench binds it",
+    "oracle.betti1_relative": "test reference for verify's Betti number; perfbench binds it",
+}
+
+
+def definitions(body, owner: str, in_class: bool = False):
+    """(qualified name, is a method) of each def and class in ``body``,
+    nested ones included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{owner}.{node.name}"
+            is_class = isinstance(node, ast.ClassDef)
+            yield name, in_class and not is_class
+            yield from definitions(node.body, name, is_class)
+
+
+def unreferenced() -> set[str]:
+    defined, names, attrs, qualified = [], set(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.parent == PACKAGE:
+            defined += definitions(tree.body, path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    qualified.add(f"{node.value.id}.{node.attr}")
+    out = set()
+    for name, is_method in defined:
+        module, short = name.split(".")[0], name.rpartition(".")[2]
+        if short.startswith("__") and short.endswith("__"):
+            continue
+        if is_method:
+            used = short in attrs
+        else:
+            used = short in names or f"{module}.{short}" in qualified
+        if not used:
+            out.add(name)
+    return out
+
+
+def test_every_definition_has_a_caller_or_a_reason():
+    # Equality, not inclusion: a name that gains a caller or goes leaves
+    # the allowlist with it.
+    assert unreferenced() == set(ALLOWED)

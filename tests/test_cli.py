@@ -12,7 +12,7 @@ import meshes
 import globalloops
 from globalloops import generators, meshio
 from globalloops.cli import main
-from globalloops.errors import CountMismatch
+from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
 from globalloops.meshio import render_report, report_dict, write_off
 from globalloops.oracle import verify
 from globalloops.surface import classify_boundary
@@ -63,10 +63,16 @@ class TestInfo:
         assert "boundary components=0" in out
 
     def test_union_summary(self, tmp_path, capsys):
-        path = tmp_path / "union.off"
-        write_off(path, meshes.disjoint_union(meshes.csaszar_torus(), meshes.annulus(6)))
-        assert main(["info", str(path)]) == 0
-        assert "connected components=2" in capsys.readouterr().out
+        # Components are the dual forest's trees, as ``compute`` numbers them.
+        torus_annulus = tmp_path / "union.off"
+        write_off(torus_annulus, meshes.disjoint_union(meshes.csaszar_torus(), meshes.annulus(6)))
+        mixed = tmp_path / "mixed.off"
+        write_off(mixed, meshes.mixed_surface()[0])
+        empty = tmp_path / "empty.off"
+        empty.write_text("OFF\n0 0 0\n")
+        for path, count in ((torus_annulus, 2), (mixed, 5), (empty, 0)):
+            assert main(["info", str(path)]) == 0
+            assert f"connected components={count} " in capsys.readouterr().out
 
 
 class TestCompute:
@@ -173,6 +179,21 @@ class TestCompute:
         monkeypatch.setattr(generators, "transport", broken)
         assert main(["compute", str(mesh)]) == 4
         assert "internal error: tree path revisits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [NodeNotInTree, EdgeNotOnFace])
+    def test_transport_precondition_is_exit_four(self, tmp_path, capsys, monkeypatch, error):
+        # Transport's guards are internal invariants too: exit 4 and one
+        # line, not a traceback.
+        mesh = tmp_path / "torus.off"
+        write_off(mesh, meshes.csaszar_torus())
+
+        def broken(*args, **kwargs):
+            raise error("planted transport fault")
+
+        monkeypatch.setattr(generators, "transport", broken)
+        assert main(["compute", str(mesh)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("internal error: ")
 
     @pytest.mark.parametrize("role", ["mesh", "contacts"])
     @pytest.mark.parametrize("failure", ["directory", "permission"])

@@ -11,7 +11,7 @@ import reference
 from globalloops import forest
 from globalloops.errors import CountMismatch, DualDisconnected, NodeNotInTree
 from globalloops.forest import Tree, build_dual_tree, build_primal_tree, build_tree_cotree
-from globalloops.surface import boundary_components, connected_components
+from globalloops.surface import boundary_components
 from globalloops.transport import transport
 
 
@@ -234,8 +234,8 @@ def test_one_tree_per_component():
     assert build_primal_tree(K, boundary_components(K))[1] == offsets_v
     assert dual.roots == offsets_f
     # Each face is labelled with its component, numbered as
-    # connected_components numbers them.
-    for cid, faces in enumerate(connected_components(K)):
+    # the reference face search numbers them.
+    for cid, faces in enumerate(reference.connected_components(K)):
         assert {dual.tree_of[f] for f in faces} == {cid}
     primal, crossed, _, candidates = split(K)
     assert len(primal) == K.num_vertices - 3

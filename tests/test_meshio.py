@@ -1,6 +1,7 @@
 """OFF parsing, contact files, report round-trip and bytes, VTK overlay."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -104,7 +105,7 @@ def mutated_off(draw):
         ))
         if kind == "comment":
             lines.insert(at, "# " + draw(st.sampled_from(["", "3 0 1 2", "OFF", "#"])))
-        elif kind == "tail comment":
+        elif kind == "tail comment" and lines:
             lines[i] += draw(st.sampled_from(["#", " # 1 2", "\t#x"]))
         elif kind == "blank":
             lines.insert(at, draw(st.sampled_from(["", " ", "\t", " \t "])))
@@ -178,6 +179,71 @@ class TestContactParsing:
         a, b = K.edges[interior]
         with pytest.raises(NotABoundaryEdge):
             parse_contacts(f"{a} {b}\n", K)
+
+
+@st.composite
+def mutated_contacts(draw):
+    """A small mesh and the contact text of some of its boundary edges, then
+    a few mutations of its lines."""
+    K = meshes.sample(
+        draw(st.sampled_from(("random_disk", "random_annulus", "scrambled"))),
+        draw(st.integers(0, 10**6)),
+    )
+    picked = draw(st.lists(st.sampled_from(K.boundary_edge_ids), max_size=6))
+    lines = [
+        f"{b} {a}" if draw(st.booleans()) else f"{a} {b}"
+        for a, b in (K.edges[eid] for eid in picked)
+    ]
+    interior = [e for e in range(K.num_edges) if not K.is_boundary_edge(e)]
+    junk = st.sampled_from(["x", "-1", "1.0", "+2", "0x1", "1_0", "99999999999999999999", "#"])
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(lines)))
+        i = min(at, len(lines) - 1)
+        kind = draw(st.sampled_from(
+            ["comment", "tail comment", "blank", "tabs", "extra", "drop", "replace", "pair"]
+        ))
+        if kind == "comment":
+            lines.insert(at, "# " + draw(st.sampled_from(["", "0 1", "#"])))
+        elif kind == "tail comment" and lines:
+            lines[i] += draw(st.sampled_from(["#", " # 1 2", "\t#x"]))
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", " \t "])))
+        elif kind == "tabs" and lines:
+            lines[i] = lines[i].replace(" ", "\t")
+        elif kind == "extra" and lines:
+            lines[i] += " " + draw(junk)
+        elif kind == "drop" and lines:
+            lines[i] = lines[i].split()[0] if lines[i].split() else lines[i]
+        elif kind == "replace" and lines:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(junk)
+            lines[i] = " ".join(tokens)
+        elif kind == "pair":
+            # An interior edge, or a vertex pair that is no edge at all.
+            eid = draw(st.sampled_from(interior)) if interior else None
+            a, b = K.edges[eid] if eid is not None and draw(st.booleans()) else (0, K.num_vertices)
+            lines.insert(at, f"{a} {b}")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]))
+    return K, newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_contacts())
+@example((meshes.annulus(6), "0 1 # 2\n\n3\t4 5\n"))
+@example((meshes.annulus(6), "0 99999999999999999999\n"))
+def test_contact_parser_fails_only_with_a_line_number(case):
+    K, text = case
+    count = len(text.splitlines())
+    try:
+        parsed_edges = parse_contacts(text, K)
+    except ContactSpecError as exc:
+        assert 1 <= exc.line <= count
+        assert str(exc).startswith(f"line {exc.line}: ")
+    except NotABoundaryEdge as exc:
+        line = int(re.match(r"line (\d+): ", str(exc)).group(1))
+        assert 1 <= line <= count
+    else:
+        assert parsed_edges <= set(K.boundary_edge_ids)
 
 
 class TestReport:

@@ -15,6 +15,7 @@ from globalloops.oracle import betti1_relative, homology_snf, is_orientable, ver
 from globalloops.surface import boundary_components, classify_boundary, euler_characteristic
 from globalloops.errors import CountMismatch, MeshTooLargeForOracle
 from globalloops.oracle import PRIME, exact_rank, smith_invariant_factors, sparse_rank
+from reference import coboundary0
 from test_acceptance import corpus_with_contacts
 
 
@@ -344,10 +345,22 @@ class TestVerify:
         bp = classify_boundary(K, set())
         gens = compute_generators(K)
         g = gens.generators[0].cochain
-        eid = g.support[0]
+        eid = min(g.coeffs)
         gens.generators[0].cochain = Cochain1(
             {k: v for k, v in g.coeffs.items() if k != eid}
         )
+        report = verify(K, bp, gens)
+        assert not report.passed
+        assert report.cocycle_ok == [False]
+
+    def test_insulated_support_is_caught(self):
+        # The coboundary of a boundary vertex's indicator sums to zero on
+        # every face but is nonzero on the two insulated edges at the vertex.
+        K = meshes.annulus(6)
+        bp = classify_boundary(K, set())
+        gens = compute_generators(K)
+        v = K.edges[K.boundary_edge_ids[0]][0]
+        gens.generators[0].cochain = coboundary0(K, {v: 1})
         report = verify(K, bp, gens)
         assert not report.passed
         assert report.cocycle_ok == [False]

@@ -1,4 +1,5 @@
-"""Complex construction, boundary structure and components."""
+"""Complex construction, boundary structure, and components as the dual
+forest numbers them."""
 
 import warnings
 
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 
 import meshes
 import reference
+from globalloops.forest import build_tree_cotree
 from globalloops.surface import (
     SurfaceComplex,
     boundary_components,
     build_complex,
     classify_boundary,
-    connected_components,
     euler_characteristic,
 )
 from globalloops.errors import (
@@ -46,6 +47,8 @@ class TestBuildComplex:
         K = meshes.triangle()
         assert (K.num_vertices, K.num_edges, K.num_faces) == (3, 3, 1)
         assert all(abs(s) == 1 for _, s in K.face_edges[0])
+        # Face (0, 1, 2) runs along edge (0, 1) from tail to head.
+        assert K.incidence(0, K.edge_index[(0, 1)]) == 1
 
     def test_two_triangles_shared_edge(self):
         K = meshes.two_triangles()
@@ -150,14 +153,14 @@ class TestClassifyBoundary:
     def test_no_contacts(self):
         K = meshes.annulus(6)
         bp = classify_boundary(K, set())
-        assert bp.num_contacts == 0
+        assert len(bp.contact_components) == 0
         assert bp.insulated_edges == set(K.boundary_edge_ids)
 
     def test_full_circle_contact_counts_as_one(self):
         K = meshes.annulus(6)
         inner = set(boundary_components(K)[0].edges)
         bp = classify_boundary(K, inner)
-        assert bp.num_contacts == 1
+        assert len(bp.contact_components) == 1
 
     def test_two_arcs_on_a_twelve_cycle(self):
         # Twelve rim edges, contact arcs at positions 0..2 and 6..8; the
@@ -167,7 +170,7 @@ class TestClassifyBoundary:
         arc1 = {cyc.edges[i] for i in range(3)}
         arc2 = {cyc.edges[i] for i in range(6, 9)}
         bp = classify_boundary(K, arc1 | arc2)
-        assert bp.num_contacts == 2
+        assert len(bp.contact_components) == 2
         assert sorted(map(sorted, bp.contact_components)) == sorted(
             map(sorted, [arc1, arc2])
         )
@@ -246,18 +249,27 @@ def test_contact_runs_match_the_search(case):
     assert ports(classify_boundary, *case) == ports(reference.classify_boundary, *case)
 
 
+def dual_components(K):
+    """Face ids of each component, grouped by the dual tree that holds them."""
+    dual, _ = build_tree_cotree(K, boundary_components(K))
+    parts = [[] for _ in dual.roots]
+    for fid, cid in enumerate(dual.tree_of):
+        parts[cid].append(fid)
+    return parts
+
+
 class TestConnectedComponents:
     def test_two_disjoint_triangles(self):
         K = build_complex(6, [(0, 1, 2), (3, 4, 5)])
-        assert len(connected_components(K)) == 2
+        assert dual_components(K) == [[0], [1]]
 
     def test_annulus_is_connected(self):
         K = meshes.annulus(6)
-        assert connected_components(K) == [list(range(K.num_faces))]
+        assert dual_components(K) == [list(range(K.num_faces))]
 
     def test_torus_with_moebius(self):
         K = meshes.disjoint_union(meshes.csaszar_torus(), meshes.moebius(6))
-        parts = connected_components(K)
+        parts = dual_components(K)
         assert parts == [list(range(14)), list(range(14, 26))]
         counts = []
         for face_ids in parts:

@@ -12,7 +12,7 @@ import reference
 from globalloops.errors import CountMismatch, EdgeNotOnFace
 from globalloops.forest import Tree, build_tree_cotree
 from globalloops.oracle import is_orientable
-from globalloops.surface import boundary_components, build_complex, connected_components
+from globalloops.surface import boundary_components, build_complex
 from globalloops.transport import is_twisted, transport
 
 
@@ -234,7 +234,7 @@ def check_self_pairs(K, dual, candidates):
 
 
 def check_twisted_iff_non_orientable(K, dual, candidates):
-    for faces in connected_components(K):
+    for faces in reference.connected_components(K):
         members = set(faces)
         own = [e for e in candidates if K.edge_faces[e][0] in members]
         has_twisted = any(is_twisted(K, dual, e) for e in own)
