@@ -50,7 +50,7 @@ class UnsupportedContactLayout(TopologyError):
     """
 
 
-class NodeNotInTree(KeyError, InternalError):
+class NodeNotInTree(InternalError):
     """Path endpoint is not a member of the tree."""
 
 

@@ -20,6 +20,7 @@ callers that want the report as data.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from itertools import islice
 from pathlib import Path
@@ -166,15 +167,7 @@ def _summary(generators: GeneratorSet, verification=None) -> dict:
     }
     if verification is not None:
         summary["verification"] = {
-            "betti1_relative": verification.betti1_relative,
-            "generator_count": verification.generator_count,
-            "cocycle_ok": verification.cocycle_ok,
-            "independence_ok": verification.independence_ok,
-            "orientable": verification.orientable,
-            "torsion_coefficients": verification.torsion_coefficients,
-            "dimension_formula_ok": verification.dimension_formula_ok,
-            "failures": verification.failures,
-            "passed": verification.passed,
+            **dataclasses.asdict(verification), "passed": verification.passed
         }
     return summary
 

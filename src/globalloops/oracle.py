@@ -2,15 +2,20 @@
 
 Everything here re-derives edges and incidence signs from the raw face
 list rather than reusing the pipeline's tables, so a bug in the fast path
-cannot hide from the checks.  The boundary circles, the contact components
+cannot hide from the checks.  That incidence stores each edge's cofaces
+with their signs, so the cocycle check and the orientability search read
+a sign where it is stored.  The boundary circles, the contact components
 and the closed-up complex (each circle collapsed to a point) all come from
-one union-find over vertex pairs of that incidence; of the pipeline's
-output only the partition's edge ids and the generators are read, each
+union-finds over vertex pairs of that incidence; of the pipeline's output
+only the partition's edge ids and the generators are read, each
 translated into oracle edge ids by vertex pair.
 
-Ranks come from one sparse elimination, ``sparse_rank``, over GF(p) for the
-fixed prime ``PRIME`` = 2**31 - 1, and over GF(2) for torsion.  The verdict
-stays sound:
+The edge boundary map d1 of the closed-up complex is a graph incidence
+matrix, so its rank over every field is the edge count of a spanning
+forest, which a union-find over its edges gives with no elimination.
+Every other rank comes from one sparse elimination, ``sparse_rank``, over
+GF(p) for the fixed prime ``PRIME`` = 2**31 - 1, and over GF(2) for torsion.
+The verdict stays sound:
 
 * The relative vertex coboundary d0 is a graph incidence matrix, hence
   totally unimodular, so its rank over GF(p) equals its rank over Q.
@@ -31,20 +36,20 @@ stays sound:
 ``exact_rank`` (fraction-free Bareiss elimination) and
 ``smith_invariant_factors`` (integer Smith normal form) are dense and cubic.
 They are kept as the reference that tests compare the sparse ranks with on
-small meshes; no check calls them.  Every check refuses meshes above an
-edge cap.
+small meshes; no check calls them.  ``verify`` and ``betti1_relative``
+refuse meshes above an edge cap.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .errors import CountMismatch, MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
 
-# Verify time grows about as E**1.2.  At this cap the slowest measured
-# mesh family took about 5 s and 130 MB (table in CHANGES.md).
+# Near this cap verify took about 2.4 s and 110 MB on torus_grid(115, 115)
+# and 9.5 s and 280 MB on a scrambled chain of 380 tori (CHANGES.md).
 DEFAULT_EDGE_CAP = 40_000
 PRIME = 2**31 - 1
 
@@ -211,15 +216,16 @@ class _Incidence:
     edges: list[tuple[int, int]]
     index: dict[tuple[int, int], int]
     face_signs: list[list[tuple[int, int]]]  # per face: (edge id, sign)
-    edge_faces: list[list[int]]
-    boundary: set[int] = field(default_factory=set)
+    edge_faces: list[list[tuple[int, int]]]  # per edge: (face id, sign)
+    boundary: set[int]
+    circle_root: dict[int, int]  # boundary vertex -> root of its circle
 
     @classmethod
     def from_faces(cls, faces):
         edges: list[tuple[int, int]] = []
         index: dict[tuple[int, int], int] = {}
         face_signs = []
-        edge_faces: list[list[int]] = []
+        edge_faces: list[list[tuple[int, int]]] = []
         for fid, (a, b, c) in enumerate(faces):
             signs = []
             for u, w in ((a, b), (b, c), (c, a)):
@@ -230,14 +236,13 @@ class _Incidence:
                     index[pair] = eid
                     edges.append(pair)
                     edge_faces.append([])
-                edge_faces[eid].append(fid)
-                signs.append((eid, 1 if u < w else -1))
+                sign = 1 if u < w else -1
+                edge_faces[eid].append((fid, sign))
+                signs.append((eid, sign))
             face_signs.append(signs)
-        inc = cls(
-            edges=edges, index=index, face_signs=face_signs, edge_faces=edge_faces
-        )
-        inc.boundary = {e for e, fl in enumerate(edge_faces) if len(fl) == 1}
-        return inc
+        boundary = {e for e, fl in enumerate(edge_faces) if len(fl) == 1}
+        circle_root = _roots(edges[eid] for eid in boundary)
+        return cls(edges, index, face_signs, edge_faces, boundary, circle_root)
 
     @property
     def euler_characteristic(self) -> int:
@@ -252,41 +257,28 @@ def _check_cap(num_edges: int, cap: int) -> None:
         )
 
 
-@dataclass
-class _Relative:
+def _relative(complex: SurfaceComplex, partition: BoundaryPartition, inc):
     """The relative cochain complex in oracle edge ids, as sparse rows.
 
-    Columns are oracle edge ids; insulated edges have no column.
+    Returns the insulated edge ids, ``d0`` (one row per relative vertex)
+    and ``d1`` (one row per face).  Insulated edges have no column.
     """
-
-    insulated: set[int]
-    num_edges: int
-    d0: list[dict[int, int]]  # one row per relative vertex
-    d1: list[dict[int, int]]  # one row per face
-
-    @classmethod
-    def build(cls, complex: SurfaceComplex, partition: BoundaryPartition, inc):
-        insulated = {inc.index[complex.edges[eid]] for eid in partition.insulated_edges}
-        insulated_vertices = {v for eid in insulated for v in inc.edges[eid]}
-        # Vertices touching the insulated subcomplex get no d0 row.  Every
-        # insulated edge has both ends there, so the rows hold relative
-        # edges only, and no row is empty.
-        d0 = {v: {} for v in range(complex.num_vertices) if v not in insulated_vertices}
-        for eid, (a, b) in enumerate(inc.edges):
-            if b in d0:
-                d0[b][eid] = 1
-            if a in d0:
-                d0[a][eid] = -1
-        d1 = [
-            {eid: sign for eid, sign in signs if eid not in insulated}
-            for signs in inc.face_signs
-        ]
-        return cls(
-            insulated=insulated,
-            num_edges=len(inc.edges) - len(insulated),
-            d0=list(d0.values()),
-            d1=d1,
-        )
+    insulated = {inc.index[complex.edges[eid]] for eid in partition.insulated_edges}
+    insulated_vertices = {v for eid in insulated for v in inc.edges[eid]}
+    # Vertices touching the insulated subcomplex get no d0 row.  Every
+    # insulated edge has both ends there, so the rows hold relative
+    # edges only, and no row is empty.
+    d0 = {v: {} for v in range(complex.num_vertices) if v not in insulated_vertices}
+    for eid, (a, b) in enumerate(inc.edges):
+        if b in d0:
+            d0[b][eid] = 1
+        if a in d0:
+            d0[a][eid] = -1
+    d1 = [
+        {eid: sign for eid, sign in signs if eid not in insulated}
+        for signs in inc.face_signs
+    ]
+    return insulated, list(d0.values()), d1
 
 
 def betti1_relative(
@@ -300,8 +292,9 @@ def betti1_relative(
     count minus the ranks of the two restricted coboundary maps.
     """
     _check_cap(complex.num_edges, cap)
-    rel = _Relative.build(complex, partition, _Incidence.from_faces(complex.faces))
-    return rel.num_edges - sparse_rank(rel.d1) - sparse_rank(rel.d0)
+    inc = _Incidence.from_faces(complex.faces)
+    insulated, d0, d1 = _relative(complex, partition, inc)
+    return len(inc.edges) - len(insulated) - sparse_rank(d1) - sparse_rank(d0)
 
 
 def is_orientable(complex: SurfaceComplex) -> bool:
@@ -324,14 +317,9 @@ def _orientable(inc: _Incidence) -> bool:
         while queue:
             fid = queue.popleft()
             for eid, s in inc.face_signs[fid]:
-                for other in inc.edge_faces[eid]:
+                for other, s_other in inc.edge_faces[eid]:
                     if other == fid:
                         continue
-                    s_other = 0
-                    for eid2, s2 in inc.face_signs[other]:
-                        if eid2 == eid:
-                            s_other = s2
-                            break
                     # Adjacent faces must induce opposite signs on the edge.
                     want = -sign[fid] * s * s_other
                     if sign[other] == 0:
@@ -362,23 +350,24 @@ def _roots(pairs) -> dict[int, int]:
 
 
 def _closed_rows(inc: _Incidence):
-    """Integer boundary maps of the closed-up complex, as sparse rows.
+    """Boundary maps of the closed-up complex.
 
     Each boundary circle collapses to one 0-cell, named by its union-find
     root; other vertices are their own cells, and boundary edges are
-    deleted.  Returns the 0-cell count, ``d1`` (one row per kept edge over
-    0-cells, empty when both ends land on the same cell) and ``d2`` (one row
-    per face over oracle edge ids).  The Euler characteristic grows by
-    exactly the number of circles; anything else raises CountMismatch.
+    deleted.  Returns the 0-cell count, ``d1`` (the two end cells of each
+    kept edge, equal when both ends land on the same cell) and ``d2`` (one
+    sparse row per face over oracle edge ids).  The Euler characteristic
+    grows by exactly the number of circles; anything else raises
+    CountMismatch.
     """
-    root = _roots(inc.edges[eid] for eid in inc.boundary)
+    root = inc.circle_root
     circles = len(set(root.values()))
     cells = len({root.get(v, v) for edge in inc.edges for v in edge})
-    d1 = []
-    for eid, (a, b) in enumerate(inc.edges):
-        if eid not in inc.boundary:
-            ca, cb = root.get(a, a), root.get(b, b)
-            d1.append({cb: 1, ca: -1} if ca != cb else {})
+    d1 = [
+        (root.get(a, a), root.get(b, b))
+        for eid, (a, b) in enumerate(inc.edges)
+        if eid not in inc.boundary
+    ]
     d2 = [
         {eid: sign for eid, sign in signs if eid not in inc.boundary}
         for signs in inc.face_signs
@@ -392,7 +381,7 @@ def _closed_rows(inc: _Incidence):
     return cells, d1, d2
 
 
-def homology_snf(inc: _Incidence, cap: int = DEFAULT_EDGE_CAP) -> tuple[int, list[int]]:
+def homology_snf(inc: _Incidence) -> tuple[int, list[int]]:
     """First homology of the closed-up complex over the integers.
 
     Returns the free rank and the nontrivial invariant factors.  On a
@@ -400,9 +389,11 @@ def homology_snf(inc: _Incidence, cap: int = DEFAULT_EDGE_CAP) -> tuple[int, lis
     boundary map loses over GF(2) against GF(p) (see the module docstring).
     """
     _, d1, d2 = _closed_rows(inc)
-    _check_cap(len(d1), cap)
+    # d1 is a graph incidence matrix: over every field its rank is the edge
+    # count of a spanning forest, the cells it names less its classes.
+    forest = _roots(d1)
     rank_d2 = sparse_rank(d2)
-    betti = len(d1) - sparse_rank(d1) - rank_d2
+    betti = len(d1) - (len(forest) - len(set(forest.values()))) - rank_d2
     torsion = [2] * (rank_d2 - sparse_rank(d2, 2))
     return betti, torsion
 
@@ -439,7 +430,7 @@ def verify(
     _check_cap(complex.num_edges, cap)
     failures: list[str] = []
     inc = _Incidence.from_faces(complex.faces)
-    rel = _Relative.build(complex, partition, inc)
+    insulated, d0, d1 = _relative(complex, partition, inc)
 
     # 1. Relative cocycle condition, using the oracle's own incidence.
     cocycle_ok = []
@@ -450,31 +441,29 @@ def verify(
             for eid, val in gen.cochain.coeffs.items()
         }
         gen_rows.append(
-            {eid: val for eid, val in translated.items() if eid not in rel.insulated}
+            {eid: val for eid, val in translated.items() if eid not in insulated}
         )
         ok = len(gen_rows[-1]) == len(translated)
         if ok:
             face_sums: dict[int, int] = {}
             for eid, val in translated.items():
-                for fid in inc.edge_faces[eid]:
-                    for eid2, sign in inc.face_signs[fid]:
-                        if eid2 == eid:
-                            face_sums[fid] = face_sums.get(fid, 0) + sign * val
+                for fid, sign in inc.edge_faces[eid]:
+                    face_sums[fid] = face_sums.get(fid, 0) + sign * val
             ok = all(v == 0 for v in face_sums.values())
         cocycle_ok.append(ok)
         if not ok:
             failures.append(f"generator {gi} is not a relative cocycle")
 
     # 2. Count against the Betti number.
-    rank_d0 = sparse_rank(rel.d0)
-    betti = rel.num_edges - sparse_rank(rel.d1) - rank_d0
+    rank_d0 = sparse_rank(d0)
+    betti = len(inc.edges) - len(insulated) - sparse_rank(d1) - rank_d0
     count = len(generators.generators)
     if count != betti:
         failures.append(f"{count} generators but Betti number is {betti}")
 
     # 3. Independence modulo relative coboundaries: stacking the generators
     # on top of a spanning set of the coboundary image must add full rank.
-    independence_ok = sparse_rank(gen_rows + rel.d0) == count + rank_d0
+    independence_ok = sparse_rank(gen_rows + d0) == count + rank_d0
     if not independence_ok:
         failures.append("generators are dependent modulo relative coboundaries")
 
@@ -485,7 +474,7 @@ def verify(
         failures.append(
             f"twisted edge count {twisted} contradicts orientable={orientable}"
         )
-    _, torsion = homology_snf(inc, cap=cap)
+    _, torsion = homology_snf(inc)
     if (len(torsion) > 0) == orientable:
         failures.append(
             f"torsion {torsion} contradicts orientable={orientable}"
@@ -493,44 +482,31 @@ def verify(
 
     # 5. Class sizes against the dimension formulas, with the hole and
     # contact counts recomputed on the oracle side.
-    kinds = [g.kind for g in generators.generators]
-    n_ho_oracle = len(set(_roots(inc.edges[eid] for eid in inc.boundary).values()))
     contact_pairs = (
         inc.edges[inc.index[complex.edges[eid]]] for eid in partition.contact_edges
     )
-    n_co_oracle = len(set(_roots(contact_pairs).values()))
-    formula_failures: list[str] = []
-    per_comp_holes = [m.num_holes for m in generators.components]
-    if n_ho_oracle != sum(per_comp_holes):
-        formula_failures.append(
-            f"pipeline reports {sum(per_comp_holes)} boundary circles, oracle {n_ho_oracle}"
-        )
-    if n_co_oracle != sum(m.num_contacts for m in generators.components):
-        formula_failures.append(
-            f"pipeline reports {sum(m.num_contacts for m in generators.components)} "
-            f"contact components, oracle {n_co_oracle}"
-        )
-    expected_ho = sum(max(h - 1, 0) for h in per_comp_holes)
-    if kinds.count("ho") != expected_ho:
-        formula_failures.append(
-            f"{kinds.count('ho')} hole generators, expected {expected_ho}"
-        )
-    expected_co = 0
+    found = Counter(g.kind for g in generators.generators)
+    expected = Counter()
     for m in generators.components:
+        expected["ho"] += max(m.num_holes - 1, 0)
         if m.num_contacts:
-            expected_co += m.num_contacts - 1 if m.orientable else m.num_contacts
-    if kinds.count("co") != expected_co:
-        formula_failures.append(
-            f"{kinds.count('co')} contact generators, expected {expected_co}"
+            expected["co"] += m.num_contacts - (1 if m.orientable else 0)
+        expected["ha"] += m.num_candidate_edges - (1 if m.num_twisted_edges else 0)
+    n_ho = len(set(inc.circle_root.values()))
+    n_co = len(set(_roots(contact_pairs).values()))
+    formula_failures = [
+        f"pipeline reports {reported} {what}, oracle {n}"
+        for what, reported, n in (
+            ("boundary circles", generators.num_holes, n_ho),
+            ("contact components", generators.num_contacts, n_co),
         )
-    expected_ha = sum(
-        m.num_candidate_edges - (1 if m.num_twisted_edges else 0)
-        for m in generators.components
-    )
-    if kinds.count("ha") != expected_ha:
-        formula_failures.append(
-            f"{kinds.count('ha')} handle generators, expected {expected_ha}"
-        )
+        if reported != n
+    ]
+    formula_failures += [
+        f"{found[kind]} {name} generators, expected {expected[kind]}"
+        for kind, name in (("ho", "hole"), ("co", "contact"), ("ha", "handle"))
+        if found[kind] != expected[kind]
+    ]
     dimension_formula_ok = not formula_failures
     failures.extend(formula_failures)
 

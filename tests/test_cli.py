@@ -193,7 +193,7 @@ class TestCompute:
         monkeypatch.setattr(generators, "transport", broken)
         assert main(["compute", str(mesh)]) == 4
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("internal error: ")
+        assert err == ["internal error: planted transport fault"]
 
     @pytest.mark.parametrize("role", ["mesh", "contacts"])
     @pytest.mark.parametrize("failure", ["directory", "permission"])

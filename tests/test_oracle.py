@@ -1,7 +1,9 @@
 """Oracle: sparse and dense ranks, Smith form, closed-up complex, Betti
 numbers, verification."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +35,15 @@ def incidence(K):
     return oracle._Incidence.from_faces(K.faces)
 
 
-def dense_homology(inc, cap=None):
+def d1_rows(d1):
+    """The closed-up edges ``(ca, cb)`` as sparse boundary rows ``cb - ca``."""
+    return [{cb: 1, ca: -1} if ca != cb else {} for ca, cb in d1]
+
+
+def dense_homology(inc):
     """H1 of the closed-up complex from the dense exact rank and Smith form."""
     _, d1, d2 = oracle._closed_rows(inc)
+    d1 = d1_rows(d1)
     factors = smith_invariant_factors(dense(d2, len(inc.edges)))
     rank_d2 = sum(1 for f in factors if f)
     rank_d1 = exact_rank(dense(d1, 1 + max(v for edge in inc.edges for v in edge)))
@@ -262,7 +270,7 @@ class TestClosedComplex:
             inc = incidence(K)
             _, d1, d2 = oracle._closed_rows(inc)
             kept = [eid for eid in range(len(inc.edges)) if eid not in inc.boundary]
-            d1_of = dict(zip(kept, d1))
+            d1_of = dict(zip(kept, d1_rows(d1)))
             for face_row in d2:
                 sums = {}
                 for eid, fcoeff in face_row.items():
@@ -320,6 +328,37 @@ class TestSelfConsistency:
             assert torsion in ([], [2])
 
 
+def plain_annulus():
+    return meshes.annulus(6), set()
+
+
+def moebius_with_arc():
+    K = meshes.moebius(6)
+    return K, meshes.boundary_arc(K, 0, 3)
+
+
+def drop_support_edge(gens, monkeypatch):
+    coeffs = gens.generators[0].cochain.coeffs
+    gens.generators[0].cochain = Cochain1({k: v for k, v in coeffs.items() if k != min(coeffs)})
+
+
+def duplicate_generator(gens, monkeypatch):
+    gens.generators.append(gens.generators[0])
+
+
+def inflate_holes_and_contacts(gens, monkeypatch):
+    gens.components[0].num_holes += 1
+    gens.components[0].num_contacts += 1
+
+
+def claim_a_twisted_edge(gens, monkeypatch):
+    gens.components[0].num_twisted_edges = 1
+
+
+def claim_torsion(gens, monkeypatch):
+    monkeypatch.setattr(oracle, "homology_snf", lambda inc, cap=None: (0, [2]))
+
+
 class TestVerify:
     def test_annulus_passes(self):
         K = meshes.annulus(6)
@@ -371,6 +410,47 @@ class TestVerify:
         with pytest.raises(MeshTooLargeForOracle):
             verify(K, bp, compute_generators(K), cap=3)
 
+    @pytest.mark.parametrize(
+        "build, plant, failures",
+        [
+            (plain_annulus, drop_support_edge, ["generator 0 is not a relative cocycle"]),
+            (
+                moebius_with_arc,
+                duplicate_generator,
+                [
+                    "2 generators but Betti number is 1",
+                    "generators are dependent modulo relative coboundaries",
+                    "2 contact generators, expected 1",
+                ],
+            ),
+            (
+                plain_annulus,
+                inflate_holes_and_contacts,
+                [
+                    "pipeline reports 3 boundary circles, oracle 2",
+                    "pipeline reports 1 contact components, oracle 0",
+                    "1 hole generators, expected 2",
+                ],
+            ),
+            (
+                plain_annulus,
+                claim_a_twisted_edge,
+                [
+                    "twisted edge count 1 contradicts orientable=True",
+                    "0 handle generators, expected -1",
+                ],
+            ),
+            (plain_annulus, claim_torsion, ["torsion [2] contradicts orientable=True"]),
+        ],
+        ids=["cocycle", "duplicate", "counts", "twisted", "torsion"],
+    )
+    def test_every_failure_text(self, monkeypatch, build, plant, failures):
+        K, contact = build()
+        gens = compute_generators(K, contact)
+        plant(gens, monkeypatch)
+        report = verify(K, classify_boundary(K, contact), gens)
+        assert report.failures == failures
+
     @pytest.mark.parametrize("build", [meshes.moebius, meshes.annulus])
     def test_ignores_the_pipeline_boundary_table(self, build):
         # The oracle finds the boundary in its own incidence, so emptying the
@@ -405,3 +485,39 @@ class TestVerify:
         assert {g.kind for g in gens.generators} == {"ha", "ho", "co"}
         assert not report.orientable
         assert report.torsion_coefficients == [2, 2]
+
+
+class TestIndependence:
+    """The oracle re-derives its tables from the raw face list; reading one
+    of the pipeline's tables would let a pipeline bug hide from it."""
+
+    tree = ast.parse(Path(oracle.__file__).read_text())
+
+    def test_imports_only_errors_and_the_surface_types(self):
+        imported = {
+            (node.module, alias.name)
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.ImportFrom) and (node.level or "globalloops" in node.module)
+            for alias in node.names
+        }
+        assert {module for module, _ in imported} <= {"errors", "surface"}
+        assert {name for module, name in imported if module == "surface"} <= {
+            "BoundaryPartition",
+            "SurfaceComplex",
+        }
+        assert not any(
+            alias.name.startswith("globalloops")
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        )
+
+    def test_reads_only_the_raw_complex(self):
+        read = {
+            node.attr
+            for node in ast.walk(self.tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "complex"
+        }
+        assert read <= {"faces", "edges", "num_edges", "num_vertices"}
