@@ -33,13 +33,16 @@ from .surface import SurfaceComplex, build_complex
 def parse_off(text: str) -> tuple[int, list[tuple[float, float, float]], list[tuple[int, int, int]]]:
     """Parse OFF text into (vertex count, coordinates, triangle list).
 
-    Only triangles are accepted.  Parse errors carry 1-based line numbers.
-    Each line is split once.  The blocks read no more lines than the text
-    has, so header counts, which come from outside, size nothing.
+    Only triangles are accepted.  Parse errors carry 1-based line numbers;
+    an error at the end of the file names its last line, or line 1 when the
+    text has none.  Each line is split once.  The blocks read no more lines
+    than the text has, so header counts, which come from outside, size
+    nothing.
     """
     lines = text.splitlines()
     rows = _token_lines(lines)
-    end = len(lines), None
+    last = max(len(lines), 1)
+    end = last, None
     lineno, tokens = next(rows, end)
     if tokens != ["OFF"]:
         raise OffParseError(lineno, "expected OFF header")
@@ -62,7 +65,7 @@ def parse_off(text: str) -> tuple[int, list[tuple[float, float, float]], list[tu
         except ValueError:
             raise OffParseError(lineno, "coordinates must be numbers") from None
     if len(coords) < nv:
-        raise OffParseError(len(lines), "unexpected end of file in vertex block")
+        raise OffParseError(last, "unexpected end of file in vertex block")
 
     faces = []
     for lineno, tokens in islice(rows, min(nf, len(lines))):
@@ -78,7 +81,7 @@ def parse_off(text: str) -> tuple[int, list[tuple[float, float, float]], list[tu
                 raise OffParseError(lineno, f"vertex index {v} out of range")
         faces.append(tri)
     if len(faces) < nf:
-        raise OffParseError(len(lines), "unexpected end of file in face block")
+        raise OffParseError(last, "unexpected end of file in face block")
 
     lineno, tokens = next(rows, end)
     if tokens is not None:

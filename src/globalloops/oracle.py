@@ -8,13 +8,10 @@ a sign where it is stored.  The boundary circles, the contact components
 and the closed-up complex (each circle collapsed to a point) all come from
 union-finds over vertex pairs of that incidence; of the pipeline's output
 only the partition's edge ids and the generators are read, each
-translated into oracle edge ids by vertex pair.
+translated into oracle edge ids through one vertex-pair lookup per edge.
 
-The edge boundary map d1 of the closed-up complex is a graph incidence
-matrix, so its rank over every field is the edge count of a spanning
-forest, which a union-find over its edges gives with no elimination.
-Every other rank comes from one sparse elimination, ``sparse_rank``, over
-GF(p) for the fixed prime ``PRIME`` = 2**31 - 1, and over GF(2) for torsion.
+Every rank comes from one sparse elimination, ``sparse_rank``, over GF(p)
+for the fixed prime ``PRIME`` = 2**31 - 1, and over GF(2) for torsion.
 The verdict stays sound:
 
 * The relative vertex coboundary d0 is a graph incidence matrix, hence
@@ -33,11 +30,9 @@ The verdict stays sound:
   equal rational ranks, and H1 of the closed-up complex has one Z/2 for
   each unit of rank that its face boundary map loses over GF(2).
 
-``exact_rank`` (fraction-free Bareiss elimination) and
-``smith_invariant_factors`` (integer Smith normal form) are dense and cubic.
-They are kept as the reference that tests compare the sparse ranks with on
-small meshes; no check calls them.  ``verify`` and ``betti1_relative``
-refuse meshes above an edge cap.
+The dense references the tests compare these ranks with (fraction-free
+Bareiss elimination and the integer Smith normal form) live in
+``tests/reference.py``.  ``verify`` refuses meshes above an edge cap.
 """
 
 from __future__ import annotations
@@ -48,112 +43,10 @@ from dataclasses import dataclass, field
 from .errors import CountMismatch, MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
 
-# Near this cap verify took about 2.4 s and 110 MB on torus_grid(115, 115)
-# and 9.5 s and 280 MB on a scrambled chain of 380 tori (CHANGES.md).
+# Near this cap verify took about 2.7 s and 110 MB on torus_grid(115, 115)
+# and 7-8 s and 235 MB on a scrambled chain of 380 tori (CHANGES.md).
 DEFAULT_EDGE_CAP = 40_000
 PRIME = 2**31 - 1
-
-
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    mat = [row[:] for row in rows if any(row)]
-    if not mat:
-        return 0
-    n_cols = len(mat[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < len(mat) and col < n_cols:
-        pivot_row = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pivot = mat[rank][col]
-        row_r = mat[rank]
-        for i in range(rank + 1, len(mat)):
-            # Every row below is updated, zero heads included: the entries
-            # must stay equal to minors for the division to remain exact.
-            head = mat[i][col]
-            row_i = mat[i]
-            for j in range(col, n_cols):
-                row_i[j] = (row_i[j] * pivot - row_r[j] * head) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
-
-
-def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith normal form (positive, divisibility chain)."""
-    mat = [row[:] for row in rows]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    factors: list[int] = []
-    t = 0
-    while True:
-        best = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                v = mat[i][j]
-                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        mat[t], mat[i0] = mat[i0], mat[t]
-        for row in mat:
-            row[t], row[j0] = row[j0], row[t]
-
-        while True:
-            pivot = mat[t][t]
-            dirty = False
-            for i in range(t + 1, n_rows):
-                if mat[i][t]:
-                    q = mat[i][t] // pivot
-                    if q:
-                        for j in range(t, n_cols):
-                            mat[i][j] -= q * mat[t][j]
-                    if mat[i][t]:
-                        mat[t], mat[i] = mat[i], mat[t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n_cols):
-                if mat[t][j]:
-                    q = mat[t][j] // pivot
-                    if q:
-                        for i in range(t, n_rows):
-                            mat[i][j] -= q * mat[i][t]
-                    if mat[t][j]:
-                        for i in range(n_rows):
-                            mat[i][t], mat[i][j] = mat[i][j], mat[i][t]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, n_rows):
-                for j in range(t + 1, n_cols):
-                    if mat[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            for j in range(t, n_cols):
-                mat[t][j] += mat[offender][j]
-        factors.append(abs(mat[t][t]))
-        t += 1
-        if t >= n_rows or t >= n_cols:
-            break
-    return factors
 
 
 def sparse_rank(rows, p: int = PRIME) -> int:
@@ -250,20 +143,14 @@ class _Incidence:
         return num_vertices - len(self.edges) + len(self.face_signs)
 
 
-def _check_cap(num_edges: int, cap: int) -> None:
-    if num_edges > cap:
-        raise MeshTooLargeForOracle(
-            f"{num_edges} edges exceeds the oracle cap of {cap}"
-        )
-
-
-def _relative(complex: SurfaceComplex, partition: BoundaryPartition, inc):
+def _relative(complex: SurfaceComplex, partition: BoundaryPartition, inc, to_oracle):
     """The relative cochain complex in oracle edge ids, as sparse rows.
 
+    ``to_oracle`` maps each pipeline edge id to its oracle edge id.
     Returns the insulated edge ids, ``d0`` (one row per relative vertex)
     and ``d1`` (one row per face).  Insulated edges have no column.
     """
-    insulated = {inc.index[complex.edges[eid]] for eid in partition.insulated_edges}
+    insulated = {to_oracle[eid] for eid in partition.insulated_edges}
     insulated_vertices = {v for eid in insulated for v in inc.edges[eid]}
     # Vertices touching the insulated subcomplex get no d0 row.  Every
     # insulated edge has both ends there, so the rows hold relative
@@ -279,22 +166,6 @@ def _relative(complex: SurfaceComplex, partition: BoundaryPartition, inc):
         for signs in inc.face_signs
     ]
     return insulated, list(d0.values()), d1
-
-
-def betti1_relative(
-    complex: SurfaceComplex,
-    partition: BoundaryPartition,
-    cap: int = DEFAULT_EDGE_CAP,
-) -> int:
-    """Dimension of the first relative cohomology space.
-
-    Standard rank-nullity on the relative cochain complex: relative edge
-    count minus the ranks of the two restricted coboundary maps.
-    """
-    _check_cap(complex.num_edges, cap)
-    inc = _Incidence.from_faces(complex.faces)
-    insulated, d0, d1 = _relative(complex, partition, inc)
-    return len(inc.edges) - len(insulated) - sparse_rank(d1) - sparse_rank(d0)
 
 
 def is_orientable(complex: SurfaceComplex) -> bool:
@@ -381,21 +252,15 @@ def _closed_rows(inc: _Incidence):
     return cells, d1, d2
 
 
-def homology_snf(inc: _Incidence) -> tuple[int, list[int]]:
-    """First homology of the closed-up complex over the integers.
+def homology_snf(inc: _Incidence) -> list[int]:
+    """Torsion of the first homology of the closed-up complex over the integers.
 
-    Returns the free rank and the nontrivial invariant factors.  On a
-    surface these are all 2, one for each unit of rank that the face
-    boundary map loses over GF(2) against GF(p) (see the module docstring).
+    Returns the nontrivial invariant factors.  On a surface these are all
+    2, one for each unit of rank that the face boundary map loses over
+    GF(2) against GF(p) (see the module docstring).
     """
-    _, d1, d2 = _closed_rows(inc)
-    # d1 is a graph incidence matrix: over every field its rank is the edge
-    # count of a spanning forest, the cells it names less its classes.
-    forest = _roots(d1)
-    rank_d2 = sparse_rank(d2)
-    betti = len(d1) - (len(forest) - len(set(forest.values()))) - rank_d2
-    torsion = [2] * (rank_d2 - sparse_rank(d2, 2))
-    return betti, torsion
+    _, _, d2 = _closed_rows(inc)
+    return [2] * (sparse_rank(d2) - sparse_rank(d2, 2))
 
 
 @dataclass
@@ -427,19 +292,20 @@ def verify(
     relative coboundaries; the twisted-edge count agrees with orientability
     and integer torsion; the per-class sizes match the dimension formulas.
     """
-    _check_cap(complex.num_edges, cap)
+    if complex.num_edges > cap:
+        raise MeshTooLargeForOracle(
+            f"{complex.num_edges} edges exceeds the oracle cap of {cap}"
+        )
     failures: list[str] = []
     inc = _Incidence.from_faces(complex.faces)
-    insulated, d0, d1 = _relative(complex, partition, inc)
+    to_oracle = [inc.index[pair] for pair in complex.edges]
+    insulated, d0, d1 = _relative(complex, partition, inc, to_oracle)
 
     # 1. Relative cocycle condition, using the oracle's own incidence.
     cocycle_ok = []
     gen_rows = []
     for gi, gen in enumerate(generators.generators):
-        translated = {
-            inc.index[complex.edges[eid]]: val
-            for eid, val in gen.cochain.coeffs.items()
-        }
+        translated = {to_oracle[eid]: val for eid, val in gen.cochain.coeffs.items()}
         gen_rows.append(
             {eid: val for eid, val in translated.items() if eid not in insulated}
         )
@@ -474,7 +340,7 @@ def verify(
         failures.append(
             f"twisted edge count {twisted} contradicts orientable={orientable}"
         )
-    _, torsion = homology_snf(inc)
+    torsion = homology_snf(inc)
     if (len(torsion) > 0) == orientable:
         failures.append(
             f"torsion {torsion} contradicts orientable={orientable}"
@@ -482,9 +348,7 @@ def verify(
 
     # 5. Class sizes against the dimension formulas, with the hole and
     # contact counts recomputed on the oracle side.
-    contact_pairs = (
-        inc.edges[inc.index[complex.edges[eid]]] for eid in partition.contact_edges
-    )
+    contact_pairs = (inc.edges[to_oracle[eid]] for eid in partition.contact_edges)
     found = Counter(g.kind for g in generators.generators)
     expected = Counter()
     for m in generators.components:

@@ -28,11 +28,16 @@ builds one row per support edge before writing any block.
 ``report_to_generators`` reads a parsed report back into generators, so a
 test can check that the report loses nothing.
 
+``exact_rank`` (fraction-free Bareiss elimination) and
+``smith_invariant_factors`` (integer Smith normal form) are the dense, cubic
+references for the oracle's sparse ranks and torsion on small meshes.
+
 ``evaluate``, ``coboundary0``, ``connected_components`` and ``of_kind`` are
 test helpers with no counterpart in the package: the pairing of a cochain
 with a chain, the vertex-to-edge coboundary, a face breadth-first search for
 components (the package numbers them by its dual forest), and one class of
-a generator set's cochains.
+a generator set's cochains.  ``betti1_relative`` reads the oracle's Betti
+number off ``verify`` on an empty generator set.
 """
 
 import pathlib
@@ -54,6 +59,8 @@ from globalloops.errors import (
     PinchVertex,
 )
 from globalloops.forest import Tree
+from globalloops.generators import GeneratorSet
+from globalloops.oracle import DEFAULT_EDGE_CAP, verify
 from globalloops.surface import build_complex as package_build_complex
 from globalloops.surface import (
     BoundaryCycle,
@@ -652,3 +659,110 @@ def connected_components(complex):
 def of_kind(generators, kind):
     """The cochains of one generator class ("ha", "ho" or "co"), in order."""
     return [g.cochain for g in generators.generators if g.kind == kind]
+
+
+def exact_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    mat = [row[:] for row in rows if any(row)]
+    if not mat:
+        return 0
+    n_cols = len(mat[0])
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < len(mat) and col < n_cols:
+        pivot_row = None
+        for i in range(rank, len(mat)):
+            if mat[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            col += 1
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pivot = mat[rank][col]
+        row_r = mat[rank]
+        for i in range(rank + 1, len(mat)):
+            # Every row below is updated, zero heads included: the entries
+            # must stay equal to minors for the division to remain exact.
+            head = mat[i][col]
+            row_i = mat[i]
+            for j in range(col, n_cols):
+                row_i[j] = (row_i[j] * pivot - row_r[j] * head) // prev
+        prev = pivot
+        rank += 1
+        col += 1
+    return rank
+
+
+def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
+    """Diagonal of the Smith normal form (positive, divisibility chain)."""
+    mat = [row[:] for row in rows]
+    n_rows = len(mat)
+    n_cols = len(mat[0]) if mat else 0
+    factors: list[int] = []
+    t = 0
+    while True:
+        best = None
+        for i in range(t, n_rows):
+            for j in range(t, n_cols):
+                v = mat[i][j]
+                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i0, j0 = best
+        mat[t], mat[i0] = mat[i0], mat[t]
+        for row in mat:
+            row[t], row[j0] = row[j0], row[t]
+
+        while True:
+            pivot = mat[t][t]
+            dirty = False
+            for i in range(t + 1, n_rows):
+                if mat[i][t]:
+                    q = mat[i][t] // pivot
+                    if q:
+                        for j in range(t, n_cols):
+                            mat[i][j] -= q * mat[t][j]
+                    if mat[i][t]:
+                        mat[t], mat[i] = mat[i], mat[t]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, n_cols):
+                if mat[t][j]:
+                    q = mat[t][j] // pivot
+                    if q:
+                        for i in range(t, n_rows):
+                            mat[i][j] -= q * mat[i][t]
+                    if mat[t][j]:
+                        for i in range(n_rows):
+                            mat[i][t], mat[i][j] = mat[i][j], mat[i][t]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, n_rows):
+                for j in range(t + 1, n_cols):
+                    if mat[i][j] % pivot:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            for j in range(t, n_cols):
+                mat[t][j] += mat[offender][j]
+        factors.append(abs(mat[t][t]))
+        t += 1
+        if t >= n_rows or t >= n_cols:
+            break
+    return factors
+
+
+def betti1_relative(complex, partition, cap=DEFAULT_EDGE_CAP):
+    """Dimension of the first relative cohomology space, as ``verify`` counts it."""
+    return verify(complex, partition, GeneratorSet(partition=partition), cap).betti1_relative

@@ -10,13 +10,7 @@ import json
 import meshes
 from globalloops.forest import build_tree_cotree
 from globalloops.generators import compute_generators
-from globalloops.oracle import (
-    _Incidence,
-    betti1_relative,
-    homology_snf,
-    is_orientable,
-    verify,
-)
+from globalloops.oracle import _Incidence, homology_snf, is_orientable, verify
 from globalloops.surface import boundary_components, classify_boundary
 from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.cli import main as cli_main
@@ -82,7 +76,7 @@ def test_moebius_full_insulation():
     bp = classify_boundary(K, set())
     gens = compute_generators(K)
     assert gens.generators == []
-    assert betti1_relative(K, bp) == 0
+    assert verify(K, bp, gens).betti1_relative == 0
     meta = gens.components[0]
     assert meta.num_candidate_edges == 1
     assert meta.num_twisted_edges == 1
@@ -97,7 +91,7 @@ def test_handle_generators_and_pairing():
         assert len(of_kind(gens, "ha")) == expected
         assert len(gens.generators) == expected
         bp = classify_boundary(K, set())
-        assert betti1_relative(K, bp) == expected
+        assert verify(K, bp, gens).betti1_relative == expected
         _, candidates = build_tree_cotree(K, boundary_components(K))
         primal = primal_tree(K)
         for i, g in enumerate(of_kind(gens, "ha")):
@@ -132,7 +126,7 @@ def test_dimension_formula_suite():
                 1 if meta.num_twisted_edges else 0
             )
             assert per_kind["ha"] == expected_ha, name
-        assert len(gens.generators) == betti1_relative(K, bp), name
+        assert len(gens.generators) == verify(K, bp, gens).betti1_relative, name
 
 
 @criterion("torsion-orientability-equivalence")
@@ -141,7 +135,7 @@ def test_torsion_orientability_equivalence():
         gens = compute_generators(K, contact)
         twisted = gens.num_twisted_edges > 0
         non_orientable = not is_orientable(K)
-        _, torsion = homology_snf(_Incidence.from_faces(K.faces))
+        torsion = homology_snf(_Incidence.from_faces(K.faces))
         assert twisted == non_orientable == (torsion == [2]), name
 
 
@@ -162,8 +156,9 @@ def test_randomized_robustness():
                     warnings.simplefilter("ignore", UserWarning)
                     bp = classify_boundary(K, contact)
                     gens = compute_generators(K, contact)
-                assert all(verify(K, bp, gens).cocycle_ok), f"seed {seed}"
-                assert len(gens.generators) == betti1_relative(K, bp), f"seed {seed}"
+                report = verify(K, bp, gens)
+                assert all(report.cocycle_ok), f"seed {seed}"
+                assert len(gens.generators) == report.betti1_relative, f"seed {seed}"
                 checked += 1
     assert checked == 100
 

@@ -16,11 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "globalloops"
 
 ALLOWED = {
-    "meshio.report_dict": "documented library API: the report as data",
-    "meshio.render_report": "the tested definition of the bytes report_text writes",
-    "oracle.exact_rank": "test reference for sparse_rank; perfbench binds it",
-    "oracle.smith_invariant_factors": "test reference for homology_snf; perfbench binds it",
-    "oracle.betti1_relative": "test reference for verify's Betti number; perfbench binds it",
+    "meshio.report_dict": "perfbench's passing tests call it",
+    "meshio.render_report": "perfbench's passing tests call it",
 }
 
 

@@ -152,6 +152,12 @@ class TestCompute:
         assert main(["compute", str(bad)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_empty_mesh_file_is_exit_one(self, tmp_path, capsys):
+        empty = tmp_path / "empty.off"
+        empty.write_text("")
+        assert main(["compute", str(empty)]) == 1
+        assert "line 1: expected OFF header" in capsys.readouterr().err
+
     def test_topology_error_is_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "pinch.off"
         bad.write_text(

@@ -77,6 +77,13 @@ class TestOffParsing:
         with pytest.raises(OffParseError):
             parse_off(bad)
 
+    @pytest.mark.parametrize("text", ["", "\n", "# no header\n"])
+    def test_file_without_a_header_names_line_one(self, text):
+        with pytest.raises(OffParseError) as err:
+            parse_off(text)
+        assert err.value.line == 1
+        assert str(err.value) == "line 1: expected OFF header"
+
     def test_round_trip_through_disk(self, tmp_path):
         K = meshes.annulus(6)
         path = tmp_path / "annulus.off"
@@ -144,8 +151,12 @@ def parsed(parse, text):
 @given(mutated_off())
 @example("OFF\n99999999999999999999 1 0\n0 0 0\n")
 @example("OFF\r\n1 1 0\r\n0 0 0 # origin\r\n\r\n3 0 0 0\r\n")
+@example("")
 def test_off_parser_matches_the_original(text):
-    assert parsed(parse_off, text) == parsed(reference.parse_off, text)
+    # The one intended difference: on text with no line at all the original
+    # named line 0, and the parser names line 1.
+    expected = parsed(reference.parse_off, text) if text else (1, "line 1: expected OFF header")
+    assert parsed(parse_off, text) == expected
 
 
 class TestContactParsing:
@@ -244,6 +255,38 @@ def test_contact_parser_fails_only_with_a_line_number(case):
         assert 1 <= line <= count
     else:
         assert parsed_edges <= set(K.boundary_edge_ids)
+
+
+def contact_outcome(text, K):
+    """What ``parse_contacts`` must give, read one line at a time: the edge
+    ids, or the line number and class of the first error."""
+    out = set()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        tokens = line.partition("#")[0].split()
+        if not tokens:
+            continue
+        try:
+            i, j = map(int, tokens)
+        except ValueError:  # a token is no integer, or there are not two
+            return lineno, ContactSpecError
+        eid = K.edge_index.get((min(i, j), max(i, j)))
+        if eid is None or eid not in K.boundary_edge_ids:
+            return lineno, NotABoundaryEdge
+        out.add(eid)
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(mutated_contacts())
+@example((meshes.annulus(6), ""))
+@example((meshes.annulus(6), "# 0 1\n\n"))
+def test_contact_parser_matches_a_line_by_line_reading(case):
+    K, text = case
+    try:
+        got = parse_contacts(text, K)
+    except (ContactSpecError, NotABoundaryEdge) as exc:
+        got = int(re.match(r"line (\d+): ", str(exc)).group(1)), type(exc)
+    assert got == contact_outcome(text, K)
 
 
 class TestReport:

@@ -5,7 +5,8 @@ constructions (``perfbench/workloads.py``, imported read-only): chains of
 tori and Klein bottles, and annuli, pants, Moebius strips and Klein bottles
 minus a disk with contact arcs on their circles.  Each construction knows its
 topology, so the expected class sizes come from the dimension formulas
-without asking the code under test.
+without asking the code under test.  ``punch`` adds the one shape those
+constructions lack: chains with genus that carry boundary circles.
 """
 
 import random
@@ -18,7 +19,12 @@ import meshes
 from globalloops.generators import compute_generators
 from globalloops.meshio import report_text
 from globalloops.oracle import verify
-from globalloops.surface import build_complex, classify_boundary
+from globalloops.surface import (
+    boundary_components,
+    build_complex,
+    classify_boundary,
+    euler_characteristic,
+)
 
 wl = meshes.workloads()
 
@@ -45,6 +51,54 @@ def parts(draw):
         if count:
             s = wl.with_arcs(s, circle, count, rng)
     return s
+
+
+def punchable(s):
+    """Vertices whose closed star (the vertex and its link) touches no
+    boundary circle, in ascending order."""
+    on_circles = {v for cyc in s.circles for v in cyc}
+    touched = set(on_circles)
+    for f in s.faces:
+        if on_circles.intersection(f):
+            touched.update(f)
+    return [v for v in range(s.num_vertices) if v not in touched]
+
+
+def punch(s, v):
+    """``s`` with the star of the interior vertex ``v`` removed and every
+    vertex id above ``v`` moved down by one.  The link of ``v`` becomes a
+    new boundary circle, listed in traversal order, and the one component
+    gains a hole."""
+    if len(s.components) != 1 or v not in punchable(s):
+        raise ValueError(f"vertex {v} cannot be punched")
+    link: dict[int, list[int]] = {}
+    for f in s.faces:
+        if v in f:
+            a, b = (w for w in f if w != v)
+            link.setdefault(a, []).append(b)
+            link.setdefault(b, []).append(a)
+    circle = [min(link)]
+    prev, here = None, circle[0]
+    while True:
+        here, prev = next(w for w in link[here] if w != prev), here
+        if here == circle[0]:
+            break
+        circle.append(here)
+    if len(circle) != len(link) or any(len(ws) != 2 for ws in link.values()):
+        raise ValueError(f"the link of vertex {v} is not one circle")
+
+    def new(w):
+        return w - (w > v)
+
+    comp = s.components[0]
+    return wl.Surface(
+        s.num_vertices - 1,
+        [(new(a), new(b), new(c)) for a, b, c in s.faces if v not in (a, b, c)],
+        s.coords[:v] + s.coords[v + 1:],
+        [wl.Component(comp.orientable, comp.genus, comp.holes + 1, comp.contacts)],
+        [[new(w) for w in cyc] for cyc in s.circles] + [[new(w) for w in circle]],
+        [[(new(a), new(b)) for a, b in arc] for arc in s.arcs],
+    )
 
 
 def run(surface):
@@ -85,3 +139,43 @@ def test_many_arcs_on_one_circle():
 
 def test_long_klein_chain():
     check(wl.connect_sum([wl.klein(4, 4) for _ in range(32)]), 0)
+
+
+
+@st.composite
+def punched_chains(draw):
+    """A chain of one to three tori and Klein bottles with one or two
+    punched holes, and arcs placed on the new circles."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tori = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    # At 5 x 5 every single piece leaves room for a second star.
+    s = wl.connect_sum([wl.torus(5, 5) if t else wl.klein(5, 5) for t in tori])
+    for _ in range(draw(st.integers(1, 2))):
+        s = punch(s, draw(st.sampled_from(punchable(s))))
+    for circle, cyc in enumerate(s.circles):
+        count = draw(st.integers(0, len(cyc) // 4))
+        if count:
+            s = wl.with_arcs(s, circle, count, rng)
+    return s
+
+
+def test_punch_leaves_the_link_as_a_boundary_circle():
+    closed = wl.connect_sum([wl.torus(4, 4), wl.klein(4, 4)])
+    s = punch(closed, punchable(closed)[-1])
+    s = punch(s, punchable(s)[0])
+    K = build_complex(s.num_vertices, s.faces)
+    assert euler_characteristic(K) == euler_characteristic(
+        build_complex(closed.num_vertices, closed.faces)
+    ) - 2
+    assert len(boundary_components(K)) == len(s.circles) == 2
+    walked = {
+        (min(a, b), max(a, b)) for cyc in s.circles for a, b in zip(cyc, cyc[1:] + cyc[:1])
+    }
+    assert walked == {K.edges[eid] for eid in K.boundary_edge_ids}
+    assert s.components[0].holes == 2
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(punched_chains(), min_size=1, max_size=2), st.integers(0, 2**32 - 1))
+def test_punched_chains_pass_the_oracle(pieces, seed):
+    check(wl.union(pieces), seed)
