@@ -63,6 +63,23 @@ class Tree:
         self.depth[child] = self.depth[parent] + 1
         self.tree_of[child] = self.tree_of[parent]
 
+    def preorder(self) -> list[int]:
+        """Each node's rank in the depth-first preorder that takes trees in
+        root order and children in ascending id; the forest must hold every
+        node.  An explicit stack keeps it O(nodes)."""
+        parent = self.parent
+        children: list[list[int]] = [[] for _ in parent]
+        # Lists in descending id, so the stack pops children in ascending id.
+        for node in range(len(parent) - 1, -1, -1):
+            if parent[node] >= 0:
+                children[parent[node]].append(node)
+        rank, stack = [0] * len(parent), self.roots[::-1]
+        for k in range(len(rank)):
+            node = stack.pop()
+            rank[node] = k
+            stack += children[node]
+        return rank
+
 
 def build_primal_tree(
     complex: SurfaceComplex, holes: list[BoundaryCycle]

@@ -9,13 +9,21 @@ dual tree, and per component the pipeline produces:
 * handle generators, one per candidate edge (edges in neither spanning
   tree), via self-pair transport around the dual tree; on non-orientable
   components the twisted candidates (an O(1) sign test, see
-  ``transport``) are combined pairwise against a fixed anchor edge
-  instead,
+  ``transport``) are chained instead, each combined with the next, and the
+  last one is the anchor edge,
 * hole generators, one per boundary circle except a fixed one, as vertex
   coboundaries of circle indicators,
-* contact generators, one per contact component except a fixed one, via
-  transport between contact edges, plus one extra generator anchored at the
-  twisted edge when the component is non-orientable.
+* contact generators, one per contact component but the last, via
+  transport to the next one, whatever circle it lies on, plus one from the
+  last to the anchor edge when the component is non-orientable.
+
+Both chains follow one depth-first preorder of the dual forest: contact
+components by the face of their minimal edge, twisted candidates by their
+first face.  Neighbours in a sorted preorder are at most their Euler-tour
+distance apart, so a contact chain's paths, and a twisted chain's
+first-face paths, sum to at most 2(F_c - 1) on F_c faces, whatever the
+layout.  The chains recombine one fixed target per class unimodularly, so
+the class sizes stand.
 
 Every id is the complex's own.  All coefficients are integers; the same
 representatives serve as a basis over the reals.
@@ -59,7 +67,8 @@ class ComponentMeta:
     num_twisted_edges: int
     orientable: bool
     betti1: int
-    anchor_edge: int | None = None  # twisted edge all combinations anchor to
+    # Last twisted candidate in preorder; the handle chain drops it.
+    anchor_edge: int | None = None
 
 
 @dataclass
@@ -95,15 +104,16 @@ class GeneratorSet:
 
 
 def handles(
-    complex: SurfaceComplex, dual: Tree, candidates: list[int]
+    complex: SurfaceComplex, dual: Tree, candidates: list[int], rank: list[int]
 ) -> tuple[list[Cochain1], list[int], int | None]:
     """Handle generators from one component's sorted candidate edges.
 
     Returns (generators, twisted candidate edges, anchor edge).  Twisted
-    candidates are the ones whose self-pair loop reverses orientation; when
-    present, the minimal one becomes the anchor, is dropped from the output,
-    and every other twisted candidate is rebuilt by combining its two
-    face-to-face transports toward the anchor.
+    candidates are the ones whose self-pair loop reverses orientation.
+    When present they are ordered by the dual-forest preorder ``rank`` of
+    their first face; each one but the last is rebuilt from its two
+    face-to-face transports toward the next one, and the last one is the
+    anchor edge, dropped from the output.
     """
     by_edge: dict[int, Cochain1] = {}
     twisted: list[int] = []
@@ -117,19 +127,20 @@ def handles(
     if not twisted:
         return [by_edge[eid] for eid in candidates], [], None
 
-    anchor = min(twisted)
-    for eid in twisted:
-        if eid != anchor:
-            faces = complex.edge_faces[eid]
-            by_edge[eid] = _to_anchor(complex, dual, faces, eid, anchor, (eid, anchor))
+    twisted.sort(key=lambda eid: rank[complex.edge_faces[eid][0]])
+    for eid, succ in zip(twisted, twisted[1:]):
+        faces = complex.edge_faces[eid]
+        by_edge[eid] = _to_anchor(complex, dual, faces, eid, succ, (eid, succ))
+    anchor = twisted[-1]
     gens = [by_edge[eid] for eid in candidates if eid != anchor]
     return gens, twisted, anchor
 
 
 def _to_anchor(complex, dual, faces, edge, anchor, keep):
     """Sum of two transports from ``edge``, on faces[0] and faces[1], to the
-    anchor on its first and second face; the edges in ``keep`` take the
-    first transport's value alone."""
+    twisted ``anchor`` (in ``handles`` the next twisted candidate, in
+    ``contacts`` the anchor edge) on its first and second face; the edges in
+    ``keep`` take the first transport's value alone."""
     fa1, fa2 = complex.edge_faces[anchor]
     out = dict(transport(complex, dual, faces[0], fa1, edge, anchor).coeffs)
     for k, v in transport(complex, dual, faces[1], fa2, edge, anchor).coeffs.items():
@@ -165,25 +176,24 @@ def contacts(
     dual: Tree,
     comps: list[list[int]],
     anchor: int | None,
+    rank: list[int],
 ) -> list[Cochain1]:
     """Contact generators from one component's contact components.
 
-    ``comps`` are in ascending order of minimal vertex id.  One transport
-    generator per contact component short of the fixed (last) one; a
-    non-orientable component, which has an anchor edge, gets one extra
-    generator built from the two paths to the anchor.
+    Each one, on the face of its minimal edge, is ordered by the preorder
+    ``rank`` of that face and transported to the next; a non-orientable
+    component gets one extra generator built from the two paths from the
+    last one to the anchor edge, the last twisted candidate (see ``handles``).
     """
-    fixed_edge = min(comps[-1])
-    fixed_face = complex.edge_faces[fixed_edge][0]
-    out = []
-    for comp in comps[:-1]:
-        eid = min(comp)
-        face = complex.edge_faces[eid][0]
-        out.append(transport(complex, dual, face, fixed_face, eid, fixed_edge))
-
+    ends = sorted(map(min, comps), key=lambda eid: rank[complex.edge_faces[eid][0]])
+    faces = [complex.edge_faces[eid][0] for eid in ends]
+    out = [
+        transport(complex, dual, faces[j - 1], faces[j], ends[j - 1], ends[j])
+        for j in range(1, len(ends))
+    ]
     if anchor is not None:
-        both = (fixed_face, fixed_face)
-        out.append(_to_anchor(complex, dual, both, fixed_edge, anchor, (anchor,)))
+        both = (faces[-1], faces[-1])
+        out.append(_to_anchor(complex, dual, both, ends[-1], anchor, (anchor,)))
     return out
 
 
@@ -244,12 +254,13 @@ def compute_generators(
     for comp in partition.contact_components:
         contact_comps[component_of(comp[0])].append(comp)
 
+    rank = dual.preorder()
     out = GeneratorSet(partition=partition)
     for cid in components:
-        ha, twisted, anchor = handles(complex, dual, candidates[cid])
+        ha, twisted, anchor = handles(complex, dual, candidates[cid], rank)
         ho = holes(complex, cycles[cid])
         co = (
-            contacts(complex, dual, contact_comps[cid], anchor)
+            contacts(complex, dual, contact_comps[cid], anchor, rank)
             if contact_comps[cid]
             else []
         )

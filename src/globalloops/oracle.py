@@ -221,35 +221,29 @@ def _roots(pairs) -> dict[int, int]:
 
 
 def _closed_rows(inc: _Incidence):
-    """Boundary maps of the closed-up complex.
+    """Cell counts and face boundary map of the closed-up complex.
 
-    Each boundary circle collapses to one 0-cell, named by its union-find
-    root; other vertices are their own cells, and boundary edges are
-    deleted.  Returns the 0-cell count, ``d1`` (the two end cells of each
-    kept edge, equal when both ends land on the same cell) and ``d2`` (one
-    sparse row per face over oracle edge ids).  The Euler characteristic
-    grows by exactly the number of circles; anything else raises
-    CountMismatch.
+    Each boundary circle collapses to one 0-cell; other vertices are their
+    own cells, and boundary edges are deleted.  Returns the 0-cell count,
+    the kept edge count and ``d2`` (one sparse row per face over oracle
+    edge ids).  The Euler characteristic grows by exactly the number of
+    circles; anything else raises CountMismatch.
     """
     root = inc.circle_root
     circles = len(set(root.values()))
-    cells = len({root.get(v, v) for edge in inc.edges for v in edge})
-    d1 = [
-        (root.get(a, a), root.get(b, b))
-        for eid, (a, b) in enumerate(inc.edges)
-        if eid not in inc.boundary
-    ]
+    cells = len({v for edge in inc.edges for v in edge}) - len(root) + circles
+    kept = len(inc.edges) - len(inc.boundary)
     d2 = [
         {eid: sign for eid, sign in signs if eid not in inc.boundary}
         for signs in inc.face_signs
     ]
-    chi = cells - len(d1) + len(d2)
+    chi = cells - kept + len(d2)
     if chi != inc.euler_characteristic + circles:
         raise CountMismatch(
             f"closed complex has Euler characteristic {chi}, "
             f"expected {inc.euler_characteristic + circles}"
         )
-    return cells, d1, d2
+    return cells, kept, d2
 
 
 def homology_snf(inc: _Incidence) -> list[int]:

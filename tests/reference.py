@@ -37,7 +37,9 @@ test helpers with no counterpart in the package: the pairing of a cochain
 with a chain, the vertex-to-edge coboundary, a face breadth-first search for
 components (the package numbers them by its dual forest), and one class of
 a generator set's cochains.  ``betti1_relative`` reads the oracle's Betti
-number off ``verify`` on an empty generator set.
+number off ``verify`` on an empty generator set, and ``closed_edges`` lists
+the oracle's closed-up edges by their end cells, which the oracle itself
+only counts.
 """
 
 import pathlib
@@ -766,3 +768,15 @@ def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
 def betti1_relative(complex, partition, cap=DEFAULT_EDGE_CAP):
     """Dimension of the first relative cohomology space, as ``verify`` counts it."""
     return verify(complex, partition, GeneratorSet(partition=partition), cap).betti1_relative
+
+
+def closed_edges(inc):
+    """The kept (interior) edges of the oracle's closed-up complex as
+    ``(ca, cb)`` pairs of end cells, each boundary circle collapsed to its
+    union-find root; both ends are one cell when they land on one circle."""
+    root = inc.circle_root
+    return [
+        (root.get(a, a), root.get(b, b))
+        for eid, (a, b) in enumerate(inc.edges)
+        if eid not in inc.boundary
+    ]

@@ -11,6 +11,7 @@ from globalloops.forest import build_tree_cotree
 from globalloops.generators import compute_generators
 from globalloops.oracle import verify
 from globalloops.surface import boundary_components, build_complex, classify_boundary
+from globalloops.transport import is_twisted
 from reference import coboundary0, connected_components, evaluate, of_kind
 
 
@@ -263,6 +264,46 @@ class TestAssembly:
         assert [g.kind for g in a.generators] == [g.kind for g in b.generators]
         assert [g.cochain for g in a.generators] == [g.cochain for g in b.generators]
         assert a.components == b.components
+
+
+class TestAnchorEdge:
+    """One anchor edge per non-orientable component: the last twisted
+    candidate in dual-forest preorder, which the handle chain drops and the
+    extra contact generator anchors to.  ``TestSinglePass`` checks that it
+    agrees with a run on the component alone."""
+
+    def cases(self):
+        wl = meshes.workloads()
+        chain = wl.connect_sum([wl.klein(4, 4) for _ in range(8)])
+        return [
+            ("mixed_surface", *meshes.mixed_surface()),
+            ("klein_chain", build_complex(chain.num_vertices, chain.faces), set()),
+        ]
+
+    def test_anchor_is_the_dropped_twisted_candidate(self):
+        for name, K, contact in self.cases():
+            gens = compute_generators(K, contact)
+            holes = classify_boundary(K, contact).hole_components
+            dual, candidates = build_tree_cotree(K, holes)
+            rank = dual.preorder()
+            for meta in gens.components:
+                cid = meta.component_id
+                own = [e for e in candidates if dual.tree_of[K.edge_faces[e][0]] == cid]
+                twisted = [e for e in own if is_twisted(K, dual, e)]
+                if not twisted:
+                    assert meta.anchor_edge is None, (name, cid)
+                    continue
+                anchor = max(twisted, key=lambda e: (rank[K.edge_faces[e][0]], e))
+                assert meta.anchor_edge == anchor, (name, cid)
+                ha = [g for g in gens.generators if (g.component, g.kind) == (cid, "ha")]
+                kept = [e for e in own if e != anchor]
+                assert len(ha) == len(kept) == meta.num_candidate_edges - 1
+                # Each handle generator is its own candidate's, +1 there.
+                assert all(g.cochain.coeffs.get(e) == 1 for e, g in zip(kept, ha))
+                co = [g for g in gens.generators if (g.component, g.kind) == (cid, "co")]
+                if co:
+                    assert anchor in co[-1].cochain.coeffs, (name, cid)
+            assert verify(K, classify_boundary(K, contact), gens).passed, name
 
 
 def component_alone(K, face_ids, contact):

@@ -129,10 +129,10 @@ DIGESTS = {
     "klein_grid": "58cf0bcdfb420544125f8b0203fd568d70dc1083a031d8177dea0915952cb491",
     "klein_minus_disk": "515efcc0a881f1ecbde28a33d04b384ee36fe301fd5936b9263bd3a231c88501",
     "klein_minus_disk+arc": "77b0ef3b8168a9e6fdb8051f810fcdd5a6c893df23eac7ad1efd9ccc34a4d0f0",
-    "loops-heavy-1": "d137414d04c18b047ee18e134acfe404966531520b45c424faacfbbb1d3a6432",
-    "loops-heavy-2": "029e385932b3d4dfa3a8c21fcdf5101f42167789d49fcdc17b6149bfeb7670cd",
-    "loops-heavy-3": "acf0aa75fa3e609907234596a275d735719777047e3efe33bc9d0cec3ae8cbc0",
-    "mixed_surface": "def82736e80c571d91ba9f6cebe13324a93e766ee8327658d824d66f0252d227",
+    "loops-heavy-1": "6fb33bd1a86955ecadd4ba7a95669b86d1679b40e34a35af75ee4b75910fc361",
+    "loops-heavy-2": "47343e4396069de7adfeb85530c81187b84b4de2ddeddce3371a81a6381c59a5",
+    "loops-heavy-3": "939078f3f94dceff5cc3e686f90bdc7340ca59e739d4d1ab3247a5e2453bac7e",
+    "mixed_surface": "a442e2dc0de00a9f158818b88d9e4ddda089c50decc57a6acb8f106682e901ac",
     "moebius": "3f80c2019ea4d3e7170e1c5b4c45bab87379991f9de2abb9acee1faa6ddee918",
     "moebius+arc": "d425e49e8fe99d0e60e686c1db634f97fb7bce0992606f1b10281234d5a96a65",
     "octahedron": "b14a8f295c2ce4d8a7f5fdfa2c2183a884bcd852f746360c562f5880da43f60d",
@@ -167,7 +167,7 @@ DIGESTS = {
     "two_triangles+arc": "0d5c12092a2259f5c6d3d95df162bf17ea8160a3d3d9667574e195f2393e147b",
     "verify-small-1": "19d2100e0d2428e60acec3325b69e063ec11d7e229402afee5146f7540d6a275",
     "verify-small-2": "b28572e2ecda9cc9bde65533efa2173ed41f99c83c2935004af4ca466ca83413",
-    "verify-small-3": "14c80e31fb0b413ce2c5f6267e32f21c5e866fb7f6203aea71ad3562b763cd2f",
+    "verify-small-3": "96c2c058f0970b5b6a86624aff510ab5e95a8fdbd4b8cd1feefccc2b4845d369",
 }
 
 

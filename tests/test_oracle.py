@@ -17,7 +17,13 @@ from globalloops.oracle import homology_snf, is_orientable, verify
 from globalloops.surface import boundary_components, classify_boundary, euler_characteristic
 from globalloops.errors import CountMismatch, MeshTooLargeForOracle
 from globalloops.oracle import PRIME, sparse_rank
-from reference import betti1_relative, coboundary0, exact_rank, smith_invariant_factors
+from reference import (
+    betti1_relative,
+    closed_edges,
+    coboundary0,
+    exact_rank,
+    smith_invariant_factors,
+)
 from test_acceptance import corpus_with_contacts
 
 
@@ -42,8 +48,8 @@ def d1_rows(d1):
 
 def dense_homology(inc):
     """H1 of the closed-up complex from the dense exact rank and Smith form."""
-    _, d1, d2 = oracle._closed_rows(inc)
-    d1 = d1_rows(d1)
+    _, _, d2 = oracle._closed_rows(inc)
+    d1 = d1_rows(closed_edges(inc))
     factors = smith_invariant_factors(dense(d2, len(inc.edges)))
     rank_d2 = sum(1 for f in factors if f)
     rank_d1 = exact_rank(dense(d1, 1 + max(v for edge in inc.edges for v in edge)))
@@ -238,23 +244,32 @@ class TestHomologySnf:
 
 
 def closed_chi(inc):
-    cells, d1, d2 = oracle._closed_rows(inc)
-    return cells - len(d1) + len(d2)
+    cells, kept, d2 = oracle._closed_rows(inc)
+    return cells - kept + len(d2)
 
 
 class TestClosedComplex:
     def test_closed_surface_unchanged(self):
         K = meshes.csaszar_torus()
-        cells, d1, d2 = oracle._closed_rows(incidence(K))
-        assert (cells, len(d1), len(d2)) == (K.num_vertices, K.num_edges, K.num_faces)
+        cells, kept, d2 = oracle._closed_rows(incidence(K))
+        assert (cells, kept, len(d2)) == (K.num_vertices, K.num_edges, K.num_faces)
 
     def test_disk_closes_to_sphere(self):
         assert closed_chi(incidence(meshes.disk(6))) == 2
 
     def test_annulus_closes_to_sphere(self):
-        cells, d1, d2 = oracle._closed_rows(incidence(meshes.annulus(6)))
-        assert (cells, len(d1), len(d2)) == (2, 12, 12)
-        assert cells - len(d1) + len(d2) == 2
+        inc = incidence(meshes.annulus(6))
+        cells, kept, d2 = oracle._closed_rows(inc)
+        assert (cells, kept, len(d2)) == (2, 12, 12)
+        assert cells - kept + len(d2) == 2
+        assert len(closed_edges(inc)) == kept
+
+    def test_cell_count_is_the_collapsed_vertex_count(self):
+        for K in every_test_mesh():
+            inc = incidence(K)
+            root = inc.circle_root
+            collapsed = {root.get(v, v) for edge in inc.edges for v in edge}
+            assert oracle._closed_rows(inc)[0] == len(collapsed), K
 
     def test_chi_shift_equals_hole_count(self):
         for K in every_test_mesh():
@@ -273,9 +288,9 @@ class TestClosedComplex:
     def test_boundary_of_boundary_vanishes(self):
         for K in every_test_mesh():
             inc = incidence(K)
-            _, d1, d2 = oracle._closed_rows(inc)
+            _, _, d2 = oracle._closed_rows(inc)
             kept = [eid for eid in range(len(inc.edges)) if eid not in inc.boundary]
-            d1_of = dict(zip(kept, d1_rows(d1)))
+            d1_of = dict(zip(kept, d1_rows(closed_edges(inc))))
             for face_row in d2:
                 sums = {}
                 for eid, fcoeff in face_row.items():
