@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 file, parse or usage error (a file that cannot
 be read or written, or is not UTF-8; bench options that leave the growth
-fit fewer than two levels), 2 topology error, 3 verification failure
-(including an oracle refusal under --verify), 4 internal error (a violated
-invariant of the computation, not bad input).  ``main`` maps each failure
-to its code and one ``error:`` line on stderr.
+fit fewer than two levels, or a bench mesh with no edges), 2 topology
+error, 3 verification failure (including an oracle refusal under
+--verify), 4 internal error (a violated invariant of the computation, not
+bad input).  ``main`` maps each failure to its code and one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .forest import build_tree_cotree
 from .generators import compute_generators
 from .oracle import DEFAULT_EDGE_CAP
 from .surface import boundary_components, euler_characteristic
+from .transport import is_twisted
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,8 +133,8 @@ def cmd_info(args) -> int:
     chi = euler_characteristic(complex)
     holes = boundary_components(complex)
     # The dual forest has one tree per component, as ``compute`` numbers them.
-    dual, _ = build_tree_cotree(complex, holes)
-    orientable = oracle.is_orientable(complex)
+    dual, candidates = build_tree_cotree(complex, holes)
+    orientable = not any(is_twisted(complex, dual, eid) for eid in candidates)
     print(
         f"V={complex.num_vertices} E={complex.num_edges} F={complex.num_faces} "
         f"χ={chi} boundary components={len(holes)} "
@@ -152,6 +154,8 @@ def cmd_bench(args) -> int:
             f"--fit-from {args.fit_from} leaves {max(fitted, 0)}"
         )
     complex = _load_mesh(args.mesh)
+    if not complex.num_edges:
+        raise UsageError("the growth fit needs a mesh with at least one edge")
     levels = bench.run_refinement_bench(
         complex, levels=args.levels, repeats=args.repeats
     )

@@ -150,11 +150,11 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
     """Dual spanning forest over the faces across interior edges not yet
     ``taken``; each edge it crosses is marked taken.
 
-    Each tree is rooted at the minimal face it reaches; ``sigma`` and
-    ``tau`` are filled in as it grows (see the module docstring).
+    Each tree is rooted at the minimal face it reaches; a face's ``sigma``
+    and ``tau`` are set when it is attached (see the module docstring).
     """
     tree = Tree(complex.num_faces)
-    sigma, tau, parent_edge = tree.sigma, tree.tau, tree.parent_edge
+    sigma, tau = tree.sigma, tree.tau
     queue: deque[int] = deque()
     for root in range(complex.num_faces):
         if tree.tree_of[root] >= 0:
@@ -163,12 +163,7 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
         queue.append(root)
         while queue:
             u = queue.popleft()
-            sides = sorted(complex.face_edges[u])
-            for eid, sign in sides:
-                if eid == parent_edge[u]:
-                    sigma[u] = tau[u] * sign
-                    break
-            for eid, sign in sides:
+            for eid, sign in sorted(complex.face_edges[u]):
                 incident = complex.edge_faces[eid]
                 if len(incident) == 1 or taken[eid]:
                     continue
@@ -178,6 +173,7 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
                     tree.attach(w, u, eid)
                     # sigma(w) inc(w, e) = -sigma(u) inc(u, e) on a tree edge.
                     tau[w] = -sigma[u] * sign
+                    sigma[w] = tau[w] * complex.incidence(w, eid)
                     queue.append(w)
     return tree
 

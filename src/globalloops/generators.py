@@ -1,10 +1,11 @@
 """Construction of the three generator classes and the assembled basis.
 
-One pass classifies the boundary and grows the primal and dual spanning
-forests over the whole complex (one tree per connected component, see
-``forest``).  The candidate edges, boundary circles and contact components
-are then grouped by component, a face's component being the index of its
-dual tree, and per component the pipeline produces:
+One pass classifies the boundary, refuses a circle that is contact all round
+(UnsupportedContactLayout), and grows the primal and dual spanning forests
+over the whole complex (one tree per connected component, see ``forest``).
+The candidate edges, boundary circles and contact components are then
+grouped by component, a face's component being the index of its dual tree,
+and per component the pipeline produces:
 
 * handle generators, one per candidate edge (edges in neither spanning
   tree), via self-pair transport around the dual tree; on non-orientable
@@ -209,20 +210,6 @@ def _expected_counts(meta: ComponentMeta) -> tuple[int, int, int]:
     return n_ha, n_ho, n_co
 
 
-def _reject_full_circle_contacts(partition: BoundaryPartition) -> None:
-    circle_of_edge = {
-        eid: cyc for cyc in partition.hole_components for eid in cyc.edges
-    }
-    for j, comp in enumerate(partition.contact_components):
-        cyc = circle_of_edge[comp[0]]
-        if len(comp) == len(cyc.edges):
-            raise UnsupportedContactLayout(
-                f"contact component {j} covers the entire boundary circle "
-                f"through vertex {cyc.vertices[0]}; leave at least one "
-                "insulated edge on each circle with contacts"
-            )
-
-
 def compute_generators(
     complex: SurfaceComplex, contact_edges: set[int] | frozenset[int] = frozenset()
 ) -> GeneratorSet:
@@ -233,7 +220,13 @@ def compute_generators(
     The boundary partition is kept on the result for ``oracle.verify``.
     """
     partition = classify_boundary(complex, contact_edges)
-    _reject_full_circle_contacts(partition)
+    for cyc in partition.hole_components:
+        if partition.contact_edges.issuperset(cyc.edges):
+            raise UnsupportedContactLayout(
+                "a contact component covers the entire boundary circle "
+                f"through vertex {cyc.vertices[0]}; leave at least one "
+                "insulated edge on each circle with contacts"
+            )
     dual, candidate_edges = build_tree_cotree(complex, partition.hole_components)
 
     # The dual forest has exactly one tree per component (build_tree_cotree

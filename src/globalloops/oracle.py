@@ -7,8 +7,9 @@ with their signs, so the cocycle check and the orientability search read
 a sign where it is stored.  The boundary circles, the contact components
 and the closed-up complex (each circle collapsed to a point) all come from
 union-finds over vertex pairs of that incidence; of the pipeline's output
-only the partition's edge ids and the generators are read, each
+only the partition's contact edge ids and the generators are read, each
 translated into oracle edge ids through one vertex-pair lookup per edge.
+The insulated edges are the rest of the oracle's own boundary.
 
 Every rank comes from one sparse elimination, ``sparse_rank``, over GF(p)
 for the fixed prime ``PRIME`` = 2**31 - 1, and over GF(2) for torsion.
@@ -143,14 +144,15 @@ class _Incidence:
         return num_vertices - len(self.edges) + len(self.face_signs)
 
 
-def _relative(complex: SurfaceComplex, partition: BoundaryPartition, inc, to_oracle):
+def _relative(complex: SurfaceComplex, inc, contact: set[int]):
     """The relative cochain complex in oracle edge ids, as sparse rows.
 
-    ``to_oracle`` maps each pipeline edge id to its oracle edge id.
-    Returns the insulated edge ids, ``d0`` (one row per relative vertex)
-    and ``d1`` (one row per face).  Insulated edges have no column.
+    ``contact`` holds the contact edges' oracle ids; every other boundary
+    edge of ``inc`` is insulated.  Returns the insulated edge ids, ``d0``
+    (one row per relative vertex) and ``d1`` (one row per face).  Insulated
+    edges have no column.
     """
-    insulated = {to_oracle[eid] for eid in partition.insulated_edges}
+    insulated = inc.boundary - contact
     insulated_vertices = {v for eid in insulated for v in inc.edges[eid]}
     # Vertices touching the insulated subcomplex get no d0 row.  Every
     # insulated edge has both ends there, so the rows hold relative
@@ -168,16 +170,9 @@ def _relative(complex: SurfaceComplex, partition: BoundaryPartition, inc, to_ora
     return insulated, list(d0.values()), d1
 
 
-def is_orientable(complex: SurfaceComplex) -> bool:
-    """Sign propagation over faces: orientable iff no contradiction arises.
-
-    Works per face-connectivity component, so a disconnected complex is
-    orientable iff every component is.
-    """
-    return _orientable(_Incidence.from_faces(complex.faces))
-
-
 def _orientable(inc: _Incidence) -> bool:
+    """Sign propagation over faces, one face-connectivity component at a
+    time: orientable iff no contradiction arises in any of them."""
     n_faces = len(inc.face_signs)
     sign = [0] * n_faces
     for seed in range(n_faces):
@@ -293,7 +288,8 @@ def verify(
     failures: list[str] = []
     inc = _Incidence.from_faces(complex.faces)
     to_oracle = [inc.index[pair] for pair in complex.edges]
-    insulated, d0, d1 = _relative(complex, partition, inc, to_oracle)
+    contact = {to_oracle[eid] for eid in partition.contact_edges}
+    insulated, d0, d1 = _relative(complex, inc, contact)
 
     # 1. Relative cocycle condition, using the oracle's own incidence.
     cocycle_ok = []
@@ -342,7 +338,6 @@ def verify(
 
     # 5. Class sizes against the dimension formulas, with the hole and
     # contact counts recomputed on the oracle side.
-    contact_pairs = (inc.edges[to_oracle[eid]] for eid in partition.contact_edges)
     found = Counter(g.kind for g in generators.generators)
     expected = Counter()
     for m in generators.components:
@@ -351,7 +346,7 @@ def verify(
             expected["co"] += m.num_contacts - (1 if m.orientable else 0)
         expected["ha"] += m.num_candidate_edges - (1 if m.num_twisted_edges else 0)
     n_ho = len(set(inc.circle_root.values()))
-    n_co = len(set(_roots(contact_pairs).values()))
+    n_co = len(set(_roots(inc.edges[eid] for eid in contact).values()))
     formula_failures = [
         f"pipeline reports {reported} {what}, oracle {n}"
         for what, reported, n in (

@@ -100,14 +100,13 @@ class BoundaryPartition:
 
     The insulated part is a closed subcomplex: every non-contact boundary
     edge together with both endpoints of each such edge, so the interface
-    vertices between contact and insulation belong to it.  Only its edges
-    are stored; the vertices follow from them.
+    vertices between contact and insulation belong to it.  It is derived,
+    not stored: the boundary edges not in ``contact_edges``.
     """
 
     hole_components: list[BoundaryCycle]
     contact_components: list[list[int]]
     contact_edges: set[int]
-    insulated_edges: set[int]
 
 
 def build_complex(
@@ -287,11 +286,10 @@ def classify_boundary(
     contact edge is not on the boundary.
     """
     contact = set(contact_edges)
-    boundary = set(complex.boundary_edge_ids)
     for eid in sorted(contact):
         if eid < 0 or eid >= complex.num_edges:
             raise NotABoundaryEdge(f"edge id {eid} is not an edge of the mesh")
-        if eid not in boundary:
+        if not complex.is_boundary_edge(eid):
             raise NotABoundaryEdge(
                 f"edge {complex.edges[eid]} (id {eid}) is not a boundary edge"
             )
@@ -321,5 +319,4 @@ def classify_boundary(
         hole_components=holes,
         contact_components=components,
         contact_edges=contact,
-        insulated_edges=boundary - contact,
     )

@@ -37,9 +37,10 @@ test helpers with no counterpart in the package: the pairing of a cochain
 with a chain, the vertex-to-edge coboundary, a face breadth-first search for
 components (the package numbers them by its dual forest), and one class of
 a generator set's cochains.  ``betti1_relative`` reads the oracle's Betti
-number off ``verify`` on an empty generator set, and ``closed_edges`` lists
-the oracle's closed-up edges by their end cells, which the oracle itself
-only counts.
+number off ``verify`` on an empty generator set, ``is_orientable`` runs the
+oracle's orientability search on a complex (the package's ``info`` reads
+orientability off the dual forest), and ``closed_edges`` lists the oracle's
+closed-up edges by their end cells, which the oracle itself only counts.
 """
 
 import pathlib
@@ -62,7 +63,7 @@ from globalloops.errors import (
 )
 from globalloops.forest import Tree
 from globalloops.generators import GeneratorSet
-from globalloops.oracle import DEFAULT_EDGE_CAP, verify
+from globalloops.oracle import DEFAULT_EDGE_CAP, _Incidence, _orientable, verify
 from globalloops.surface import build_complex as package_build_complex
 from globalloops.surface import (
     BoundaryCycle,
@@ -480,7 +481,6 @@ def classify_boundary(
         hole_components=holes,
         contact_components=components,
         contact_edges=contact,
-        insulated_edges=boundary - contact,
     )
 
 
@@ -768,6 +768,11 @@ def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
 def betti1_relative(complex, partition, cap=DEFAULT_EDGE_CAP):
     """Dimension of the first relative cohomology space, as ``verify`` counts it."""
     return verify(complex, partition, GeneratorSet(partition=partition), cap).betti1_relative
+
+
+def is_orientable(complex):
+    """The oracle's orientability search on the complex's own faces."""
+    return _orientable(_Incidence.from_faces(complex.faces))
 
 
 def closed_edges(inc):

@@ -7,6 +7,11 @@ stays.  A function or class counts as referenced when its name is loaded
 attribute of its name is read anywhere.  Names match by spelling, not by
 type, so two methods of one name share their references.  Dunder methods
 are called by the language and are not checked.
+
+Every field of a ``@dataclass`` there must likewise be read as an
+attribute somewhere in ``src/`` or ``scripts/``, or be named in
+``ALLOWED_FIELDS`` with a reason: a field that is only written is a copy
+nobody needs.
 """
 
 import ast
@@ -19,6 +24,29 @@ ALLOWED = {
     "meshio.report_dict": "perfbench's passing tests call it",
     "meshio.render_report": "perfbench's passing tests call it",
 }
+
+ALLOWED_FIELDS = {
+    **{
+        f"oracle.VerificationReport.{name}": "meshio._summary serializes it "
+        "through dataclasses.asdict"
+        for name in (
+            "betti1_relative",
+            "generator_count",
+            "cocycle_ok",
+            "independence_ok",
+            "torsion_coefficients",
+            "dimension_formula_ok",
+        )
+    },
+    "generators.ComponentMeta.anchor_edge": "TestAnchorEdge reads it, and "
+    "the run record of ROADMAP aim 4 lists it",
+}
+
+
+def sources():
+    """(path, parsed module) of each file of the package and of ``scripts/``."""
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        yield path, ast.parse(path.read_text())
 
 
 def definitions(body, owner: str, in_class: bool = False):
@@ -34,8 +62,7 @@ def definitions(body, owner: str, in_class: bool = False):
 
 def unreferenced() -> set[str]:
     defined, names, attrs, qualified = [], set(), set(), set()
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in sources():
         if path.parent == PACKAGE:
             defined += definitions(tree.body, path.stem)
         for node in ast.walk(tree):
@@ -59,7 +86,37 @@ def unreferenced() -> set[str]:
     return out
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
+        for dec in node.decorator_list
+    )
+
+
+def unread_fields() -> set[str]:
+    fields, read = [], set()
+    for path, tree in sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                path.parent == PACKAGE
+                and isinstance(node, ast.ClassDef)
+                and is_dataclass(node)
+            ):
+                fields += [
+                    f"{path.stem}.{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                ]
+    return {name for name in fields if name.rpartition(".")[2] not in read}
+
+
 def test_every_definition_has_a_caller_or_a_reason():
     # Equality, not inclusion: a name that gains a caller or goes leaves
     # the allowlist with it.
     assert unreferenced() == set(ALLOWED)
+
+
+def test_every_dataclass_field_has_a_reader_or_a_reason():
+    assert unread_fields() == set(ALLOWED_FIELDS)

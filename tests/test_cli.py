@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import meshes
+import reference
 import globalloops
 from globalloops import generators, meshio
 from globalloops.cli import main
@@ -16,6 +17,7 @@ from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
 from globalloops.meshio import render_report, report_dict, write_off
 from globalloops.oracle import verify
 from globalloops.surface import classify_boundary
+from test_oracle import every_test_mesh
 
 
 def write_annulus(tmp_path, name="annulus.off"):
@@ -73,6 +75,19 @@ class TestInfo:
         for path, count in ((torus_annulus, 2), (mixed, 5), (empty, 0)):
             assert main(["info", str(path)]) == 0
             assert f"connected components={count} " in capsys.readouterr().out
+
+    def test_orientability_matches_the_oracle(self, tmp_path, capsys):
+        # ``info`` reads orientability off the dual forest (no twisted
+        # candidate); the oracle's face-sign search must agree.
+        seen = set()
+        for k, K in enumerate(every_test_mesh()):
+            path = tmp_path / f"mesh{k}.off"
+            write_off(path, K)
+            assert main(["info", str(path)]) == 0
+            expected = "yes" if reference.is_orientable(K) else "no"
+            assert capsys.readouterr().out.endswith(f" orientable={expected}\n"), k
+            seen.add(expected)
+        assert seen == {"yes", "no"}
 
 
 class TestCompute:
@@ -293,6 +308,14 @@ class TestBench:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "two levels" in err[0]
+
+    def test_mesh_without_edges_is_exit_one(self, tmp_path, capsys):
+        # An edgeless mesh leaves the growth fit nothing to fit against.
+        mesh = tmp_path / "empty.off"
+        mesh.write_text("OFF\n0 0 0\n")
+        assert main(["bench", str(mesh), "--levels", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the growth fit needs a mesh with at least one edge"]
 
 
 def test_cli_import_leaves_bench_unloaded():

@@ -171,6 +171,24 @@ class TestContacts:
         with pytest.raises(UnsupportedContactLayout):
             compute_generators(K, inner)
 
+    def test_each_circle_is_tested_for_full_contact(self):
+        # Two components, five circles: contact all round any one circle is
+        # refused, named by that circle's first vertex; leaving one of its
+        # edges insulated makes a valid layout.
+        K = meshes.disjoint_union(meshes.annulus(6), meshes.pair_of_pants())
+        circles = boundary_components(K)
+        assert len(circles) == 5
+        for cyc in circles:
+            with pytest.raises(
+                UnsupportedContactLayout,
+                match=f"entire boundary circle through vertex {cyc.vertices[0]};",
+            ):
+                compute_generators(K, set(cyc.edges))
+            gens = compute_generators(K, set(cyc.edges[:-1]))
+            assert gens.num_contacts == 1
+            report = verify(K, gens.partition, gens)
+            assert report.passed, report.failures
+
     def test_moebius_two_ports(self):
         # Non-orientable branch with more than one contact: one transport
         # generator plus the extra anchored one.

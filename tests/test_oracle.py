@@ -13,7 +13,7 @@ import meshes
 from globalloops import oracle
 from globalloops.cochain import Cochain1
 from globalloops.generators import compute_generators
-from globalloops.oracle import homology_snf, is_orientable, verify
+from globalloops.oracle import homology_snf, verify
 from globalloops.surface import boundary_components, classify_boundary, euler_characteristic
 from globalloops.errors import CountMismatch, MeshTooLargeForOracle
 from globalloops.oracle import PRIME, sparse_rank
@@ -22,6 +22,7 @@ from reference import (
     closed_edges,
     coboundary0,
     exact_rank,
+    is_orientable,
     smith_invariant_factors,
 )
 from test_acceptance import corpus_with_contacts
@@ -473,13 +474,20 @@ class TestVerify:
 
     @pytest.mark.parametrize("build", [meshes.moebius, meshes.annulus])
     def test_ignores_the_pipeline_boundary_table(self, build):
-        # The oracle finds the boundary in its own incidence, so emptying the
-        # pipeline's boundary edge list after the run must not change the
-        # verdict (torsion on the Moebius strip, circles on the annulus).
+        # The oracle finds the boundary in its own incidence and reads only
+        # the contact edge ids of the partition, so emptying the pipeline's
+        # boundary edge list, circles and contact components after the run
+        # must not change the report (torsion on the Moebius strip, circles
+        # on the annulus), with or without a contact arc.
         K = build(6)
-        gens = compute_generators(K)
-        report = verify(dataclasses.replace(K, boundary_edge_ids=[]), gens.partition, gens)
-        assert report.passed, report.failures
+        for contact in (set(), meshes.boundary_arc(K, 0, 2)):
+            gens = compute_generators(K, contact)
+            blank = dataclasses.replace(
+                gens.partition, hole_components=[], contact_components=[]
+            )
+            report = verify(dataclasses.replace(K, boundary_edge_ids=[]), blank, gens)
+            assert report.passed, report.failures
+            assert report == verify(K, gens.partition, gens)
 
     def test_same_report_as_the_dense_routines(self, monkeypatch):
         def reports():

@@ -11,7 +11,6 @@ import meshes
 import reference
 from globalloops.errors import CountMismatch, EdgeNotOnFace
 from globalloops.forest import Tree, build_tree_cotree
-from globalloops.oracle import is_orientable
 from globalloops.surface import boundary_components, build_complex
 from globalloops.transport import is_twisted, transport
 
@@ -41,7 +40,7 @@ def test_single_face_transport():
 
 def test_self_pairs_succeed_on_orientable_surfaces():
     for K in (meshes.csaszar_torus(), meshes.torus_grid(4, 4), meshes.genus2()):
-        assert is_orientable(K)
+        assert reference.is_orientable(K)
         dual, candidates = decompose(K)
         assert candidates
         for eid in candidates:
@@ -54,7 +53,7 @@ def test_self_pairs_succeed_on_orientable_surfaces():
 
 def test_self_pair_fails_on_moebius():
     K = meshes.moebius(6)
-    assert not is_orientable(K)
+    assert not reference.is_orientable(K)
     dual, (eid,) = decompose(K)
     assert is_twisted(K, dual, eid)
     f1, f2 = sorted(K.edge_faces[eid])
@@ -240,7 +239,7 @@ def check_twisted_iff_non_orientable(K, dual, candidates):
         has_twisted = any(is_twisted(K, dual, e) for e in own)
         ids: dict[int, int] = {}
         alone = [tuple(ids.setdefault(v, len(ids)) for v in K.faces[f]) for f in faces]
-        assert has_twisted == (not is_orientable(build_complex(len(ids), alone)))
+        assert has_twisted == (not reference.is_orientable(build_complex(len(ids), alone)))
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))
