@@ -30,7 +30,7 @@ test can check that the report loses nothing.
 
 ``exact_rank`` (fraction-free Bareiss elimination) and
 ``smith_invariant_factors`` (integer Smith normal form) are the dense, cubic
-references for the oracle's sparse ranks and torsion on small meshes.
+references for the oracle's rank and counts on small meshes.
 
 ``evaluate``, ``coboundary0``, ``connected_components`` and ``of_kind`` are
 test helpers with no counterpart in the package: the pairing of a cochain
@@ -38,9 +38,10 @@ with a chain, the vertex-to-edge coboundary, a face breadth-first search for
 components (the package numbers them by its dual forest), and one class of
 a generator set's cochains.  ``betti1_relative`` reads the oracle's Betti
 number off ``verify`` on an empty generator set, ``is_orientable`` runs the
-oracle's orientability search on a complex (the package's ``info`` reads
-orientability off the dual forest), and ``closed_edges`` lists the oracle's
-closed-up edges by their end cells, which the oracle itself only counts.
+oracle's face-component search on a complex (the package's ``info`` reads
+orientability off the dual forest), and ``closed_edges`` and ``closed_d2``
+are the closed-up complex (each boundary circle collapsed to a point) whose
+torsion the oracle counts as its non-orientable face components.
 """
 
 import pathlib
@@ -63,7 +64,7 @@ from globalloops.errors import (
 )
 from globalloops.forest import Tree
 from globalloops.generators import GeneratorSet
-from globalloops.oracle import DEFAULT_EDGE_CAP, _Incidence, _orientable, verify
+from globalloops.oracle import DEFAULT_EDGE_CAP, _face_components, _Incidence, verify
 from globalloops.surface import build_complex as package_build_complex
 from globalloops.surface import (
     BoundaryCycle,
@@ -771,17 +772,28 @@ def betti1_relative(complex, partition, cap=DEFAULT_EDGE_CAP):
 
 
 def is_orientable(complex):
-    """The oracle's orientability search on the complex's own faces."""
-    return _orientable(_Incidence.from_faces(complex.faces))
+    """The oracle's face-component search on the complex's own faces: no
+    component met a sign contradiction."""
+    return all(_face_components(_Incidence.from_faces(complex.faces))[1])
 
 
 def closed_edges(inc):
-    """The kept (interior) edges of the oracle's closed-up complex as
-    ``(ca, cb)`` pairs of end cells, each boundary circle collapsed to its
-    union-find root; both ends are one cell when they land on one circle."""
+    """The kept (interior) edges of the closed-up complex of the oracle's
+    incidence ``inc`` as ``(ca, cb)`` pairs of end cells, each boundary
+    circle collapsed to its union-find root; both ends are one cell when
+    they land on one circle."""
     root = inc.circle_root
     return [
         (root.get(a, a), root.get(b, b))
         for eid, (a, b) in enumerate(inc.edges)
         if eid not in inc.boundary
+    ]
+
+
+def closed_d2(inc):
+    """The face boundary map of the same closed-up complex: one sparse row
+    per face over the oracle ids of the edges ``closed_edges`` keeps."""
+    return [
+        {eid: sign for eid, sign in signs if eid not in inc.boundary}
+        for signs in inc.face_signs
     ]

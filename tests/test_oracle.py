@@ -1,5 +1,5 @@
-"""Oracle: sparse and dense ranks, Smith form, closed-up complex, Betti
-numbers, verification."""
+"""Oracle: sparse and dense ranks, Smith form, the reference closed-up
+complex, Betti numbers, torsion, verification."""
 
 import ast
 import dataclasses
@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 import meshes
 from globalloops import oracle
 from globalloops.cochain import Cochain1
-from globalloops.generators import compute_generators
-from globalloops.oracle import homology_snf, verify
+from globalloops.generators import GeneratorSet, compute_generators
+from globalloops.oracle import verify
 from globalloops.surface import boundary_components, classify_boundary, euler_characteristic
-from globalloops.errors import CountMismatch, MeshTooLargeForOracle
+from globalloops.errors import MeshTooLargeForOracle
 from globalloops.oracle import PRIME, sparse_rank
 from reference import (
     betti1_relative,
+    closed_d2,
     closed_edges,
     coboundary0,
     exact_rank,
@@ -49,22 +50,30 @@ def d1_rows(d1):
 
 def dense_homology(inc):
     """H1 of the closed-up complex from the dense exact rank and Smith form."""
-    _, _, d2 = oracle._closed_rows(inc)
     d1 = d1_rows(closed_edges(inc))
-    factors = smith_invariant_factors(dense(d2, len(inc.edges)))
+    factors = smith_invariant_factors(dense(closed_d2(inc), len(inc.edges)))
     rank_d2 = sum(1 for f in factors if f)
     rank_d1 = exact_rank(dense(d1, 1 + max(v for edge in inc.edges for v in edge)))
     return len(d1) - rank_d1 - rank_d2, [f for f in factors if f > 1]
 
 
-def closed_homology(inc):
-    """Free rank from the dense routines, torsion from ``homology_snf``."""
-    return dense_homology(inc)[0], homology_snf(inc)
+def oracle_torsion(K):
+    """The torsion coefficients ``verify`` reports for ``K`` without contacts."""
+    bp = classify_boundary(K, set())
+    return verify(K, bp, GeneratorSet(partition=bp)).torsion_coefficients
+
+
+def closed_homology(K):
+    """Free rank and torsion of the closed-up complex from the dense
+    routines, once the oracle's torsion is seen to agree."""
+    free, torsion = dense_homology(incidence(K))
+    assert oracle_torsion(K) == torsion
+    return free, torsion
 
 
 def dense_rank(rows, p=PRIME):
     """Stand-in for sparse_rank that takes the exact dense route."""
-    assert p == PRIME  # the GF(2) rank only serves homology_snf
+    assert p == PRIME  # verify eliminates over PRIME only
     rows = list(rows)
     width = 1 + max((col for row in rows for col in row), default=-1)
     return exact_rank(dense(rows, width))
@@ -223,73 +232,65 @@ class TestOrientability:
 
 
 class TestHomologySnf:
+    """The oracle's torsion against H1 of the reference closed-up complex."""
+
     def test_disk_closure_is_a_sphere(self):
-        assert closed_homology(incidence(meshes.disk(6))) == (0, [])
+        assert closed_homology(meshes.disk(6)) == (0, [])
 
     def test_closed_torus(self):
-        assert closed_homology(incidence(meshes.csaszar_torus())) == (2, [])
+        assert closed_homology(meshes.csaszar_torus()) == (2, [])
 
     def test_moebius_closure_is_projective_plane(self):
-        assert closed_homology(incidence(meshes.moebius(6))) == (0, [2])
+        assert closed_homology(meshes.moebius(6)) == (0, [2])
 
     def test_klein_bottle(self):
-        assert closed_homology(incidence(meshes.klein_minus_disk())) == (1, [2])
+        assert closed_homology(meshes.klein_minus_disk()) == (1, [2])
 
     def test_genus2(self):
-        assert closed_homology(incidence(meshes.genus2())) == (4, [])
+        assert closed_homology(meshes.genus2()) == (4, [])
 
     def test_matches_dense_smith_form_on_every_test_mesh(self):
         for K in every_test_mesh():
             inc = incidence(K)
-            assert homology_snf(inc) == dense_homology(inc)[1], K
+            d2 = closed_d2(inc)
+            torsion = dense_homology(inc)[1]
+            assert torsion == [2] * (sparse_rank(d2) - sparse_rank(d2, 2)), K
+            assert oracle_torsion(K) == torsion, K
 
 
 def closed_chi(inc):
-    cells, kept, d2 = oracle._closed_rows(inc)
-    return cells - kept + len(d2)
+    """Euler characteristic of the reference closed-up complex."""
+    root = inc.circle_root
+    cells = {root.get(v, v) for edge in inc.edges for v in edge}
+    return len(cells) - len(closed_edges(inc)) + len(closed_d2(inc))
 
 
 class TestClosedComplex:
+    """The reference closed-up complex the torsion is compared with: each
+    boundary circle collapses to one cell and its edges go."""
+
     def test_closed_surface_unchanged(self):
-        K = meshes.csaszar_torus()
-        cells, kept, d2 = oracle._closed_rows(incidence(K))
-        assert (cells, kept, len(d2)) == (K.num_vertices, K.num_edges, K.num_faces)
+        inc = incidence(meshes.csaszar_torus())
+        assert closed_edges(inc) == inc.edges
+        assert closed_d2(inc) == [dict(signs) for signs in inc.face_signs]
 
     def test_disk_closes_to_sphere(self):
         assert closed_chi(incidence(meshes.disk(6))) == 2
 
     def test_annulus_closes_to_sphere(self):
         inc = incidence(meshes.annulus(6))
-        cells, kept, d2 = oracle._closed_rows(inc)
-        assert (cells, kept, len(d2)) == (2, 12, 12)
-        assert cells - kept + len(d2) == 2
-        assert len(closed_edges(inc)) == kept
-
-    def test_cell_count_is_the_collapsed_vertex_count(self):
-        for K in every_test_mesh():
-            inc = incidence(K)
-            root = inc.circle_root
-            collapsed = {root.get(v, v) for edge in inc.edges for v in edge}
-            assert oracle._closed_rows(inc)[0] == len(collapsed), K
+        assert (len(closed_edges(inc)), len(closed_d2(inc))) == (12, 12)
+        assert closed_chi(inc) == 2
 
     def test_chi_shift_equals_hole_count(self):
         for K in every_test_mesh():
             holes = len(boundary_components(K))
             assert closed_chi(incidence(K)) == euler_characteristic(K) + holes
 
-    def test_euler_characteristic_mismatch_raises(self, monkeypatch):
-        # The closed complex must gain one to the Euler characteristic per
-        # boundary circle; a miscount is an internal failure, not an assert.
-        monkeypatch.setattr(
-            oracle._Incidence, "euler_characteristic", property(lambda inc: 1)
-        )
-        with pytest.raises(CountMismatch):
-            oracle._closed_rows(incidence(meshes.annulus(6)))
-
     def test_boundary_of_boundary_vanishes(self):
         for K in every_test_mesh():
             inc = incidence(K)
-            _, _, d2 = oracle._closed_rows(inc)
+            d2 = closed_d2(inc)
             kept = [eid for eid in range(len(inc.edges)) if eid not in inc.boundary]
             d1_of = dict(zip(kept, d1_rows(closed_edges(inc))))
             for face_row in d2:
@@ -345,8 +346,7 @@ class TestSelfConsistency:
             meshes.klein_minus_disk(),
             meshes.genus2(),
         ):
-            torsion = homology_snf(incidence(K))
-            assert torsion in ([], [2])
+            assert dense_homology(incidence(K))[1] in ([], [2])
 
 
 def plain_annulus():
@@ -376,8 +376,12 @@ def claim_a_twisted_edge(gens, monkeypatch):
     gens.components[0].num_twisted_edges = 1
 
 
-def claim_torsion(gens, monkeypatch):
-    monkeypatch.setattr(oracle, "homology_snf", lambda inc, cap=None: [2])
+def klein_and_annulus():
+    return meshes.disjoint_union(meshes.klein_grid(5, 4), meshes.annulus(6)), set()
+
+
+def twist_the_orientable_component(gens, monkeypatch):
+    next(m for m in gens.components if m.orientable).num_twisted_edges = 1
 
 
 class TestVerify:
@@ -457,13 +461,20 @@ class TestVerify:
                 plain_annulus,
                 claim_a_twisted_edge,
                 [
-                    "twisted edge count 1 contradicts orientable=True",
+                    "pipeline reports 1 components with twisted edges, oracle 0 non-orientable",
                     "0 handle generators, expected -1",
                 ],
             ),
-            (plain_annulus, claim_torsion, ["torsion [2] contradicts orientable=True"]),
+            (
+                klein_and_annulus,
+                twist_the_orientable_component,
+                [
+                    "pipeline reports 2 components with twisted edges, oracle 1 non-orientable",
+                    "1 handle generators, expected 0",
+                ],
+            ),
         ],
-        ids=["cocycle", "duplicate", "counts", "twisted", "torsion"],
+        ids=["cocycle", "duplicate", "counts", "twisted", "components"],
     )
     def test_every_failure_text(self, monkeypatch, build, plant, failures):
         K, contact = build()
@@ -499,8 +510,22 @@ class TestVerify:
 
         sparse_reports = reports()
         monkeypatch.setattr(oracle, "sparse_rank", dense_rank)
-        monkeypatch.setattr(oracle, "homology_snf", lambda inc: dense_homology(inc)[1])
         assert sparse_reports == reports()
+
+    def test_eliminates_once(self, monkeypatch):
+        # The ranks of d0 and d1 and the torsion are counts; only the
+        # independence check runs an elimination.
+        calls = []
+
+        def counted(rows, p=PRIME):
+            calls.append(p)
+            return sparse_rank(rows, p)
+
+        monkeypatch.setattr(oracle, "sparse_rank", counted)
+        for name, K, contact in corpus_with_contacts():
+            calls.clear()
+            assert verify(K, classify_boundary(K, contact), compute_generators(K, contact)).passed
+            assert calls == [PRIME], name
 
     def test_passes_beyond_the_reach_of_the_dense_routines(self):
         # E > 2000 with handles, crosscaps, holes and contact arcs; the dense

@@ -7,6 +7,10 @@ minus a disk with contact arcs on their circles.  Each construction knows its
 topology, so the expected class sizes come from the dimension formulas
 without asking the code under test.  ``punch`` adds the one shape those
 constructions lack: chains with genus that carry boundary circles.
+
+The oracle's closed forms (rank d0, rank d1 and torsion as counts) and the
+generators' independence over GF(2) and GF(3) are held to ``sparse_rank``
+on the oracle's own rows of every surface drawn.
 """
 
 import random
@@ -16,15 +20,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import meshes
-from globalloops.generators import compute_generators
+from globalloops import oracle
+from globalloops.generators import GeneratorSet, compute_generators
 from globalloops.meshio import report_text
-from globalloops.oracle import verify
+from globalloops.oracle import sparse_rank, verify
 from globalloops.surface import (
     boundary_components,
     build_complex,
     classify_boundary,
     euler_characteristic,
 )
+from reference import closed_d2
 
 wl = meshes.workloads()
 
@@ -101,10 +107,15 @@ def punch(s, v):
     )
 
 
+def complex_of(surface):
+    """The complex of a workload surface and its contact edge ids."""
+    K = build_complex(surface.num_vertices, surface.faces)
+    return K, {K.edge_index[min(u, w), max(u, w)] for arc in surface.arcs for u, w in arc}
+
+
 def run(surface):
     """Generators, verification and report text of a workload surface."""
-    K = build_complex(surface.num_vertices, surface.faces)
-    contact = {K.edge_index[min(u, w), max(u, w)] for arc in surface.arcs for u, w in arc}
+    K, contact = complex_of(surface)
     gens = compute_generators(K, contact)
     report = verify(K, classify_boundary(K, contact), gens)
     return gens, report, report_text(K, gens, report)
@@ -194,3 +205,43 @@ def test_punch_leaves_the_link_as_a_boundary_circle():
 @given(st.lists(punched_chains(), min_size=1, max_size=2), st.integers(0, 2**32 - 1))
 def test_punched_chains_pass_the_oracle(pieces, seed):
     check(wl.union(pieces), seed)
+
+
+def oracle_rows(K, contact):
+    """The oracle's incidence of ``K``, its insulated edge ids, relative d0
+    rows and rank d0, with ``contact`` translated to oracle edge ids."""
+    inc = oracle._Incidence.from_faces(K.faces)
+    insulated, d0, rank_d0 = oracle._relative(K, inc, {inc.index[K.edges[e]] for e in contact})
+    return inc, insulated, d0, rank_d0
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.one_of(parts(), punched_chains()), min_size=1, max_size=3))
+def test_closed_forms_match_the_eliminations(pieces):
+    K, contact = complex_of(wl.union(pieces))
+    inc, insulated, d0, rank_d0 = oracle_rows(K, contact)
+    # rank d0 = V_rel - b0.
+    assert rank_d0 == sparse_rank(d0)
+    # verify's Betti number is E_rel - rank d0 - (F - b2).
+    d1 = [{eid: s for eid, s in signs if eid not in insulated} for signs in inc.face_signs]
+    bp = classify_boundary(K, contact)
+    report = verify(K, bp, GeneratorSet(partition=bp))
+    assert report.betti1_relative == len(inc.edges) - len(insulated) - sparse_rank(d1) - rank_d0
+    # One 2 per non-orientable component: the rank closed-up d2 loses mod 2.
+    d2 = closed_d2(inc)
+    assert report.torsion_coefficients == [2] * (sparse_rank(d2) - sparse_rank(d2, 2))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.one_of(parts(), punched_chains()), min_size=1, max_size=3))
+def test_generators_are_independent_over_two_and_three(pieces):
+    # d0 is totally unimodular, so its rank is the same over every field.
+    K, contact = complex_of(wl.union(pieces))
+    gens = compute_generators(K, contact)
+    inc, _, d0, rank_d0 = oracle_rows(K, contact)
+    rows = [
+        {inc.index[K.edges[eid]]: val for eid, val in g.cochain.coeffs.items()}
+        for g in gens.generators
+    ]
+    for q in (2, 3):
+        assert sparse_rank(rows + d0, q) == len(rows) + rank_d0, q
