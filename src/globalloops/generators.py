@@ -33,6 +33,7 @@ representatives serve as a basis over the reals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cochain import Cochain1
 from .errors import CountMismatch, UnsupportedContactLayout
@@ -61,13 +62,10 @@ class Generator:
 class ComponentMeta:
     """Per-component bookkeeping mirrored into reports."""
 
-    component_id: int
     num_holes: int
     num_contacts: int
     num_candidate_edges: int
     num_twisted_edges: int
-    orientable: bool
-    betti1: int
     # Last twisted candidate in preorder; the handle chain drops it.
     anchor_edge: int | None = None
 
@@ -80,43 +78,23 @@ class GeneratorSet:
     partition: BoundaryPartition | None = None
 
     @property
-    def num_holes(self) -> int:
-        return sum(m.num_holes for m in self.components)
-
-    @property
-    def num_contacts(self) -> int:
-        return sum(m.num_contacts for m in self.components)
-
-    @property
-    def num_candidate_edges(self) -> int:
-        return sum(m.num_candidate_edges for m in self.components)
-
-    @property
-    def num_twisted_edges(self) -> int:
-        return sum(m.num_twisted_edges for m in self.components)
-
-    @property
     def orientable(self) -> bool:
-        return all(m.orientable for m in self.components)
-
-    @property
-    def betti1(self) -> int:
-        return len(self.generators)
+        return not any(m.num_twisted_edges for m in self.components)
 
 
 def handles(
-    complex: SurfaceComplex, dual: Tree, candidates: list[int], rank: list[int]
-) -> tuple[list[Cochain1], list[int], int | None]:
+    complex: SurfaceComplex, dual: Tree, candidates: list[int], preorder
+) -> tuple[list[dict[int, int]], list[int], int | None]:
     """Handle generators from one component's sorted candidate edges.
 
     Returns (generators, twisted candidate edges, anchor edge).  Twisted
     candidates are the ones whose self-pair loop reverses orientation.
-    When present they are ordered by the dual-forest preorder ``rank`` of
-    their first face; each one but the last is rebuilt from its two
-    face-to-face transports toward the next one, and the last one is the
-    anchor edge, dropped from the output.
+    When present they are ordered by the rank ``preorder()`` gives their
+    first face in the dual forest; each one but the last is rebuilt from
+    its two face-to-face transports toward the next one, and the last one
+    is the anchor edge, dropped from the output.
     """
-    by_edge: dict[int, Cochain1] = {}
+    by_edge: dict[int, dict[int, int]] = {}
     twisted: list[int] = []
     for eid in candidates:
         if is_twisted(complex, dual, eid):
@@ -128,7 +106,7 @@ def handles(
     if not twisted:
         return [by_edge[eid] for eid in candidates], [], None
 
-    twisted.sort(key=lambda eid: rank[complex.edge_faces[eid][0]])
+    twisted = _in_preorder(complex, preorder, twisted)
     for eid, succ in zip(twisted, twisted[1:]):
         faces = complex.edge_faces[eid]
         by_edge[eid] = _to_anchor(complex, dual, faces, eid, succ, (eid, succ))
@@ -141,16 +119,25 @@ def _to_anchor(complex, dual, faces, edge, anchor, keep):
     """Sum of two transports from ``edge``, on faces[0] and faces[1], to the
     twisted ``anchor`` (in ``handles`` the next twisted candidate, in
     ``contacts`` the anchor edge) on its first and second face; the edges in
-    ``keep`` take the first transport's value alone."""
+    ``keep`` take the first transport's value alone.  The sum may hold
+    zeros, which ``Cochain1`` drops."""
     fa1, fa2 = complex.edge_faces[anchor]
-    out = dict(transport(complex, dual, faces[0], fa1, edge, anchor).coeffs)
-    for k, v in transport(complex, dual, faces[1], fa2, edge, anchor).coeffs.items():
+    out = transport(complex, dual, faces[0], fa1, edge, anchor)
+    for k, v in transport(complex, dual, faces[1], fa2, edge, anchor).items():
         if k not in keep:
             out[k] = out.get(k, 0) + v
-    return Cochain1(out)
+    return out
 
 
-def holes(complex: SurfaceComplex, cycles: list[BoundaryCycle]) -> list[Cochain1]:
+def _in_preorder(complex: SurfaceComplex, preorder, eids: list[int]) -> list[int]:
+    """``eids`` sorted by the preorder rank of their first faces."""
+    if len(eids) < 2:
+        return eids
+    rank = preorder()
+    return sorted(eids, key=lambda eid: rank[complex.edge_faces[eid][0]])
+
+
+def holes(complex: SurfaceComplex, cycles: list[BoundaryCycle]) -> list[dict[int, int]]:
     """Hole generators: vertex coboundary of each non-fixed circle indicator.
 
     ``cycles`` are one component's circles in ascending order of minimal
@@ -168,7 +155,7 @@ def holes(complex: SurfaceComplex, cycles: list[BoundaryCycle]) -> list[Cochain1
                 if w not in members:
                     # Indicator coboundary: +1 when the circle holds the head.
                     coeffs[eid] = 1 if complex.edges[eid][1] == v else -1
-        out.append(Cochain1(coeffs))
+        out.append(coeffs)
     return out
 
 
@@ -177,22 +164,22 @@ def contacts(
     dual: Tree,
     comps: list[list[int]],
     anchor: int | None,
-    rank: list[int],
-) -> list[Cochain1]:
+    preorder,
+) -> list[dict[int, int]]:
     """Contact generators from one component's contact components.
 
     Each one, on the face of its minimal edge, is ordered by the preorder
-    ``rank`` of that face and transported to the next; a non-orientable
-    component gets one extra generator built from the two paths from the
+    rank of that face and transported to the next; a non-orientable
+    component with any gets one more, built from the two paths from the
     last one to the anchor edge, the last twisted candidate (see ``handles``).
     """
-    ends = sorted(map(min, comps), key=lambda eid: rank[complex.edge_faces[eid][0]])
+    ends = _in_preorder(complex, preorder, list(map(min, comps)))
     faces = [complex.edge_faces[eid][0] for eid in ends]
     out = [
         transport(complex, dual, faces[j - 1], faces[j], ends[j - 1], ends[j])
         for j in range(1, len(ends))
     ]
-    if anchor is not None:
+    if anchor is not None and ends:
         both = (faces[-1], faces[-1])
         out.append(_to_anchor(complex, dual, both, ends[-1], anchor, (anchor,)))
     return out
@@ -203,7 +190,7 @@ def _expected_counts(meta: ComponentMeta) -> tuple[int, int, int]:
     n_ho = max(meta.num_holes - 1, 0)
     if meta.num_contacts == 0:
         n_co = 0
-    elif meta.orientable:
+    elif not meta.num_twisted_edges:
         n_co = meta.num_contacts - 1
     else:
         n_co = meta.num_contacts
@@ -247,24 +234,18 @@ def compute_generators(
     for comp in partition.contact_components:
         contact_comps[component_of(comp[0])].append(comp)
 
-    rank = dual.preorder()
+    # Ranked on first use: only a chain of two or more edges needs an order.
+    preorder = cache(dual.preorder)
     out = GeneratorSet(partition=partition)
     for cid in components:
-        ha, twisted, anchor = handles(complex, dual, candidates[cid], rank)
+        ha, twisted, anchor = handles(complex, dual, candidates[cid], preorder)
         ho = holes(complex, cycles[cid])
-        co = (
-            contacts(complex, dual, contact_comps[cid], anchor, rank)
-            if contact_comps[cid]
-            else []
-        )
+        co = contacts(complex, dual, contact_comps[cid], anchor, preorder)
         meta = ComponentMeta(
-            component_id=cid,
             num_holes=len(cycles[cid]),
             num_contacts=len(contact_comps[cid]),
             num_candidate_edges=len(candidates[cid]),
             num_twisted_edges=len(twisted),
-            orientable=not twisted,
-            betti1=len(ha) + len(ho) + len(co),
             anchor_edge=anchor,
         )
         expected = _expected_counts(meta)
@@ -272,10 +253,10 @@ def compute_generators(
             raise CountMismatch(
                 f"class sizes {(len(ha), len(ho), len(co))} do not match {expected}"
             )
-        out.generators += (
-            [Generator(HANDLE, cid, g) for g in ha]
-            + [Generator(HOLE, cid, g) for g in ho]
-            + [Generator(CONTACT, cid, g) for g in co]
-        )
+        out.generators += [
+            Generator(kind, cid, Cochain1(g))
+            for kind, gens in ((HANDLE, ha), (HOLE, ho), (CONTACT, co))
+            for g in gens
+        ]
         out.components.append(meta)
     return out

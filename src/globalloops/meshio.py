@@ -10,18 +10,18 @@ CLI does not produce it that way.  CPython's C encoder only runs when
 support edge of every generator) through the pure-Python encoder, and
 ``report_dict`` first builds one dict per support edge that nothing else
 reads.  ``report_text`` writes the same bytes straight from the
-``GeneratorSet``: each edge record is one ``%``-format of a fixed template,
-made once per distinct (edge, coefficient) pair, and each generator record a
-fixed frame around them, while the small ``meta`` and ``verification``
-blocks, built by the helper ``report_dict`` also uses, are dumped by
-``json`` and indented one level further.  ``report_dict`` stays for library
-callers that want the report as data.
+``GeneratorSet``: each edge record is one ``%``-format of a fixed template
+and each generator record a fixed frame around them, while the small
+``meta`` and ``verification`` blocks, built by the helper ``report_dict``
+also uses, are dumped by ``json`` and indented one level further.
+``report_dict`` stays for library callers that want the report as data.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 
@@ -146,26 +146,26 @@ def load_contacts(path: str | Path, complex: SurfaceComplex) -> set[int]:
 
 def _summary(generators: GeneratorSet, verification=None) -> dict:
     """The report's ``meta`` block, and its ``verification`` block if given."""
+    betti1 = Counter(gen.component for gen in generators.generators)
+    rows = [
+        {
+            "component_id": cid,
+            "N_ho": meta.num_holes,
+            "N_co": meta.num_contacts,
+            "E_M": meta.num_candidate_edges,
+            "E_M_II": meta.num_twisted_edges,
+            "orientable": not meta.num_twisted_edges,
+            "betti1": betti1[cid],
+        }
+        for cid, meta in enumerate(generators.components)
+    ]
+    totals = {k: sum(row[k] for row in rows) for k in ("N_ho", "N_co", "E_M", "E_M_II")}
     summary = {
         "meta": {
-            "components": [
-                {
-                    "component_id": meta.component_id,
-                    "N_ho": meta.num_holes,
-                    "N_co": meta.num_contacts,
-                    "E_M": meta.num_candidate_edges,
-                    "E_M_II": meta.num_twisted_edges,
-                    "orientable": meta.orientable,
-                    "betti1": meta.betti1,
-                }
-                for meta in generators.components
-            ],
-            "N_ho": generators.num_holes,
-            "N_co": generators.num_contacts,
-            "E_M": generators.num_candidate_edges,
-            "E_M_II": generators.num_twisted_edges,
+            "components": rows,
+            **totals,
             "orientable": generators.orientable,
-            "betti1": generators.betti1,
+            "betti1": len(generators.generators),
         }
     }
     if verification is not None:
@@ -186,7 +186,7 @@ def report_dict(
             "component_id": gen.component,
             "edges": [
                 {"v_a": edges[eid][0], "v_b": edges[eid][1], "coefficient": val}
-                for eid, val in gen.cochain.items_sorted()
+                for eid, val in sorted(gen.cochain.coeffs.items())
             ],
         }
         for gen in generators.generators
@@ -216,32 +216,18 @@ _GENERATOR = (
 )
 
 
-class _EdgeRecords(dict):
-    """``(edge id, coefficient)`` -> edge record text, formatted on first use."""
-
-    def __init__(self, edges: list[tuple[int, int]]):
-        super().__init__()
-        self.edges = edges
-
-    def __missing__(self, item: tuple[int, int]) -> str:
-        eid, val = item
-        a, b = self.edges[eid]
-        text = self[item] = _EDGE % (val, a, b)
-        return text
-
-
 def report_text(
     complex: SurfaceComplex, generators: GeneratorSet, verification=None
 ) -> str:
     """Report text, byte-equal to ``render_report(report_dict(complex,
     generators, verification))`` (see the module docstring)."""
-    records = _EdgeRecords(complex.edges)
+    edges = complex.edges
     # The pieces are joined once at the end, not concatenated as they come.
     out = ['{\n  "generators": [']
     separator = "\n"
     for gen in generators.generators:
-        items = gen.cochain.items_sorted()
-        rows = ",\n".join(map(records.__getitem__, items))
+        items = sorted(gen.cochain.coeffs.items())
+        rows = ",\n".join([_EDGE % (val, *edges[eid]) for eid, val in items])
         out.append(separator)
         out.append(_GENERATOR % (
             json.dumps(gen.kind),
@@ -266,7 +252,7 @@ def write_vtk(path: str | Path, complex: SurfaceComplex, generators: GeneratorSe
     if complex.coords is None:
         raise ValueError("VTK export needs vertex coordinates")
     edges = complex.edges
-    supports = [gen.cochain.items_sorted() for gen in generators.generators]
+    supports = [sorted(gen.cochain.coeffs.items()) for gen in generators.generators]
     cells = sum(map(len, supports))
     lines = [
         "# vtk DataFile Version 3.0",

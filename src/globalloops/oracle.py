@@ -106,23 +106,14 @@ def sparse_rank(rows, p: int = PRIME) -> int:
     return rank
 
 
-@dataclass
 class _Incidence:
     """Edge table rebuilt from scratch out of the raw face list."""
 
-    edges: list[tuple[int, int]]
-    index: dict[tuple[int, int], int]
-    face_signs: list[list[tuple[int, int]]]  # per face: (edge id, sign)
-    edge_faces: list[list[tuple[int, int]]]  # per edge: (face id, sign)
-    boundary: set[int]
-    circle_root: dict[int, int]  # boundary vertex -> root of its circle
-
-    @classmethod
-    def from_faces(cls, faces):
-        edges: list[tuple[int, int]] = []
-        index: dict[tuple[int, int], int] = {}
-        face_signs = []
-        edge_faces: list[list[tuple[int, int]]] = []
+    def __init__(self, faces):
+        self.edges = edges = []  # per edge: its vertex pair, lower id first
+        self.index = index = {}  # vertex pair -> edge id
+        self.face_signs = face_signs = []  # per face: (edge id, sign)
+        self.edge_faces = edge_faces = []  # per edge: (face id, sign)
         for fid, (a, b, c) in enumerate(faces):
             signs = []
             for u, w in ((a, b), (b, c), (c, a)):
@@ -137,9 +128,9 @@ class _Incidence:
                 edge_faces[eid].append((fid, sign))
                 signs.append((eid, sign))
             face_signs.append(signs)
-        boundary = {e for e, fl in enumerate(edge_faces) if len(fl) == 1}
-        circle_root = _roots(edges[eid] for eid in boundary)
-        return cls(edges, index, face_signs, edge_faces, boundary, circle_root)
+        self.boundary = {e for e, fl in enumerate(edge_faces) if len(fl) == 1}
+        # Boundary vertex -> root of its circle.
+        self.circle_root = _roots(edges[eid] for eid in self.boundary)
 
 
 def _relative(complex: SurfaceComplex, inc, contact: set[int]):
@@ -252,7 +243,7 @@ def verify(
             f"{complex.num_edges} edges exceeds the oracle cap of {cap}"
         )
     failures: list[str] = []
-    inc = _Incidence.from_faces(complex.faces)
+    inc = _Incidence(complex.faces)
     to_oracle = [inc.index[pair] for pair in complex.edges]
     contact = {to_oracle[eid] for eid in partition.contact_edges}
     insulated, d0, rank_d0 = _relative(complex, inc, contact)
@@ -305,20 +296,21 @@ def verify(
 
     # 5. Class sizes against the dimension formulas, with the hole and
     # contact counts recomputed on the oracle side.
+    metas = generators.components
     found = Counter(g.kind for g in generators.generators)
     expected = Counter()
-    for m in generators.components:
+    for m in metas:
         expected["ho"] += max(m.num_holes - 1, 0)
         if m.num_contacts:
-            expected["co"] += m.num_contacts - (1 if m.orientable else 0)
+            expected["co"] += m.num_contacts - (0 if m.num_twisted_edges else 1)
         expected["ha"] += m.num_candidate_edges - (1 if m.num_twisted_edges else 0)
     n_ho = len(set(inc.circle_root.values()))
     n_co = len(set(_roots(inc.edges[eid] for eid in contact).values()))
     formula_failures = [
         f"pipeline reports {reported} {what}, oracle {n}"
         for what, reported, n in (
-            ("boundary circles", generators.num_holes, n_ho),
-            ("contact components", generators.num_contacts, n_co),
+            ("boundary circles", sum(m.num_holes for m in metas), n_ho),
+            ("contact components", sum(m.num_contacts for m in metas), n_co),
         )
         if reported != n
     ]

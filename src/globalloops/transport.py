@@ -20,7 +20,6 @@ is walked.
 
 from __future__ import annotations
 
-from .cochain import Cochain1
 from .errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
 from .forest import Tree
 from .surface import SurfaceComplex
@@ -43,7 +42,7 @@ def transport(
     last: int,
     start_edge: int,
     end_edge: int,
-) -> Cochain1:
+) -> dict[int, int]:
     """Build a candidate 1-cocycle along the dual-tree path from face
     ``first`` to face ``last``, starting at +1 on ``start_edge`` (on the
     first face) and ending on ``end_edge`` (on the last face).
@@ -84,6 +83,4 @@ def transport(
         coeffs[end_edge] = carried
     elif carried != 1:
         raise CountMismatch(f"self-pair transport across twisted edge {end_edge}")
-    cochain = Cochain1()
-    cochain.coeffs = coeffs  # every value is +1 or -1: nothing to normalize
-    return cochain
+    return coeffs

@@ -596,7 +596,7 @@ def write_vtk(path, complex, generators):
         raise ValueError("VTK export needs vertex coordinates")
     segments = []
     for gi, gen in enumerate(generators.generators):
-        for eid, val in gen.cochain.items_sorted():
+        for eid, val in sorted(gen.cochain.coeffs.items()):
             a, b = complex.edges[eid]
             segments.append((a, b, gi, val))
 
@@ -626,7 +626,7 @@ def write_vtk(path, complex, generators):
 
 def evaluate(cochain, chain):
     """Scalar pairing: sum of coefficient products over shared cells."""
-    return sum(v * cochain[k] for k, v in chain.items())
+    return sum(v * cochain.coeffs.get(k, 0) for k, v in chain.items())
 
 
 def coboundary0(complex, vertex_cochain):
@@ -774,7 +774,7 @@ def betti1_relative(complex, partition, cap=DEFAULT_EDGE_CAP):
 def is_orientable(complex):
     """The oracle's face-component search on the complex's own faces: no
     component met a sign contradiction."""
-    return all(_face_components(_Incidence.from_faces(complex.faces))[1])
+    return all(_face_components(_Incidence(complex.faces))[1])
 
 
 def closed_edges(inc):

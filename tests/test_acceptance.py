@@ -80,7 +80,7 @@ def test_moebius_full_insulation():
     meta = gens.components[0]
     assert meta.num_candidate_edges == 1
     assert meta.num_twisted_edges == 1
-    assert not meta.orientable
+    assert not gens.orientable
     assert not is_orientable(K)
 
 
@@ -105,19 +105,19 @@ def test_dimension_formula_suite():
     for name, K, contact in corpus_with_contacts():
         bp = classify_boundary(K, contact)
         gens = compute_generators(K, contact)
-        for meta in gens.components:
+        for cid, meta in enumerate(gens.components):
             per_kind = {
                 kind: sum(
                     1
                     for g in gens.generators
-                    if g.kind == kind and g.component == meta.component_id
+                    if g.kind == kind and g.component == cid
                 )
                 for kind in ("ha", "ho", "co")
             }
             assert per_kind["ho"] == max(meta.num_holes - 1, 0), name
             if meta.num_contacts == 0:
                 expected_co = 0
-            elif meta.orientable:
+            elif not meta.num_twisted_edges:
                 expected_co = meta.num_contacts - 1
             else:
                 expected_co = meta.num_contacts
@@ -133,11 +133,11 @@ def test_dimension_formula_suite():
 def test_torsion_orientability_equivalence():
     for name, K, contact in corpus_with_contacts():
         gens = compute_generators(K, contact)
-        twisted = gens.num_twisted_edges > 0
+        twisted = not gens.orientable
         non_orientable = not is_orientable(K)
         torsion = verify(K, classify_boundary(K, contact), gens).torsion_coefficients
         # The reference: the rank the closed-up face boundary map loses mod 2.
-        d2 = closed_d2(_Incidence.from_faces(K.faces))
+        d2 = closed_d2(_Incidence(K.faces))
         assert torsion == [2] * (sparse_rank(d2) - sparse_rank(d2, 2)), name
         assert twisted == non_orientable == (torsion == [2]), name
 

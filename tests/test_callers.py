@@ -8,7 +8,8 @@ attribute of its name is read anywhere.  Names match by spelling, not by
 type, so two methods of one name share their references.  Dunder methods
 are called by the language and are not checked.
 
-Every field of a ``@dataclass`` there must likewise be read as an
+Every field of a ``@dataclass`` there, and every attribute that an
+``__init__`` there sets on its instance, must likewise be read as an
 attribute somewhere in ``src/`` or ``scripts/``, or be named in
 ``ALLOWED_FIELDS`` with a reason: a field that is only written is a copy
 nobody needs.
@@ -40,6 +41,11 @@ ALLOWED_FIELDS = {
     },
     "generators.ComponentMeta.anchor_edge": "TestAnchorEdge reads it, and "
     "the run record of ROADMAP aim 4 lists it",
+    **{
+        f"errors.{name}.line": "tests and library callers read the line "
+        "number of a parse error"
+        for name in ("OffParseError", "ContactSpecError")
+    },
 }
 
 
@@ -93,22 +99,31 @@ def is_dataclass(node: ast.ClassDef) -> bool:
     )
 
 
+def field_names(node: ast.ClassDef):
+    """The fields of a dataclass, and the attributes its ``__init__`` sets
+    on its first argument."""
+    if is_dataclass(node):
+        yield from (item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            this = item.args.args[0].arg
+            for target in ast.walk(item):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.ctx, ast.Store)
+                    and getattr(target.value, "id", None) == this
+                ):
+                    yield target.attr
+
+
 def unread_fields() -> set[str]:
     fields, read = [], set()
     for path, tree in sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif (
-                path.parent == PACKAGE
-                and isinstance(node, ast.ClassDef)
-                and is_dataclass(node)
-            ):
-                fields += [
-                    f"{path.stem}.{node.name}.{item.target.id}"
-                    for item in node.body
-                    if isinstance(item, ast.AnnAssign)
-                ]
+            elif path.parent == PACKAGE and isinstance(node, ast.ClassDef):
+                fields += [f"{path.stem}.{node.name}.{name}" for name in field_names(node)]
     return {name for name in fields if name.rpartition(".")[2] not in read}
 
 

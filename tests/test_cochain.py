@@ -40,7 +40,7 @@ class TestCochainArithmetic:
 class TestCoboundaries:
     def test_constant_vertex_cochain_vanishes(self):
         c = {v: 7 for v in range(ANNULUS.num_vertices)}
-        assert not coboundary0(ANNULUS, c)
+        assert not coboundary0(ANNULUS, c).coeffs
 
     def test_interior_vertex_indicator_signs(self):
         # Disk center is vertex 0 and the tail of every spoke, so the

@@ -127,7 +127,7 @@ def transport_support(K, dual, a, b):
     path_edges = set(reference.tree_path(dual, a, b).edges)
     start = next(e for e, _ in K.face_edges[a] if e not in path_edges)
     end = next(e for e, _ in K.face_edges[b] if e != start and e not in path_edges)
-    support = set(transport(K, dual, a, b, start, end).coeffs)
+    support = set(transport(K, dual, a, b, start, end))
     assert {start, end} <= support
     return support - {start, end}
 

@@ -1,13 +1,14 @@
 """Generator classes, assembly, and their contracts."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
 import meshes
 import reference
 from globalloops.errors import NotABoundaryEdge, UnsupportedContactLayout
-from globalloops.forest import build_tree_cotree
+from globalloops.forest import Tree, build_tree_cotree
 from globalloops.generators import compute_generators
 from globalloops.oracle import verify
 from globalloops.surface import boundary_components, build_complex, classify_boundary
@@ -90,7 +91,7 @@ class TestHandles:
         meta = gens.components[0]
         assert meta.num_candidate_edges == 1
         assert meta.num_twisted_edges == 1
-        assert not meta.orientable
+        assert not gens.orientable
         assert meta.anchor_edge is not None
 
     def test_klein_minus_disk_has_one(self):
@@ -131,7 +132,7 @@ class TestHoles:
         cycles = boundary_components(K)
         assert len(of_kind(gens, "ho")) == 2
         for g, cyc in zip(of_kind(gens, "ho"), cycles):
-            assert g == coboundary0(K, {v: 1 for v in cyc.vertices})
+            assert g.coeffs == coboundary0(K, {v: 1 for v in cyc.vertices}).coeffs
 
     def test_pair_of_pants_has_two(self):
         K = meshes.pair_of_pants()
@@ -146,7 +147,7 @@ class TestContacts:
         K = meshes.annulus(6)
         gens = compute_generators(K, meshes.boundary_arc(K, 0, 3))
         assert of_kind(gens, "co") == []
-        assert gens.num_contacts == 1
+        assert gens.components[0].num_contacts == 1
 
     def test_two_arcs_yield_one_crossing(self):
         K = meshes.annulus(6)
@@ -161,7 +162,7 @@ class TestContacts:
         contact = meshes.boundary_arc(K, 0, 3)
         gens = compute_generators(K, contact)
         assert len(of_kind(gens, "co")) == 1
-        assert gens.betti1 == 1
+        assert len(gens.generators) == 1
         report = verify(K, classify_boundary(K, contact), gens)
         assert report.passed
 
@@ -185,7 +186,7 @@ class TestContacts:
             ):
                 compute_generators(K, set(cyc.edges))
             gens = compute_generators(K, set(cyc.edges[:-1]))
-            assert gens.num_contacts == 1
+            assert sum(m.num_contacts for m in gens.components) == 1
             report = verify(K, gens.partition, gens)
             assert report.passed, report.failures
 
@@ -196,7 +197,7 @@ class TestContacts:
         cyc = boundary_components(K)[0]
         contact = {cyc.edges[0], cyc.edges[1], cyc.edges[8], cyc.edges[9]}
         gens = compute_generators(K, contact)
-        assert len(of_kind(gens, "co")) == 2 == gens.num_contacts
+        assert len(of_kind(gens, "co")) == 2 == gens.components[0].num_contacts
         report = verify(K, classify_boundary(K, contact), gens)
         assert report.passed
 
@@ -213,7 +214,6 @@ class TestAssembly:
     def test_sphere_is_empty(self):
         gens = compute_generators(meshes.octahedron())
         assert gens.generators == []
-        assert gens.betti1 == 0
 
     def test_all_generators_are_relative_cocycles(self):
         for name, K, contact in corpus_with_contacts():
@@ -264,7 +264,7 @@ class TestAssembly:
         K = meshes.disjoint_union(meshes.moebius(6), meshes.moebius(5))
         gens = compute_generators(K)
         assert gens.generators == []
-        assert gens.num_twisted_edges == 2
+        assert [m.num_twisted_edges for m in gens.components] == [1, 1]
         anchors = [m.anchor_edge for m in gens.components]
         assert all(a is not None for a in anchors)
         contact = meshes.boundary_arc(K, 0, 2) | meshes.boundary_arc(K, 1, 2)
@@ -280,7 +280,9 @@ class TestAssembly:
         a = compute_generators(K1)
         b = compute_generators(K2)
         assert [g.kind for g in a.generators] == [g.kind for g in b.generators]
-        assert [g.cochain for g in a.generators] == [g.cochain for g in b.generators]
+        assert [g.cochain.coeffs for g in a.generators] == [
+            g.cochain.coeffs for g in b.generators
+        ]
         assert a.components == b.components
 
 
@@ -304,8 +306,7 @@ class TestAnchorEdge:
             holes = classify_boundary(K, contact).hole_components
             dual, candidates = build_tree_cotree(K, holes)
             rank = dual.preorder()
-            for meta in gens.components:
-                cid = meta.component_id
+            for cid, meta in enumerate(gens.components):
                 own = [e for e in candidates if dual.tree_of[K.edge_faces[e][0]] == cid]
                 twisted = [e for e in own if is_twisted(K, dual, e)]
                 if not twisted:
@@ -322,6 +323,32 @@ class TestAnchorEdge:
                 if co:
                     assert anchor in co[-1].cochain.coeffs, (name, cid)
             assert verify(K, classify_boundary(K, contact), gens).passed, name
+
+
+class TestPreorder:
+    """The dual forest is ranked only when a chain has two edges to order."""
+
+    def test_not_ranked_without_a_chain(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("ranked a forest with nothing to order")
+
+        monkeypatch.setattr(Tree, "preorder", refuse)
+        for name, K, contact in corpus_with_contacts():
+            if not contact and reference.is_orientable(K):
+                compute_generators(K)
+
+    def test_ranked_once_on_mixed_surface(self, monkeypatch):
+        calls = []
+        rank = Tree.preorder
+
+        def counted(self):
+            calls.append(self)
+            return rank(self)
+
+        monkeypatch.setattr(Tree, "preorder", counted)
+        K, contact = meshes.mixed_surface()
+        assert verify(K, classify_boundary(K, contact), compute_generators(K, contact)).passed
+        assert len(calls) == 1
 
 
 def component_alone(K, face_ids, contact):
@@ -387,5 +414,4 @@ class TestSinglePass:
             expected_anchor = (
                 None if meta.anchor_edge is None else to_parent[meta.anchor_edge]
             )
-            assert gens.components[cid].anchor_edge == expected_anchor
-            assert gens.components[cid].betti1 == meta.betti1
+            assert gens.components[cid] == replace(meta, anchor_edge=expected_anchor)

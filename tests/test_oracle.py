@@ -40,7 +40,7 @@ def dense(rows, width):
 
 
 def incidence(K):
-    return oracle._Incidence.from_faces(K.faces)
+    return oracle._Incidence(K.faces)
 
 
 def d1_rows(d1):
@@ -381,7 +381,7 @@ def klein_and_annulus():
 
 
 def twist_the_orientable_component(gens, monkeypatch):
-    next(m for m in gens.components if m.orientable).num_twisted_edges = 1
+    next(m for m in gens.components if not m.num_twisted_edges).num_twisted_edges = 1
 
 
 class TestVerify:

@@ -134,6 +134,13 @@ def check(surface, seed):
         scrambled = wl.scramble(surface, rng)
         gens, report, text = run(scrambled)
         assert report.passed, report.failures
+        # No zero left by the cancelling sums of ``_to_anchor``, and every
+        # id an edge of the mesh.
+        assert all(
+            val and 0 <= eid < surface.num_edges
+            for g in gens.generators
+            for eid, val in g.cochain.coeffs.items()
+        )
         kinds = Counter(g.kind for g in gens.generators)
         counts.append((kinds["ha"], kinds["ho"], kinds["co"], len(gens.components)))
         assert counts[-1] == (
@@ -210,7 +217,7 @@ def test_punched_chains_pass_the_oracle(pieces, seed):
 def oracle_rows(K, contact):
     """The oracle's incidence of ``K``, its insulated edge ids, relative d0
     rows and rank d0, with ``contact`` translated to oracle edge ids."""
-    inc = oracle._Incidence.from_faces(K.faces)
+    inc = oracle._Incidence(K.faces)
     insulated, d0, rank_d0 = oracle._relative(K, inc, {inc.index[K.edges[e]] for e in contact})
     return inc, insulated, d0, rank_d0
 
