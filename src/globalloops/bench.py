@@ -5,15 +5,14 @@ from __future__ import annotations
 import gc
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .generators import compute_generators
 from .refine import refine
 from .surface import SurfaceComplex, build_complex
 
 
-@dataclass
-class BenchLevel:
+class BenchLevel(NamedTuple):
     level: int
     num_vertices: int
     num_edges: int
@@ -48,17 +47,17 @@ def run_refinement_bench(
 ) -> list[BenchLevel]:
     """Time the pipeline on the base mesh and `levels` refinements of it.
 
-    Each of the `repeats` rounds times every level once, and the best time
-    of each level is kept.  A slow spell of a shared machine outlasts one
-    timing, so timing a level's repeats back to back lets one spell slow
-    them all and tilt the growth fit; spread over rounds, it costs each
-    level at most the rounds it overlaps.
+    Each of the `repeats` rounds (one at least) times every level once,
+    and the best time of each level is kept.  A slow spell of a shared
+    machine outlasts one timing, so timing a level's repeats back to back
+    lets one spell slow them all and tilt the growth fit; spread over
+    rounds, it costs each level at most the rounds it overlaps.
     """
     family = [base]
     for _ in range(levels):
         family.append(refine(family[-1]))
     best = [math.inf] * len(family)
-    for _ in range(max(repeats, 1)):
+    for _ in range(repeats):
         for level, mesh in enumerate(family):
             best[level] = min(best[level], time_pipeline(mesh))
     return [

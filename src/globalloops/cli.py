@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 file, parse or usage error (a file that cannot
 be read or written, or is not UTF-8; bench options that leave the growth
-fit fewer than two levels, or a bench mesh with no edges), 2 topology
-error, 3 verification failure (including an oracle refusal under
---verify), 4 internal error (a violated invariant of the computation, not
-bad input).  ``main`` maps each failure to its code and one ``error:``
-line on stderr.
+fit fewer than two levels, a negative --fit-from, a --repeats below 1, or
+a bench mesh with no edges), 2 topology error, 3 verification failure
+(including an oracle refusal under --verify), 4 internal error (a violated
+invariant of the computation, not bad input).  ``main`` maps each failure
+to its code and one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -147,7 +147,11 @@ def cmd_info(args) -> int:
 def cmd_bench(args) -> int:
     from . import bench  # only this command needs refinement and its timers
 
-    fitted = args.levels + 1 - max(args.fit_from, 0)
+    if args.repeats < 1:
+        raise UsageError(f"--repeats {args.repeats} leaves no timing round; give at least 1")
+    if args.fit_from < 0:
+        raise UsageError(f"--fit-from {args.fit_from} is not a level; levels start at 0")
+    fitted = args.levels + 1 - args.fit_from
     if fitted < 2:
         raise UsageError(
             f"the growth fit needs at least two levels; --levels {args.levels} "

@@ -155,6 +155,8 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
     """
     tree = Tree(complex.num_faces)
     sigma, tau = tree.sigma, tree.tau
+    face_edges, edge_faces = complex.face_edges, complex.edge_faces
+    incidence = complex.incidence
     queue: deque[int] = deque()
     for root in range(complex.num_faces):
         if tree.tree_of[root] >= 0:
@@ -163,8 +165,8 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
         queue.append(root)
         while queue:
             u = queue.popleft()
-            for eid, sign in sorted(complex.face_edges[u]):
-                incident = complex.edge_faces[eid]
+            for eid, sign in sorted(face_edges[u]):
+                incident = edge_faces[eid]
                 if len(incident) == 1 or taken[eid]:
                     continue
                 w = incident[1] if incident[0] == u else incident[0]
@@ -173,7 +175,7 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
                     tree.attach(w, u, eid)
                     # sigma(w) inc(w, e) = -sigma(u) inc(u, e) on a tree edge.
                     tau[w] = -sigma[u] * sign
-                    sigma[w] = tau[w] * complex.incidence(w, eid)
+                    sigma[w] = tau[w] * incidence(w, eid)
                     queue.append(w)
     return tree
 

@@ -32,8 +32,8 @@ representatives serve as a basis over the reals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from .cochain import Cochain1
 from .errors import CountMismatch, UnsupportedContactLayout
@@ -51,15 +51,13 @@ HOLE = "ho"
 CONTACT = "co"
 
 
-@dataclass
-class Generator:
+class Generator(NamedTuple):
     kind: str  # "ha" | "ho" | "co"
     component: int
     cochain: Cochain1
 
 
-@dataclass
-class ComponentMeta:
+class ComponentMeta(NamedTuple):
     """Per-component bookkeeping mirrored into reports."""
 
     num_holes: int
@@ -70,10 +68,9 @@ class ComponentMeta:
     anchor_edge: int | None = None
 
 
-@dataclass
-class GeneratorSet:
-    generators: list[Generator] = field(default_factory=list)
-    components: list[ComponentMeta] = field(default_factory=list)
+class GeneratorSet(NamedTuple):
+    generators: list[Generator] = ()
+    components: list[ComponentMeta] = ()
     # The boundary partition the generators were built on, for ``verify``.
     partition: BoundaryPartition | None = None
 
@@ -236,7 +233,7 @@ def compute_generators(
 
     # Ranked on first use: only a chain of two or more edges needs an order.
     preorder = cache(dual.preorder)
-    out = GeneratorSet(partition=partition)
+    generators, metas = [], []
     for cid in components:
         ha, twisted, anchor = handles(complex, dual, candidates[cid], preorder)
         ho = holes(complex, cycles[cid])
@@ -253,10 +250,10 @@ def compute_generators(
             raise CountMismatch(
                 f"class sizes {(len(ha), len(ho), len(co))} do not match {expected}"
             )
-        out.generators += [
+        generators += [
             Generator(kind, cid, Cochain1(g))
             for kind, gens in ((HANDLE, ha), (HOLE, ho), (CONTACT, co))
             for g in gens
         ]
-        out.components.append(meta)
-    return out
+        metas.append(meta)
+    return GeneratorSet(generators, metas, partition)

@@ -19,7 +19,6 @@ also uses, are dumped by ``json`` and indented one level further.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter
 from itertools import islice
@@ -169,9 +168,7 @@ def _summary(generators: GeneratorSet, verification=None) -> dict:
         }
     }
     if verification is not None:
-        summary["verification"] = {
-            **dataclasses.asdict(verification), "passed": verification.passed
-        }
+        summary["verification"] = {**verification._asdict(), "passed": verification.passed}
     return summary
 
 

@@ -41,7 +41,7 @@ meshes above an edge cap.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
@@ -209,8 +209,7 @@ def _roots(pairs) -> dict[int, int]:
     return {x: find(x) for x in parent}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     betti1_relative: int
     generator_count: int
     cocycle_ok: list[bool]
@@ -218,7 +217,7 @@ class VerificationReport:
     orientable: bool
     torsion_coefficients: list[int]
     dimension_formula_ok: bool
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
 
     @property
     def passed(self) -> bool:

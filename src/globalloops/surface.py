@@ -17,9 +17,9 @@ vertex.  Connected components are numbered by the dual forest
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from itertools import chain, count, groupby
 from operator import eq
+from typing import NamedTuple
 
 from .errors import (
     DegenerateFace,
@@ -34,8 +34,7 @@ Edge = tuple[int, int]
 Face = tuple[int, int, int]
 
 
-@dataclass
-class SurfaceComplex:
+class SurfaceComplex(NamedTuple):
     """A triangulated surface, immutable after construction.
 
     Edges are stored as vertex pairs (a, b) with a < b; the pair order is the
@@ -55,8 +54,8 @@ class SurfaceComplex:
     edge_faces: list[tuple[int, ...]]
     edge_index: dict[Edge, int]
     vertex_edges: list[list[tuple[int, int]]]  # per vertex: (edge id, other vertex)
-    coords: list[tuple[float, float, float]] | None = None
-    boundary_edge_ids: list[int] = field(default_factory=list)
+    coords: list[tuple[float, float, float]] | None
+    boundary_edge_ids: list[int]
 
     @property
     def num_edges(self) -> int:
@@ -83,8 +82,7 @@ class SurfaceComplex:
         )
 
 
-@dataclass
-class BoundaryCycle:
+class BoundaryCycle(NamedTuple):
     """One boundary circle, listed in traversal order.
 
     ``edges[i]`` joins ``vertices[i]`` and ``vertices[(i + 1) % len]``.
@@ -94,8 +92,7 @@ class BoundaryCycle:
     edges: list[int]
 
 
-@dataclass
-class BoundaryPartition:
+class BoundaryPartition(NamedTuple):
     """Split of the boundary into contact components and the insulated rest.
 
     The insulated part is a closed subcomplex: every non-contact boundary

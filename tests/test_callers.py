@@ -8,11 +8,11 @@ attribute of its name is read anywhere.  Names match by spelling, not by
 type, so two methods of one name share their references.  Dunder methods
 are called by the language and are not checked.
 
-Every field of a ``@dataclass`` there, and every attribute that an
-``__init__`` there sets on its instance, must likewise be read as an
-attribute somewhere in ``src/`` or ``scripts/``, or be named in
-``ALLOWED_FIELDS`` with a reason: a field that is only written is a copy
-nobody needs.
+Every field of a record there (a ``@dataclass`` or a ``NamedTuple``
+subclass), and every attribute that an ``__init__`` there sets on its
+instance, must likewise be read as an attribute somewhere in ``src/`` or
+``scripts/``, or be named in ``ALLOWED_FIELDS`` with a reason: a field
+that is only written is a copy nobody needs.
 """
 
 import ast
@@ -29,7 +29,7 @@ ALLOWED = {
 ALLOWED_FIELDS = {
     **{
         f"oracle.VerificationReport.{name}": "meshio._summary serializes it "
-        "through dataclasses.asdict"
+        "through _asdict"
         for name in (
             "betti1_relative",
             "generator_count",
@@ -92,17 +92,22 @@ def unreferenced() -> set[str]:
     return out
 
 
-def is_dataclass(node: ast.ClassDef) -> bool:
+def is_record(node: ast.ClassDef) -> bool:
+    """A ``@dataclass`` or a ``NamedTuple`` subclass: its annotated names
+    are its fields."""
     return any(
         getattr(dec.func if isinstance(dec, ast.Call) else dec, "id", None) == "dataclass"
         for dec in node.decorator_list
+    ) or any(
+        getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+        for base in node.bases
     )
 
 
 def field_names(node: ast.ClassDef):
-    """The fields of a dataclass, and the attributes its ``__init__`` sets
-    on its first argument."""
-    if is_dataclass(node):
+    """The fields of a record, and the attributes its ``__init__`` sets on
+    its first argument."""
+    if is_record(node):
         yield from (item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
     for item in node.body:
         if isinstance(item, ast.FunctionDef) and item.name == "__init__":

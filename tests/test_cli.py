@@ -299,15 +299,24 @@ class TestBench:
         assert out.splitlines()[0].startswith("level")
 
     @pytest.mark.parametrize(
-        "flags", [["--levels", "0"], ["--levels", "1", "--fit-from", "3"]]
+        "flags",
+        [
+            ["--levels", "0"],
+            ["--levels", "1", "--fit-from", "3"],
+            ["--fit-from", "-1"],
+            ["--repeats", "0"],
+        ],
     )
     def test_fewer_than_two_fitted_levels_is_exit_one(self, tmp_path, capsys, flags):
-        # The growth fit needs two levels; refuse before refining or timing.
+        # The growth fit needs two levels from level 0 on, each timed at
+        # least once; refuse before refining or timing, naming the option.
         mesh = write_annulus(tmp_path)
         assert main(["bench", str(mesh), "--repeats", "1", *flags]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: ") and "two levels" in err[0]
+        assert err[0].startswith("error: ") and flags[-2] in err[0]
+        if "--levels" in flags:
+            assert "two levels" in err[0]
 
     def test_mesh_without_edges_is_exit_one(self, tmp_path, capsys):
         # An edgeless mesh leaves the growth fit nothing to fit against.
@@ -328,3 +337,15 @@ def test_cli_import_leaves_bench_unloaded():
     assert "'globalloops.cli'" in out
     assert "globalloops.bench" not in out
     assert "globalloops.refine" not in out
+
+
+def test_cli_import_loads_no_dataclasses():
+    # The result records are named tuples: `dataclasses`, and the `inspect`
+    # it pulls in, would cost every run its start-up time.  `-S` keeps what
+    # the interpreter's site hooks import out of the check.
+    env = dict(os.environ, PYTHONPATH=str(Path(globalloops.__file__).parents[1]))
+    probe = "import sys, globalloops.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

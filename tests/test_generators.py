@@ -1,7 +1,6 @@
 """Generator classes, assembly, and their contracts."""
 
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -414,4 +413,4 @@ class TestSinglePass:
             expected_anchor = (
                 None if meta.anchor_edge is None else to_parent[meta.anchor_edge]
             )
-            assert gens.components[cid] == replace(meta, anchor_edge=expected_anchor)
+            assert gens.components[cid] == meta._replace(anchor_edge=expected_anchor)

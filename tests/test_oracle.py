@@ -2,7 +2,6 @@
 complex, Betti numbers, torsion, verification."""
 
 import ast
-import dataclasses
 from pathlib import Path
 
 import pytest
@@ -358,30 +357,42 @@ def moebius_with_arc():
     return K, meshes.boundary_arc(K, 0, 3)
 
 
-def drop_support_edge(gens, monkeypatch):
+def replace_item(gens, name, index, **changes):
+    """``gens`` with item ``index`` of its ``name`` list changed by ``_replace``."""
+    items = list(getattr(gens, name))
+    items[index] = items[index]._replace(**changes)
+    return gens._replace(**{name: items})
+
+
+def drop_support_edge(gens):
     coeffs = gens.generators[0].cochain.coeffs
-    gens.generators[0].cochain = Cochain1({k: v for k, v in coeffs.items() if k != min(coeffs)})
+    dropped = Cochain1({k: v for k, v in coeffs.items() if k != min(coeffs)})
+    return replace_item(gens, "generators", 0, cochain=dropped)
 
 
-def duplicate_generator(gens, monkeypatch):
-    gens.generators.append(gens.generators[0])
+def duplicate_generator(gens):
+    return gens._replace(generators=gens.generators + gens.generators[:1])
 
 
-def inflate_holes_and_contacts(gens, monkeypatch):
-    gens.components[0].num_holes += 1
-    gens.components[0].num_contacts += 1
+def inflate_holes_and_contacts(gens):
+    meta = gens.components[0]
+    return replace_item(
+        gens, "components", 0,
+        num_holes=meta.num_holes + 1, num_contacts=meta.num_contacts + 1,
+    )
 
 
-def claim_a_twisted_edge(gens, monkeypatch):
-    gens.components[0].num_twisted_edges = 1
+def claim_a_twisted_edge(gens):
+    return replace_item(gens, "components", 0, num_twisted_edges=1)
 
 
 def klein_and_annulus():
     return meshes.disjoint_union(meshes.klein_grid(5, 4), meshes.annulus(6)), set()
 
 
-def twist_the_orientable_component(gens, monkeypatch):
-    next(m for m in gens.components if not m.num_twisted_edges).num_twisted_edges = 1
+def twist_the_orientable_component(gens):
+    cid = next(i for i, m in enumerate(gens.components) if not m.num_twisted_edges)
+    return replace_item(gens, "components", cid, num_twisted_edges=1)
 
 
 class TestVerify:
@@ -410,10 +421,8 @@ class TestVerify:
         gens = compute_generators(K)
         g = gens.generators[0].cochain
         eid = min(g.coeffs)
-        gens.generators[0].cochain = Cochain1(
-            {k: v for k, v in g.coeffs.items() if k != eid}
-        )
-        report = verify(K, bp, gens)
+        dropped = Cochain1({k: v for k, v in g.coeffs.items() if k != eid})
+        report = verify(K, bp, replace_item(gens, "generators", 0, cochain=dropped))
         assert not report.passed
         assert report.cocycle_ok == [False]
 
@@ -424,8 +433,9 @@ class TestVerify:
         bp = classify_boundary(K, set())
         gens = compute_generators(K)
         v = K.edges[K.boundary_edge_ids[0]][0]
-        gens.generators[0].cochain = coboundary0(K, {v: 1})
-        report = verify(K, bp, gens)
+        report = verify(
+            K, bp, replace_item(gens, "generators", 0, cochain=coboundary0(K, {v: 1}))
+        )
         assert not report.passed
         assert report.cocycle_ok == [False]
 
@@ -476,10 +486,9 @@ class TestVerify:
         ],
         ids=["cocycle", "duplicate", "counts", "twisted", "components"],
     )
-    def test_every_failure_text(self, monkeypatch, build, plant, failures):
+    def test_every_failure_text(self, build, plant, failures):
         K, contact = build()
-        gens = compute_generators(K, contact)
-        plant(gens, monkeypatch)
+        gens = plant(compute_generators(K, contact))
         report = verify(K, classify_boundary(K, contact), gens)
         assert report.failures == failures
 
@@ -493,12 +502,24 @@ class TestVerify:
         K = build(6)
         for contact in (set(), meshes.boundary_arc(K, 0, 2)):
             gens = compute_generators(K, contact)
-            blank = dataclasses.replace(
-                gens.partition, hole_components=[], contact_components=[]
-            )
-            report = verify(dataclasses.replace(K, boundary_edge_ids=[]), blank, gens)
+            blank = gens.partition._replace(hole_components=[], contact_components=[])
+            report = verify(K._replace(boundary_edge_ids=[]), blank, gens)
             assert report.passed, report.failures
             assert report == verify(K, gens.partition, gens)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="verify certifies independence over GF(p), so over Q; a doubled "
+        "generator keeps that and breaks only the Z-basis (ROADMAP item 4, step 2)",
+    )
+    @pytest.mark.parametrize("build", [meshes.genus2, meshes.klein_grid])
+    def test_doubled_generator_is_caught(self, build):
+        K = build()
+        gens = compute_generators(K)
+        coeffs = gens.generators[0].cochain.coeffs
+        doubled = Cochain1({k: 2 * v for k, v in coeffs.items()})
+        report = verify(K, gens.partition, replace_item(gens, "generators", 0, cochain=doubled))
+        assert not report.passed
 
     def test_same_report_as_the_dense_routines(self, monkeypatch):
         def reports():

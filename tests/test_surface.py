@@ -320,7 +320,7 @@ def outcome(build, boundary, vertex_count, faces, coords=None):
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(INDEX_KINDS), st.integers(0, 10**6), st.booleans())
 def test_index_matches_the_original(kind, seed, as_lists):
-    # The dataclass equality compares every field, with tuples and lists
+    # The named-tuple equality compares every field, with tuples and lists
     # kept apart, so face_edges, edge_faces and vertex_edges must match in
     # order and in type; faces given as lists still come out as tuples.
     vertex_count, faces, coords = valid_input(kind, seed)
