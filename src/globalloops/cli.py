@@ -1,11 +1,12 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 file, parse or usage error (a file that cannot
-be read or written, or is not UTF-8; bench options that leave the growth
-fit fewer than two levels, a negative --fit-from, a --repeats below 1, or
-a bench mesh with no edges), 2 topology error, 3 verification failure
-(including an oracle refusal under --verify), 4 internal error (a violated
-invariant of the computation, not bad input).  ``main`` maps each failure
+be read or written, or is not UTF-8; a negative --oracle-cap; bench
+options that leave the growth fit fewer than two levels, a negative
+--fit-from, a --repeats below 1, or a bench mesh with no edges), 2
+topology error, 3 verification failure (including an oracle refusal under
+--verify), 4 internal error (a violated invariant of the computation, not
+bad input).  ``main`` maps each failure
 to its code and one ``error:`` line on stderr.
 """
 
@@ -98,6 +99,8 @@ def _load_mesh(path: str):
 
 
 def cmd_compute(args) -> int:
+    if args.oracle_cap < 0:
+        raise UsageError(f"--oracle-cap {args.oracle_cap} is not an edge count; give 0 or more")
     complex = _load_mesh(args.mesh)
     contact_edges: set[int] = set()
     if args.contacts:

@@ -28,11 +28,17 @@ the class sizes stand.
 
 Every id is the complex's own.  All coefficients are integers; the same
 representatives serve as a basis over the reals.
+
+Only when asked, ``GeneratorSet.cycles`` builds one relative 1-cycle per
+generator, the witness with which ``oracle.verify`` certifies a basis over
+the integers.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 from .cochain import Cochain1
@@ -73,10 +79,157 @@ class GeneratorSet(NamedTuple):
     components: list[ComponentMeta] = ()
     # The boundary partition the generators were built on, for ``verify``.
     partition: BoundaryPartition | None = None
+    # The dual forest and the candidate edges, for ``cycles``.
+    dual: Tree | None = None
+    candidates: list[int] = ()
 
     @property
     def orientable(self) -> bool:
         return not any(m.num_twisted_edges for m in self.components)
+
+    def cycles(self, complex: SurfaceComplex) -> list[dict[int, int]]:
+        """One relative 1-cycle per generator, as {edge id: coefficient},
+        component by component and class by class as the generators come:
+        the witness of ``oracle.verify``'s pairing check.
+
+        Paths run in one breadth-first forest over the edges that the dual
+        forest does not cross and that are not candidates (the primal
+        forest plus every circle edge), rooted in each component at an
+        insulated vertex of the fixed circle where there is one.  Per
+        component:
+
+        * per handle generator, its candidate edge e plus the forest path
+          from the head of e back to its tail,
+        * per hole generator, the forest path from an insulated vertex of
+          its circle to the root,
+        * per contact generator of the chain, the run of one contact
+          component, each but the last in the partition's order, oriented
+          along its circle; for the extra one of a non-orientable
+          component, the anchor edge's loop.
+
+        Contact generators are nonzero on contact edges only at the minimal
+        edge of each run (2 there for the one that ends at the anchor).
+        The anchor loop and every twisted loop subtract each run times
+        their coefficient at its minimal edge, so that no contact generator
+        pairs with them; the pairing matrix then peels class by class:
+        handles and holes, the contact chain from the run left out, the
+        anchor loop, the twisted chain.
+        """
+        if not self.generators:
+            return []
+        dual, contact = self.dual, self.partition.contact_edges
+        per_component = _by_component(complex, dual, self.candidates, self.partition)
+        roots = [_insulated_vertex(c[-1], contact) if c else -1 for _, c, _ in per_component]
+        forest = _cycle_forest(complex, dual, self.candidates, [r for r in roots if r >= 0])
+        out = []
+        for meta, (candidates, circles, comps), root in zip(self.components, per_component, roots):
+            anchor = meta.anchor_edge
+            loops = {eid: _loop(complex, forest, eid) for eid in candidates}
+            out += [loops[eid] for eid in candidates if eid != anchor]
+            out += [
+                _path(complex, forest, _insulated_vertex(cyc, contact), root)
+                for cyc in circles[:-1]
+            ]
+            if not comps:
+                continue
+            sign = {
+                eid: 1 if complex.edges[eid][0] == v else -1
+                for cyc in circles
+                for v, eid in zip(cyc.vertices, cyc.edges)
+            }
+            runs = [{eid: sign[eid] for eid in comp} for comp in comps]
+            out += runs[:-1]
+            if anchor is not None:
+                # The twisted loops are already in ``out``; they change in place.
+                for eid, loop in loops.items():
+                    if eid == anchor or is_twisted(complex, dual, eid):
+                        for run in runs:
+                            _cancel(loop, run, min(run))
+                out.append(loops[anchor])
+        return out
+
+
+def _by_component(complex: SurfaceComplex, dual: Tree, candidate_edges, partition):
+    """Per component of the dual forest, in its order: the candidate edges,
+    the boundary circles and the contact components on it, each in the
+    order they are given."""
+    comp_of_face = dual.tree_of
+    out = [([], [], []) for _ in dual.roots]
+    for eid in candidate_edges:
+        out[comp_of_face[complex.edge_faces[eid][0]]][0].append(eid)
+    for cyc in partition.hole_components:
+        out[comp_of_face[complex.edge_faces[cyc.edges[0]][0]]][1].append(cyc)
+    for comp in partition.contact_components:
+        out[comp_of_face[complex.edge_faces[comp[0]][0]]][2].append(comp)
+    return out
+
+
+def _insulated_vertex(cyc: BoundaryCycle, contact) -> int:
+    """The first vertex of ``cyc`` that starts an insulated edge."""
+    return next(v for v, eid in zip(cyc.vertices, cyc.edges) if eid not in contact)
+
+
+def _cycle_forest(complex: SurfaceComplex, dual: Tree, candidates, roots):
+    """Breadth-first forest over the edges that the dual forest does not
+    cross and that are not candidates, grown from ``roots`` in turn and then
+    from each unvisited vertex in ascending id.  Returns per vertex its
+    parent, parent edge and depth."""
+    usable = bytearray(b"\x01") * complex.num_edges
+    for eid in chain(dual.parent_edge, candidates):
+        if eid >= 0:
+            usable[eid] = 0
+    nv = complex.num_vertices
+    parent, parent_edge, depth = [-1] * nv, [-1] * nv, [-1] * nv
+    queue: deque[int] = deque()
+    for root in chain(roots, range(nv)):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue.append(root)
+        while queue:
+            u = queue.popleft()
+            for eid, w in complex.vertex_edges[u]:
+                if usable[eid] and depth[w] < 0:
+                    parent[w], parent_edge[w], depth[w] = u, eid, depth[u] + 1
+                    queue.append(w)
+    return parent, parent_edge, depth
+
+
+def _path(complex: SurfaceComplex, forest, a: int, b: int) -> dict[int, int]:
+    """The forest path from vertex ``a`` to vertex ``b`` as a chain: +1 on
+    an edge it runs along from tail to head, -1 against."""
+    parent, parent_edge, depth = forest
+    out = {}
+    while a != b:  # the deeper end steps toward the meeting vertex
+        if depth[a] >= depth[b]:
+            eid = parent_edge[a]
+            out[eid] = 1 if complex.edges[eid][0] == a else -1
+            a = parent[a]
+        else:
+            eid = parent_edge[b]
+            out[eid] = -1 if complex.edges[eid][0] == b else 1
+            b = parent[b]
+    return out
+
+
+def _loop(complex: SurfaceComplex, forest, eid: int) -> dict[int, int]:
+    """Candidate ``eid`` closed by the forest path from its head to its tail."""
+    tail, head = complex.edges[eid]
+    out = _path(complex, forest, head, tail)
+    out[eid] = 1
+    return out
+
+
+def _cancel(cycle: dict[int, int], run: dict[int, int], eid: int) -> None:
+    """Subtract from ``cycle`` the multiple of ``run`` that clears edge ``eid``."""
+    factor = cycle.get(eid, 0) * run[eid]
+    if factor:
+        for k, v in run.items():
+            value = cycle.get(k, 0) - factor * v
+            if value:
+                cycle[k] = value
+            else:
+                del cycle[k]
 
 
 def handles(
@@ -215,33 +368,18 @@ def compute_generators(
 
     # The dual forest has exactly one tree per component (build_tree_cotree
     # raises otherwise), rooted at its minimal face in ascending order.
-    components = range(len(dual.roots))
-    comp_of_face = dual.tree_of
-
-    def component_of(eid: int) -> int:
-        return comp_of_face[complex.edge_faces[eid][0]]
-
-    candidates: list[list[int]] = [[] for _ in components]
-    for eid in candidate_edges:
-        candidates[component_of(eid)].append(eid)
-    cycles: list[list[BoundaryCycle]] = [[] for _ in components]
-    for cyc in partition.hole_components:
-        cycles[component_of(cyc.edges[0])].append(cyc)
-    contact_comps: list[list[list[int]]] = [[] for _ in components]
-    for comp in partition.contact_components:
-        contact_comps[component_of(comp[0])].append(comp)
-
+    per_component = _by_component(complex, dual, candidate_edges, partition)
     # Ranked on first use: only a chain of two or more edges needs an order.
     preorder = cache(dual.preorder)
     generators, metas = [], []
-    for cid in components:
-        ha, twisted, anchor = handles(complex, dual, candidates[cid], preorder)
-        ho = holes(complex, cycles[cid])
-        co = contacts(complex, dual, contact_comps[cid], anchor, preorder)
+    for cid, (candidates, circles, comps) in enumerate(per_component):
+        ha, twisted, anchor = handles(complex, dual, candidates, preorder)
+        ho = holes(complex, circles)
+        co = contacts(complex, dual, comps, anchor, preorder)
         meta = ComponentMeta(
-            num_holes=len(cycles[cid]),
-            num_contacts=len(contact_comps[cid]),
-            num_candidate_edges=len(candidates[cid]),
+            num_holes=len(circles),
+            num_contacts=len(comps),
+            num_candidate_edges=len(candidates),
             num_twisted_edges=len(twisted),
             anchor_edge=anchor,
         )
@@ -256,4 +394,4 @@ def compute_generators(
             for g in gens
         ]
         metas.append(meta)
-    return GeneratorSet(generators, metas, partition)
+    return GeneratorSet(generators, metas, partition, dual, candidate_edges)

@@ -1,5 +1,5 @@
-"""Independent verification of a generator set, by exact counts and one
-modular rank.
+"""Independent verification of a generator set, by exact counts and a
+pairing certificate.
 
 Everything here re-derives edges and incidence signs from the raw face
 list rather than reusing the pipeline's tables, so a bug in the fast path
@@ -7,14 +7,14 @@ cannot hide from the checks.  That incidence stores each edge's cofaces
 with their signs, so the cocycle check and the face-component search read
 a sign where it is stored.  The boundary circles, the contact components
 and the vertex classes come from union-finds over vertex pairs of that
-incidence; of the pipeline's output only the partition's contact edge ids
-and the generators are read, translated into oracle edge ids through one
-vertex-pair lookup per edge.  The rest of the oracle's own boundary is
-insulated.
+incidence; of the pipeline's output only the partition's contact edge ids,
+the generators and the relative cycles the generator set offers as a
+witness are read, translated into oracle edge ids through one vertex-pair
+lookup per edge.  The rest of the oracle's own boundary is insulated.
 
 Premise: every edge has at most two faces (``build_complex`` raises
 NonManifoldEdge otherwise).  The ranks of the relative complex and the
-torsion are then counts, and only the independence check eliminates:
+torsion are then counts, and no check eliminates:
 
 * The relative d0 is a graph incidence matrix less the insulated vertices'
   rows, of rank V_rel - b0 over any field, b0 counting the vertex classes
@@ -29,13 +29,24 @@ torsion are then counts, and only the independence check eliminates:
   has the orientable components as left kernel over GF(p), all of them
   over GF(2).
 * The cocycle check is exact integer arithmetic.
-* A rank over GF(p), ``PRIME`` = 2**31 - 1, never exceeds the rank over Q,
-  so generators stacked on d0 at full rank in ``sparse_rank`` are
-  independent over Q modulo relative coboundaries: a certificate.
+* Basis over Z.  H^1 relative to the insulated part is free here (H_0 is),
+  of rank the Betti number.  ``GeneratorSet.cycles`` offers one relative
+  1-cycle z_j per generator g_i; each must have its boundary on the
+  insulated vertices of this incidence, so that <g, z> is well defined on
+  classes.  If the generators number the Betti number and the matrix
+  <g_i, z_j> is unimodular, evaluation on the z_j inverts the generators'
+  map from Z^k into H^1, which is then onto: a basis over Z modulo
+  relative coboundaries, certified in O(E + sum |g| + sum |z|).  The
+  matrix is peeled: a row with one nonzero left must hold +-1, and its
+  column leaves the other rows.  A doubled generator leaves a 2.  The peel
+  is sound, not complete: a unimodular matrix with no such row stalls, as
+  when one generator is added to another whose pairings share two cycles
+  (the hole and the contact generator of an annulus with an arc on each
+  circle).  The pipeline's own generators peel on every input tried.
 
-The dense references the tests compare these counts with, and the
-closed-up complex, live in ``tests/reference.py``.  ``verify`` refuses
-meshes above an edge cap.
+The dense references the tests compare these counts with, the sparse
+modular rank the oracle once used, and the closed-up complex live in
+``tests/reference.py``.  ``verify`` refuses meshes above an edge cap.
 """
 
 from __future__ import annotations
@@ -46,64 +57,12 @@ from typing import NamedTuple
 from .errors import MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
 
-# On a 2-core Xeon, verify took 0.4 s on torus_grid(115, 115) (E = 39,675,
-# peak RSS 91 MB), 0.12 s on a chain of 64 torus(6, 6) (E = 6,723) and 2.9 s
-# on a scrambled chain of 380 torus(5, 7) (E = 38,763, 230 MB; CHANGES.md).
+# On a 2-core Xeon, verify took 0.39 s on torus_grid(115, 115) (E = 39,675,
+# peak RSS 70 MB), 0.06 s on a chain of 64 torus(6, 6) (E = 6,723), 2.2 s on
+# a scrambled chain of 380 torus(5, 7) (E = 38,763, 152 MB) and 1.3 s on the
+# same chain unscrambled, whose witness cycles hold 17.5E entries (146 MB;
+# BENCH_20.json).
 DEFAULT_EDGE_CAP = 40_000
-PRIME = 2**31 - 1
-
-
-def sparse_rank(rows, p: int = PRIME) -> int:
-    """Rank over GF(p) of a matrix given as sparse rows ``{column: value}``.
-
-    ``p`` is any prime.  Elimination is right-looking with a
-    Markowitz-style pivot order: the shortest remaining row first, pivoting
-    on its column with the fewest remaining rows, so that little fill-in is
-    created.  The input rows are not modified.
-    """
-    # Imported here so that start-up of a run without --verify stays as is.
-    from heapq import heapify, heappop, heappush
-
-    active: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        reduced = {c: v % p for c, v in row.items() if v % p}
-        if reduced:
-            active[i] = reduced
-            for c in reduced:
-                cols.setdefault(c, set()).add(i)
-    heap = [(len(row), i) for i, row in active.items()]
-    heapify(heap)
-    rank = 0
-    while heap:
-        length, i = heappop(heap)
-        pivot_row = active.get(i)
-        if pivot_row is None or len(pivot_row) != length:
-            continue  # stale entry: the row was eliminated or has changed
-        del active[i]
-        for c in pivot_row:
-            cols[c].discard(i)
-        col = min(pivot_row, key=lambda c: len(cols[c]))
-        rank += 1
-        inv = pow(pivot_row[col], p - 2, p)
-        rest = [(c, v) for c, v in pivot_row.items() if c != col]
-        for j in cols.pop(col):
-            row = active[j]
-            factor = row.pop(col) * inv % p
-            for c, v in rest:
-                value = (row.get(c, 0) - factor * v) % p
-                if value:
-                    if c not in row:
-                        cols[c].add(j)
-                    row[c] = value
-                elif c in row:
-                    del row[c]
-                    cols[c].discard(j)
-            if row:
-                heappush(heap, (len(row), j))
-            else:
-                del active[j]
-    return rank
 
 
 class _Incidence:
@@ -133,29 +92,20 @@ class _Incidence:
         self.circle_root = _roots(edges[eid] for eid in self.boundary)
 
 
-def _relative(complex: SurfaceComplex, inc, contact: set[int]):
-    """The relative vertex coboundary in oracle edge ids.
+def _relative(inc: _Incidence, contact: set[int]):
+    """The insulated part of ``inc`` and the rank of the relative vertex
+    coboundary.
 
     ``contact`` holds the contact edges' oracle ids; every other boundary
-    edge of ``inc`` is insulated.  Returns the insulated edge ids, ``d0``
-    (one sparse row per relative vertex; insulated edges have no column)
-    and its rank V_rel - b0.
+    edge of ``inc`` is insulated.  Returns the insulated edge ids, their
+    vertices and rank d0 = V_rel - b0.
     """
     insulated = inc.boundary - contact
     insulated_vertices = {v for eid in insulated for v in inc.edges[eid]}
-    # Vertices touching the insulated subcomplex get no d0 row.  Every
-    # insulated edge has both ends there, so the rows hold relative
-    # edges only.
-    d0 = {v: {} for v in range(complex.num_vertices) if v not in insulated_vertices}
-    for eid, (a, b) in enumerate(inc.edges):
-        if b in d0:
-            d0[b][eid] = 1
-        if a in d0:
-            d0[a][eid] = -1
     root = _roots(inc.edges)
     relative = sum(1 for v in root if v not in insulated_vertices)
     b0 = len(set(root.values()) - {root[v] for v in insulated_vertices})
-    return insulated, list(d0.values()), relative - b0
+    return insulated, insulated_vertices, relative - b0
 
 
 def _face_components(inc: _Incidence) -> tuple[list[int], list[bool]]:
@@ -209,6 +159,67 @@ def _roots(pairs) -> dict[int, int]:
     return {x: find(x) for x in parent}
 
 
+def _boundary(inc: _Incidence, chain: dict[int, int]) -> set[int]:
+    """The vertices where the boundary of a chain in oracle edge ids is
+    nonzero."""
+    total: dict[int, int] = {}
+    for eid, val in chain.items():
+        a, b = inc.edges[eid]
+        total[a] = total.get(a, 0) - val
+        total[b] = total.get(b, 0) + val
+    return {v for v, val in total.items() if val}
+
+
+def _pairing(cochains, chains) -> list[dict[int, int]]:
+    """Row i holds the nonzero values <cochains[i], chains[j]> by column j,
+    summed through one index from each edge to the chains on it."""
+    through: dict[int, list[tuple[int, int]]] = {}
+    for j, chain in enumerate(chains):
+        for eid, val in chain.items():
+            through.setdefault(eid, []).append((j, val))
+    rows = []
+    for cochain in cochains:
+        row: dict[int, int] = {}
+        for eid, val in cochain.items():
+            for j, c in through.get(eid, ()):
+                row[j] = row.get(j, 0) + val * c
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
+
+
+def _peel(rows: list[dict[int, int]]) -> str | None:
+    """Peel sparse integer rows: take a row with one nonzero left, which
+    must be +-1, and delete its column from the other rows.  When every row
+    is taken, the taken entries form a square submatrix, triangular in the
+    order taken, of determinant +-1.  Returns the failure, or None; the
+    rows are consumed."""
+    column: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            column.setdefault(j, []).append(i)
+    ready = [i for i, row in enumerate(rows) if len(row) <= 1]
+    taken = 0
+    while ready:
+        i = ready.pop()
+        if not rows[i]:  # an integer combination of the rows taken before
+            return "generators are dependent modulo relative coboundaries"
+        ((j, val),) = rows[i].items()
+        if val not in (1, -1):
+            return (
+                f"pairing matrix is not unimodular: generator {i} pairs to "
+                f"{val} with cycle {j} once the others are peeled"
+            )
+        taken += 1
+        for other in column.pop(j):
+            if other != i:
+                del rows[other][j]
+                if len(rows[other]) <= 1:
+                    ready.append(other)
+    if taken < len(rows):
+        return f"pairing matrix does not peel: {len(rows) - taken} generators stall"
+    return None
+
+
 class VerificationReport(NamedTuple):
     betti1_relative: int
     generator_count: int
@@ -233,9 +244,12 @@ def verify(
     """Full validation of a generator set against the oracle.
 
     Checks, in order: every generator is a relative cocycle; the count
-    matches the Betti number; the generators are independent modulo
-    relative coboundaries; the components with a twisted edge match the
-    non-orientable ones; the per-class sizes match the dimension formulas.
+    matches the Betti number; the witness cycles of ``generators.cycles``
+    are relative cycles and pair with the generators unimodularly
+    (``independence_ok``: with the count, a basis over Z modulo relative
+    coboundaries); the components
+    with a twisted edge match the non-orientable ones; the per-class sizes
+    match the dimension formulas.
     """
     if complex.num_edges > cap:
         raise MeshTooLargeForOracle(
@@ -245,21 +259,19 @@ def verify(
     inc = _Incidence(complex.faces)
     to_oracle = [inc.index[pair] for pair in complex.edges]
     contact = {to_oracle[eid] for eid in partition.contact_edges}
-    insulated, d0, rank_d0 = _relative(complex, inc, contact)
+    insulated, insulated_vertices, rank_d0 = _relative(inc, contact)
     component, orientable = _face_components(inc)
 
     # 1. Relative cocycle condition, using the oracle's own incidence.
     cocycle_ok = []
-    gen_rows = []
+    translated = []
     for gi, gen in enumerate(generators.generators):
-        translated = {to_oracle[eid]: val for eid, val in gen.cochain.coeffs.items()}
-        gen_rows.append(
-            {eid: val for eid, val in translated.items() if eid not in insulated}
-        )
-        ok = len(gen_rows[-1]) == len(translated)
+        coeffs = {to_oracle[eid]: val for eid, val in gen.cochain.coeffs.items()}
+        translated.append(coeffs)
+        ok = insulated.isdisjoint(coeffs)
         if ok:
             face_sums: dict[int, int] = {}
-            for eid, val in translated.items():
+            for eid, val in coeffs.items():
                 for fid, sign in inc.edge_faces[eid]:
                     face_sums[fid] = face_sums.get(fid, 0) + sign * val
             ok = all(v == 0 for v in face_sums.values())
@@ -275,11 +287,22 @@ def verify(
     if count != betti:
         failures.append(f"{count} generators but Betti number is {betti}")
 
-    # 3. Independence modulo relative coboundaries: stacking the generators
-    # on top of a spanning set of the coboundary image must add full rank.
-    independence_ok = sparse_rank(gen_rows + d0) == count + rank_d0
-    if not independence_ok:
-        failures.append("generators are dependent modulo relative coboundaries")
+    # 3. A basis over Z: the pipeline's cycles, each checked to be a
+    # relative cycle here, pair with the generators in a matrix that must
+    # peel to a unit triangle.
+    cycles = generators.cycles(complex)
+    for j, cycle in enumerate(cycles):  # in place, so one copy is held at a time
+        cycles[j] = {to_oracle[eid]: val for eid, val in cycle.items()}
+    basis_failures = [
+        f"cycle {j} is not a relative cycle"
+        for j, cycle in enumerate(cycles)
+        if not insulated_vertices.issuperset(_boundary(inc, cycle))
+    ]
+    if not basis_failures:
+        fault = _peel(_pairing(translated, cycles))
+        basis_failures += [fault] if fault else []
+    independence_ok = not basis_failures
+    failures += basis_failures
 
     # 4. Components with a twisted edge vs non-orientable components, each
     # of which carries one Z/2 of torsion.  The pipeline's twisted edge

@@ -28,9 +28,12 @@ builds one row per support edge before writing any block.
 ``report_to_generators`` reads a parsed report back into generators, so a
 test can check that the report loses nothing.
 
-``exact_rank`` (fraction-free Bareiss elimination) and
-``smith_invariant_factors`` (integer Smith normal form) are the dense, cubic
-references for the oracle's rank and counts on small meshes.
+``sparse_rank`` is the oracle's former elimination, a sparse rank modulo
+a prime (``PRIME`` by default) with Markowitz-style pivoting; the tests
+hold the oracle's closed-form counts and the generators' independence over
+small fields to it.  ``exact_rank`` (fraction-free Bareiss elimination)
+and ``smith_invariant_factors`` (integer Smith normal form) are the dense,
+cubic references for the same counts on small meshes.
 
 ``evaluate``, ``coboundary0``, ``connected_components`` and ``of_kind`` are
 test helpers with no counterpart in the package: the pairing of a cochain
@@ -48,6 +51,7 @@ import pathlib
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from globalloops.cochain import Cochain1
 from globalloops.errors import (
@@ -662,6 +666,59 @@ def connected_components(complex):
 def of_kind(generators, kind):
     """The cochains of one generator class ("ha", "ho" or "co"), in order."""
     return [g.cochain for g in generators.generators if g.kind == kind]
+
+
+PRIME = 2**31 - 1
+
+
+def sparse_rank(rows, p: int = PRIME) -> int:
+    """Rank over GF(p) of a matrix given as sparse rows ``{column: value}``.
+
+    ``p`` is any prime.  Elimination is right-looking with a
+    Markowitz-style pivot order: the shortest remaining row first, pivoting
+    on its column with the fewest remaining rows, so that little fill-in is
+    created.  The input rows are not modified.
+    """
+    active: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        reduced = {c: v % p for c, v in row.items() if v % p}
+        if reduced:
+            active[i] = reduced
+            for c in reduced:
+                cols.setdefault(c, set()).add(i)
+    heap = [(len(row), i) for i, row in active.items()]
+    heapify(heap)
+    rank = 0
+    while heap:
+        length, i = heappop(heap)
+        pivot_row = active.get(i)
+        if pivot_row is None or len(pivot_row) != length:
+            continue  # stale entry: the row was eliminated or has changed
+        del active[i]
+        for c in pivot_row:
+            cols[c].discard(i)
+        col = min(pivot_row, key=lambda c: len(cols[c]))
+        rank += 1
+        inv = pow(pivot_row[col], p - 2, p)
+        rest = [(c, v) for c, v in pivot_row.items() if c != col]
+        for j in cols.pop(col):
+            row = active[j]
+            factor = row.pop(col) * inv % p
+            for c, v in rest:
+                value = (row.get(c, 0) - factor * v) % p
+                if value:
+                    if c not in row:
+                        cols[c].add(j)
+                    row[c] = value
+                elif c in row:
+                    del row[c]
+                    cols[c].discard(j)
+            if row:
+                heappush(heap, (len(row), j))
+            else:
+                del active[j]
+    return rank
 
 
 def exact_rank(rows: list[list[int]]) -> int:

@@ -10,12 +10,12 @@ import json
 import meshes
 from globalloops.forest import build_tree_cotree
 from globalloops.generators import compute_generators
-from globalloops.oracle import _Incidence, sparse_rank, verify
+from globalloops.oracle import _Incidence, verify
 from globalloops.surface import boundary_components, classify_boundary
 from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.cli import main as cli_main
 from globalloops.meshio import write_off
-from reference import closed_d2, evaluate, is_orientable, of_kind
+from reference import closed_d2, evaluate, is_orientable, of_kind, sparse_rank
 from test_generators import fundamental_cycle, primal_tree
 
 

@@ -39,8 +39,6 @@ ALLOWED_FIELDS = {
             "dimension_formula_ok",
         )
     },
-    "generators.ComponentMeta.anchor_edge": "TestAnchorEdge reads it, and "
-    "the run record of ROADMAP aim 4 lists it",
     **{
         f"errors.{name}.line": "tests and library callers read the line "
         "number of a parse error"

@@ -189,6 +189,33 @@ class TestCompute:
         assert code == 3
         assert "refused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--verify"], []])
+    def test_negative_oracle_cap_is_exit_one(self, tmp_path, capsys, flags):
+        # A usage error before the mesh is read, not an oracle refusal.
+        mesh = write_annulus(tmp_path)
+        assert main(["compute", str(mesh), "--oracle-cap", "-1", *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "--oracle-cap -1" in err[0]
+
+    def test_cycles_are_built_only_to_verify(self, tmp_path, monkeypatch):
+        # A Klein bottle with a twisted chain, and a contact arc on a
+        # Moebius strip, whose cycles need the anchor loop.
+        K = meshes.disjoint_union(meshes.klein_grid(3, 6), meshes.moebius(6))
+        mesh, contacts = tmp_path / "m.off", tmp_path / "c.txt"
+        write_off(mesh, K)
+        arc = meshes.boundary_arc(K, 0, 3)
+        contacts.write_text("".join(f"{K.edges[e][0]} {K.edges[e][1]}\n" for e in sorted(arc)))
+        argv = ["compute", str(mesh), "--contacts", str(contacts), "--out", str(tmp_path / "r.json")]
+
+        def refused(self, complex):
+            raise AssertionError("cycle builder called")
+
+        monkeypatch.setattr(generators.GeneratorSet, "cycles", refused)
+        assert main(argv) == 0
+        with pytest.raises(AssertionError, match="cycle builder called"):
+            main([*argv, "--verify"])
+
     def test_internal_error_is_exit_four(self, tmp_path, capsys, monkeypatch):
         # A violated invariant is a bug, not bad input: exit 4, not 2.
         mesh = tmp_path / "torus.off"

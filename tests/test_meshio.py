@@ -358,6 +358,9 @@ generator_sets = st.builds(
     GeneratorSet,
     generators=st.lists(generator_records, max_size=5),
     components=st.lists(component_metas, max_size=4),
+    # The report does not read the dual forest, and a Tree drawn from its
+    # annotation would allocate lists of a drawn length.
+    dual=st.none(),
 )
 verifications = st.builds(
     VerificationReport,

@@ -1,5 +1,6 @@
-"""Oracle: sparse and dense ranks, Smith form, the reference closed-up
-complex, Betti numbers, torsion, verification."""
+"""Oracle: the reference sparse and dense ranks and Smith form, the
+reference closed-up complex, Betti numbers, torsion, verification and its
+pairing certificate."""
 
 import ast
 from pathlib import Path
@@ -15,8 +16,8 @@ from globalloops.generators import GeneratorSet, compute_generators
 from globalloops.oracle import verify
 from globalloops.surface import boundary_components, classify_boundary, euler_characteristic
 from globalloops.errors import MeshTooLargeForOracle
-from globalloops.oracle import PRIME, sparse_rank
 from reference import (
+    PRIME,
     betti1_relative,
     closed_d2,
     closed_edges,
@@ -24,8 +25,10 @@ from reference import (
     exact_rank,
     is_orientable,
     smith_invariant_factors,
+    sparse_rank,
 )
 from test_acceptance import corpus_with_contacts
+from test_random_surfaces import oracle_rows
 
 
 def dense(rows, width):
@@ -68,14 +71,6 @@ def closed_homology(K):
     free, torsion = dense_homology(incidence(K))
     assert oracle_torsion(K) == torsion
     return free, torsion
-
-
-def dense_rank(rows, p=PRIME):
-    """Stand-in for sparse_rank that takes the exact dense route."""
-    assert p == PRIME  # verify eliminates over PRIME only
-    rows = list(rows)
-    width = 1 + max((col for row in rows for col in row), default=-1)
-    return exact_rank(dense(rows, width))
 
 
 def every_test_mesh():
@@ -386,6 +381,58 @@ def claim_a_twisted_edge(gens):
     return replace_item(gens, "components", 0, num_twisted_edges=1)
 
 
+def pants():
+    return meshes.pair_of_pants(), set()
+
+
+def twisted_chain():
+    # Two twisted candidates: generator 0 is chained to the anchor edge.
+    return meshes.klein_grid(3, 6), set()
+
+
+def genus_two():
+    return meshes.genus2(), set()
+
+
+def annulus_two_arcs():
+    K = meshes.annulus(6)
+    return K, meshes.boundary_arc(K, 0, 3) | meshes.boundary_arc(K, 1, 3)
+
+
+def scaled(gens, index, factor):
+    coeffs = gens.generators[index].cochain.coeffs
+    cochain = Cochain1({k: factor * v for k, v in coeffs.items()})
+    return replace_item(gens, "generators", index, cochain=cochain)
+
+
+def double_generator(gens):
+    return scaled(gens, 0, 2)
+
+
+def shorten_the_runs(gens):
+    # Each contact component loses its highest edge id, so a run the
+    # pipeline pairs with ends inside a contact arc.
+    comps = [comp[:-1] for comp in gens.partition.contact_components]
+    return gens._replace(partition=gens.partition._replace(contact_components=comps))
+
+
+class MixedCycles(GeneratorSet):
+    """Cycles 0 and 1 replaced by their sum and difference: on an identity
+    pairing that block has determinant -2 and neither row peels."""
+
+    def cycles(self, complex):
+        out = super().cycles(complex)
+        first, second = {**out[0]}, {**out[0]}
+        for k, v in out[1].items():
+            first[k] = first.get(k, 0) + v
+            second[k] = second.get(k, 0) - v
+        return [first, second] + out[2:]
+
+
+def mix_two_cycles(gens):
+    return MixedCycles(*gens)
+
+
 def klein_and_annulus():
     return meshes.disjoint_union(meshes.klein_grid(5, 4), meshes.annulus(6)), set()
 
@@ -483,8 +530,38 @@ class TestVerify:
                     "1 handle generators, expected 0",
                 ],
             ),
+            (
+                pants,
+                double_generator,
+                [
+                    "pairing matrix is not unimodular: generator 0 pairs to -2 "
+                    "with cycle 0 once the others are peeled"
+                ],
+            ),
+            (
+                moebius_with_arc,
+                double_generator,
+                [
+                    "pairing matrix is not unimodular: generator 0 pairs to -2 "
+                    "with cycle 0 once the others are peeled"
+                ],
+            ),
+            (
+                twisted_chain,
+                double_generator,
+                [
+                    "pairing matrix is not unimodular: generator 0 pairs to 2 "
+                    "with cycle 0 once the others are peeled"
+                ],
+            ),
+            (annulus_two_arcs, shorten_the_runs, ["cycle 1 is not a relative cycle"]),
+            (genus_two, mix_two_cycles, ["pairing matrix does not peel: 2 generators stall"]),
         ],
-        ids=["cocycle", "duplicate", "counts", "twisted", "components"],
+        ids=[
+            "cocycle", "duplicate", "counts", "twisted", "components",
+            "doubled-hole", "doubled-anchor-contact", "doubled-twisted-handle",
+            "cycle", "stall",
+        ],
     )
     def test_every_failure_text(self, build, plant, failures):
         K, contact = build()
@@ -507,46 +584,71 @@ class TestVerify:
             assert report.passed, report.failures
             assert report == verify(K, gens.partition, gens)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="verify certifies independence over GF(p), so over Q; a doubled "
-        "generator keeps that and breaks only the Z-basis (ROADMAP item 4, step 2)",
-    )
     @pytest.mark.parametrize("build", [meshes.genus2, meshes.klein_grid])
     def test_doubled_generator_is_caught(self, build):
+        # Independent over Q but not a basis over Z: the pairing certificate
+        # sees the 2.
         K = build()
         gens = compute_generators(K)
-        coeffs = gens.generators[0].cochain.coeffs
-        doubled = Cochain1({k: 2 * v for k, v in coeffs.items()})
-        report = verify(K, gens.partition, replace_item(gens, "generators", 0, cochain=doubled))
+        report = verify(K, gens.partition, double_generator(gens))
         assert not report.passed
+        assert not report.independence_ok
+        assert [f.split(":")[0] for f in report.failures] == ["pairing matrix is not unimodular"]
 
-    def test_same_report_as_the_dense_routines(self, monkeypatch):
-        def reports():
-            out = []
-            for _, K, contact in corpus_with_contacts():
-                bp = classify_boundary(K, contact)
-                out.append(verify(K, bp, compute_generators(K, contact)))
-            return out
+    @pytest.mark.parametrize("build", [genus_two, pants, moebius_with_arc, twisted_chain])
+    def test_unimodular_changes_pass(self, build):
+        # A negated generator, and here generator 0 plus generator 1 (two of
+        # one class), leave a basis over Z that still peels.
+        K, contact = build()
+        gens = compute_generators(K, contact)
+        changed = [scaled(gens, i, -1) for i in range(len(gens.generators))]
+        if len(gens.generators) > 1:
+            added = dict(gens.generators[0].cochain.coeffs)
+            for k, v in gens.generators[1].cochain.coeffs.items():
+                added[k] = added.get(k, 0) + v
+            changed.append(replace_item(gens, "generators", 0, cochain=Cochain1(added)))
+        for planted in changed:
+            report = verify(K, gens.partition, planted)
+            assert report.passed, report.failures
 
-        sparse_reports = reports()
-        monkeypatch.setattr(oracle, "sparse_rank", dense_rank)
-        assert sparse_reports == reports()
-
-    def test_eliminates_once(self, monkeypatch):
-        # The ranks of d0 and d1 and the torsion are counts; only the
-        # independence check runs an elimination.
-        calls = []
-
-        def counted(rows, p=PRIME):
-            calls.append(p)
-            return sparse_rank(rows, p)
-
-        monkeypatch.setattr(oracle, "sparse_rank", counted)
+    def test_same_verdict_as_the_dense_smith_form(self):
+        # The generators with the relative coboundaries span the relative
+        # cocycles over Z exactly when the stacked rows have only unit
+        # invariant factors; doubling generator 0 breaks both verdicts.
         for name, K, contact in corpus_with_contacts():
-            calls.clear()
-            assert verify(K, classify_boundary(K, contact), compute_generators(K, contact)).passed
-            assert calls == [PRIME], name
+            gens = compute_generators(K, contact)
+            if not gens.generators:
+                continue
+            inc, _, d0, _ = oracle_rows(K, contact)
+            for planted in (gens, double_generator(gens)):
+                rows = [
+                    {inc.index[K.edges[eid]]: val for eid, val in g.cochain.coeffs.items()}
+                    for g in planted.generators
+                ]
+                factors = smith_invariant_factors(dense(rows + d0, len(inc.edges)))
+                unit = set(factors) == {1}
+                report = verify(K, classify_boundary(K, contact), planted)
+                assert report.independence_ok == unit == (planted is gens), name
+
+    def test_defines_no_elimination(self):
+        # Every count is closed form and independence is a peel of the
+        # pairing matrix: no rank routine and no pivot heap in the oracle.
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        imported = {
+            alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        } | {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+        }
+        assert not [name for name in defined if "rank" in name or "eliminat" in name]
+        assert "heapq" not in imported
 
     def test_passes_beyond_the_reach_of_the_dense_routines(self):
         # E > 2000 with handles, crosscaps, holes and contact arcs; the dense

@@ -23,14 +23,14 @@ import meshes
 from globalloops import oracle
 from globalloops.generators import GeneratorSet, compute_generators
 from globalloops.meshio import report_text
-from globalloops.oracle import sparse_rank, verify
+from globalloops.oracle import verify
 from globalloops.surface import (
     boundary_components,
     build_complex,
     classify_boundary,
     euler_characteristic,
 )
-from reference import closed_d2
+from reference import closed_d2, sparse_rank
 
 wl = meshes.workloads()
 
@@ -216,10 +216,20 @@ def test_punched_chains_pass_the_oracle(pieces, seed):
 
 def oracle_rows(K, contact):
     """The oracle's incidence of ``K``, its insulated edge ids, relative d0
-    rows and rank d0, with ``contact`` translated to oracle edge ids."""
+    rows and rank d0, with ``contact`` translated to oracle edge ids.  The
+    d0 rows are built here: one per vertex off the insulated subcomplex,
+    over oracle edge ids, with no column for an insulated edge (both of
+    its ends are insulated)."""
     inc = oracle._Incidence(K.faces)
-    insulated, d0, rank_d0 = oracle._relative(K, inc, {inc.index[K.edges[e]] for e in contact})
-    return inc, insulated, d0, rank_d0
+    contact = {inc.index[K.edges[e]] for e in contact}
+    insulated, insulated_vertices, rank_d0 = oracle._relative(inc, contact)
+    d0 = {v: {} for v in range(K.num_vertices) if v not in insulated_vertices}
+    for eid, (a, b) in enumerate(inc.edges):
+        if b in d0:
+            d0[b][eid] = 1
+        if a in d0:
+            d0[a][eid] = -1
+    return inc, insulated, list(d0.values()), rank_d0
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
