@@ -136,7 +136,7 @@ def cmd_info(args) -> int:
     chi = euler_characteristic(complex)
     holes = boundary_components(complex)
     # The dual forest has one tree per component, as ``compute`` numbers them.
-    dual, candidates = build_tree_cotree(complex, holes)
+    _, dual, candidates = build_tree_cotree(complex, holes)
     orientable = not any(is_twisted(complex, dual, eid) for eid in candidates)
     print(
         f"V={complex.num_vertices} E={complex.num_edges} F={complex.num_faces} "

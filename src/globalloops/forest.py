@@ -1,4 +1,5 @@
-"""Tree-cotree split over the whole complex, kept as one mark per edge.
+"""Tree-cotree split over the whole complex: two ``Tree`` forests and one
+mark per edge.
 
 ``taken`` holds one byte per edge.  A boundary-first primal spanning forest
 sets it on each of its tree edges and on every edge of each boundary circle;
@@ -11,9 +12,10 @@ Primal roots are taken in ascending vertex id; each primal tree grows
 breadth first over interior edges and takes every boundary circle it touches
 whole (each boundary vertex has exactly two boundary edges, so a circle is a
 simple cycle): n - 1 of a circle's n edges are the tree's path around it,
-and the one leftover edge is in neither forest and is not a candidate.  Only
-the marks are kept, not the primal tree.  Each dual tree is rooted at the
-minimal face of its component.
+and the one leftover edge is in neither forest and is not a candidate.  The
+primal forest is kept as a ``Tree`` over the vertices, through which the
+witness cycles of ``GeneratorSet.cycles`` close.  Each dual tree is rooted
+at the minimal face of its component.
 
 While the dual forest grows it records, per face, an orientation
 ``sigma`` (+1 or -1) that agrees across every dual-tree edge:
@@ -34,10 +36,10 @@ from .surface import BoundaryCycle, SurfaceComplex, euler_characteristic
 
 
 class Tree:
-    """The dual spanning forest: faces by parent pointers, with their
-    orientation.
+    """A spanning forest by parent pointers: the primal one over vertices,
+    or the dual one over faces, with their orientation.
 
-    Its edges are the ``parent_edge`` of the non-root faces; no separate
+    Its edges are the ``parent_edge`` of the non-root nodes; no separate
     edge set is kept.  Walking both endpoints up to their meeting node, the
     deeper one first, visits the unique tree path in O(path length).
     """
@@ -83,18 +85,19 @@ class Tree:
 
 def build_primal_tree(
     complex: SurfaceComplex, holes: list[BoundaryCycle]
-) -> tuple[bytearray, list[int]]:
+) -> tuple[bytearray, Tree]:
     """Boundary-first primal spanning forest, one tree per component.
 
     Returns ``taken``, one byte per edge set on every tree edge and every
-    edge of ``holes``, and the roots.  When the breadth-first search over
-    the mesh first touches a circle, the circle's other vertices join the
-    queue at once, in the order of the path that leaves out ``edges[n // 2]``
-    of a circle of n edges (where a breadth-first search from
-    ``vertices[0]`` toward ``vertices[1]`` would close up, for odd and even
-    n alike): outward from the touched vertex, one vertex per arm in turn,
-    the arm toward ``vertices[0]`` first (from ``vertices[0]`` itself, the
-    arm through ``vertices[1]``).  That order fixes the rest of the search.
+    edge of ``holes``, and the forest over the vertices.  When the
+    breadth-first search first touches a circle, it takes the path that
+    leaves out ``edges[n // 2]`` of a circle of n edges (where a
+    breadth-first search from ``vertices[0]`` toward ``vertices[1]`` would
+    close up, for odd and even n alike): each vertex hangs from its
+    neighbour toward the touched one and joins the queue outward, one per
+    arm in turn, the arm toward ``vertices[0]`` first (from ``vertices[0]``
+    itself, the arm through ``vertices[1]``).  That order fixes the rest of
+    the search.
     """
     nv = complex.num_vertices
     circle_of = [-1] * nv
@@ -104,19 +107,18 @@ def build_primal_tree(
             circle_of[v] = k
             position[v] = i
     taken = bytearray(complex.num_edges)
-    visited = bytearray(nv)
-    roots: list[int] = []
+    primal = Tree(nv)
+    tree_of, attach = primal.tree_of, primal.attach
     queue: deque[int] = deque()
 
     def absorb(entry: int) -> None:
         # Queue `entry` and, when it lies on a circle, the rest of that circle.
-        visited[entry] = 1
         queue.append(entry)
         k = circle_of[entry]
         if k < 0:
             return
-        verts = holes[k].vertices
-        for eid in holes[k].edges:
+        verts, edges = holes[k].vertices, holes[k].edges
+        for eid in edges:
             taken[eid] = 1
         n, i = len(verts), position[entry]
         up = (n // 2 - i) % n  # steps toward increasing index before the leftover
@@ -126,24 +128,28 @@ def build_primal_tree(
         for step in range(1, max(up, n - 1 - up) + 1):
             for direction, length in arms:
                 if step <= length:
-                    v = verts[(i + direction * step) % n]
-                    visited[v] = 1
-                    queue.append(v)
+                    j = (i + direction * step) % n
+                    # The parent is the previous vertex on the arm, and
+                    # edges[j] joins verts[j] and verts[j + 1].
+                    eid = edges[j] if direction < 0 else edges[j - 1]
+                    attach(verts[j], verts[(j - direction) % n], eid)
+                    queue.append(verts[j])
 
     for root in range(nv):
-        if visited[root]:
+        if tree_of[root] >= 0:
             continue
-        roots.append(root)
+        primal.add_root(root)
         absorb(root)
         while queue:
             u = queue.popleft()
             # Circles are taken whole, so every boundary edge leads to a
-            # visited vertex.
+            # vertex already in the forest.
             for eid, w in complex.vertex_edges[u]:
-                if not visited[w]:
+                if tree_of[w] < 0:
                     taken[eid] = 1
+                    attach(w, u, eid)
                     absorb(w)
-    return taken, roots
+    return taken, primal
 
 
 def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
@@ -182,9 +188,9 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
 
 def build_tree_cotree(
     complex: SurfaceComplex, holes: list[BoundaryCycle]
-) -> tuple[Tree, list[int]]:
-    """The dual forest and the candidate edges, those left untaken, in
-    ascending order.
+) -> tuple[Tree, Tree, list[int]]:
+    """The primal forest, the dual forest and the candidate edges, those
+    left untaken, in ascending order.
 
     Raises DualDisconnected when the dual forest needs more roots than the
     primal one, i.e. when the untaken edges split a component.  The
@@ -194,14 +200,14 @@ def build_tree_cotree(
     boundary edge; otherwise the forests are inconsistent and
     CountMismatch is raised.
     """
-    taken, roots = build_primal_tree(complex, holes)
+    taken, primal = build_primal_tree(complex, holes)
     dual = build_dual_tree(complex, taken)
-    if len(dual.roots) > len(roots):
+    if len(dual.roots) > len(primal.roots):
         raise DualDisconnected(
             "constrained dual graph does not connect all faces of a component"
         )
     candidates = [eid for eid, mark in enumerate(taken) if not mark]
-    expected = 2 * len(roots) - euler_characteristic(complex) - len(holes)
+    expected = 2 * len(primal.roots) - euler_characteristic(complex) - len(holes)
     if len(candidates) != expected:
         raise CountMismatch(
             f"{len(candidates)} candidate edges, expected {expected}"
@@ -209,4 +215,4 @@ def build_tree_cotree(
     for eid in candidates:
         if complex.is_boundary_edge(eid):
             raise CountMismatch(f"boundary edge {eid} escaped both trees")
-    return dual, candidates
+    return primal, dual, candidates

@@ -30,15 +30,13 @@ Every id is the complex's own.  All coefficients are integers; the same
 representatives serve as a basis over the reals.
 
 Only when asked, ``GeneratorSet.cycles`` builds one relative 1-cycle per
-generator, the witness with which ``oracle.verify`` certifies a basis over
-the integers.
+generator, closed through the primal forest, the witness with which
+``oracle.verify`` certifies a basis over the integers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cache
-from itertools import chain
 from typing import NamedTuple
 
 from .cochain import Cochain1
@@ -79,29 +77,30 @@ class GeneratorSet(NamedTuple):
     components: list[ComponentMeta] = ()
     # The boundary partition the generators were built on, for ``verify``.
     partition: BoundaryPartition | None = None
-    # The dual forest and the candidate edges, for ``cycles``.
+    # The dual forest, the candidate edges and the primal forest, for
+    # ``cycles``.
     dual: Tree | None = None
     candidates: list[int] = ()
+    primal: Tree | None = None
 
     @property
     def orientable(self) -> bool:
         return not any(m.num_twisted_edges for m in self.components)
 
-    def cycles(self, complex: SurfaceComplex) -> list[dict[int, int]]:
+    def cycles(self, complex: SurfaceComplex) -> list[dict[int, int]] | None:
         """One relative 1-cycle per generator, as {edge id: coefficient},
         component by component and class by class as the generators come:
-        the witness of ``oracle.verify``'s pairing check.
+        the witness of ``oracle.verify``'s pairing check.  None when there
+        are generators but no forests to close them through.
 
-        Paths run in one breadth-first forest over the edges that the dual
-        forest does not cross and that are not candidates (the primal
-        forest plus every circle edge), rooted in each component at an
-        insulated vertex of the fixed circle where there is one.  Per
-        component:
+        Paths run in the primal forest of ``forest.build_primal_tree``,
+        whose edges the dual forest does not cross and which are not
+        candidates.  Per component:
 
-        * per handle generator, its candidate edge e plus the forest path
+        * per handle generator, its candidate edge e plus the primal path
           from the head of e back to its tail,
-        * per hole generator, the forest path from an insulated vertex of
-          its circle to the root,
+        * per hole generator, the primal path from an insulated vertex of
+          its circle to an insulated vertex of the fixed circle,
         * per contact generator of the chain, the run of one contact
           component, each but the last in the partition's order, oriented
           along its circle; for the extra one of a non-orientable
@@ -117,19 +116,21 @@ class GeneratorSet(NamedTuple):
         """
         if not self.generators:
             return []
-        dual, contact = self.dual, self.partition.contact_edges
+        dual, primal = self.dual, self.primal
+        if dual is None or primal is None:
+            return None
+        contact, out = self.partition.contact_edges, []
         per_component = _by_component(complex, dual, self.candidates, self.partition)
-        roots = [_insulated_vertex(c[-1], contact) if c else -1 for _, c, _ in per_component]
-        forest = _cycle_forest(complex, dual, self.candidates, [r for r in roots if r >= 0])
-        out = []
-        for meta, (candidates, circles, comps), root in zip(self.components, per_component, roots):
+        for meta, (candidates, circles, comps) in zip(self.components, per_component):
             anchor = meta.anchor_edge
-            loops = {eid: _loop(complex, forest, eid) for eid in candidates}
+            loops = {eid: _loop(complex, primal, eid) for eid in candidates}
             out += [loops[eid] for eid in candidates if eid != anchor]
-            out += [
-                _path(complex, forest, _insulated_vertex(cyc, contact), root)
-                for cyc in circles[:-1]
-            ]
+            if circles:
+                fixed = _insulated_vertex(circles[-1], contact)
+                out += [
+                    _path(complex, primal, _insulated_vertex(cyc, contact), fixed)
+                    for cyc in circles[:-1]
+                ]
             if not comps:
                 continue
             sign = {
@@ -169,36 +170,10 @@ def _insulated_vertex(cyc: BoundaryCycle, contact) -> int:
     return next(v for v, eid in zip(cyc.vertices, cyc.edges) if eid not in contact)
 
 
-def _cycle_forest(complex: SurfaceComplex, dual: Tree, candidates, roots):
-    """Breadth-first forest over the edges that the dual forest does not
-    cross and that are not candidates, grown from ``roots`` in turn and then
-    from each unvisited vertex in ascending id.  Returns per vertex its
-    parent, parent edge and depth."""
-    usable = bytearray(b"\x01") * complex.num_edges
-    for eid in chain(dual.parent_edge, candidates):
-        if eid >= 0:
-            usable[eid] = 0
-    nv = complex.num_vertices
-    parent, parent_edge, depth = [-1] * nv, [-1] * nv, [-1] * nv
-    queue: deque[int] = deque()
-    for root in chain(roots, range(nv)):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        queue.append(root)
-        while queue:
-            u = queue.popleft()
-            for eid, w in complex.vertex_edges[u]:
-                if usable[eid] and depth[w] < 0:
-                    parent[w], parent_edge[w], depth[w] = u, eid, depth[u] + 1
-                    queue.append(w)
-    return parent, parent_edge, depth
-
-
-def _path(complex: SurfaceComplex, forest, a: int, b: int) -> dict[int, int]:
-    """The forest path from vertex ``a`` to vertex ``b`` as a chain: +1 on
+def _path(complex: SurfaceComplex, primal: Tree, a: int, b: int) -> dict[int, int]:
+    """The primal path from vertex ``a`` to vertex ``b`` as a chain: +1 on
     an edge it runs along from tail to head, -1 against."""
-    parent, parent_edge, depth = forest
+    parent, parent_edge, depth = primal.parent, primal.parent_edge, primal.depth
     out = {}
     while a != b:  # the deeper end steps toward the meeting vertex
         if depth[a] >= depth[b]:
@@ -212,10 +187,10 @@ def _path(complex: SurfaceComplex, forest, a: int, b: int) -> dict[int, int]:
     return out
 
 
-def _loop(complex: SurfaceComplex, forest, eid: int) -> dict[int, int]:
-    """Candidate ``eid`` closed by the forest path from its head to its tail."""
+def _loop(complex: SurfaceComplex, primal: Tree, eid: int) -> dict[int, int]:
+    """Candidate ``eid`` closed by the primal path from its head to its tail."""
     tail, head = complex.edges[eid]
-    out = _path(complex, forest, head, tail)
+    out = _path(complex, primal, head, tail)
     out[eid] = 1
     return out
 
@@ -364,7 +339,7 @@ def compute_generators(
                 f"through vertex {cyc.vertices[0]}; leave at least one "
                 "insulated edge on each circle with contacts"
             )
-    dual, candidate_edges = build_tree_cotree(complex, partition.hole_components)
+    primal, dual, candidate_edges = build_tree_cotree(complex, partition.hole_components)
 
     # The dual forest has exactly one tree per component (build_tree_cotree
     # raises otherwise), rooted at its minimal face in ascending order.
@@ -394,4 +369,4 @@ def compute_generators(
             for g in gens
         ]
         metas.append(meta)
-    return GeneratorSet(generators, metas, partition, dual, candidate_edges)
+    return GeneratorSet(generators, metas, partition, dual, candidate_edges, primal)

@@ -102,16 +102,6 @@ def load_off(path: str | Path) -> SurfaceComplex:
     return build_complex(nv, faces, coords=coords)
 
 
-def write_off(path: str | Path, complex: SurfaceComplex) -> None:
-    lines = ["OFF", f"{complex.num_vertices} {complex.num_faces} {complex.num_edges}"]
-    coords = complex.coords or [(0.0, 0.0, 0.0)] * complex.num_vertices
-    for x, y, z in coords:
-        lines.append(f"{x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in complex.faces:
-        lines.append(f"3 {a} {b} {c}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def parse_contacts(text: str, complex: SurfaceComplex) -> set[int]:
     """Parse a contact file: one 'i j' vertex pair per line.
 

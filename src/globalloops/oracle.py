@@ -247,9 +247,9 @@ def verify(
     matches the Betti number; the witness cycles of ``generators.cycles``
     are relative cycles and pair with the generators unimodularly
     (``independence_ok``: with the count, a basis over Z modulo relative
-    coboundaries); the components
-    with a twisted edge match the non-orientable ones; the per-class sizes
-    match the dimension formulas.
+    coboundaries; a set with no forests offers no cycles and fails it); the
+    components with a twisted edge match the non-orientable ones; the
+    per-class sizes match the dimension formulas.
     """
     if complex.num_edges > cap:
         raise MeshTooLargeForOracle(
@@ -291,13 +291,16 @@ def verify(
     # relative cycle here, pair with the generators in a matrix that must
     # peel to a unit triangle.
     cycles = generators.cycles(complex)
-    for j, cycle in enumerate(cycles):  # in place, so one copy is held at a time
-        cycles[j] = {to_oracle[eid]: val for eid, val in cycle.items()}
-    basis_failures = [
-        f"cycle {j} is not a relative cycle"
-        for j, cycle in enumerate(cycles)
-        if not insulated_vertices.issuperset(_boundary(inc, cycle))
-    ]
+    if cycles is None:
+        basis_failures = ["no witness cycles: the generator set holds no forests"]
+    else:
+        for j, cycle in enumerate(cycles):  # in place, so one copy is held at a time
+            cycles[j] = {to_oracle[eid]: val for eid, val in cycle.items()}
+        basis_failures = [
+            f"cycle {j} is not a relative cycle"
+            for j, cycle in enumerate(cycles)
+            if not insulated_vertices.issuperset(_boundary(inc, cycle))
+        ]
     if not basis_failures:
         fault = _peel(_pairing(translated, cycles))
         basis_failures += [fault] if fault else []

@@ -192,6 +192,18 @@ def disjoint_union(*complexes):
     return build_complex(offset, faces)
 
 
+def write_off(path, complex):
+    """Write ``complex`` as an OFF file, at the origin where it has no
+    coordinates."""
+    lines = ["OFF", f"{complex.num_vertices} {complex.num_faces} {complex.num_edges}"]
+    coords = complex.coords or [(0.0, 0.0, 0.0)] * complex.num_vertices
+    for x, y, z in coords:
+        lines.append(f"{x:.17g} {y:.17g} {z:.17g}")
+    for a, b, c in complex.faces:
+        lines.append(f"3 {a} {b} {c}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def boundary_arc(complex, circle_index, length, start=0):
     """Edge ids of a contact arc on one boundary circle."""
     from globalloops.surface import boundary_components

@@ -8,10 +8,9 @@ the same values in closed form from the dual forest's face orientation.
 ``build_primal_tree`` and ``classify_boundary`` are the original searches:
 a breadth-first search inside every boundary circle, absorbed as a
 re-rooted fragment, and a breadth-first search over contact edges that
-share a vertex.  The package reads the same search order, kept only as
-edge marks, and the same contact components off each circle's traversal
-order.  The reference primal forest is a ``forest.Tree``, the package's
-dual forest type.
+share a vertex.  The package reads the same search order, and the same
+contact components, off each circle's traversal order.  Both primal forests
+are a ``forest.Tree``, parent for parent.
 
 ``build_complex`` (with ``_check_vertex_links``) and ``boundary_components``
 are the original indexing and boundary walk: tuple-keyed edges, one

@@ -14,7 +14,7 @@ from globalloops.oracle import _Incidence, verify
 from globalloops.surface import boundary_components, classify_boundary
 from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.cli import main as cli_main
-from globalloops.meshio import write_off
+from meshes import write_off
 from reference import closed_d2, evaluate, is_orientable, of_kind, sparse_rank
 from test_generators import fundamental_cycle, primal_tree
 
@@ -92,7 +92,7 @@ def test_handle_generators_and_pairing():
         assert len(gens.generators) == expected
         bp = classify_boundary(K, set())
         assert verify(K, bp, gens).betti1_relative == expected
-        _, candidates = build_tree_cotree(K, boundary_components(K))
+        _, _, candidates = build_tree_cotree(K, boundary_components(K))
         primal = primal_tree(K)
         for i, g in enumerate(of_kind(gens, "ha")):
             for j, eid in enumerate(candidates):

@@ -1,18 +1,18 @@
 """Everything defined in ``src/globalloops`` is used by the program.
 
 Each function, class and method defined there must be referenced from
-``src/`` or ``scripts/``, or be named in ``ALLOWED`` with the reason it
-stays.  A function or class counts as referenced when its name is loaded
-(after an import) or read as ``module.name``; a method or property when an
-attribute of its name is read anywhere.  Names match by spelling, not by
-type, so two methods of one name share their references.  Dunder methods
-are called by the language and are not checked.
+``src/``, or be named in ``ALLOWED`` with the reason it stays.  A function
+or class counts as referenced when its name is loaded (after an import) or
+read as ``module.name``; a method or property when an attribute of its name
+is read anywhere.  Names match by spelling, not by type, so two methods of
+one name share their references.  Dunder methods are called by the
+language and are not checked.
 
 Every field of a record there (a ``@dataclass`` or a ``NamedTuple``
 subclass), and every attribute that an ``__init__`` there sets on its
-instance, must likewise be read as an attribute somewhere in ``src/`` or
-``scripts/``, or be named in ``ALLOWED_FIELDS`` with a reason: a field
-that is only written is a copy nobody needs.
+instance, must likewise be read as an attribute somewhere in ``src/``, or
+be named in ``ALLOWED_FIELDS`` with a reason: a field that is only written
+is a copy nobody needs.
 """
 
 import ast
@@ -48,8 +48,8 @@ ALLOWED_FIELDS = {
 
 
 def sources():
-    """(path, parsed module) of each file of the package and of ``scripts/``."""
-    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+    """(path, parsed module) of each file of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
         yield path, ast.parse(path.read_text())
 
 
@@ -67,8 +67,7 @@ def definitions(body, owner: str, in_class: bool = False):
 def unreferenced() -> set[str]:
     defined, names, attrs, qualified = [], set(), set(), set()
     for path, tree in sources():
-        if path.parent == PACKAGE:
-            defined += definitions(tree.body, path.stem)
+        defined += definitions(tree.body, path.stem)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
@@ -125,7 +124,7 @@ def unread_fields() -> set[str]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif path.parent == PACKAGE and isinstance(node, ast.ClassDef):
+            elif isinstance(node, ast.ClassDef):
                 fields += [f"{path.stem}.{node.name}.{name}" for name in field_names(node)]
     return {name for name in fields if name.rpartition(".")[2] not in read}
 

@@ -14,9 +14,10 @@ import globalloops
 from globalloops import generators, meshio
 from globalloops.cli import main
 from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
-from globalloops.meshio import render_report, report_dict, write_off
+from globalloops.meshio import render_report, report_dict
 from globalloops.oracle import verify
 from globalloops.surface import classify_boundary
+from meshes import write_off
 from test_oracle import every_test_mesh
 
 

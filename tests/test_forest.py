@@ -16,7 +16,8 @@ from globalloops.transport import transport
 
 
 def decompose(K):
-    return build_tree_cotree(K, boundary_components(K))
+    """The dual forest and the candidate edges."""
+    return build_tree_cotree(K, boundary_components(K))[1:]
 
 
 def split(K):
@@ -27,7 +28,7 @@ def split(K):
     taken, _ = build_primal_tree(K, holes)
     leftovers = [cyc.edges[len(cyc.edges) // 2] for cyc in holes]
     primal = {eid for eid, mark in enumerate(taken) if mark} - set(leftovers)
-    dual, candidates = build_tree_cotree(K, holes)
+    _, dual, candidates = build_tree_cotree(K, holes)
     crossed = {dual.parent_edge[f] for f in range(K.num_faces) if dual.parent[f] >= 0}
     return primal, crossed, leftovers, candidates
 
@@ -200,8 +201,8 @@ class TestTreePaths:
         far = torus.num_faces
         with pytest.raises(NodeNotInTree):
             transport(K, dual, 0, far, K.face_edges[0][0][0], K.face_edges[far][0][0])
-        _, roots = build_primal_tree(K, boundary_components(K))
-        assert roots == [0, torus.num_vertices]
+        _, primal = build_primal_tree(K, boundary_components(K))
+        assert primal.roots == [0, torus.num_vertices]
 
 
 @pytest.mark.parametrize(
@@ -231,7 +232,7 @@ def test_one_tree_per_component():
     dual, _ = decompose(K)
     offsets_v = [0, torus.num_vertices, torus.num_vertices + moebius.num_vertices]
     offsets_f = [0, torus.num_faces, torus.num_faces + moebius.num_faces]
-    assert build_primal_tree(K, boundary_components(K))[1] == offsets_v
+    assert build_primal_tree(K, boundary_components(K))[1].roots == offsets_v
     assert dual.roots == offsets_f
     # Each face is labelled with its component, numbered as
     # the reference face search numbers them.
@@ -254,8 +255,8 @@ def primal_with(monkeypatch, change):
     real = forest.build_primal_tree
 
     def changed(complex, holes):
-        taken, roots = real(complex, holes)
-        return change(taken), roots
+        taken, primal = real(complex, holes)
+        return change(taken), primal
 
     monkeypatch.setattr(forest, "build_primal_tree", changed)
 
@@ -304,11 +305,9 @@ samples = st.builds(
 )
 
 
-def reference_marks(K):
-    """The reference primal forest as marks: its tree edges and every
-    circle edge taken; and its roots."""
-    holes = boundary_components(K)
-    tree, _ = reference.build_primal_tree(K, holes)
+def reference_marks(K, tree, holes):
+    """The reference primal forest ``tree`` as marks: its tree edges and
+    every circle edge taken."""
     taken = bytearray(K.num_edges)
     for eid in tree.parent_edge:
         if eid >= 0:
@@ -316,15 +315,21 @@ def reference_marks(K):
     for cyc in holes:
         for eid in cyc.edges:
             taken[eid] = 1
-    return taken, tree.roots
+    return taken
 
 
 @settings(deadline=None, max_examples=100)
 @given(samples)
 def test_primal_forest_matches_the_circle_search(K):
     # Circle paths read off the traversal order give the forest of the
-    # reference's search inside each circle, absorbed re-rooted.
-    assert build_primal_tree(K, boundary_components(K)) == reference_marks(K)
+    # reference's search inside each circle, absorbed re-rooted: the same
+    # marks, roots, parents, parent edges, depths and tree labels.
+    holes = boundary_components(K)
+    taken, primal = build_primal_tree(K, holes)
+    tree, _ = reference.build_primal_tree(K, holes)
+    assert taken == reference_marks(K, tree, holes)
+    for field in ("roots", "parent", "parent_edge", "depth", "tree_of"):
+        assert getattr(primal, field) == getattr(tree, field), field
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12])

@@ -74,7 +74,7 @@ class TestHandles:
         # Each handle generator pairs to 1 with its own candidate edge's
         # cycle and to 0 with the others.
         for K in (meshes.csaszar_torus(), meshes.genus2()):
-            _, candidates = build_tree_cotree(K, boundary_components(K))
+            _, _, candidates = build_tree_cotree(K, boundary_components(K))
             primal = primal_tree(K)
             gens = compute_generators(K)
             assert len(of_kind(gens, "ha")) == len(candidates)
@@ -303,7 +303,7 @@ class TestAnchorEdge:
         for name, K, contact in self.cases():
             gens = compute_generators(K, contact)
             holes = classify_boundary(K, contact).hole_components
-            dual, candidates = build_tree_cotree(K, holes)
+            _, dual, candidates = build_tree_cotree(K, holes)
             rank = dual.preorder()
             for cid, meta in enumerate(gens.components):
                 own = [e for e in candidates if dual.tree_of[K.edge_faces[e][0]] == cid]

@@ -25,12 +25,12 @@ from globalloops.meshio import (
     parse_off,
     report_dict,
     report_text,
-    write_off,
     write_vtk,
 )
 from globalloops.meshio import load_off
 from globalloops.oracle import VerificationReport, verify
 from globalloops.surface import boundary_components, classify_boundary
+from meshes import write_off
 
 GOOD_OFF = """OFF
 # a lone triangle
@@ -358,9 +358,10 @@ generator_sets = st.builds(
     GeneratorSet,
     generators=st.lists(generator_records, max_size=5),
     components=st.lists(component_metas, max_size=4),
-    # The report does not read the dual forest, and a Tree drawn from its
-    # annotation would allocate lists of a drawn length.
+    # The report reads neither forest, and a Tree drawn from its annotation
+    # would allocate lists of a drawn length.
     dual=st.none(),
+    primal=st.none(),
 )
 verifications = st.builds(
     VerificationReport,

@@ -569,6 +569,22 @@ class TestVerify:
         report = verify(K, classify_boundary(K, contact), gens)
         assert report.failures == failures
 
+    @pytest.mark.parametrize("build", [genus_two, pants, moebius_with_arc, annulus_two_arcs])
+    def test_a_set_without_forests_fails_on_independence(self, build):
+        # GeneratorSet is public and its forests default to None: such a set
+        # offers no witness cycles, which is a failure of its own, not a crash.
+        K, contact = build()
+        gens = compute_generators(K, contact)
+        for bare in (
+            GeneratorSet(gens.generators, gens.components, gens.partition),
+            gens._replace(primal=None),
+            gens._replace(dual=None),
+        ):
+            report = verify(K, gens.partition, bare)
+            assert not report.independence_ok
+            assert report.failures == ["no witness cycles: the generator set holds no forests"]
+            assert report.cocycle_ok == [True] * len(gens.generators)
+
     @pytest.mark.parametrize("build", [meshes.moebius, meshes.annulus])
     def test_ignores_the_pipeline_boundary_table(self, build):
         # The oracle finds the boundary in its own incidence and reads only

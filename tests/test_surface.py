@@ -256,7 +256,7 @@ def test_contact_runs_match_the_search(case):
 
 def dual_components(K):
     """Face ids of each component, grouped by the dual tree that holds them."""
-    dual, _ = build_tree_cotree(K, boundary_components(K))
+    _, dual, _ = build_tree_cotree(K, boundary_components(K))
     parts = [[] for _ in dual.roots]
     for fid, cid in enumerate(dual.tree_of):
         parts[cid].append(fid)

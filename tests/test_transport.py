@@ -16,7 +16,8 @@ from globalloops.transport import is_twisted, transport
 
 
 def decompose(K):
-    return build_tree_cotree(K, boundary_components(K))
+    """The dual forest and the candidate edges."""
+    return build_tree_cotree(K, boundary_components(K))[1:]
 
 
 def hand_built(K, links):
