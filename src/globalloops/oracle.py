@@ -1,16 +1,16 @@
 """Independent verification of a generator set, by exact counts and a
 pairing certificate.
 
-Everything here re-derives edges and incidence signs from the raw face
-list rather than reusing the pipeline's tables, so a bug in the fast path
-cannot hide from the checks.  That incidence stores each edge's cofaces
-with their signs, so the cocycle check and the face-component search read
-a sign where it is stored.  The boundary circles, the contact components
-and the vertex classes come from union-finds over vertex pairs of that
-incidence; of the pipeline's output only the partition's contact edge ids,
-the generators and the relative cycles the generator set offers as a
-witness are read, translated into oracle edge ids through one vertex-pair
-lookup per edge.  The rest of the oracle's own boundary is insulated.
+Everything here re-derives incidence signs from the raw face list rather
+than reusing the pipeline's tables, so a bug in the fast path cannot hide
+from the checks.  The edges are numbered by the complex's edge list, which
+is checked against the faces once (a wrong list raises ValueError).  The
+incidence stores each edge's cofaces with their signs, where the cocycle
+check and the face-component search read them.  Boundary circles, contact
+components and vertex classes come from union-finds over its vertex
+pairs.  Of the pipeline's output only the contact edge ids, the generators
+and the witness cycles are read, by those ids as they are; an id off this
+incidence is a failure.  The rest of the oracle's own boundary is insulated.
 
 Premise: every edge has at most two faces (``build_complex`` raises
 NonManifoldEdge otherwise).  The ranks of the relative complex and the
@@ -57,36 +57,39 @@ from typing import NamedTuple
 from .errors import MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
 
-# On a 2-core Xeon, verify took 0.39 s on torus_grid(115, 115) (E = 39,675,
-# peak RSS 70 MB), 0.06 s on a chain of 64 torus(6, 6) (E = 6,723), 2.2 s on
-# a scrambled chain of 380 torus(5, 7) (E = 38,763, 152 MB) and 1.3 s on the
-# same chain unscrambled, whose witness cycles hold 17.5E entries (146 MB;
-# BENCH_20.json).
+# On a 2-core Xeon, verify took 0.3 s on torus_grid(115, 115) (E = 39,675,
+# peak RSS 69 MB), 0.06 s on a chain of 64 torus(6, 6) (E = 6,723), and 1.0 s
+# and 1.8 s (140 and 136 MB) on a chain of 380 torus(5, 7) (E = 38,763),
+# plain and scrambled (BENCH_22.json).
 DEFAULT_EDGE_CAP = 40_000
 
 
 class _Incidence:
-    """Edge table rebuilt from scratch out of the raw face list."""
+    """The complex's edge list checked against its raw faces: each face
+    pair (a < b) finds its edge id by the key a * V + b.  ValueError when a
+    face has a pair the list lacks, or the list holds a pair reversed or out
+    of range, repeats one, or has one on no face."""
 
-    def __init__(self, faces):
-        self.edges = edges = []  # per edge: its vertex pair, lower id first
-        self.index = index = {}  # vertex pair -> edge id
+    def __init__(self, complex):
+        n = complex.num_vertices
+        self.edges = edges = complex.edges  # per edge: its vertex pair, lower id first
+        index = {a * n + b: eid for eid, (a, b) in enumerate(edges)}
+        if len(index) < len(edges) or not all(0 <= a < b < n for a, b in edges):
+            raise ValueError("edge list repeats a pair or has one reversed or out of range")
         self.face_signs = face_signs = []  # per face: (edge id, sign)
-        self.edge_faces = edge_faces = []  # per edge: (face id, sign)
-        for fid, (a, b, c) in enumerate(faces):
+        self.edge_faces = edge_faces = [[] for _ in edges]  # per edge: (face id, sign)
+        for fid, (a, b, c) in enumerate(complex.faces):
             signs = []
             for u, w in ((a, b), (b, c), (c, a)):
-                pair = (u, w) if u < w else (w, u)
-                eid = index.get(pair)
-                if eid is None:
-                    eid = len(edges)
-                    index[pair] = eid
-                    edges.append(pair)
-                    edge_faces.append([])
                 sign = 1 if u < w else -1
+                eid = index.get(u * n + w if u < w else w * n + u)
+                if eid is None:
+                    raise ValueError(f"face {fid} has the pair {u} {w}, not in the edge list")
                 edge_faces[eid].append((fid, sign))
                 signs.append((eid, sign))
             face_signs.append(signs)
+        if not all(edge_faces):
+            raise ValueError(f"edge {edge_faces.index([])} lies on no face")
         self.boundary = {e for e, fl in enumerate(edge_faces) if len(fl) == 1}
         # Boundary vertex -> root of its circle.
         self.circle_root = _roots(edges[eid] for eid in self.boundary)
@@ -96,7 +99,7 @@ def _relative(inc: _Incidence, contact: set[int]):
     """The insulated part of ``inc`` and the rank of the relative vertex
     coboundary.
 
-    ``contact`` holds the contact edges' oracle ids; every other boundary
+    ``contact`` holds the contact edges' ids; every other boundary
     edge of ``inc`` is insulated.  Returns the insulated edge ids, their
     vertices and rank d0 = V_rel - b0.
     """
@@ -159,9 +162,13 @@ def _roots(pairs) -> dict[int, int]:
     return {x: find(x) for x in parent}
 
 
+def _in_range(chain: dict[int, int], n: int) -> bool:
+    """Whether every edge id of ``chain`` lies in 0..n-1."""
+    return not chain or (min(chain) >= 0 and max(chain) < n)
+
+
 def _boundary(inc: _Incidence, chain: dict[int, int]) -> set[int]:
-    """The vertices where the boundary of a chain in oracle edge ids is
-    nonzero."""
+    """The vertices where the boundary of a chain is nonzero."""
     total: dict[int, int] = {}
     for eid, val in chain.items():
         a, b = inc.edges[eid]
@@ -243,32 +250,31 @@ def verify(
 ) -> VerificationReport:
     """Full validation of a generator set against the oracle.
 
-    Checks, in order: every generator is a relative cocycle; the count
-    matches the Betti number; the witness cycles of ``generators.cycles``
-    are relative cycles and pair with the generators unimodularly
-    (``independence_ok``: with the count, a basis over Z modulo relative
-    coboundaries; a set with no forests offers no cycles and fails it); the
-    components with a twisted edge match the non-orientable ones; the
-    per-class sizes match the dimension formulas.
+    Checks, in order: every contact id is a boundary edge; every generator
+    is a relative cocycle; the count matches the Betti number; the witness
+    cycles of ``generators.cycles`` are relative cycles and pair with the
+    generators unimodularly (``independence_ok``: with the count, a basis
+    over Z modulo relative coboundaries; a set with no forests offers no
+    cycles and fails it); the components with a twisted edge match the
+    non-orientable ones; the per-class sizes match the dimension formulas.
+    An edge list that does not match the faces raises ValueError.
     """
     if complex.num_edges > cap:
         raise MeshTooLargeForOracle(
             f"{complex.num_edges} edges exceeds the oracle cap of {cap}"
         )
-    failures: list[str] = []
-    inc = _Incidence(complex.faces)
-    to_oracle = [inc.index[pair] for pair in complex.edges]
-    contact = {to_oracle[eid] for eid in partition.contact_edges}
+    inc = _Incidence(complex)
+    contact = set(partition.contact_edges)
+    failures = [f"contact edge {e} is not a boundary edge" for e in sorted(contact - inc.boundary)]
+    contact &= inc.boundary
     insulated, insulated_vertices, rank_d0 = _relative(inc, contact)
     component, orientable = _face_components(inc)
 
     # 1. Relative cocycle condition, using the oracle's own incidence.
     cocycle_ok = []
-    translated = []
     for gi, gen in enumerate(generators.generators):
-        coeffs = {to_oracle[eid]: val for eid, val in gen.cochain.coeffs.items()}
-        translated.append(coeffs)
-        ok = insulated.isdisjoint(coeffs)
+        coeffs = gen.cochain.coeffs
+        ok = insulated.isdisjoint(coeffs) and _in_range(coeffs, len(inc.edges))
         if ok:
             face_sums: dict[int, int] = {}
             for eid, val in coeffs.items():
@@ -294,15 +300,14 @@ def verify(
     if cycles is None:
         basis_failures = ["no witness cycles: the generator set holds no forests"]
     else:
-        for j, cycle in enumerate(cycles):  # in place, so one copy is held at a time
-            cycles[j] = {to_oracle[eid]: val for eid, val in cycle.items()}
         basis_failures = [
             f"cycle {j} is not a relative cycle"
             for j, cycle in enumerate(cycles)
-            if not insulated_vertices.issuperset(_boundary(inc, cycle))
+            if not _in_range(cycle, len(inc.edges))
+            or not insulated_vertices.issuperset(_boundary(inc, cycle))
         ]
     if not basis_failures:
-        fault = _peel(_pairing(translated, cycles))
+        fault = _peel(_pairing([g.cochain.coeffs for g in generators.generators], cycles))
         basis_failures += [fault] if fault else []
     independence_ok = not basis_failures
     failures += basis_failures

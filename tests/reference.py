@@ -830,7 +830,7 @@ def betti1_relative(complex, partition, cap=DEFAULT_EDGE_CAP):
 def is_orientable(complex):
     """The oracle's face-component search on the complex's own faces: no
     component met a sign contradiction."""
-    return all(_face_components(_Incidence(complex.faces))[1])
+    return all(_face_components(_Incidence(complex))[1])
 
 
 def closed_edges(inc):
@@ -848,7 +848,7 @@ def closed_edges(inc):
 
 def closed_d2(inc):
     """The face boundary map of the same closed-up complex: one sparse row
-    per face over the oracle ids of the edges ``closed_edges`` keeps."""
+    per face over the ids of the edges ``closed_edges`` keeps."""
     return [
         {eid: sign for eid, sign in signs if eid not in inc.boundary}
         for signs in inc.face_signs

@@ -137,7 +137,7 @@ def test_torsion_orientability_equivalence():
         non_orientable = not is_orientable(K)
         torsion = verify(K, classify_boundary(K, contact), gens).torsion_coefficients
         # The reference: the rank the closed-up face boundary map loses mod 2.
-        d2 = closed_d2(_Incidence(K.faces))
+        d2 = closed_d2(_Incidence(K))
         assert torsion == [2] * (sparse_rank(d2) - sparse_rank(d2, 2)), name
         assert twisted == non_orientable == (torsion == [2]), name
 

@@ -3,6 +3,7 @@ reference closed-up complex, Betti numbers, torsion, verification and its
 pairing certificate."""
 
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,7 @@ def dense(rows, width):
 
 
 def incidence(K):
-    return oracle._Incidence(K.faces)
+    return oracle._Incidence(K)
 
 
 def d1_rows(d1):
@@ -433,6 +434,62 @@ def mix_two_cycles(gens):
     return MixedCycles(*gens)
 
 
+def rings():
+    return meshes.annulus(6, 3)
+
+
+def grid():
+    return meshes.torus_grid(4, 4)
+
+
+def past_the_end(K, chain, pad):
+    """``chain`` with its lowest edge id moved past the last edge."""
+    out = dict(chain)
+    out[K.num_edges + 3] = out.pop(min(out))
+    return out
+
+
+def wrapped_to_last(K, chain, pad):
+    """``chain`` plus ``pad``, a term of its class through the last edge,
+    with the last edge's id written as -1: read as the last edge, it is a
+    chain of the same class."""
+    out = dict(chain)
+    for k, v in pad.items():
+        out[k] = out.get(k, 0) + v
+    out[-1] = out.pop(K.num_edges - 1)
+    return out
+
+
+def contact_id(pick):
+    """The generators with a partition whose one contact id is ``pick(K)``."""
+    return lambda K, gens: (gens.partition._replace(contact_edges={pick(K)}), gens)
+
+
+def generator_zero(change):
+    """Generator 0 changed by ``change``, padded by the coboundary of the
+    last edge's tail."""
+
+    def plant(K, gens):
+        pad = {k: v for k, v in coboundary0(K, {K.edges[-1][0]: 1}).coeffs.items() if v}
+        cochain = Cochain1(change(K, gens.generators[0].cochain.coeffs, pad))
+        return gens.partition, replace_item(gens, "generators", 0, cochain=cochain)
+
+    return plant
+
+
+def cycle_zero(change):
+    """Witness cycle 0 changed by ``change``, padded by the boundary of the
+    last edge's first face."""
+
+    class Planted(GeneratorSet):
+        def cycles(self, complex):
+            out = super().cycles(complex)
+            pad = dict(complex.face_edges[complex.edge_faces[-1][0]])
+            return [change(complex, out[0], pad)] + out[1:]
+
+    return lambda K, gens: (gens.partition, Planted(*gens))
+
+
 def klein_and_annulus():
     return meshes.disjoint_union(meshes.klein_grid(5, 4), meshes.annulus(6)), set()
 
@@ -569,6 +626,33 @@ class TestVerify:
         report = verify(K, classify_boundary(K, contact), gens)
         assert report.failures == failures
 
+    @pytest.mark.parametrize(
+        "build, plant, failure",
+        [
+            (rings, contact_id(lambda K: K.num_edges + 2), "contact edge 44 is not a boundary edge"),
+            (rings, contact_id(lambda K: -1), "contact edge -1 is not a boundary edge"),
+            (rings, contact_id(lambda K: 1), "contact edge 1 is not a boundary edge"),
+            (grid, generator_zero(past_the_end), "generator 0 is not a relative cocycle"),
+            (grid, generator_zero(wrapped_to_last), "generator 0 is not a relative cocycle"),
+            (grid, cycle_zero(past_the_end), "cycle 0 is not a relative cycle"),
+            (grid, cycle_zero(wrapped_to_last), "cycle 0 is not a relative cycle"),
+        ],
+        ids=[
+            "contact-past-end", "contact-minus-one", "contact-interior",
+            "generator-past-end", "generator-minus-one", "cycle-past-end", "cycle-minus-one",
+        ],
+    )
+    def test_ids_off_the_edge_list_fail(self, build, plant, failure):
+        # An id is read as it is handed over: a contact id off the
+        # boundary, or a generator or cycle id outside 0..E-1, is a failure
+        # that names it, not a crash, a wrap to the last edge or a quiet
+        # change of the Betti number.
+        K = build()
+        partition, gens = plant(K, compute_generators(K))
+        report = verify(K, partition, gens)
+        assert report.failures[:1] == [failure]
+        assert report.betti1_relative == len(gens.generators)
+
     @pytest.mark.parametrize("build", [genus_two, pants, moebius_with_arc, annulus_two_arcs])
     def test_a_set_without_forests_fails_on_independence(self, build):
         # GeneratorSet is public and its forests default to None: such a set
@@ -637,10 +721,7 @@ class TestVerify:
                 continue
             inc, _, d0, _ = oracle_rows(K, contact)
             for planted in (gens, double_generator(gens)):
-                rows = [
-                    {inc.index[K.edges[eid]]: val for eid, val in g.cochain.coeffs.items()}
-                    for g in planted.generators
-                ]
+                rows = [g.cochain.coeffs for g in planted.generators]
                 factors = smith_invariant_factors(dense(rows + d0, len(inc.edges)))
                 unit = set(factors) == {1}
                 report = verify(K, classify_boundary(K, contact), planted)
@@ -713,3 +794,28 @@ class TestIndependence:
             and node.value.id == "complex"
         }
         assert read <= {"faces", "edges", "num_edges", "num_vertices"}
+
+    @pytest.mark.parametrize(
+        "mismatch, message",
+        [
+            ("extra", "on no face"),
+            ("missing", "not in the edge list"),
+            ("repeated", "repeats a pair"),
+            ("reversed", "reversed"),
+        ],
+    )
+    def test_a_mismatched_edge_list_raises(self, mismatch, message):
+        # The edge list numbers the oracle's edges, so it is checked against
+        # the faces rather than trusted.
+        K = meshes.torus_grid(4, 4)
+        gens = compute_generators(K)
+        edges = list(K.edges)
+        absent = next(p for p in combinations(range(K.num_vertices), 2) if p not in K.edge_index)
+        edges = {
+            "extra": edges + [absent],
+            "missing": edges[:-1],
+            "repeated": edges[:-1] + edges[:1],
+            "reversed": [edges[0][::-1]] + edges[1:],
+        }[mismatch]
+        with pytest.raises(ValueError, match=message):
+            verify(K._replace(edges=edges), gens.partition, gens)

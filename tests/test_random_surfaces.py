@@ -216,12 +216,10 @@ def test_punched_chains_pass_the_oracle(pieces, seed):
 
 def oracle_rows(K, contact):
     """The oracle's incidence of ``K``, its insulated edge ids, relative d0
-    rows and rank d0, with ``contact`` translated to oracle edge ids.  The
-    d0 rows are built here: one per vertex off the insulated subcomplex,
-    over oracle edge ids, with no column for an insulated edge (both of
-    its ends are insulated)."""
-    inc = oracle._Incidence(K.faces)
-    contact = {inc.index[K.edges[e]] for e in contact}
+    rows and rank d0, given the contact edge ids.  The d0 rows are built
+    here: one per vertex off the insulated subcomplex, over edge ids, with
+    no column for an insulated edge (both of its ends are insulated)."""
+    inc = oracle._Incidence(K)
     insulated, insulated_vertices, rank_d0 = oracle._relative(inc, contact)
     d0 = {v: {} for v in range(K.num_vertices) if v not in insulated_vertices}
     for eid, (a, b) in enumerate(inc.edges):
@@ -256,9 +254,6 @@ def test_generators_are_independent_over_two_and_three(pieces):
     K, contact = complex_of(wl.union(pieces))
     gens = compute_generators(K, contact)
     inc, _, d0, rank_d0 = oracle_rows(K, contact)
-    rows = [
-        {inc.index[K.edges[eid]]: val for eid, val in g.cochain.coeffs.items()}
-        for g in gens.generators
-    ]
+    rows = [g.cochain.coeffs for g in gens.generators]
     for q in (2, 3):
         assert sparse_rank(rows + d0, q) == len(rows) + rank_d0, q
