@@ -27,7 +27,7 @@ from .errors import (
 )
 from .forest import build_tree_cotree
 from .generators import compute_generators
-from .oracle import DEFAULT_EDGE_CAP
+from .oracle import DEFAULT_WORK_CAP
 from .surface import boundary_components, euler_characteristic
 from .transport import is_twisted
 
@@ -54,8 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--oracle-cap",
         type=int,
-        default=DEFAULT_EDGE_CAP,
-        help="edge-count refusal threshold of the oracle (default %(default)s)",
+        default=DEFAULT_WORK_CAP,
+        help="refuse to verify when edges plus total generator support exceed this "
+        "(default %(default)s)",
     )
     p_compute.add_argument("--vtk", help="write a VTK line overlay of the supports")
 
@@ -100,7 +101,10 @@ def _load_mesh(path: str):
 
 def cmd_compute(args) -> int:
     if args.oracle_cap < 0:
-        raise UsageError(f"--oracle-cap {args.oracle_cap} is not an edge count; give 0 or more")
+        raise UsageError(
+            f"--oracle-cap {args.oracle_cap} is not a count of edges plus support entries; "
+            "give 0 or more"
+        )
     complex = _load_mesh(args.mesh)
     contact_edges: set[int] = set()
     if args.contacts:

@@ -63,7 +63,8 @@ class UsageError(Exception):
 
 
 class MeshTooLargeForOracle(Exception):
-    """The verification oracle refuses meshes above its edge cap."""
+    """The verification oracle refuses inputs whose edges plus total generator
+    support exceed its cap."""
 
 
 class OffParseError(Exception):

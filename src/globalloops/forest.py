@@ -37,7 +37,8 @@ from .surface import BoundaryCycle, SurfaceComplex, euler_characteristic
 
 class Tree:
     """A spanning forest by parent pointers: the primal one over vertices,
-    or the dual one over faces, with their orientation.
+    or the dual one over faces.  ``build_dual_tree`` adds the dual forest's
+    orientation lists ``sigma`` and ``tau``.
 
     Its edges are the ``parent_edge`` of the non-root nodes; no separate
     edge set is kept.  Walking both endpoints up to their meeting node, the
@@ -51,9 +52,6 @@ class Tree:
         # Index into ``roots`` of each node's tree; -1 outside the forest.
         self.tree_of = [-1] * num_nodes
         self.roots: list[int] = []
-        # Face orientation and its sign on the parent edge.
-        self.sigma = [1] * num_nodes
-        self.tau = [0] * num_nodes
 
     def add_root(self, node: int) -> None:
         self.tree_of[node] = len(self.roots)
@@ -160,7 +158,9 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
     and ``tau`` are set when it is attached (see the module docstring).
     """
     tree = Tree(complex.num_faces)
-    sigma, tau = tree.sigma, tree.tau
+    # Face orientation and its sign on the parent edge.
+    tree.sigma = sigma = [1] * complex.num_faces
+    tree.tau = tau = [0] * complex.num_faces
     face_edges, edge_faces = complex.face_edges, complex.edge_faces
     incidence = complex.incidence
     queue: deque[int] = deque()

@@ -1,20 +1,18 @@
 """Independent verification of a generator set, by exact counts and a
 pairing certificate.
 
-Everything here re-derives incidence signs from the raw face list rather
-than reusing the pipeline's tables, so a bug in the fast path cannot hide
-from the checks.  The edges are numbered by the complex's edge list, which
-is checked against the faces once (a wrong list raises ValueError).  The
-incidence stores each edge's cofaces with their signs, where the cocycle
-check and the face-component search read them.  Boundary circles, contact
-components and vertex classes come from union-finds over its vertex
-pairs.  Of the pipeline's output only the contact edge ids, the generators
-and the witness cycles are read, by those ids as they are; an id off this
-incidence is a failure.  The rest of the oracle's own boundary is insulated.
+The oracle re-derives every incidence sign from the raw faces, so a bug in
+the pipeline's tables cannot hide from it.  It numbers the edges as the
+complex's edge list does, after checking that list against the faces, and
+keeps flat per-edge lists of each edge's faces and signs.  Circles, contact
+components and vertex classes come from a union-find over vertex ids.  Of
+the pipeline's output it reads only the contact edge ids, the generators
+and the witness cycles, by their ids as they are; an id off this incidence
+is a failure.  The rest of the oracle's own boundary is insulated.
 
-Premise: every edge has at most two faces (``build_complex`` raises
-NonManifoldEdge otherwise).  The ranks of the relative complex and the
-torsion are then counts, and no check eliminates:
+Premise: no edge has a third face (one raises ValueError).  The ranks of
+the relative complex and the torsion are then counts, and no check
+eliminates:
 
 * The relative d0 is a graph incidence matrix less the insulated vertices'
   rows, of rank V_rel - b0 over any field, b0 counting the vertex classes
@@ -30,136 +28,140 @@ torsion are then counts, and no check eliminates:
   over GF(2).
 * The cocycle check is exact integer arithmetic.
 * Basis over Z.  H^1 relative to the insulated part is free here (H_0 is),
-  of rank the Betti number.  ``GeneratorSet.cycles`` offers one relative
-  1-cycle z_j per generator g_i; each must have its boundary on the
-  insulated vertices of this incidence, so that <g, z> is well defined on
-  classes.  If the generators number the Betti number and the matrix
-  <g_i, z_j> is unimodular, evaluation on the z_j inverts the generators'
-  map from Z^k into H^1, which is then onto: a basis over Z modulo
-  relative coboundaries, certified in O(E + sum |g| + sum |z|).  The
-  matrix is peeled: a row with one nonzero left must hold +-1, and its
-  column leaves the other rows.  A doubled generator leaves a 2.  The peel
-  is sound, not complete: a unimodular matrix with no such row stalls, as
-  when one generator is added to another whose pairings share two cycles
-  (the hole and the contact generator of an annulus with an arc on each
-  circle).  The pipeline's own generators peel on every input tried.
+  of rank the Betti number.  ``GeneratorSet.cycles`` offers a relative
+  1-cycle z_j per generator g_i, with its boundary on insulated vertices
+  so that <g, z> is well defined on classes.  If the generators number the
+  Betti number and the matrix <g_i, z_j> is unimodular, evaluation on the
+  z_j inverts the generators' map from Z^k into H^1, which is then onto: a
+  basis over Z modulo relative coboundaries, certified in
+  O(E + sum |g| + sum |z|).  ``_peel`` proves the matrix unimodular; a
+  doubled generator leaves a 2.  It is sound, not complete: a recombination
+  such as the hole plus the contact generator of an annulus with an arc on
+  each circle stalls it.  The pipeline's own generators peel on every
+  input tried.
 
-The dense references the tests compare these counts with, the sparse
-modular rank the oracle once used, and the closed-up complex live in
-``tests/reference.py``.  ``verify`` refuses meshes above an edge cap.
+The dense references these counts are tested against, the sparse modular
+rank the oracle once used and the closed-up complex live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
 
-# On a 2-core Xeon, verify took 0.3 s on torus_grid(115, 115) (E = 39,675,
-# peak RSS 69 MB), 0.06 s on a chain of 64 torus(6, 6) (E = 6,723), and 1.0 s
-# and 1.8 s (140 and 136 MB) on a chain of 380 torus(5, 7) (E = 38,763),
-# plain and scrambled (BENCH_22.json).
-DEFAULT_EDGE_CAP = 40_000
+# E + sum |support|.  On a 2-core Xeon verify took 2.8 s (510 MB peak RSS) at 396,288
+# (annulus(8) x7) and 1.5 s at 765,791 (scrambled 380 torus(5, 7) chain); BENCH_23.json.
+DEFAULT_WORK_CAP = 800_000
 
 
 class _Incidence:
-    """The complex's edge list checked against its raw faces: each face
-    pair (a < b) finds its edge id by the key a * V + b.  ValueError when a
-    face has a pair the list lacks, or the list holds a pair reversed or out
-    of range, repeats one, or has one on no face."""
+    """The complex's edge list checked against its raw faces, as flat
+    per-edge tables: edge e lies on face0[e] with sign0[e] and, unless it is
+    a boundary edge (face1[e] == -1), on face1[e] with sign1[e].  A face
+    pair a < b finds its edge by the key a * V + b.  ValueError when a face
+    has a pair the list lacks, or the list repeats a pair, holds one
+    reversed or out of range, or has one on no face or on a third."""
 
     def __init__(self, complex):
-        n = complex.num_vertices
+        self.num_vertices = n = complex.num_vertices
         self.edges = edges = complex.edges  # per edge: its vertex pair, lower id first
         index = {a * n + b: eid for eid, (a, b) in enumerate(edges)}
         if len(index) < len(edges) or not all(0 <= a < b < n for a, b in edges):
             raise ValueError("edge list repeats a pair or has one reversed or out of range")
+        get = index.get
+        self.face0, self.face1 = face0, face1 = [-1] * len(edges), [-1] * len(edges)
+        self.sign0, self.sign1 = sign0, sign1 = [0] * len(edges), [0] * len(edges)
         self.face_signs = face_signs = []  # per face: (edge id, sign)
-        self.edge_faces = edge_faces = [[] for _ in edges]  # per edge: (face id, sign)
         for fid, (a, b, c) in enumerate(complex.faces):
             signs = []
             for u, w in ((a, b), (b, c), (c, a)):
-                sign = 1 if u < w else -1
-                eid = index.get(u * n + w if u < w else w * n + u)
+                if u < w:
+                    sign, eid = 1, get(u * n + w)
+                else:
+                    sign, eid = -1, get(w * n + u)
                 if eid is None:
                     raise ValueError(f"face {fid} has the pair {u} {w}, not in the edge list")
-                edge_faces[eid].append((fid, sign))
+                if face0[eid] < 0:
+                    face0[eid], sign0[eid] = fid, sign
+                elif face1[eid] < 0:
+                    face1[eid], sign1[eid] = fid, sign
+                else:
+                    raise ValueError(f"edge {eid} lies on a third face, {fid}")
                 signs.append((eid, sign))
             face_signs.append(signs)
-        if not all(edge_faces):
-            raise ValueError(f"edge {edge_faces.index([])} lies on no face")
-        self.boundary = {e for e, fl in enumerate(edge_faces) if len(fl) == 1}
+        if -1 in face0:
+            raise ValueError(f"edge {face0.index(-1)} lies on no face")
+        self.boundary = {e for e, f in enumerate(face1) if f < 0}
         # Boundary vertex -> root of its circle.
-        self.circle_root = _roots(edges[eid] for eid in self.boundary)
+        root = _roots(n, [edges[eid] for eid in self.boundary])
+        self.circle_root = {v: root[v] for eid in self.boundary for v in edges[eid]}
 
 
 def _relative(inc: _Incidence, contact: set[int]):
     """The insulated part of ``inc`` and the rank of the relative vertex
-    coboundary.
-
-    ``contact`` holds the contact edges' ids; every other boundary
-    edge of ``inc`` is insulated.  Returns the insulated edge ids, their
-    vertices and rank d0 = V_rel - b0.
-    """
+    coboundary.  ``contact`` holds the contact edges' ids; every other
+    boundary edge is insulated.  Returns the insulated edge ids, their
+    vertices and rank d0 = V_rel - b0, where a vertex on no edge counts on
+    both sides."""
     insulated = inc.boundary - contact
     insulated_vertices = {v for eid in insulated for v in inc.edges[eid]}
-    root = _roots(inc.edges)
-    relative = sum(1 for v in root if v not in insulated_vertices)
-    b0 = len(set(root.values()) - {root[v] for v in insulated_vertices})
-    return insulated, insulated_vertices, relative - b0
+    root = _roots(inc.num_vertices, inc.edges)
+    b0 = len(set(root)) - len({root[v] for v in insulated_vertices})
+    return insulated, insulated_vertices, len(root) - len(insulated_vertices) - b0
 
 
 def _face_components(inc: _Incidence) -> tuple[list[int], list[bool]]:
-    """Sign propagation over faces joined through shared edges.
-
-    Returns the component of each face and, per component, whether the
-    propagation met no contradiction in it (the component is orientable).
-    """
-    component = [-1] * len(inc.face_signs)
-    sign = [0] * len(inc.face_signs)
+    """Sign propagation over faces joined through shared edges: the
+    component of each face and, per component, whether the propagation met
+    no contradiction in it (the component is orientable)."""
+    face_signs = inc.face_signs
+    face0, sign0, face1, sign1 = inc.face0, inc.sign0, inc.face1, inc.sign1
+    component = [-1] * len(face_signs)
+    sign = [0] * len(face_signs)
     orientable: list[bool] = []
-    for seed in range(len(inc.face_signs)):
+    for seed in range(len(face_signs)):
         if sign[seed]:
             continue
         c, ok = len(orientable), True
         component[seed], sign[seed] = c, 1
-        queue = deque([seed])
-        while queue:
-            fid = queue.popleft()
-            for eid, s in inc.face_signs[fid]:
-                for other, s_other in inc.edge_faces[eid]:
-                    if other == fid:
-                        continue
-                    # Adjacent faces must induce opposite signs on the edge.
-                    want = -sign[fid] * s * s_other
-                    if sign[other] == 0:
-                        component[other], sign[other] = c, want
-                        queue.append(other)
-                    elif sign[other] != want:
-                        ok = False
+        queue = [seed]
+        for fid in queue:  # the list grows while it is walked
+            own = sign[fid]
+            for eid, _ in face_signs[fid]:
+                other = face0[eid] if face1[eid] == fid else face1[eid]
+                if other < 0:  # a boundary edge
+                    continue
+                # Adjacent faces must induce opposite signs on the edge.
+                want = -own * sign0[eid] * sign1[eid]
+                if sign[other] == 0:
+                    component[other], sign[other] = c, want
+                    queue.append(other)
+                elif sign[other] != want:
+                    ok = False
         orientable.append(ok)
     return component, orientable
 
 
-def _roots(pairs) -> dict[int, int]:
-    """Union-find over vertex pairs: each vertex named maps to its class root."""
-    parent: dict[int, int] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _roots(n: int, pairs) -> list[int]:
+    """Union-find over the vertex ids 0..n-1 joined by ``pairs``: the root
+    of each vertex's class, by id.  Every find halves its path."""
+    parent = list(range(n))
     for a, b in pairs:
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return {x: find(x) for x in parent}
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[a] = b
+    for v in range(n):
+        r = v
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        parent[v] = r
+    return parent
 
 
 def _in_range(chain: dict[int, int], n: int) -> bool:
@@ -246,7 +248,7 @@ def verify(
     complex: SurfaceComplex,
     partition: BoundaryPartition,
     generators,
-    cap: int = DEFAULT_EDGE_CAP,
+    cap: int = DEFAULT_WORK_CAP,
 ) -> VerificationReport:
     """Full validation of a generator set against the oracle.
 
@@ -257,12 +259,13 @@ def verify(
     over Z modulo relative coboundaries; a set with no forests offers no
     cycles and fails it); the components with a twisted edge match the
     non-orientable ones; the per-class sizes match the dimension formulas.
-    An edge list that does not match the faces raises ValueError.
+    An edge list that does not match the faces raises ValueError; E plus
+    the generators' total support above ``cap`` raises MeshTooLargeForOracle.
     """
-    if complex.num_edges > cap:
-        raise MeshTooLargeForOracle(
-            f"{complex.num_edges} edges exceeds the oracle cap of {cap}"
-        )
+    support = sum(len(g.cochain.coeffs) for g in generators.generators)
+    if complex.num_edges + support > cap:
+        raise MeshTooLargeForOracle(f"{complex.num_edges} edges plus {support} generator "
+                                    f"support entries exceed the oracle cap of {cap}")
     inc = _Incidence(complex)
     contact = set(partition.contact_edges)
     failures = [f"contact edge {e} is not a boundary edge" for e in sorted(contact - inc.boundary)]
@@ -271,6 +274,7 @@ def verify(
     component, orientable = _face_components(inc)
 
     # 1. Relative cocycle condition, using the oracle's own incidence.
+    face0, sign0, face1, sign1 = inc.face0, inc.sign0, inc.face1, inc.sign1
     cocycle_ok = []
     for gi, gen in enumerate(generators.generators):
         coeffs = gen.cochain.coeffs
@@ -278,15 +282,18 @@ def verify(
         if ok:
             face_sums: dict[int, int] = {}
             for eid, val in coeffs.items():
-                for fid, sign in inc.edge_faces[eid]:
-                    face_sums[fid] = face_sums.get(fid, 0) + sign * val
-            ok = all(v == 0 for v in face_sums.values())
+                fid = face0[eid]
+                face_sums[fid] = face_sums.get(fid, 0) + sign0[eid] * val
+                fid = face1[eid]
+                if fid >= 0:
+                    face_sums[fid] = face_sums.get(fid, 0) + sign1[eid] * val
+            ok = not any(face_sums.values())
         cocycle_ok.append(ok)
         if not ok:
             failures.append(f"generator {gi} is not a relative cocycle")
 
     # 2. Count against the Betti number, with rank d1 = F - b2.
-    touched = {component[inc.edge_faces[eid][0][0]] for eid in contact}
+    touched = {component[face0[eid]] for eid in contact}
     b2 = sum(1 for c, ok in enumerate(orientable) if ok and c not in touched)
     betti = len(inc.edges) - len(insulated) - (len(inc.face_signs) - b2) - rank_d0
     count = len(generators.generators)
@@ -313,9 +320,8 @@ def verify(
     failures += basis_failures
 
     # 4. Components with a twisted edge vs non-orientable components, each
-    # of which carries one Z/2 of torsion.  The pipeline's twisted edge
-    # count is the sum over its components, so this also holds it to the
-    # mesh's orientability.
+    # with one Z/2 of torsion.  The pipeline's twisted edge count sums over
+    # its components, so this also holds it to the mesh's orientability.
     torsion = [2] * orientable.count(False)
     twisted_components = sum(1 for m in generators.components if m.num_twisted_edges)
     if twisted_components != len(torsion):
@@ -335,7 +341,8 @@ def verify(
             expected["co"] += m.num_contacts - (0 if m.num_twisted_edges else 1)
         expected["ha"] += m.num_candidate_edges - (1 if m.num_twisted_edges else 0)
     n_ho = len(set(inc.circle_root.values()))
-    n_co = len(set(_roots(inc.edges[eid] for eid in contact).values()))
+    root = _roots(inc.num_vertices, [inc.edges[eid] for eid in contact])
+    n_co = len({root[v] for eid in contact for v in inc.edges[eid]})
     formula_failures = [
         f"pipeline reports {reported} {what}, oracle {n}"
         for what, reported, n in (
@@ -343,8 +350,7 @@ def verify(
             ("contact components", sum(m.num_contacts for m in metas), n_co),
         )
         if reported != n
-    ]
-    formula_failures += [
+    ] + [
         f"{found[kind]} {name} generators, expected {expected[kind]}"
         for kind, name in (("ho", "hole"), ("co", "contact"), ("ha", "handle"))
         if found[kind] != expected[kind]
@@ -353,12 +359,6 @@ def verify(
     failures.extend(formula_failures)
 
     return VerificationReport(
-        betti1_relative=betti,
-        generator_count=count,
-        cocycle_ok=cocycle_ok,
-        independence_ok=independence_ok,
-        orientable=all(orientable),
-        torsion_coefficients=torsion,
-        dimension_formula_ok=dimension_formula_ok,
-        failures=failures,
+        betti, count, cocycle_ok, independence_ok, all(orientable), torsion,
+        dimension_formula_ok, failures,
     )

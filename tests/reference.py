@@ -67,7 +67,7 @@ from globalloops.errors import (
 )
 from globalloops.forest import Tree
 from globalloops.generators import GeneratorSet
-from globalloops.oracle import DEFAULT_EDGE_CAP, _face_components, _Incidence, verify
+from globalloops.oracle import DEFAULT_WORK_CAP, _face_components, _Incidence, verify
 from globalloops.surface import build_complex as package_build_complex
 from globalloops.surface import (
     BoundaryCycle,
@@ -161,7 +161,10 @@ def transport(complex, path, start_edge, end_edge):
 
 def orient(complex, tree):
     """Fill a hand-built dual forest's ``sigma``/``tau`` from their defining
-    formulas, reading every sign with ``SurfaceComplex.incidence``."""
+    formulas, reading every sign with ``SurfaceComplex.incidence``; a
+    forest without them gets them."""
+    if not hasattr(tree, "sigma"):
+        tree.sigma, tree.tau = [1] * len(tree.parent), [0] * len(tree.parent)
     for face in sorted(range(len(tree.parent)), key=tree.depth.__getitem__):
         parent = tree.parent[face]
         if tree.tree_of[face] < 0 or parent < 0:
@@ -822,7 +825,7 @@ def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
     return factors
 
 
-def betti1_relative(complex, partition, cap=DEFAULT_EDGE_CAP):
+def betti1_relative(complex, partition, cap=DEFAULT_WORK_CAP):
     """Dimension of the first relative cohomology space, as ``verify`` counts it."""
     return verify(complex, partition, GeneratorSet(partition=partition), cap).betti1_relative
 
@@ -853,3 +856,35 @@ def closed_d2(inc):
         {eid: sign for eid, sign in signs if eid not in inc.boundary}
         for signs in inc.face_signs
     ]
+
+
+def signed_cofaces(complex):
+    """Per edge id of ``complex.edges``, its (face id, sign) pairs in face
+    order, read face by face from ``complex.faces``: the sign is +1 where
+    the face runs the edge from its lower vertex."""
+    index = {pair: eid for eid, pair in enumerate(complex.edges)}
+    out = [[] for _ in complex.edges]
+    for fid, (a, b, c) in enumerate(complex.faces):
+        for u, w in ((a, b), (b, c), (c, a)):
+            out[index[(min(u, w), max(u, w))]].append((fid, 1 if u < w else -1))
+    return out
+
+
+def dict_roots(pairs):
+    """A plain union-find over vertex pairs in a dict: each vertex named
+    maps to its class root."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {x: find(x) for x in parent}

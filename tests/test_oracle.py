@@ -3,6 +3,7 @@ reference closed-up complex, Betti numbers, torsion, verification and its
 pairing certificate."""
 
 import ast
+import random
 from itertools import combinations
 from pathlib import Path
 
@@ -14,8 +15,15 @@ import meshes
 from globalloops import oracle
 from globalloops.cochain import Cochain1
 from globalloops.generators import GeneratorSet, compute_generators
-from globalloops.oracle import verify
-from globalloops.surface import boundary_components, classify_boundary, euler_characteristic
+from globalloops.oracle import DEFAULT_WORK_CAP, verify
+from globalloops.refine import refine
+from globalloops.surface import (
+    BoundaryPartition,
+    SurfaceComplex,
+    boundary_components,
+    classify_boundary,
+    euler_characteristic,
+)
 from globalloops.errors import MeshTooLargeForOracle
 from reference import (
     PRIME,
@@ -23,8 +31,10 @@ from reference import (
     closed_d2,
     closed_edges,
     coboundary0,
+    dict_roots,
     exact_rank,
     is_orientable,
+    signed_cofaces,
     smith_invariant_factors,
     sparse_rank,
 )
@@ -549,6 +559,24 @@ class TestVerify:
         with pytest.raises(MeshTooLargeForOracle):
             verify(K, bp, compute_generators(K), cap=3)
 
+    def test_cap_counts_edges_plus_support(self):
+        K = meshes.annulus(6)
+        gens = compute_generators(K)
+        work = K.num_edges + sum(len(g.cochain.coeffs) for g in gens.generators)
+        assert verify(K, gens.partition, gens, cap=work).passed
+        with pytest.raises(MeshTooLargeForOracle, match=f"{K.num_edges} edges plus"):
+            verify(K, gens.partition, gens, cap=work - 1)
+
+    def test_a_large_mesh_verifies_under_the_default_cap(self):
+        # annulus(8) refined six times: E = 98,816 and one generator.
+        K = meshes.annulus(8)
+        for _ in range(6):
+            K = refine(K)
+        gens = compute_generators(K)
+        assert K.num_edges == 98_816
+        assert K.num_edges + sum(len(g.cochain.coeffs) for g in gens.generators) <= DEFAULT_WORK_CAP
+        assert verify(K, gens.partition, gens).passed
+
     @pytest.mark.parametrize(
         "build, plant, failures",
         [
@@ -819,3 +847,69 @@ class TestIndependence:
         }[mismatch]
         with pytest.raises(ValueError, match=message):
             verify(K._replace(edges=edges), gens.partition, gens)
+
+    def test_a_third_face_on_an_edge_raises(self):
+        # A fin: the edge 0-1 on three faces, which build_complex refuses and
+        # the oracle's two faces per edge cannot hold.
+        faces = [(0, 1, 2), (1, 0, 3), (0, 1, 4)]
+        edges = sorted(
+            {(min(u, w), max(u, w)) for a, b, c in faces for u, w in ((a, b), (b, c), (c, a))}
+        )
+        K = SurfaceComplex(5, edges, faces, [], [], {}, [], None, [])
+        partition = BoundaryPartition([], [], set())
+        with pytest.raises(ValueError, match=f"edge {edges.index((0, 1))} lies on a third face"):
+            verify(K, partition, GeneratorSet(partition=partition))
+
+
+def classes(root, named):
+    """The classes of the vertices ``named`` under a vertex -> root map."""
+    out = {}
+    for v in named:
+        out.setdefault(root[v], set()).add(v)
+    return sorted(sorted(c) for c in out.values())
+
+
+def flat_table_meshes(kind):
+    if kind == "corpus":
+        return [K for _, K, _ in corpus_with_contacts()]
+    return [meshes.sample(kind, seed) for seed in range(3 if kind != "mixed_surface" else 1)]
+
+
+class TestFlatTables:
+    """The oracle's per-edge face lists and its vertex union-find against
+    plain references."""
+
+    @pytest.mark.parametrize("kind", ("corpus",) + meshes.SAMPLE_KINDS)
+    def test_cofaces_equal_the_faces_read_one_by_one(self, kind):
+        for K in flat_table_meshes(kind):
+            inc = incidence(K)
+            sides = zip(zip(inc.face0, inc.sign0), zip(inc.face1, inc.sign1))
+            flat = [[(f, s) for f, s in pair if f >= 0] for pair in sides]
+            assert flat == signed_cofaces(K)
+            assert inc.boundary == {e for e, cof in enumerate(flat) if len(cof) == 1}
+
+    @pytest.mark.parametrize("kind", ("corpus",) + meshes.SAMPLE_KINDS)
+    def test_roots_equal_a_dict_union_find(self, kind):
+        for K in flat_table_meshes(kind):
+            inc = incidence(K)
+            every = range(K.num_vertices)
+            root = oracle._roots(K.num_vertices, K.edges)
+            assert classes(root, every) == classes(dict_roots(K.edges), every)
+            rim = [K.edges[e] for e in inc.boundary]
+            circles = dict_roots(rim)
+            assert classes(inc.circle_root, circles) == classes(circles, circles)
+
+    @pytest.mark.parametrize("order", ["tail to head", "head to tail", "shuffled"])
+    def test_roots_on_paths(self, order):
+        # Two paths and a vertex on neither.  Fed tail to head, each union
+        # hangs the path's root one step further, so the last pass meets a
+        # chain as long as the path: quadratic unless it compresses.
+        n = 20_001
+        pairs = [(v, v + 1) for v in range(n // 2 - 1)] + [(v, v + 1) for v in range(n // 2, n - 2)]
+        if order == "head to tail":
+            pairs.reverse()
+        elif order == "shuffled":
+            random.Random(0).shuffle(pairs)
+        root = oracle._roots(n, pairs)
+        assert classes(root, range(n)) == [list(range(n // 2)), list(range(n // 2, n - 1)), [n - 1]]
+        assert classes(root, range(n - 1)) == classes(dict_roots(pairs), range(n - 1))
