@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle-cap",
         type=int,
         default=DEFAULT_WORK_CAP,
-        help="refuse to verify when edges plus total generator support exceed this "
-        "(default %(default)s)",
+        help="refuse to verify when the edges plus the entries of the generators and "
+        "of their witness cycles exceed this (default %(default)s)",
     )
     p_compute.add_argument("--vtk", help="write a VTK line overlay of the supports")
 
@@ -102,7 +102,7 @@ def _load_mesh(path: str):
 def cmd_compute(args) -> int:
     if args.oracle_cap < 0:
         raise UsageError(
-            f"--oracle-cap {args.oracle_cap} is not a count of edges plus support entries; "
+            f"--oracle-cap {args.oracle_cap} is not a count of edges and chain entries; "
             "give 0 or more"
         )
     complex = _load_mesh(args.mesh)

@@ -63,8 +63,8 @@ class UsageError(Exception):
 
 
 class MeshTooLargeForOracle(Exception):
-    """The verification oracle refuses inputs whose edges plus total generator
-    support exceed its cap."""
+    """The verification oracle refuses inputs whose edges plus the entries of
+    the generators and of their witness cycles exceed its cap."""
 
 
 class OffParseError(Exception):

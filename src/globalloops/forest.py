@@ -37,8 +37,7 @@ from .surface import BoundaryCycle, SurfaceComplex, euler_characteristic
 
 class Tree:
     """A spanning forest by parent pointers: the primal one over vertices,
-    or the dual one over faces.  ``build_dual_tree`` adds the dual forest's
-    orientation lists ``sigma`` and ``tau``.
+    or the dual one over faces (a ``DualTree``, which adds its orientation).
 
     Its edges are the ``parent_edge`` of the non-root nodes; no separate
     edge set is kept.  Walking both endpoints up to their meeting node, the
@@ -79,6 +78,17 @@ class Tree:
             rank[node] = k
             stack += children[node]
         return rank
+
+
+class DualTree(Tree):
+    """The dual forest over the faces, with its orientation (see the module
+    docstring): ``sigma`` per face, and ``tau``, its sign on the parent
+    edge."""
+
+    def __init__(self, num_faces: int):
+        super().__init__(num_faces)
+        self.sigma = [1] * num_faces
+        self.tau = [0] * num_faces
 
 
 def build_primal_tree(
@@ -150,17 +160,15 @@ def build_primal_tree(
     return taken, primal
 
 
-def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
+def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> DualTree:
     """Dual spanning forest over the faces across interior edges not yet
     ``taken``; each edge it crosses is marked taken.
 
     Each tree is rooted at the minimal face it reaches; a face's ``sigma``
     and ``tau`` are set when it is attached (see the module docstring).
     """
-    tree = Tree(complex.num_faces)
-    # Face orientation and its sign on the parent edge.
-    tree.sigma = sigma = [1] * complex.num_faces
-    tree.tau = tau = [0] * complex.num_faces
+    tree = DualTree(complex.num_faces)
+    sigma, tau = tree.sigma, tree.tau
     face_edges, edge_faces = complex.face_edges, complex.edge_faces
     incidence = complex.incidence
     queue: deque[int] = deque()
@@ -188,7 +196,7 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> Tree:
 
 def build_tree_cotree(
     complex: SurfaceComplex, holes: list[BoundaryCycle]
-) -> tuple[Tree, Tree, list[int]]:
+) -> tuple[Tree, DualTree, list[int]]:
     """The primal forest, the dual forest and the candidate edges, those
     left untaken, in ascending order.
 

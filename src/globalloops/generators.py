@@ -40,8 +40,8 @@ from functools import cache
 from typing import NamedTuple
 
 from .cochain import Cochain1
-from .errors import CountMismatch, UnsupportedContactLayout
-from .forest import Tree, build_tree_cotree
+from .errors import CountMismatch, MeshTooLargeForOracle, UnsupportedContactLayout
+from .forest import DualTree, Tree, build_tree_cotree
 from .surface import (
     BoundaryCycle,
     BoundaryPartition,
@@ -79,7 +79,7 @@ class GeneratorSet(NamedTuple):
     partition: BoundaryPartition | None = None
     # The dual forest, the candidate edges and the primal forest, for
     # ``cycles``.
-    dual: Tree | None = None
+    dual: DualTree | None = None
     candidates: list[int] = ()
     primal: Tree | None = None
 
@@ -87,11 +87,15 @@ class GeneratorSet(NamedTuple):
     def orientable(self) -> bool:
         return not any(m.num_twisted_edges for m in self.components)
 
-    def cycles(self, complex: SurfaceComplex) -> list[dict[int, int]] | None:
+    def cycles(
+        self, complex: SurfaceComplex, limit: int | None = None
+    ) -> list[dict[int, int]] | None:
         """One relative 1-cycle per generator, as {edge id: coefficient},
         component by component and class by class as the generators come:
         the witness of ``oracle.verify``'s pairing check.  None when there
-        are generators but no forests to close them through.
+        are generators but no forests to close them through.  Raises
+        MeshTooLargeForOracle as soon as the cycles built hold more than
+        ``limit`` entries together.
 
         Paths run in the primal forest of ``forest.build_primal_tree``,
         whose edges the dual forest does not cross and which are not
@@ -119,38 +123,50 @@ class GeneratorSet(NamedTuple):
         dual, primal = self.dual, self.primal
         if dual is None or primal is None:
             return None
-        contact, out = self.partition.contact_edges, []
+        contact, out, size = self.partition.contact_edges, [], 0
+
+        def counted(cycle: dict[int, int]) -> dict[int, int]:
+            nonlocal size
+            size += len(cycle)
+            if limit is not None and size > limit:
+                raise MeshTooLargeForOracle(f"the witness cycles pass {limit} entries")
+            return cycle
+
         per_component = _by_component(complex, dual, self.candidates, self.partition)
         for meta, (candidates, circles, comps) in zip(self.components, per_component):
-            anchor = meta.anchor_edge
-            loops = {eid: _loop(complex, primal, eid) for eid in candidates}
-            out += [loops[eid] for eid in candidates if eid != anchor]
+            anchor, runs = meta.anchor_edge, []
+            if comps:
+                sign = {
+                    eid: 1 if complex.edges[eid][0] == v else -1
+                    for cyc in circles
+                    for v, eid in zip(cyc.vertices, cyc.edges)
+                }
+                runs = [{eid: sign[eid] for eid in comp} for comp in comps]
+            # Beside contact runs, the anchor loop and each twisted loop
+            # cancel every run at its minimal edge.
+            cancels = anchor is not None and bool(runs)
+
+            def closed(eid: int) -> dict[int, int]:
+                loop = _loop(complex, primal, eid)
+                if cancels and (eid == anchor or is_twisted(complex, dual, eid)):
+                    for run in runs:
+                        _cancel(loop, run, min(run))
+                return counted(loop)
+
+            out += [closed(eid) for eid in candidates if eid != anchor]
             if circles:
                 fixed = _insulated_vertex(circles[-1], contact)
                 out += [
-                    _path(complex, primal, _insulated_vertex(cyc, contact), fixed)
+                    counted(_path(complex, primal, _insulated_vertex(cyc, contact), fixed))
                     for cyc in circles[:-1]
                 ]
-            if not comps:
-                continue
-            sign = {
-                eid: 1 if complex.edges[eid][0] == v else -1
-                for cyc in circles
-                for v, eid in zip(cyc.vertices, cyc.edges)
-            }
-            runs = [{eid: sign[eid] for eid in comp} for comp in comps]
-            out += runs[:-1]
-            if anchor is not None:
-                # The twisted loops are already in ``out``; they change in place.
-                for eid, loop in loops.items():
-                    if eid == anchor or is_twisted(complex, dual, eid):
-                        for run in runs:
-                            _cancel(loop, run, min(run))
-                out.append(loops[anchor])
+            out += [counted(run) for run in runs[:-1]]
+            if cancels:
+                out.append(closed(anchor))
         return out
 
 
-def _by_component(complex: SurfaceComplex, dual: Tree, candidate_edges, partition):
+def _by_component(complex: SurfaceComplex, dual: DualTree, candidate_edges, partition):
     """Per component of the dual forest, in its order: the candidate edges,
     the boundary circles and the contact components on it, each in the
     order they are given."""
@@ -208,7 +224,7 @@ def _cancel(cycle: dict[int, int], run: dict[int, int], eid: int) -> None:
 
 
 def handles(
-    complex: SurfaceComplex, dual: Tree, candidates: list[int], preorder
+    complex: SurfaceComplex, dual: DualTree, candidates: list[int], preorder
 ) -> tuple[list[dict[int, int]], list[int], int | None]:
     """Handle generators from one component's sorted candidate edges.
 
@@ -286,7 +302,7 @@ def holes(complex: SurfaceComplex, cycles: list[BoundaryCycle]) -> list[dict[int
 
 def contacts(
     complex: SurfaceComplex,
-    dual: Tree,
+    dual: DualTree,
     comps: list[list[int]],
     anchor: int | None,
     preorder,

@@ -34,11 +34,11 @@ eliminates:
   Betti number and the matrix <g_i, z_j> is unimodular, evaluation on the
   z_j inverts the generators' map from Z^k into H^1, which is then onto: a
   basis over Z modulo relative coboundaries, certified in
-  O(E + sum |g| + sum |z|).  ``_peel`` proves the matrix unimodular; a
-  doubled generator leaves a 2.  It is sound, not complete: a recombination
-  such as the hole plus the contact generator of an annulus with an arc on
-  each circle stalls it.  The pipeline's own generators peel on every
-  input tried.
+  O(E + sum |g| + sum |z|), the sum ``verify`` holds to its cap.  ``_peel``
+  proves the matrix unimodular; a doubled generator leaves a 2.  It is
+  sound, not complete: a recombination such as the hole plus the contact
+  generator of an annulus with an arc on each circle stalls it.  The
+  pipeline's own generators peel on every input tried.
 
 The dense references these counts are tested against, the sparse modular
 rank the oracle once used and the closed-up complex live in
@@ -53,9 +53,8 @@ from typing import NamedTuple
 from .errors import MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
 
-# E + sum |support|.  On a 2-core Xeon verify took 2.8 s (510 MB peak RSS) at 396,288
-# (annulus(8) x7) and 1.5 s at 765,791 (scrambled 380 torus(5, 7) chain); BENCH_23.json.
-DEFAULT_WORK_CAP = 800_000
+# E + sum |support| + sum |witness cycles|; the sizes near it are measured in BENCH_23.json.
+DEFAULT_WORK_CAP = 2_000_000
 
 
 class _Incidence:
@@ -259,13 +258,15 @@ def verify(
     over Z modulo relative coboundaries; a set with no forests offers no
     cycles and fails it); the components with a twisted edge match the
     non-orientable ones; the per-class sizes match the dimension formulas.
-    An edge list that does not match the faces raises ValueError; E plus
-    the generators' total support above ``cap`` raises MeshTooLargeForOracle.
+    An edge list that does not match the faces raises ValueError.  E plus
+    the entries of the generators and of the witness cycles above ``cap``
+    raises MeshTooLargeForOracle, as soon as the sum is seen to pass it.
     """
-    support = sum(len(g.cochain.coeffs) for g in generators.generators)
-    if complex.num_edges + support > cap:
-        raise MeshTooLargeForOracle(f"{complex.num_edges} edges plus {support} generator "
-                                    f"support entries exceed the oracle cap of {cap}")
+    work = complex.num_edges + sum(len(g.cochain.coeffs) for g in generators.generators)
+    if work > cap:
+        raise MeshTooLargeForOracle(
+            f"the edges and the generators hold {work} entries, past the oracle cap of {cap}"
+        )
     inc = _Incidence(complex)
     contact = set(partition.contact_edges)
     failures = [f"contact edge {e} is not a boundary edge" for e in sorted(contact - inc.boundary)]
@@ -303,7 +304,7 @@ def verify(
     # 3. A basis over Z: the pipeline's cycles, each checked to be a
     # relative cycle here, pair with the generators in a matrix that must
     # peel to a unit triangle.
-    cycles = generators.cycles(complex)
+    cycles = generators.cycles(complex, cap - work)
     if cycles is None:
         basis_failures = ["no witness cycles: the generator set holds no forests"]
     else:
@@ -350,7 +351,8 @@ def verify(
             ("contact components", sum(m.num_contacts for m in metas), n_co),
         )
         if reported != n
-    ] + [
+    ]
+    formula_failures += [
         f"{found[kind]} {name} generators, expected {expected[kind]}"
         for kind, name in (("ho", "hole"), ("co", "contact"), ("ha", "handle"))
         if found[kind] != expected[kind]
@@ -359,6 +361,12 @@ def verify(
     failures.extend(formula_failures)
 
     return VerificationReport(
-        betti, count, cocycle_ok, independence_ok, all(orientable), torsion,
-        dimension_formula_ok, failures,
+        betti1_relative=betti,
+        generator_count=count,
+        cocycle_ok=cocycle_ok,
+        independence_ok=independence_ok,
+        orientable=all(orientable),
+        torsion_coefficients=torsion,
+        dimension_formula_ok=dimension_formula_ok,
+        failures=failures,
     )

@@ -21,11 +21,11 @@ is walked.
 from __future__ import annotations
 
 from .errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
-from .forest import Tree
+from .forest import DualTree
 from .surface import SurfaceComplex
 
 
-def is_twisted(complex: SurfaceComplex, dual: Tree, edge: int) -> bool:
+def is_twisted(complex: SurfaceComplex, dual: DualTree, edge: int) -> bool:
     """True when the loop that crosses interior ``edge`` once and closes
     through the dual tree reverses orientation."""
     f1, f2 = complex.edge_faces[edge]
@@ -37,7 +37,7 @@ def is_twisted(complex: SurfaceComplex, dual: Tree, edge: int) -> bool:
 
 def transport(
     complex: SurfaceComplex,
-    dual: Tree,
+    dual: DualTree,
     first: int,
     last: int,
     start_edge: int,

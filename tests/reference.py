@@ -161,10 +161,7 @@ def transport(complex, path, start_edge, end_edge):
 
 def orient(complex, tree):
     """Fill a hand-built dual forest's ``sigma``/``tau`` from their defining
-    formulas, reading every sign with ``SurfaceComplex.incidence``; a
-    forest without them gets them."""
-    if not hasattr(tree, "sigma"):
-        tree.sigma, tree.tau = [1] * len(tree.parent), [0] * len(tree.parent)
+    formulas, reading every sign with ``SurfaceComplex.incidence``."""
     for face in sorted(range(len(tree.parent)), key=tree.depth.__getitem__):
         parent = tree.parent[face]
         if tree.tree_of[face] < 0 or parent < 0:

@@ -209,7 +209,7 @@ class TestCompute:
         contacts.write_text("".join(f"{K.edges[e][0]} {K.edges[e][1]}\n" for e in sorted(arc)))
         argv = ["compute", str(mesh), "--contacts", str(contacts), "--out", str(tmp_path / "r.json")]
 
-        def refused(self, complex):
+        def refused(self, complex, limit=None):
             raise AssertionError("cycle builder called")
 
         monkeypatch.setattr(generators.GeneratorSet, "cycles", refused)

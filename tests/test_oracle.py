@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meshes
-from globalloops import oracle
+from globalloops import generators, oracle
 from globalloops.cochain import Cochain1
 from globalloops.generators import GeneratorSet, compute_generators
 from globalloops.oracle import DEFAULT_WORK_CAP, verify
@@ -431,8 +431,8 @@ class MixedCycles(GeneratorSet):
     """Cycles 0 and 1 replaced by their sum and difference: on an identity
     pairing that block has determinant -2 and neither row peels."""
 
-    def cycles(self, complex):
-        out = super().cycles(complex)
+    def cycles(self, complex, limit=None):
+        out = super().cycles(complex, limit)
         first, second = {**out[0]}, {**out[0]}
         for k, v in out[1].items():
             first[k] = first.get(k, 0) + v
@@ -492,8 +492,8 @@ def cycle_zero(change):
     last edge's first face."""
 
     class Planted(GeneratorSet):
-        def cycles(self, complex):
-            out = super().cycles(complex)
+        def cycles(self, complex, limit=None):
+            out = super().cycles(complex, limit)
             pad = dict(complex.face_edges[complex.edge_faces[-1][0]])
             return [change(complex, out[0], pad)] + out[1:]
 
@@ -559,13 +559,36 @@ class TestVerify:
         with pytest.raises(MeshTooLargeForOracle):
             verify(K, bp, compute_generators(K), cap=3)
 
-    def test_cap_counts_edges_plus_support(self):
-        K = meshes.annulus(6)
-        gens = compute_generators(K)
-        work = K.num_edges + sum(len(g.cochain.coeffs) for g in gens.generators)
-        assert verify(K, gens.partition, gens, cap=work).passed
-        with pytest.raises(MeshTooLargeForOracle, match=f"{K.num_edges} edges plus"):
+    @pytest.mark.parametrize("name", [name for name, _, _ in corpus_with_contacts()])
+    def test_cap_counts_edges_generators_and_cycles(self, name):
+        # The Moebius strip with contacts cancels runs out of its anchor
+        # loop, which the count follows.
+        K, contact = next((K, c) for n, K, c in corpus_with_contacts() if n == name)
+        gens = compute_generators(K, contact)
+        edges_and_support = K.num_edges + sum(len(g.cochain.coeffs) for g in gens.generators)
+        work = edges_and_support + sum(len(z) for z in gens.cycles(K))
+        assert verify(K, gens.partition, gens, cap=work) == verify(K, gens.partition, gens)
+        with pytest.raises(MeshTooLargeForOracle):
             verify(K, gens.partition, gens, cap=work - 1)
+        with pytest.raises(MeshTooLargeForOracle, match=f"generators hold {edges_and_support} entries"):
+            verify(K, gens.partition, gens, cap=edges_and_support - 1)
+        if work > edges_and_support:
+            with pytest.raises(MeshTooLargeForOracle, match="witness cycles pass"):
+                verify(K, gens.partition, gens, cap=edges_and_support)
+
+    def test_cycles_stop_at_their_limit(self, monkeypatch):
+        # The witness cycles are counted as they are built, so a refusal
+        # comes before the rest of them take memory.
+        K = meshes.genus2()
+        gens = compute_generators(K)
+        full = gens.cycles(K)
+        assert len(full) == 4
+        assert gens.cycles(K, sum(len(z) for z in full)) == full
+        built, loop = [], generators._loop
+        monkeypatch.setattr(generators, "_loop", lambda *args: built.append(1) or loop(*args))
+        with pytest.raises(MeshTooLargeForOracle, match=f"pass {len(full[0])} entries"):
+            gens.cycles(K, len(full[0]))
+        assert len(built) == 2
 
     def test_a_large_mesh_verifies_under_the_default_cap(self):
         # annulus(8) refined six times: E = 98,816 and one generator.
@@ -574,7 +597,8 @@ class TestVerify:
             K = refine(K)
         gens = compute_generators(K)
         assert K.num_edges == 98_816
-        assert K.num_edges + sum(len(g.cochain.coeffs) for g in gens.generators) <= DEFAULT_WORK_CAP
+        support = sum(len(g.cochain.coeffs) for g in gens.generators)
+        assert K.num_edges + support + sum(len(z) for z in gens.cycles(K)) <= DEFAULT_WORK_CAP
         assert verify(K, gens.partition, gens).passed
 
     @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import meshes
 import reference
 from globalloops.errors import CountMismatch, EdgeNotOnFace
-from globalloops.forest import Tree, build_tree_cotree
+from globalloops.forest import DualTree, build_tree_cotree
 from globalloops.surface import boundary_components, build_complex
 from globalloops.transport import is_twisted, transport
 
@@ -23,7 +23,7 @@ def decompose(K):
 def hand_built(K, links):
     """Dual forest rooted at face 0 with (child, parent, edge) links attached
     in order, its orientation filled in from the defining formulas."""
-    tree = Tree(K.num_faces)
+    tree = DualTree(K.num_faces)
     tree.add_root(0)
     for child, parent, edge in links:
         tree.attach(child, parent, edge)
@@ -134,7 +134,7 @@ def test_orientation_of_faces_does_not_matter(flip, data):
 
     # The same tree over the flipped faces, oriented anew.
     by_depth = sorted(range(base.num_faces), key=dual.depth.__getitem__)
-    translated = Tree(flipped.num_faces)
+    translated = DualTree(flipped.num_faces)
     for face in by_depth:
         parent = dual.parent[face]
         if parent < 0:
