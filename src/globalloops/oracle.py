@@ -4,11 +4,11 @@ pairing certificate.
 The oracle re-derives every incidence sign from the raw faces, so a bug in
 the pipeline's tables cannot hide from it.  It numbers the edges as the
 complex's edge list does, after checking that list against the faces, and
-keeps flat per-edge lists of each edge's faces and signs.  Circles, contact
-components and vertex classes come from a union-find over vertex ids.  Of
-the pipeline's output it reads only the contact edge ids, the generators
-and the witness cycles, by their ids as they are; an id off this incidence
-is a failure.  The rest of the oracle's own boundary is insulated.
+keeps flat lists: each edge's faces and signs, and each face's edges.  One
+union-find over vertex ids counts circles, contact components and vertex
+classes.  Of the pipeline's output it reads only the contact edge ids, the
+generators and the witness cycles, by their ids as they are; an id off this
+incidence is a failure.  The rest of the oracle's own boundary is insulated.
 
 Premise: no edge has a third face (one raises ValueError).  The ranks of
 the relative complex and the torsion are then counts, and no check
@@ -53,17 +53,17 @@ from typing import NamedTuple
 from .errors import MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
 
-# E + sum |support| + sum |witness cycles|; the sizes near it are measured in BENCH_23.json.
+# E + sum |support| + sum |witness cycles|.  Sizes near it: BENCH_23.json; refusals: BENCH_24.json.
 DEFAULT_WORK_CAP = 2_000_000
 
 
 class _Incidence:
     """The complex's edge list checked against its raw faces, as flat
-    per-edge tables: edge e lies on face0[e] with sign0[e] and, unless it is
-    a boundary edge (face1[e] == -1), on face1[e] with sign1[e].  A face
-    pair a < b finds its edge by the key a * V + b.  ValueError when a face
-    has a pair the list lacks, or the list repeats a pair, holds one
-    reversed or out of range, or has one on no face or on a third."""
+    tables: edge e lies on face0[e] with sign0[e] and, unless it is a
+    boundary edge (face1[e] == -1), on face1[e] with sign1[e].  A face pair
+    a < b finds its edge by the key a * V + b.  ValueError when a face has a
+    pair the list lacks, or the list repeats a pair, holds one reversed or
+    out of range, or has one on no face or on a third."""
 
     def __init__(self, complex):
         self.num_vertices = n = complex.num_vertices
@@ -74,9 +74,8 @@ class _Incidence:
         get = index.get
         self.face0, self.face1 = face0, face1 = [-1] * len(edges), [-1] * len(edges)
         self.sign0, self.sign1 = sign0, sign1 = [0] * len(edges), [0] * len(edges)
-        self.face_signs = face_signs = []  # per face: (edge id, sign)
+        self.half = half = []  # half-edge 3f + i: the edge of face f's side ab, bc or ca
         for fid, (a, b, c) in enumerate(complex.faces):
-            signs = []
             for u, w in ((a, b), (b, c), (c, a)):
                 if u < w:
                     sign, eid = 1, get(u * n + w)
@@ -90,14 +89,10 @@ class _Incidence:
                     face1[eid], sign1[eid] = fid, sign
                 else:
                     raise ValueError(f"edge {eid} lies on a third face, {fid}")
-                signs.append((eid, sign))
-            face_signs.append(signs)
+                half.append(eid)
         if -1 in face0:
             raise ValueError(f"edge {face0.index(-1)} lies on no face")
         self.boundary = {e for e, f in enumerate(face1) if f < 0}
-        # Boundary vertex -> root of its circle.
-        root = _roots(n, [edges[eid] for eid in self.boundary])
-        self.circle_root = {v: root[v] for eid in self.boundary for v in edges[eid]}
 
 
 def _relative(inc: _Incidence, contact: set[int]):
@@ -117,12 +112,12 @@ def _face_components(inc: _Incidence) -> tuple[list[int], list[bool]]:
     """Sign propagation over faces joined through shared edges: the
     component of each face and, per component, whether the propagation met
     no contradiction in it (the component is orientable)."""
-    face_signs = inc.face_signs
+    half = inc.half
     face0, sign0, face1, sign1 = inc.face0, inc.sign0, inc.face1, inc.sign1
-    component = [-1] * len(face_signs)
-    sign = [0] * len(face_signs)
+    component = [-1] * (len(half) // 3)
+    sign = [0] * len(component)
     orientable: list[bool] = []
-    for seed in range(len(face_signs)):
+    for seed in range(len(component)):
         if sign[seed]:
             continue
         c, ok = len(orientable), True
@@ -130,7 +125,7 @@ def _face_components(inc: _Incidence) -> tuple[list[int], list[bool]]:
         queue = [seed]
         for fid in queue:  # the list grows while it is walked
             own = sign[fid]
-            for eid, _ in face_signs[fid]:
+            for eid in half[3 * fid : 3 * fid + 3]:
                 other = face0[eid] if face1[eid] == fid else face1[eid]
                 if other < 0:  # a boundary edge
                     continue
@@ -161,6 +156,13 @@ def _roots(n: int, pairs) -> list[int]:
             parent[r] = r = parent[parent[r]]
         parent[v] = r
     return parent
+
+
+def _classes(inc: _Incidence, edge_ids) -> int:
+    """The number of vertex classes that the edges ``edge_ids`` join."""
+    pairs = [inc.edges[eid] for eid in edge_ids]
+    root = _roots(inc.num_vertices, pairs)
+    return len({root[v] for pair in pairs for v in pair})
 
 
 def _in_range(chain: dict[int, int], n: int) -> bool:
@@ -249,18 +251,19 @@ def verify(
     generators,
     cap: int = DEFAULT_WORK_CAP,
 ) -> VerificationReport:
-    """Full validation of a generator set against the oracle.
+    """Full validation of a generator set against the oracle, in one order:
+    E and the generators' entries are counted, the edge list is checked
+    against the faces (ValueError on a mismatch), the witness cycles of
+    ``generators.cycles`` are built in what ``cap`` leaves, and only then
+    the other tables.  A count past ``cap`` raises MeshTooLargeForOracle.
 
     Checks, in order: every contact id is a boundary edge; every generator
     is a relative cocycle; the count matches the Betti number; the witness
-    cycles of ``generators.cycles`` are relative cycles and pair with the
-    generators unimodularly (``independence_ok``: with the count, a basis
-    over Z modulo relative coboundaries; a set with no forests offers no
-    cycles and fails it); the components with a twisted edge match the
-    non-orientable ones; the per-class sizes match the dimension formulas.
-    An edge list that does not match the faces raises ValueError.  E plus
-    the entries of the generators and of the witness cycles above ``cap``
-    raises MeshTooLargeForOracle, as soon as the sum is seen to pass it.
+    cycles are relative cycles and pair with the generators unimodularly
+    (``independence_ok``: with the count, a basis over Z modulo relative
+    coboundaries; a set with no forests offers no cycles and fails it); the
+    components with a twisted edge match the non-orientable ones; the
+    per-class sizes match the dimension formulas.
     """
     work = complex.num_edges + sum(len(g.cochain.coeffs) for g in generators.generators)
     if work > cap:
@@ -268,6 +271,7 @@ def verify(
             f"the edges and the generators hold {work} entries, past the oracle cap of {cap}"
         )
     inc = _Incidence(complex)
+    cycles = generators.cycles(complex, cap - work)
     contact = set(partition.contact_edges)
     failures = [f"contact edge {e} is not a boundary edge" for e in sorted(contact - inc.boundary)]
     contact &= inc.boundary
@@ -296,7 +300,7 @@ def verify(
     # 2. Count against the Betti number, with rank d1 = F - b2.
     touched = {component[face0[eid]] for eid in contact}
     b2 = sum(1 for c, ok in enumerate(orientable) if ok and c not in touched)
-    betti = len(inc.edges) - len(insulated) - (len(inc.face_signs) - b2) - rank_d0
+    betti = len(inc.edges) - len(insulated) - (len(component) - b2) - rank_d0
     count = len(generators.generators)
     if count != betti:
         failures.append(f"{count} generators but Betti number is {betti}")
@@ -304,7 +308,6 @@ def verify(
     # 3. A basis over Z: the pipeline's cycles, each checked to be a
     # relative cycle here, pair with the generators in a matrix that must
     # peel to a unit triangle.
-    cycles = generators.cycles(complex, cap - work)
     if cycles is None:
         basis_failures = ["no witness cycles: the generator set holds no forests"]
     else:
@@ -341,14 +344,11 @@ def verify(
         if m.num_contacts:
             expected["co"] += m.num_contacts - (0 if m.num_twisted_edges else 1)
         expected["ha"] += m.num_candidate_edges - (1 if m.num_twisted_edges else 0)
-    n_ho = len(set(inc.circle_root.values()))
-    root = _roots(inc.num_vertices, [inc.edges[eid] for eid in contact])
-    n_co = len({root[v] for eid in contact for v in inc.edges[eid]})
     formula_failures = [
         f"pipeline reports {reported} {what}, oracle {n}"
         for what, reported, n in (
-            ("boundary circles", sum(m.num_holes for m in metas), n_ho),
-            ("contact components", sum(m.num_contacts for m in metas), n_co),
+            ("boundary circles", sum(m.num_holes for m in metas), _classes(inc, inc.boundary)),
+            ("contact components", sum(m.num_contacts for m in metas), _classes(inc, contact)),
         )
         if reported != n
     ]

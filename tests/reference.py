@@ -43,7 +43,9 @@ number off ``verify`` on an empty generator set, ``is_orientable`` runs the
 oracle's face-component search on a complex (the package's ``info`` reads
 orientability off the dual forest), and ``closed_edges`` and ``closed_d2``
 are the closed-up complex (each boundary circle collapsed to a point) whose
-torsion the oracle counts as its non-orientable face components.
+torsion the oracle counts as its non-orientable face components.  They read
+``complex.faces`` and ``complex.edges`` directly (``rim``, ``circle_root``
+and ``face_rows``), never the oracle's tables, which they are held against.
 """
 
 import pathlib
@@ -833,26 +835,46 @@ def is_orientable(complex):
     return all(_face_components(_Incidence(complex))[1])
 
 
-def closed_edges(inc):
-    """The kept (interior) edges of the closed-up complex of the oracle's
-    incidence ``inc`` as ``(ca, cb)`` pairs of end cells, each boundary
-    circle collapsed to its union-find root; both ends are one cell when
-    they land on one circle."""
-    root = inc.circle_root
+def rim(complex):
+    """The ids of the edges of ``complex`` on one face, read off
+    ``signed_cofaces``."""
+    return {eid for eid, cofaces in enumerate(signed_cofaces(complex)) if len(cofaces) == 1}
+
+
+def circle_root(complex):
+    """Each boundary vertex of ``complex`` -> the root of its circle, by
+    ``dict_roots`` over the ``rim`` edges."""
+    return dict_roots(complex.edges[eid] for eid in rim(complex))
+
+
+def face_rows(complex, dropped):
+    """The face boundary map of ``complex``, ``signed_cofaces`` turned face
+    by face: one sparse row {edge id: sign} per face, over the edges not in
+    ``dropped``."""
+    rows = [{} for _ in complex.faces]
+    for eid, cofaces in enumerate(signed_cofaces(complex)):
+        if eid not in dropped:
+            for fid, sign in cofaces:
+                rows[fid][eid] = sign
+    return rows
+
+
+def closed_edges(complex):
+    """The kept (interior) edges of the closed-up complex of ``complex`` as
+    ``(ca, cb)`` pairs of end cells, each boundary circle collapsed to its
+    ``circle_root``; both ends are one cell when they land on one circle."""
+    boundary, root = rim(complex), circle_root(complex)
     return [
         (root.get(a, a), root.get(b, b))
-        for eid, (a, b) in enumerate(inc.edges)
-        if eid not in inc.boundary
+        for eid, (a, b) in enumerate(complex.edges)
+        if eid not in boundary
     ]
 
 
-def closed_d2(inc):
+def closed_d2(complex):
     """The face boundary map of the same closed-up complex: one sparse row
     per face over the ids of the edges ``closed_edges`` keeps."""
-    return [
-        {eid: sign for eid, sign in signs if eid not in inc.boundary}
-        for signs in inc.face_signs
-    ]
+    return face_rows(complex, rim(complex))
 
 
 def signed_cofaces(complex):

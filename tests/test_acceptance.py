@@ -10,7 +10,7 @@ import json
 import meshes
 from globalloops.forest import build_tree_cotree
 from globalloops.generators import compute_generators
-from globalloops.oracle import _Incidence, verify
+from globalloops.oracle import verify
 from globalloops.surface import boundary_components, classify_boundary
 from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.cli import main as cli_main
@@ -137,7 +137,7 @@ def test_torsion_orientability_equivalence():
         non_orientable = not is_orientable(K)
         torsion = verify(K, classify_boundary(K, contact), gens).torsion_coefficients
         # The reference: the rank the closed-up face boundary map loses mod 2.
-        d2 = closed_d2(_Incidence(K))
+        d2 = closed_d2(K)
         assert torsion == [2] * (sparse_rank(d2) - sparse_rank(d2, 2)), name
         assert twisted == non_orientable == (torsion == [2]), name
 

@@ -28,12 +28,14 @@ from globalloops.errors import MeshTooLargeForOracle
 from reference import (
     PRIME,
     betti1_relative,
+    circle_root,
     closed_d2,
     closed_edges,
     coboundary0,
     dict_roots,
     exact_rank,
     is_orientable,
+    rim,
     signed_cofaces,
     smith_invariant_factors,
     sparse_rank,
@@ -61,12 +63,12 @@ def d1_rows(d1):
     return [{cb: 1, ca: -1} if ca != cb else {} for ca, cb in d1]
 
 
-def dense_homology(inc):
+def dense_homology(K):
     """H1 of the closed-up complex from the dense exact rank and Smith form."""
-    d1 = d1_rows(closed_edges(inc))
-    factors = smith_invariant_factors(dense(closed_d2(inc), len(inc.edges)))
+    d1 = d1_rows(closed_edges(K))
+    factors = smith_invariant_factors(dense(closed_d2(K), len(K.edges)))
     rank_d2 = sum(1 for f in factors if f)
-    rank_d1 = exact_rank(dense(d1, 1 + max(v for edge in inc.edges for v in edge)))
+    rank_d1 = exact_rank(dense(d1, 1 + max(v for edge in K.edges for v in edge)))
     return len(d1) - rank_d1 - rank_d2, [f for f in factors if f > 1]
 
 
@@ -79,7 +81,7 @@ def oracle_torsion(K):
 def closed_homology(K):
     """Free rank and torsion of the closed-up complex from the dense
     routines, once the oracle's torsion is seen to agree."""
-    free, torsion = dense_homology(incidence(K))
+    free, torsion = dense_homology(K)
     assert oracle_torsion(K) == torsion
     return free, torsion
 
@@ -256,18 +258,17 @@ class TestHomologySnf:
 
     def test_matches_dense_smith_form_on_every_test_mesh(self):
         for K in every_test_mesh():
-            inc = incidence(K)
-            d2 = closed_d2(inc)
-            torsion = dense_homology(inc)[1]
+            d2 = closed_d2(K)
+            torsion = dense_homology(K)[1]
             assert torsion == [2] * (sparse_rank(d2) - sparse_rank(d2, 2)), K
             assert oracle_torsion(K) == torsion, K
 
 
-def closed_chi(inc):
+def closed_chi(K):
     """Euler characteristic of the reference closed-up complex."""
-    root = inc.circle_root
-    cells = {root.get(v, v) for edge in inc.edges for v in edge}
-    return len(cells) - len(closed_edges(inc)) + len(closed_d2(inc))
+    root = circle_root(K)
+    cells = {root.get(v, v) for edge in K.edges for v in edge}
+    return len(cells) - len(closed_edges(K)) + len(closed_d2(K))
 
 
 class TestClosedComplex:
@@ -275,29 +276,36 @@ class TestClosedComplex:
     boundary circle collapses to one cell and its edges go."""
 
     def test_closed_surface_unchanged(self):
-        inc = incidence(meshes.csaszar_torus())
-        assert closed_edges(inc) == inc.edges
-        assert closed_d2(inc) == [dict(signs) for signs in inc.face_signs]
+        # With no circle the closure keeps every edge, and each face row is
+        # the oracle's own signs on that face's three edges.
+        K = meshes.csaszar_torus()
+        inc = incidence(K)
+        assert closed_edges(K) == K.edges
+        faces = [inc.half[h : h + 3] for h in range(0, len(inc.half), 3)]
+        assert closed_d2(K) == [
+            {e: inc.sign0[e] if inc.face0[e] == f else inc.sign1[e] for e in face}
+            for f, face in enumerate(faces)
+        ]
 
     def test_disk_closes_to_sphere(self):
-        assert closed_chi(incidence(meshes.disk(6))) == 2
+        assert closed_chi(meshes.disk(6)) == 2
 
     def test_annulus_closes_to_sphere(self):
-        inc = incidence(meshes.annulus(6))
-        assert (len(closed_edges(inc)), len(closed_d2(inc))) == (12, 12)
-        assert closed_chi(inc) == 2
+        K = meshes.annulus(6)
+        assert (len(closed_edges(K)), len(closed_d2(K))) == (12, 12)
+        assert closed_chi(K) == 2
 
     def test_chi_shift_equals_hole_count(self):
         for K in every_test_mesh():
             holes = len(boundary_components(K))
-            assert closed_chi(incidence(K)) == euler_characteristic(K) + holes
+            assert closed_chi(K) == euler_characteristic(K) + holes
 
     def test_boundary_of_boundary_vanishes(self):
         for K in every_test_mesh():
-            inc = incidence(K)
-            d2 = closed_d2(inc)
-            kept = [eid for eid in range(len(inc.edges)) if eid not in inc.boundary]
-            d1_of = dict(zip(kept, d1_rows(closed_edges(inc))))
+            d2 = closed_d2(K)
+            boundary = rim(K)
+            kept = [eid for eid in range(len(K.edges)) if eid not in boundary]
+            d1_of = dict(zip(kept, d1_rows(closed_edges(K))))
             for face_row in d2:
                 sums = {}
                 for eid, fcoeff in face_row.items():
@@ -319,7 +327,7 @@ class TestSelfConsistency:
             meshes.klein_minus_disk(),
         ):
             bp = classify_boundary(K, set())
-            closed_rank, _ = dense_homology(incidence(K))
+            closed_rank, _ = dense_homology(K)
             holes = len(boundary_components(K))
             assert betti1_relative(K, bp) - closed_rank == max(holes - 1, 0)
 
@@ -351,7 +359,7 @@ class TestSelfConsistency:
             meshes.klein_minus_disk(),
             meshes.genus2(),
         ):
-            assert dense_homology(incidence(K))[1] in ([], [2])
+            assert dense_homology(K)[1] in ([], [2])
 
 
 def plain_annulus():
@@ -589,6 +597,22 @@ class TestVerify:
         with pytest.raises(MeshTooLargeForOracle, match=f"pass {len(full[0])} entries"):
             gens.cycles(K, len(full[0]))
         assert len(built) == 2
+
+    def test_the_cycles_are_refused_before_the_tables(self, monkeypatch):
+        # The witness cycles come right after the edge list is checked, so a
+        # refusal for them pays for none of the other tables.
+        K = meshes.genus2()
+        gens = compute_generators(K)
+        edges_and_support = K.num_edges + sum(len(g.cochain.coeffs) for g in gens.generators)
+        assert sum(len(z) for z in gens.cycles(K)) > 0
+
+        def planted(*args):
+            raise AssertionError("a table was built before the cycles were counted")
+
+        monkeypatch.setattr(oracle, "_relative", planted)
+        monkeypatch.setattr(oracle, "_face_components", planted)
+        with pytest.raises(MeshTooLargeForOracle, match="witness cycles pass"):
+            verify(K, gens.partition, gens, cap=edges_and_support)
 
     def test_a_large_mesh_verifies_under_the_default_cap(self):
         # annulus(8) refined six times: E = 98,816 and one generator.
@@ -848,27 +872,44 @@ class TestIndependence:
         assert read <= {"faces", "edges", "num_edges", "num_vertices"}
 
     @pytest.mark.parametrize(
-        "mismatch, message",
+        "mesh, mismatch, message",
         [
-            ("extra", "on no face"),
-            ("missing", "not in the edge list"),
-            ("repeated", "repeats a pair"),
-            ("reversed", "reversed"),
+            pytest.param("torus_grid", mismatch, message, id=f"{mismatch}-{message}")
+            for mismatch, message in (
+                ("extra", "on no face"),
+                ("missing", "not in the edge list"),
+                ("repeated", "repeats a pair"),
+                ("reversed", "reversed"),
+            )
+        ]
+        # The witness cycles index the edge list, so a short one must meet
+        # the check before them, not an IndexError inside them.
+        + [
+            (mesh, f"missing {count}", "not in the edge list")
+            for mesh, counts in (
+                ("klein_minus_disk", (1, 2, 5, 10)),
+                ("csaszar_torus", (5, 10)),
+                ("genus2", (5, 10)),
+                ("torus_with_hole", (5, 10)),
+            )
+            for count in counts
         ],
     )
-    def test_a_mismatched_edge_list_raises(self, mismatch, message):
+    def test_a_mismatched_edge_list_raises(self, mesh, mismatch, message):
         # The edge list numbers the oracle's edges, so it is checked against
         # the faces rather than trusted.
-        K = meshes.torus_grid(4, 4)
+        K = getattr(meshes, mesh)()
         gens = compute_generators(K)
         edges = list(K.edges)
-        absent = next(p for p in combinations(range(K.num_vertices), 2) if p not in K.edge_index)
+        pairs = combinations(range(K.num_vertices), 2)
+        absent = next((p for p in pairs if p not in K.edge_index), None)  # K7 has none
+        kind, _, count = mismatch.partition(" ")
         edges = {
             "extra": edges + [absent],
-            "missing": edges[:-1],
+            "missing": edges[: -int(count or 1)],
             "repeated": edges[:-1] + edges[:1],
             "reversed": [edges[0][::-1]] + edges[1:],
-        }[mismatch]
+        }[kind]
         with pytest.raises(ValueError, match=message):
             verify(K._replace(edges=edges), gens.partition, gens)
 
@@ -900,8 +941,8 @@ def flat_table_meshes(kind):
 
 
 class TestFlatTables:
-    """The oracle's per-edge face lists and its vertex union-find against
-    plain references."""
+    """The oracle's per-edge face lists, its per-face edge list and its
+    vertex union-find against plain references."""
 
     @pytest.mark.parametrize("kind", ("corpus",) + meshes.SAMPLE_KINDS)
     def test_cofaces_equal_the_faces_read_one_by_one(self, kind):
@@ -911,6 +952,9 @@ class TestFlatTables:
             flat = [[(f, s) for f, s in pair if f >= 0] for pair in sides]
             assert flat == signed_cofaces(K)
             assert inc.boundary == {e for e, cof in enumerate(flat) if len(cof) == 1}
+            index = {pair: eid for eid, pair in enumerate(K.edges)}
+            halves = [(u, w) for a, b, c in K.faces for u, w in ((a, b), (b, c), (c, a))]
+            assert inc.half == [index[min(u, w), max(u, w)] for u, w in halves]
 
     @pytest.mark.parametrize("kind", ("corpus",) + meshes.SAMPLE_KINDS)
     def test_roots_equal_a_dict_union_find(self, kind):
@@ -919,9 +963,13 @@ class TestFlatTables:
             every = range(K.num_vertices)
             root = oracle._roots(K.num_vertices, K.edges)
             assert classes(root, every) == classes(dict_roots(K.edges), every)
-            rim = [K.edges[e] for e in inc.boundary]
-            circles = dict_roots(rim)
-            assert classes(inc.circle_root, circles) == classes(circles, circles)
+            # The circles, and the contact components of a random half of
+            # the boundary edges, which leaves runs of every length.
+            rim_edges = sorted(inc.boundary)
+            contact = set(random.Random(len(K.edges)).sample(rim_edges, len(rim_edges) // 2))
+            for edge_ids in (inc.boundary, contact):
+                joined = dict_roots(K.edges[e] for e in edge_ids)
+                assert oracle._classes(inc, edge_ids) == len(set(joined.values()))
 
     @pytest.mark.parametrize("order", ["tail to head", "head to tail", "shuffled"])
     def test_roots_on_paths(self, order):

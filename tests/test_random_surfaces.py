@@ -30,7 +30,7 @@ from globalloops.surface import (
     classify_boundary,
     euler_characteristic,
 )
-from reference import closed_d2, sparse_rank
+from reference import closed_d2, face_rows, sparse_rank
 
 wl = meshes.workloads()
 
@@ -238,12 +238,12 @@ def test_closed_forms_match_the_eliminations(pieces):
     # rank d0 = V_rel - b0.
     assert rank_d0 == sparse_rank(d0)
     # verify's Betti number is E_rel - rank d0 - (F - b2).
-    d1 = [{eid: s for eid, s in signs if eid not in insulated} for signs in inc.face_signs]
+    d1 = face_rows(K, insulated)
     bp = classify_boundary(K, contact)
     report = verify(K, bp, GeneratorSet(partition=bp))
     assert report.betti1_relative == len(inc.edges) - len(insulated) - sparse_rank(d1) - rank_d0
     # One 2 per non-orientable component: the rank closed-up d2 loses mod 2.
-    d2 = closed_d2(inc)
+    d2 = closed_d2(K)
     assert report.torsion_coefficients == [2] * (sparse_rank(d2) - sparse_rank(d2, 2))
 
 
