@@ -40,7 +40,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .cochain import Cochain1
-from .errors import CountMismatch, MeshTooLargeForOracle, UnsupportedContactLayout
+from .errors import MeshTooLargeForOracle, UnsupportedContactLayout
 from .forest import DualTree, Tree, build_tree_cotree
 from .surface import (
     BoundaryCycle,
@@ -62,13 +62,15 @@ class Generator(NamedTuple):
 
 
 class ComponentMeta(NamedTuple):
-    """Per-component bookkeeping mirrored into reports."""
+    """One component's record: the lists ``compute_generators`` sized its
+    classes from, whose lengths the report counts.  The circles come by
+    minimal vertex id, the last one fixed; the twisted candidates in
+    preorder, the last one the anchor edge, which the handle chain drops."""
 
-    num_holes: int
-    num_contacts: int
-    num_candidate_edges: int
-    num_twisted_edges: int
-    # Last twisted candidate in preorder; the handle chain drops it.
+    circles: list[BoundaryCycle]  # N_ho
+    contact_components: list[list[int]]  # N_co
+    candidate_edges: list[int]  # E_M
+    twisted_edges: list[int]  # E_M_II
     anchor_edge: int | None = None
 
 
@@ -77,23 +79,21 @@ class GeneratorSet(NamedTuple):
     components: list[ComponentMeta] = ()
     # The boundary partition the generators were built on, for ``verify``.
     partition: BoundaryPartition | None = None
-    # The dual forest, the candidate edges and the primal forest, for
-    # ``cycles``.
-    dual: DualTree | None = None
-    candidates: list[int] = ()
+    # The primal forest, for ``cycles``.
     primal: Tree | None = None
 
     @property
     def orientable(self) -> bool:
-        return not any(m.num_twisted_edges for m in self.components)
+        return not any(m.twisted_edges for m in self.components)
 
     def cycles(
         self, complex: SurfaceComplex, limit: int | None = None
     ) -> list[dict[int, int]] | None:
         """One relative 1-cycle per generator, as {edge id: coefficient},
         component by component and class by class as the generators come:
-        the witness of ``oracle.verify``'s pairing check.  None when there
-        are generators but no forests to close them through.  Raises
+        the witness of ``oracle.verify``'s pairing check, read off each
+        component's record in ``components``.  None when there are
+        generators but no primal forest to close them through.  Raises
         MeshTooLargeForOracle as soon as the cycles built hold more than
         ``limit`` entries together.
 
@@ -106,7 +106,7 @@ class GeneratorSet(NamedTuple):
         * per hole generator, the primal path from an insulated vertex of
           its circle to an insulated vertex of the fixed circle,
         * per contact generator of the chain, the run of one contact
-          component, each but the last in the partition's order, oriented
+          component, each but the last in the record's order, oriented
           along its circle; for the extra one of a non-orientable
           component, the anchor edge's loop.
 
@@ -120,8 +120,8 @@ class GeneratorSet(NamedTuple):
         """
         if not self.generators:
             return []
-        dual, primal = self.dual, self.primal
-        if dual is None or primal is None:
+        primal = self.primal
+        if primal is None:
             return None
         contact, out, size = self.partition.contact_edges, [], 0
 
@@ -132,28 +132,28 @@ class GeneratorSet(NamedTuple):
                 raise MeshTooLargeForOracle(f"the witness cycles pass {limit} entries")
             return cycle
 
-        per_component = _by_component(complex, dual, self.candidates, self.partition)
-        for meta, (candidates, circles, comps) in zip(self.components, per_component):
-            anchor, runs = meta.anchor_edge, []
-            if comps:
+        for meta in self.components:
+            circles, anchor, runs = meta.circles, meta.anchor_edge, []
+            if meta.contact_components:
                 sign = {
                     eid: 1 if complex.edges[eid][0] == v else -1
                     for cyc in circles
                     for v, eid in zip(cyc.vertices, cyc.edges)
                 }
-                runs = [{eid: sign[eid] for eid in comp} for comp in comps]
+                runs = [{eid: sign[eid] for eid in comp} for comp in meta.contact_components]
             # Beside contact runs, the anchor loop and each twisted loop
             # cancel every run at its minimal edge.
             cancels = anchor is not None and bool(runs)
+            twisted = set(meta.twisted_edges) if cancels else ()
 
             def closed(eid: int) -> dict[int, int]:
                 loop = _loop(complex, primal, eid)
-                if cancels and (eid == anchor or is_twisted(complex, dual, eid)):
+                if eid in twisted:
                     for run in runs:
                         _cancel(loop, run, min(run))
                 return counted(loop)
 
-            out += [closed(eid) for eid in candidates if eid != anchor]
+            out += [closed(eid) for eid in meta.candidate_edges if eid != anchor]
             if circles:
                 fixed = _insulated_vertex(circles[-1], contact)
                 out += [
@@ -326,18 +326,6 @@ def contacts(
     return out
 
 
-def _expected_counts(meta: ComponentMeta) -> tuple[int, int, int]:
-    n_ha = meta.num_candidate_edges - (1 if meta.num_twisted_edges else 0)
-    n_ho = max(meta.num_holes - 1, 0)
-    if meta.num_contacts == 0:
-        n_co = 0
-    elif not meta.num_twisted_edges:
-        n_co = meta.num_contacts - 1
-    else:
-        n_co = meta.num_contacts
-    return n_ha, n_ho, n_co
-
-
 def compute_generators(
     complex: SurfaceComplex, contact_edges: set[int] | frozenset[int] = frozenset()
 ) -> GeneratorSet:
@@ -345,7 +333,8 @@ def compute_generators(
 
     Components come in ascending order of their minimal face id; generators
     and metadata (anchor edges included) use the complex's own edge ids.
-    The boundary partition is kept on the result for ``oracle.verify``.
+    Each component's lists are kept on its ``ComponentMeta``, for the report
+    and the witness cycles; the boundary partition, for ``oracle.verify``.
     """
     partition = classify_boundary(complex, contact_edges)
     for cyc in partition.hole_components:
@@ -367,22 +356,10 @@ def compute_generators(
         ha, twisted, anchor = handles(complex, dual, candidates, preorder)
         ho = holes(complex, circles)
         co = contacts(complex, dual, comps, anchor, preorder)
-        meta = ComponentMeta(
-            num_holes=len(circles),
-            num_contacts=len(comps),
-            num_candidate_edges=len(candidates),
-            num_twisted_edges=len(twisted),
-            anchor_edge=anchor,
-        )
-        expected = _expected_counts(meta)
-        if (len(ha), len(ho), len(co)) != expected:
-            raise CountMismatch(
-                f"class sizes {(len(ha), len(ho), len(co))} do not match {expected}"
-            )
         generators += [
             Generator(kind, cid, Cochain1(g))
             for kind, gens in ((HANDLE, ha), (HOLE, ho), (CONTACT, co))
             for g in gens
         ]
-        metas.append(meta)
-    return GeneratorSet(generators, metas, partition, dual, candidate_edges, primal)
+        metas.append(ComponentMeta(circles, comps, candidates, twisted, anchor))
+    return GeneratorSet(generators, metas, partition, primal)

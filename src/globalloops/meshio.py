@@ -139,11 +139,11 @@ def _summary(generators: GeneratorSet, verification=None) -> dict:
     rows = [
         {
             "component_id": cid,
-            "N_ho": meta.num_holes,
-            "N_co": meta.num_contacts,
-            "E_M": meta.num_candidate_edges,
-            "E_M_II": meta.num_twisted_edges,
-            "orientable": not meta.num_twisted_edges,
+            "N_ho": len(meta.circles),
+            "N_co": len(meta.contact_components),
+            "E_M": len(meta.candidate_edges),
+            "E_M_II": len(meta.twisted_edges),
+            "orientable": not meta.twisted_edges,
             "betti1": betti1[cid],
         }
         for cid, meta in enumerate(generators.components)

@@ -261,9 +261,9 @@ def verify(
     is a relative cocycle; the count matches the Betti number; the witness
     cycles are relative cycles and pair with the generators unimodularly
     (``independence_ok``: with the count, a basis over Z modulo relative
-    coboundaries; a set with no forests offers no cycles and fails it); the
-    components with a twisted edge match the non-orientable ones; the
-    per-class sizes match the dimension formulas.
+    coboundaries; a set with no primal forest offers no cycles and fails
+    it); the components with a twisted edge match the non-orientable ones;
+    the per-class sizes match the dimension formulas.
     """
     work = complex.num_edges + sum(len(g.cochain.coeffs) for g in generators.generators)
     if work > cap:
@@ -327,7 +327,7 @@ def verify(
     # with one Z/2 of torsion.  The pipeline's twisted edge count sums over
     # its components, so this also holds it to the mesh's orientability.
     torsion = [2] * orientable.count(False)
-    twisted_components = sum(1 for m in generators.components if m.num_twisted_edges)
+    twisted_components = sum(1 for m in generators.components if m.twisted_edges)
     if twisted_components != len(torsion):
         failures.append(
             f"pipeline reports {twisted_components} components with twisted edges, "
@@ -340,15 +340,17 @@ def verify(
     found = Counter(g.kind for g in generators.generators)
     expected = Counter()
     for m in metas:
-        expected["ho"] += max(m.num_holes - 1, 0)
-        if m.num_contacts:
-            expected["co"] += m.num_contacts - (0 if m.num_twisted_edges else 1)
-        expected["ha"] += m.num_candidate_edges - (1 if m.num_twisted_edges else 0)
+        expected["ho"] += max(len(m.circles) - 1, 0)
+        if m.contact_components:
+            expected["co"] += len(m.contact_components) - (0 if m.twisted_edges else 1)
+        expected["ha"] += len(m.candidate_edges) - (1 if m.twisted_edges else 0)
+    circles = sum(len(m.circles) for m in metas)
+    comps = sum(len(m.contact_components) for m in metas)
     formula_failures = [
         f"pipeline reports {reported} {what}, oracle {n}"
         for what, reported, n in (
-            ("boundary circles", sum(m.num_holes for m in metas), _classes(inc, inc.boundary)),
-            ("contact components", sum(m.num_contacts for m in metas), _classes(inc, contact)),
+            ("boundary circles", circles, _classes(inc, inc.boundary)),
+            ("contact components", comps, _classes(inc, contact)),
         )
         if reported != n
     ]

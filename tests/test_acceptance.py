@@ -78,8 +78,8 @@ def test_moebius_full_insulation():
     assert gens.generators == []
     assert verify(K, bp, gens).betti1_relative == 0
     meta = gens.components[0]
-    assert meta.num_candidate_edges == 1
-    assert meta.num_twisted_edges == 1
+    assert len(meta.candidate_edges) == 1
+    assert len(meta.twisted_edges) == 1
     assert not gens.orientable
     assert not is_orientable(K)
 
@@ -114,16 +114,16 @@ def test_dimension_formula_suite():
                 )
                 for kind in ("ha", "ho", "co")
             }
-            assert per_kind["ho"] == max(meta.num_holes - 1, 0), name
-            if meta.num_contacts == 0:
+            assert per_kind["ho"] == max(len(meta.circles) - 1, 0), name
+            if not meta.contact_components:
                 expected_co = 0
-            elif not meta.num_twisted_edges:
-                expected_co = meta.num_contacts - 1
+            elif not meta.twisted_edges:
+                expected_co = len(meta.contact_components) - 1
             else:
-                expected_co = meta.num_contacts
+                expected_co = len(meta.contact_components)
             assert per_kind["co"] == expected_co, name
-            expected_ha = meta.num_candidate_edges - (
-                1 if meta.num_twisted_edges else 0
+            expected_ha = len(meta.candidate_edges) - (
+                1 if meta.twisted_edges else 0
             )
             assert per_kind["ha"] == expected_ha, name
         assert len(gens.generators) == verify(K, bp, gens).betti1_relative, name

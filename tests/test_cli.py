@@ -11,7 +11,7 @@ import pytest
 import meshes
 import reference
 import globalloops
-from globalloops import generators, meshio
+from globalloops import cli, generators, meshio
 from globalloops.cli import main
 from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
 from globalloops.meshio import render_report, report_dict
@@ -189,6 +189,28 @@ class TestCompute:
         code = main(["compute", str(mesh), "--verify", "--oracle-cap", "3"])
         assert code == 3
         assert "refused" in capsys.readouterr().err
+
+    def test_failed_verification_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        # A set whose generator 0 comes twice: every failure gets its own
+        # stderr line, and the report is still written, marked failed.
+        K = meshes.csaszar_torus()
+        mesh, out = tmp_path / "torus.off", tmp_path / "r.json"
+        write_off(mesh, K)
+
+        def doubled(complex, contact_edges):
+            gens = generators.compute_generators(complex, contact_edges)
+            return gens._replace(generators=gens.generators + gens.generators[:1])
+
+        monkeypatch.setattr(cli, "compute_generators", doubled)
+        assert main(["compute", str(mesh), "--verify", "--out", str(out)]) == 3
+        failures = verify(K, classify_boundary(K, set()), doubled(K, set())).failures
+        assert len(failures) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"verification failure: {failure}" for failure in failures]
+        report = json.loads(out.read_text())
+        assert report["verification"]["passed"] is False
+        assert report["verification"]["failures"] == failures
+        assert len(report["generators"]) == 3
 
     @pytest.mark.parametrize("flags", [["--verify"], []])
     def test_negative_oracle_cap_is_exit_one(self, tmp_path, capsys, flags):

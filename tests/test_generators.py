@@ -8,9 +8,14 @@ import meshes
 import reference
 from globalloops.errors import NotABoundaryEdge, UnsupportedContactLayout
 from globalloops.forest import Tree, build_tree_cotree
-from globalloops.generators import compute_generators
+from globalloops.generators import ComponentMeta, compute_generators
 from globalloops.oracle import verify
-from globalloops.surface import boundary_components, build_complex, classify_boundary
+from globalloops.surface import (
+    BoundaryCycle,
+    boundary_components,
+    build_complex,
+    classify_boundary,
+)
 from globalloops.transport import is_twisted
 from reference import coboundary0, connected_components, evaluate, of_kind
 
@@ -88,8 +93,8 @@ class TestHandles:
         gens = compute_generators(K)
         assert gens.generators == []
         meta = gens.components[0]
-        assert meta.num_candidate_edges == 1
-        assert meta.num_twisted_edges == 1
+        assert len(meta.candidate_edges) == 1
+        assert len(meta.twisted_edges) == 1
         assert not gens.orientable
         assert meta.anchor_edge is not None
 
@@ -97,9 +102,9 @@ class TestHandles:
         K = meshes.klein_minus_disk()
         gens = compute_generators(K)
         meta = gens.components[0]
-        assert meta.num_candidate_edges == 2
-        assert meta.num_twisted_edges >= 1
-        assert len(of_kind(gens, "ha")) == meta.num_candidate_edges - 1 == 1
+        assert len(meta.candidate_edges) == 2
+        assert len(meta.twisted_edges) >= 1
+        assert len(of_kind(gens, "ha")) == len(meta.candidate_edges) - 1 == 1
         report = verify(K, classify_boundary(K, set()), gens)
         assert report.passed
 
@@ -146,7 +151,7 @@ class TestContacts:
         K = meshes.annulus(6)
         gens = compute_generators(K, meshes.boundary_arc(K, 0, 3))
         assert of_kind(gens, "co") == []
-        assert gens.components[0].num_contacts == 1
+        assert len(gens.components[0].contact_components) == 1
 
     def test_two_arcs_yield_one_crossing(self):
         K = meshes.annulus(6)
@@ -185,7 +190,7 @@ class TestContacts:
             ):
                 compute_generators(K, set(cyc.edges))
             gens = compute_generators(K, set(cyc.edges[:-1]))
-            assert sum(m.num_contacts for m in gens.components) == 1
+            assert sum(len(m.contact_components) for m in gens.components) == 1
             report = verify(K, gens.partition, gens)
             assert report.passed, report.failures
 
@@ -196,7 +201,7 @@ class TestContacts:
         cyc = boundary_components(K)[0]
         contact = {cyc.edges[0], cyc.edges[1], cyc.edges[8], cyc.edges[9]}
         gens = compute_generators(K, contact)
-        assert len(of_kind(gens, "co")) == 2 == gens.components[0].num_contacts
+        assert len(of_kind(gens, "co")) == 2 == len(gens.components[0].contact_components)
         report = verify(K, classify_boundary(K, contact), gens)
         assert report.passed
 
@@ -263,7 +268,7 @@ class TestAssembly:
         K = meshes.disjoint_union(meshes.moebius(6), meshes.moebius(5))
         gens = compute_generators(K)
         assert gens.generators == []
-        assert [m.num_twisted_edges for m in gens.components] == [1, 1]
+        assert [len(m.twisted_edges) for m in gens.components] == [1, 1]
         anchors = [m.anchor_edge for m in gens.components]
         assert all(a is not None for a in anchors)
         contact = meshes.boundary_arc(K, 0, 2) | meshes.boundary_arc(K, 1, 2)
@@ -315,7 +320,7 @@ class TestAnchorEdge:
                 assert meta.anchor_edge == anchor, (name, cid)
                 ha = [g for g in gens.generators if (g.component, g.kind) == (cid, "ha")]
                 kept = [e for e in own if e != anchor]
-                assert len(ha) == len(kept) == meta.num_candidate_edges - 1
+                assert len(ha) == len(kept) == len(meta.candidate_edges) - 1
                 # Each handle generator is its own candidate's, +1 there.
                 assert all(g.cochain.coeffs.get(e) == 1 for e, g in zip(kept, ha))
                 co = [g for g in gens.generators if (g.component, g.kind) == (cid, "co")]
@@ -409,8 +414,49 @@ class TestSinglePass:
                 if g.component == cid
             ]
             assert ours == mapped, cid
+            # The component's record holds the same lists in K's ids.
             (meta,) = alone.components
-            expected_anchor = (
-                None if meta.anchor_edge is None else to_parent[meta.anchor_edge]
+            verts = sorted({v for f in face_ids for v in K.faces[f]})
+            edges = to_parent.__getitem__
+            expected = ComponentMeta(
+                [
+                    BoundaryCycle([verts[v] for v in cyc.vertices], list(map(edges, cyc.edges)))
+                    for cyc in meta.circles
+                ],
+                [list(map(edges, comp)) for comp in meta.contact_components],
+                list(map(edges, meta.candidate_edges)),
+                list(map(edges, meta.twisted_edges)),
+                None if meta.anchor_edge is None else edges(meta.anchor_edge),
             )
-            assert gens.components[cid] == meta._replace(anchor_edge=expected_anchor)
+            assert gens.components[cid] == expected, cid
+
+    @pytest.mark.parametrize(
+        "name, K, contact",
+        corpus_with_contacts() + [("mixed_surface", *meshes.mixed_surface())],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_records_split_the_partition_and_the_candidates(self, name, K, contact):
+        # The records hold every circle, contact component and candidate
+        # edge once, each on the component of its faces; the twisted edges
+        # are the candidates that is_twisted flags, the anchor last.
+        gens = compute_generators(K, contact)
+        partition = classify_boundary(K, contact)
+        _, dual, candidates = build_tree_cotree(K, partition.hole_components)
+        tree_of = [dual.tree_of[faces[0]] for faces in K.edge_faces]
+        rank = dual.preorder()
+        metas = gens.components
+        for field, whole in (
+            ("circles", partition.hole_components),
+            ("contact_components", partition.contact_components),
+            ("candidate_edges", candidates),
+        ):
+            assert sorted(x for m in metas for x in getattr(m, field)) == sorted(whole)
+        for cid, meta in enumerate(metas):
+            owned = [c.edges[0] for c in meta.circles] + [c[0] for c in meta.contact_components]
+            assert {tree_of[e] for e in owned + meta.candidate_edges} <= {cid}
+            first_faces = [rank[K.edge_faces[e][0]] for e in meta.twisted_edges]
+            assert first_faces == sorted(first_faces)
+            assert set(meta.twisted_edges) == {
+                e for e in meta.candidate_edges if is_twisted(K, dual, e)
+            }
+            assert meta.anchor_edge == (meta.twisted_edges or [None])[-1]

@@ -29,7 +29,7 @@ from globalloops.meshio import (
 )
 from globalloops.meshio import load_off
 from globalloops.oracle import VerificationReport, verify
-from globalloops.surface import boundary_components, classify_boundary
+from globalloops.surface import BoundaryCycle, boundary_components, classify_boundary
 from meshes import write_off
 
 GOOD_OFF = """OFF
@@ -76,6 +76,12 @@ class TestOffParsing:
         bad = "OFF\n3 1 0\n0 0 0\n"
         with pytest.raises(OffParseError):
             parse_off(bad)
+
+    def test_face_block_cut_short(self):
+        # Two faces announced, one given: the error names the last line.
+        with pytest.raises(OffParseError) as err:
+            parse_off("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        assert str(err.value) == "line 6: unexpected end of file in face block"
 
     @pytest.mark.parametrize("text", ["", "\n", "# no header\n"])
     def test_file_without_a_header_names_line_one(self, text):
@@ -346,21 +352,23 @@ generator_records = st.builds(
     component=st.integers(0, 40),
     cochain=cochains,
 )
+# The report counts each list of a component's record: lists of several
+# lengths, empty ones included, give totals of one and two digits.
+id_lists = st.lists(counts, max_size=12)
 component_metas = st.builds(
     ComponentMeta,
-    num_holes=counts,
-    num_contacts=counts,
-    num_candidate_edges=counts,
-    num_twisted_edges=counts,
+    circles=st.lists(st.builds(BoundaryCycle, id_lists, id_lists), max_size=12),
+    contact_components=st.lists(id_lists, max_size=12),
+    candidate_edges=id_lists,
+    twisted_edges=id_lists,
     anchor_edge=st.none() | counts,
 )
 generator_sets = st.builds(
     GeneratorSet,
     generators=st.lists(generator_records, max_size=5),
     components=st.lists(component_metas, max_size=4),
-    # The report reads neither forest, and a Tree drawn from its annotation
-    # would allocate lists of a drawn length.
-    dual=st.none(),
+    # The report does not read the primal forest, and a Tree drawn from its
+    # annotation would allocate lists of a drawn length.
     primal=st.none(),
 )
 verifications = st.builds(
@@ -384,7 +392,12 @@ SHARED_EDGE = GeneratorSet(
         Generator("co", 1, Cochain1({0: -1})),
     ],
     components=[
-        ComponentMeta(num_holes=1, num_contacts=1, num_candidate_edges=2, num_twisted_edges=0)
+        ComponentMeta(
+            circles=[BoundaryCycle([0, 1, 2], [0, 3, 1])],
+            contact_components=[[0]],
+            candidate_edges=[4, 7],
+            twisted_edges=[],
+        )
     ],
 )
 FAILED = VerificationReport(

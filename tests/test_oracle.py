@@ -389,15 +389,18 @@ def duplicate_generator(gens):
 
 
 def inflate_holes_and_contacts(gens):
+    # One more circle, a copy of the first, and one more contact
+    # component, the first circle's first edge.
     meta = gens.components[0]
     return replace_item(
         gens, "components", 0,
-        num_holes=meta.num_holes + 1, num_contacts=meta.num_contacts + 1,
+        circles=meta.circles + meta.circles[:1],
+        contact_components=meta.contact_components + [meta.circles[0].edges[:1]],
     )
 
 
 def claim_a_twisted_edge(gens):
-    return replace_item(gens, "components", 0, num_twisted_edges=1)
+    return replace_item(gens, "components", 0, twisted_edges=[0])
 
 
 def pants():
@@ -429,10 +432,10 @@ def double_generator(gens):
 
 
 def shorten_the_runs(gens):
-    # Each contact component loses its highest edge id, so a run the
-    # pipeline pairs with ends inside a contact arc.
-    comps = [comp[:-1] for comp in gens.partition.contact_components]
-    return gens._replace(partition=gens.partition._replace(contact_components=comps))
+    # Each contact component of the record loses its highest edge id, so a
+    # run the pipeline pairs with ends inside a contact arc.
+    comps = [comp[:-1] for comp in gens.components[0].contact_components]
+    return replace_item(gens, "components", 0, contact_components=comps)
 
 
 class MixedCycles(GeneratorSet):
@@ -513,8 +516,8 @@ def klein_and_annulus():
 
 
 def twist_the_orientable_component(gens):
-    cid = next(i for i, m in enumerate(gens.components) if not m.num_twisted_edges)
-    return replace_item(gens, "components", cid, num_twisted_edges=1)
+    cid = next(i for i, m in enumerate(gens.components) if not m.twisted_edges)
+    return replace_item(gens, "components", cid, twisted_edges=[0])
 
 
 class TestVerify:
@@ -731,14 +734,14 @@ class TestVerify:
 
     @pytest.mark.parametrize("build", [genus_two, pants, moebius_with_arc, annulus_two_arcs])
     def test_a_set_without_forests_fails_on_independence(self, build):
-        # GeneratorSet is public and its forests default to None: such a set
-        # offers no witness cycles, which is a failure of its own, not a crash.
+        # GeneratorSet is public and its primal forest defaults to None: such
+        # a set offers no witness cycles, which is a failure of its own, not
+        # a crash.
         K, contact = build()
         gens = compute_generators(K, contact)
         for bare in (
             GeneratorSet(gens.generators, gens.components, gens.partition),
             gens._replace(primal=None),
-            gens._replace(dual=None),
         ):
             report = verify(K, gens.partition, bare)
             assert not report.independence_ok

@@ -208,6 +208,20 @@ def test_punch_leaves_the_link_as_a_boundary_circle():
     assert s.components[0].holes == 2
 
 
+def test_a_twisted_chain_with_a_contact_arc_passes_the_oracle():
+    # Every twisted loop of the witness cycles, not only the anchor's,
+    # cancels the contact runs; one that does not pairs with a contact
+    # generator and the peel fails.
+    closed = wl.connect_sum([wl.klein(4, 4), wl.klein(4, 4)])
+    s = punch(closed, punchable(closed)[0])
+    K = build_complex(s.num_vertices, s.faces)
+    gens = compute_generators(K, meshes.boundary_arc(K, 0, 2))
+    (meta,) = gens.components
+    assert len(meta.twisted_edges) == 3 and meta.contact_components
+    report = verify(K, gens.partition, gens)
+    assert report.passed, report.failures
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(punched_chains(), min_size=1, max_size=2), st.integers(0, 2**32 - 1))
 def test_punched_chains_pass_the_oracle(pieces, seed):

@@ -76,6 +76,12 @@ def test_fit_exponent_recovers_quadratic_growth():
     assert abs(fit_exponent(points) - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("points", [[], [(1000, 0.5)]], ids=["none", "one"])
+def test_fit_exponent_needs_two_points(points):
+    with pytest.raises(ValueError, match="need at least two points"):
+        fit_exponent(points)
+
+
 def test_bench_levels_report_sizes():
     levels = run_refinement_bench(meshes.annulus(6), levels=2, repeats=1)
     assert [l.num_faces for l in levels] == [12, 48, 192]

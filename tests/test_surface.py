@@ -92,6 +92,10 @@ class TestBuildComplex:
         with pytest.raises(ValueError):
             build_complex(3, [(0, 1, 5)])
 
+    def test_too_few_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="got 2 coordinate triples for 3 vertices"):
+            build_complex(3, [(0, 1, 2)], coords=[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
+
     def test_face_boundary_closes(self):
         # The vertex sum of every face boundary telescopes to zero.
         for K in corpus():
@@ -203,6 +207,15 @@ class TestClassifyBoundary:
         )
         with pytest.raises(NotABoundaryEdge):
             classify_boundary(K, {interior})
+
+    @pytest.mark.parametrize("past_the_end", [False, True], ids=["minus-one", "past-the-end"])
+    def test_contact_id_off_the_edge_list_rejected(self, past_the_end):
+        # -1 would otherwise read the last edge, a boundary edge here.
+        K = meshes.disk(6)
+        assert K.is_boundary_edge(K.num_edges - 1)
+        eid = K.num_edges if past_the_end else -1
+        with pytest.raises(NotABoundaryEdge, match=f"^edge id {eid} is not an edge of the mesh$"):
+            classify_boundary(K, {eid})
 
     def test_single_edge_contact_warns(self):
         K = meshes.annulus(6)
