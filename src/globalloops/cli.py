@@ -28,7 +28,7 @@ from .errors import (
 from .forest import build_tree_cotree
 from .generators import compute_generators
 from .oracle import DEFAULT_WORK_CAP
-from .surface import boundary_components, euler_characteristic
+from .surface import boundary_components, classify_boundary, euler_characteristic
 from .transport import is_twisted
 
 
@@ -115,9 +115,9 @@ def cmd_compute(args) -> int:
     verification = None
     exit_code = 0
     if args.verify:
-        verification = oracle.verify(
-            complex, generators.partition, generators, cap=args.oracle_cap
-        )
+        # Checked against the contact file, not against the generators' own record.
+        partition = classify_boundary(complex, contact_edges)
+        verification = oracle.verify(complex, partition, generators, cap=args.oracle_cap)
         if not verification.passed:
             for failure in verification.failures:
                 print(f"verification failure: {failure}", file=sys.stderr)

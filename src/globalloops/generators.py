@@ -1,8 +1,9 @@
 """Construction of the three generator classes and the assembled basis.
 
-One pass classifies the boundary, refuses a circle that is contact all round
-(UnsupportedContactLayout), and grows the primal and dual spanning forests
-over the whole complex (one tree per connected component, see ``forest``).
+One pass classifies the boundary, warns of a one-edge contact component,
+refuses a circle that is contact all round (UnsupportedContactLayout), and
+grows the primal and dual spanning forests over the whole complex (one tree
+per connected component, see ``forest``).
 The candidate edges, boundary circles and contact components are then
 grouped by component, a face's component being the index of its dual tree,
 and per component the pipeline produces:
@@ -36,18 +37,14 @@ generator, closed through the primal forest, the witness with which
 
 from __future__ import annotations
 
+import warnings
 from functools import cache
 from typing import NamedTuple
 
 from .cochain import Cochain1
 from .errors import MeshTooLargeForOracle, UnsupportedContactLayout
 from .forest import DualTree, Tree, build_tree_cotree
-from .surface import (
-    BoundaryCycle,
-    BoundaryPartition,
-    SurfaceComplex,
-    classify_boundary,
-)
+from .surface import BoundaryCycle, SurfaceComplex, classify_boundary
 from .transport import is_twisted, transport
 
 HANDLE = "ha"
@@ -75,11 +72,11 @@ class ComponentMeta(NamedTuple):
 
 
 class GeneratorSet(NamedTuple):
+    """The basis, each component's record and the primal forest, for
+    ``cycles``.  No boundary partition: ``oracle.verify`` takes the caller's."""
+
     generators: list[Generator] = ()
     components: list[ComponentMeta] = ()
-    # The boundary partition the generators were built on, for ``verify``.
-    partition: BoundaryPartition | None = None
-    # The primal forest, for ``cycles``.
     primal: Tree | None = None
 
     @property
@@ -104,7 +101,8 @@ class GeneratorSet(NamedTuple):
         * per handle generator, its candidate edge e plus the primal path
           from the head of e back to its tail,
         * per hole generator, the primal path from an insulated vertex of
-          its circle to an insulated vertex of the fixed circle,
+          its circle to one of the fixed circle, a vertex that starts an
+          edge of no contact component of the record,
         * per contact generator of the chain, the run of one contact
           component, each but the last in the record's order, oriented
           along its circle; for the extra one of a non-orientable
@@ -123,7 +121,7 @@ class GeneratorSet(NamedTuple):
         primal = self.primal
         if primal is None:
             return None
-        contact, out, size = self.partition.contact_edges, [], 0
+        out, size = [], 0
 
         def counted(cycle: dict[int, int]) -> dict[int, int]:
             nonlocal size
@@ -155,6 +153,7 @@ class GeneratorSet(NamedTuple):
 
             out += [closed(eid) for eid in meta.candidate_edges if eid != anchor]
             if circles:
+                contact = set().union(*meta.contact_components)
                 fixed = _insulated_vertex(circles[-1], contact)
                 out += [
                     counted(_path(complex, primal, _insulated_vertex(cyc, contact), fixed))
@@ -334,9 +333,16 @@ def compute_generators(
     Components come in ascending order of their minimal face id; generators
     and metadata (anchor edges included) use the complex's own edge ids.
     Each component's lists are kept on its ``ComponentMeta``, for the report
-    and the witness cycles; the boundary partition, for ``oracle.verify``.
+    and the witness cycles.  Warns, naming the caller, of each one-edge port.
     """
     partition = classify_boundary(complex, contact_edges)
+    for j, comp in enumerate(partition.contact_components):
+        if len(comp) == 1:
+            warnings.warn(
+                f"contact component {j} consists of a single edge "
+                f"{complex.edges[comp[0]]}; a one-edge port is physically dubious",
+                stacklevel=2,
+            )
     for cyc in partition.hole_components:
         if partition.contact_edges.issuperset(cyc.edges):
             raise UnsupportedContactLayout(
@@ -362,4 +368,4 @@ def compute_generators(
             for g in gens
         ]
         metas.append(ComponentMeta(circles, comps, candidates, twisted, anchor))
-    return GeneratorSet(generators, metas, partition, primal)
+    return GeneratorSet(generators, metas, primal)

@@ -6,9 +6,10 @@ the pipeline's tables cannot hide from it.  It numbers the edges as the
 complex's edge list does, after checking that list against the faces, and
 keeps flat lists: each edge's faces and signs, and each face's edges.  One
 union-find over vertex ids counts circles, contact components and vertex
-classes.  Of the pipeline's output it reads only the contact edge ids, the
-generators and the witness cycles, by their ids as they are; an id off this
-incidence is a failure.  The rest of the oracle's own boundary is insulated.
+classes.  It reads the contact edge ids of the partition its caller
+classifies from the input, and of the pipeline's output only the generators
+and the witness cycles, each id as it is; an id off this incidence is a
+failure.  The rest of the oracle's own boundary is insulated.
 
 Premise: no edge has a third face (one raises ValueError).  The ranks of
 the relative complex and the torsion are then counts, and no check

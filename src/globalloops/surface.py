@@ -16,7 +16,6 @@ vertex.  Connected components are numbered by the dual forest
 
 from __future__ import annotations
 
-import warnings
 from itertools import chain, count, groupby
 from operator import eq
 from typing import NamedTuple
@@ -280,7 +279,8 @@ def classify_boundary(
     circle, and a circle without insulated edges is one component.  Each
     component lists its edge ids in ascending order; components come in
     ascending order of their minimal vertex.  Raises NotABoundaryEdge when a
-    contact edge is not on the boundary.
+    contact edge is not on the boundary, and warns of nothing:
+    ``compute_generators`` warns of a one-edge component.
     """
     contact = set(contact_edges)
     for eid in sorted(contact):
@@ -303,15 +303,6 @@ def classify_boundary(
             if in_contact:
                 components.append(sorted(run))
     components.sort(key=lambda comp: min(complex.edges[e][0] for e in comp))
-
-    for j, comp in enumerate(components):
-        if len(comp) == 1:
-            warnings.warn(
-                f"contact component {j} consists of a single edge "
-                f"{complex.edges[comp[0]]}; a one-edge port is physically dubious",
-                stacklevel=2,
-            )
-
     return BoundaryPartition(
         hole_components=holes,
         contact_components=components,

@@ -826,7 +826,7 @@ def smith_invariant_factors(rows: list[list[int]]) -> list[int]:
 
 def betti1_relative(complex, partition, cap=DEFAULT_WORK_CAP):
     """Dimension of the first relative cohomology space, as ``verify`` counts it."""
-    return verify(complex, partition, GeneratorSet(partition=partition), cap).betti1_relative
+    return verify(complex, partition, GeneratorSet(), cap).betti1_relative
 
 
 def is_orientable(complex):

@@ -212,6 +212,27 @@ class TestCompute:
         assert report["verification"]["failures"] == failures
         assert len(report["generators"]) == 3
 
+    def test_verify_holds_the_generators_to_the_contact_file(self, tmp_path, capsys, monkeypatch):
+        # A pipeline that loses circle 1's arc yields a consistent set for
+        # the contacts it kept; the oracle reads the file's two arcs.
+        K = meshes.annulus(8)
+        mesh, contacts = tmp_path / "annulus.off", tmp_path / "c.txt"
+        write_off(mesh, K)
+        arcs = meshes.boundary_arc(K, 0, 2) | meshes.boundary_arc(K, 1, 2)
+        contacts.write_text("".join(f"{K.edges[e][0]} {K.edges[e][1]}\n" for e in sorted(arcs)))
+
+        def lossy(complex, contact_edges):
+            dropped = meshes.boundary_arc(complex, 1, 2)
+            return generators.compute_generators(complex, contact_edges - dropped)
+
+        monkeypatch.setattr(cli, "compute_generators", lossy)
+        argv = ["compute", str(mesh), "--contacts", str(contacts), "--verify"]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "verification failure: 1 generators but Betti number is 2",
+            "verification failure: pipeline reports 1 contact components, oracle 2",
+        ]
+
     @pytest.mark.parametrize("flags", [["--verify"], []])
     def test_negative_oracle_cap_is_exit_one(self, tmp_path, capsys, flags):
         # A usage error before the mesh is read, not an oracle refusal.

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import globalloops
 import meshes
 import reference
 from globalloops.errors import NotABoundaryEdge, UnsupportedContactLayout
@@ -189,9 +190,10 @@ class TestContacts:
                 match=f"entire boundary circle through vertex {cyc.vertices[0]};",
             ):
                 compute_generators(K, set(cyc.edges))
-            gens = compute_generators(K, set(cyc.edges[:-1]))
+            contact = set(cyc.edges[:-1])
+            gens = compute_generators(K, contact)
             assert sum(len(m.contact_components) for m in gens.components) == 1
-            report = verify(K, gens.partition, gens)
+            report = verify(K, classify_boundary(K, contact), gens)
             assert report.passed, report.failures
 
     def test_moebius_two_ports(self):
@@ -389,6 +391,19 @@ class TestSinglePass:
             UnsupportedContactLayout, match="entire boundary circle through vertex 12"
         ):
             compute_generators(K, set(circle.edges))
+
+    def test_readme_library_sequence_warns_once(self):
+        # The README's calls on a one-edge port: compute_generators warns,
+        # naming this file, and classify_boundary adds nothing.
+        K = meshes.annulus(6)
+        contact_edges = meshes.boundary_arc(K, 0, 1)
+        with pytest.warns(UserWarning, match="one-edge port") as record:
+            K = globalloops.build_complex(K.num_vertices, K.faces)
+            gens = globalloops.compute_generators(K, contact_edges)
+            bp = globalloops.classify_boundary(K, contact_edges)
+            report = globalloops.verify(K, bp, gens)
+        assert report.passed, report.failures
+        assert [w.filename for w in record] == [__file__]
 
     def test_one_edge_port_warning_names_mesh_edge(self):
         K = self.two_annuli()

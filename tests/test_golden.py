@@ -30,7 +30,7 @@ import globalloops
 from globalloops import meshio
 from globalloops.generators import compute_generators
 from globalloops.oracle import verify
-from globalloops.surface import build_complex
+from globalloops.surface import build_complex, classify_boundary
 
 VERIFY_MAX_EDGES = 6000
 RANDOM_SEEDS = range(20)
@@ -106,7 +106,7 @@ def outputs(complex, contact_edges):
     gens = compute_generators(complex, contact_edges)
     verification = None
     if complex.num_edges <= VERIFY_MAX_EDGES:
-        verification = verify(complex, gens.partition, gens)
+        verification = verify(complex, classify_boundary(complex, contact_edges), gens)
     return gens, verification
 
 

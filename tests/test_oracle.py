@@ -74,8 +74,7 @@ def dense_homology(K):
 
 def oracle_torsion(K):
     """The torsion coefficients ``verify`` reports for ``K`` without contacts."""
-    bp = classify_boundary(K, set())
-    return verify(K, bp, GeneratorSet(partition=bp)).torsion_coefficients
+    return verify(K, classify_boundary(K, set()), GeneratorSet()).torsion_coefficients
 
 
 def closed_homology(K):
@@ -432,9 +431,11 @@ def double_generator(gens):
 
 
 def shorten_the_runs(gens):
-    # Each contact component of the record loses its highest edge id, so a
-    # run the pipeline pairs with ends inside a contact arc.
-    comps = [comp[:-1] for comp in gens.components[0].contact_components]
+    # Each contact component of the record loses its lowest edge id, so a
+    # run the pipeline pairs with starts inside a contact arc.  On the
+    # annulus with two arcs the first vertex of each circle stays an end of
+    # an insulated edge, so the hole's path still ends on insulated vertices.
+    comps = [comp[1:] for comp in gens.components[0].contact_components]
     return replace_item(gens, "components", 0, contact_components=comps)
 
 
@@ -483,7 +484,7 @@ def wrapped_to_last(K, chain, pad):
 
 def contact_id(pick):
     """The generators with a partition whose one contact id is ``pick(K)``."""
-    return lambda K, gens: (gens.partition._replace(contact_edges={pick(K)}), gens)
+    return lambda K, gens: (classify_boundary(K, set())._replace(contact_edges={pick(K)}), gens)
 
 
 def generator_zero(change):
@@ -493,7 +494,7 @@ def generator_zero(change):
     def plant(K, gens):
         pad = {k: v for k, v in coboundary0(K, {K.edges[-1][0]: 1}).coeffs.items() if v}
         cochain = Cochain1(change(K, gens.generators[0].cochain.coeffs, pad))
-        return gens.partition, replace_item(gens, "generators", 0, cochain=cochain)
+        return classify_boundary(K, set()), replace_item(gens, "generators", 0, cochain=cochain)
 
     return plant
 
@@ -508,7 +509,7 @@ def cycle_zero(change):
             pad = dict(complex.face_edges[complex.edge_faces[-1][0]])
             return [change(complex, out[0], pad)] + out[1:]
 
-    return lambda K, gens: (gens.partition, Planted(*gens))
+    return lambda K, gens: (classify_boundary(K, set()), Planted(*gens))
 
 
 def klein_and_annulus():
@@ -575,17 +576,17 @@ class TestVerify:
         # The Moebius strip with contacts cancels runs out of its anchor
         # loop, which the count follows.
         K, contact = next((K, c) for n, K, c in corpus_with_contacts() if n == name)
-        gens = compute_generators(K, contact)
+        gens, bp = compute_generators(K, contact), classify_boundary(K, contact)
         edges_and_support = K.num_edges + sum(len(g.cochain.coeffs) for g in gens.generators)
         work = edges_and_support + sum(len(z) for z in gens.cycles(K))
-        assert verify(K, gens.partition, gens, cap=work) == verify(K, gens.partition, gens)
+        assert verify(K, bp, gens, cap=work) == verify(K, bp, gens)
         with pytest.raises(MeshTooLargeForOracle):
-            verify(K, gens.partition, gens, cap=work - 1)
+            verify(K, bp, gens, cap=work - 1)
         with pytest.raises(MeshTooLargeForOracle, match=f"generators hold {edges_and_support} entries"):
-            verify(K, gens.partition, gens, cap=edges_and_support - 1)
+            verify(K, bp, gens, cap=edges_and_support - 1)
         if work > edges_and_support:
             with pytest.raises(MeshTooLargeForOracle, match="witness cycles pass"):
-                verify(K, gens.partition, gens, cap=edges_and_support)
+                verify(K, bp, gens, cap=edges_and_support)
 
     def test_cycles_stop_at_their_limit(self, monkeypatch):
         # The witness cycles are counted as they are built, so a refusal
@@ -615,7 +616,7 @@ class TestVerify:
         monkeypatch.setattr(oracle, "_relative", planted)
         monkeypatch.setattr(oracle, "_face_components", planted)
         with pytest.raises(MeshTooLargeForOracle, match="witness cycles pass"):
-            verify(K, gens.partition, gens, cap=edges_and_support)
+            verify(K, classify_boundary(K, set()), gens, cap=edges_and_support)
 
     def test_a_large_mesh_verifies_under_the_default_cap(self):
         # annulus(8) refined six times: E = 98,816 and one generator.
@@ -626,7 +627,7 @@ class TestVerify:
         assert K.num_edges == 98_816
         support = sum(len(g.cochain.coeffs) for g in gens.generators)
         assert K.num_edges + support + sum(len(z) for z in gens.cycles(K)) <= DEFAULT_WORK_CAP
-        assert verify(K, gens.partition, gens).passed
+        assert verify(K, classify_boundary(K, set()), gens).passed
 
     @pytest.mark.parametrize(
         "build, plant, failures",
@@ -739,11 +740,8 @@ class TestVerify:
         # a crash.
         K, contact = build()
         gens = compute_generators(K, contact)
-        for bare in (
-            GeneratorSet(gens.generators, gens.components, gens.partition),
-            gens._replace(primal=None),
-        ):
-            report = verify(K, gens.partition, bare)
+        for bare in (GeneratorSet(gens.generators, gens.components), gens._replace(primal=None)):
+            report = verify(K, classify_boundary(K, contact), bare)
             assert not report.independence_ok
             assert report.failures == ["no witness cycles: the generator set holds no forests"]
             assert report.cocycle_ok == [True] * len(gens.generators)
@@ -751,17 +749,17 @@ class TestVerify:
     @pytest.mark.parametrize("build", [meshes.moebius, meshes.annulus])
     def test_ignores_the_pipeline_boundary_table(self, build):
         # The oracle finds the boundary in its own incidence and reads only
-        # the contact edge ids of the partition, so emptying the pipeline's
-        # boundary edge list, circles and contact components after the run
-        # must not change the report (torsion on the Moebius strip, circles
+        # the contact edge ids of the partition, so emptying the complex's
+        # boundary edge list and the partition's circles and contact
+        # components must not change the report (torsion on the Moebius strip, circles
         # on the annulus), with or without a contact arc.
         K = build(6)
         for contact in (set(), meshes.boundary_arc(K, 0, 2)):
-            gens = compute_generators(K, contact)
-            blank = gens.partition._replace(hole_components=[], contact_components=[])
+            gens, bp = compute_generators(K, contact), classify_boundary(K, contact)
+            blank = bp._replace(hole_components=[], contact_components=[])
             report = verify(K._replace(boundary_edge_ids=[]), blank, gens)
             assert report.passed, report.failures
-            assert report == verify(K, gens.partition, gens)
+            assert report == verify(K, bp, gens)
 
     @pytest.mark.parametrize("build", [meshes.genus2, meshes.klein_grid])
     def test_doubled_generator_is_caught(self, build):
@@ -769,7 +767,7 @@ class TestVerify:
         # sees the 2.
         K = build()
         gens = compute_generators(K)
-        report = verify(K, gens.partition, double_generator(gens))
+        report = verify(K, classify_boundary(K, set()), double_generator(gens))
         assert not report.passed
         assert not report.independence_ok
         assert [f.split(":")[0] for f in report.failures] == ["pairing matrix is not unimodular"]
@@ -787,7 +785,7 @@ class TestVerify:
                 added[k] = added.get(k, 0) + v
             changed.append(replace_item(gens, "generators", 0, cochain=Cochain1(added)))
         for planted in changed:
-            report = verify(K, gens.partition, planted)
+            report = verify(K, classify_boundary(K, contact), planted)
             assert report.passed, report.failures
 
     def test_same_verdict_as_the_dense_smith_form(self):
@@ -914,7 +912,7 @@ class TestIndependence:
             "reversed": [edges[0][::-1]] + edges[1:],
         }[kind]
         with pytest.raises(ValueError, match=message):
-            verify(K._replace(edges=edges), gens.partition, gens)
+            verify(K._replace(edges=edges), classify_boundary(K, set()), gens)
 
     def test_a_third_face_on_an_edge_raises(self):
         # A fin: the edge 0-1 on three faces, which build_complex refuses and
@@ -926,7 +924,7 @@ class TestIndependence:
         K = SurfaceComplex(5, edges, faces, [], [], {}, [], None, [])
         partition = BoundaryPartition([], [], set())
         with pytest.raises(ValueError, match=f"edge {edges.index((0, 1))} lies on a third face"):
-            verify(K, partition, GeneratorSet(partition=partition))
+            verify(K, partition, GeneratorSet())
 
 
 def classes(root, named):

@@ -215,10 +215,11 @@ def test_a_twisted_chain_with_a_contact_arc_passes_the_oracle():
     closed = wl.connect_sum([wl.klein(4, 4), wl.klein(4, 4)])
     s = punch(closed, punchable(closed)[0])
     K = build_complex(s.num_vertices, s.faces)
-    gens = compute_generators(K, meshes.boundary_arc(K, 0, 2))
+    contact = meshes.boundary_arc(K, 0, 2)
+    gens = compute_generators(K, contact)
     (meta,) = gens.components
     assert len(meta.twisted_edges) == 3 and meta.contact_components
-    report = verify(K, gens.partition, gens)
+    report = verify(K, classify_boundary(K, contact), gens)
     assert report.passed, report.failures
 
 
@@ -254,7 +255,7 @@ def test_closed_forms_match_the_eliminations(pieces):
     # verify's Betti number is E_rel - rank d0 - (F - b2).
     d1 = face_rows(K, insulated)
     bp = classify_boundary(K, contact)
-    report = verify(K, bp, GeneratorSet(partition=bp))
+    report = verify(K, bp, GeneratorSet())
     assert report.betti1_relative == len(inc.edges) - len(insulated) - sparse_rank(d1) - rank_d0
     # One 2 per non-orientable component: the rank closed-up d2 loses mod 2.
     d2 = closed_d2(K)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import meshes
 import reference
 from globalloops.forest import build_tree_cotree
+from globalloops.generators import compute_generators
 from globalloops.surface import (
     SurfaceComplex,
     boundary_components,
@@ -218,10 +219,16 @@ class TestClassifyBoundary:
             classify_boundary(K, {eid})
 
     def test_single_edge_contact_warns(self):
+        # The partition warns of nothing; the pipeline warns once, naming
+        # its caller.
         K = meshes.annulus(6)
         eid = boundary_components(K)[0].edges[0]
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             classify_boundary(K, {eid})
+        with pytest.warns(UserWarning, match="one-edge port") as record:
+            compute_generators(K, {eid})
+        assert [w.filename for w in record] == [__file__]
 
 
 samples = st.builds(
@@ -250,21 +257,25 @@ def contacted(draw):
     return K, contact
 
 
-def ports(classify, K, contact):
-    """Contact components and the number of one-edge-port warnings."""
+def warned(classify, K, contact):
+    """The partition and the number of one-edge-port warnings it came with."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         bp = classify(K, contact)
-    one_edge = [w for w in caught if "one-edge port" in str(w.message)]
-    return bp.contact_components, len(one_edge)
+    return bp, sum("one-edge port" in str(w.message) for w in caught)
 
 
 @settings(deadline=None, max_examples=100)
 @given(contacted())
 def test_contact_runs_match_the_search(case):
     # Runs along each circle give the components, in the same order, of the
-    # reference's search over contact edges that share a vertex.
-    assert ports(classify_boundary, *case) == ports(reference.classify_boundary, *case)
+    # reference's search over contact edges that share a vertex.  The
+    # partition warns of nothing; its one-edge components are the ones the
+    # reference warns of.
+    bp, quiet = warned(classify_boundary, *case)
+    expected, one_edge = warned(reference.classify_boundary, *case)
+    assert bp.contact_components == expected.contact_components
+    assert (quiet, sum(len(comp) == 1 for comp in bp.contact_components)) == (0, one_edge)
 
 
 def dual_components(K):
