@@ -4,9 +4,10 @@ mark per edge.
 ``taken`` holds one byte per edge.  A boundary-first primal spanning forest
 sets it on each of its tree edges and on every edge of each boundary circle;
 a dual spanning forest then crosses only interior edges still unset, a
-face's edges in ascending edge id, and sets each edge it crosses.  The edges
-left unset index the candidate generators.  Both forests hold one tree per
-connected component, so one pass over the complex serves every component.
+face's three half-edges in ascending edge id, and sets each edge it
+crosses.  The edges left unset index the candidate generators.  Both
+forests hold one tree per connected component, so one pass over the
+complex serves every component.
 
 Primal roots are taken in ascending vertex id; each primal tree grows
 breadth first over interior edges and takes every boundary circle it touches
@@ -23,8 +24,10 @@ sigma(root) = +1 and sigma(child) = -sigma(parent) inc(parent, e)
 inc(child, e) for the parent edge e, so the two faces of a tree edge
 traverse it in opposite directions once reoriented.  ``tau[f]`` is
 sigma(f) inc(f, parent edge of f), the reoriented sign of a face on its
-parent edge.  Both come from the signed pairs of ``face_edges``; transport
-(``transport.py``) reads its values off them in closed form.
+parent edge.  Both are read off the complex's half-edge tables: across
+half-edge h of the parent lies the child ``twin[h] // 3``, and the two
+incidences on the edge are ``sign[h]`` and ``sign[twin[h]]``.  Transport
+(``transport.py``) reads its values off sigma and tau in closed form.
 """
 
 from __future__ import annotations
@@ -168,28 +171,35 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> DualTree:
     and ``tau`` are set when it is attached (see the module docstring).
     """
     tree = DualTree(complex.num_faces)
-    sigma, tau = tree.sigma, tree.tau
-    face_edges, edge_faces = complex.face_edges, complex.edge_faces
-    incidence = complex.incidence
+    sigma, tau, tree_of, attach = tree.sigma, tree.tau, tree.tree_of, tree.attach
+    half, sign, twin = complex.half, complex.sign, complex.twin
     queue: deque[int] = deque()
     for root in range(complex.num_faces):
-        if tree.tree_of[root] >= 0:
+        if tree_of[root] >= 0:
             continue
         tree.add_root(root)
         queue.append(root)
         while queue:
             u = queue.popleft()
-            for eid, sign in sorted(face_edges[u]):
-                incident = edge_faces[eid]
-                if len(incident) == 1 or taken[eid]:
+            # The face's three half-edges in ascending edge id.
+            i, j, k = 3 * u, 3 * u + 1, 3 * u + 2
+            if half[i] > half[j]:
+                i, j = j, i
+            if half[j] > half[k]:
+                j, k = k, j
+                if half[i] > half[j]:
+                    i, j = j, i
+            for h in (i, j, k):
+                t = twin[h]
+                if t < 0 or taken[half[h]]:
                     continue
-                w = incident[1] if incident[0] == u else incident[0]
-                if tree.tree_of[w] < 0:
-                    taken[eid] = 1
-                    tree.attach(w, u, eid)
+                w = t // 3
+                if tree_of[w] < 0:
+                    taken[half[h]] = 1
+                    attach(w, u, half[h])
                     # sigma(w) inc(w, e) = -sigma(u) inc(u, e) on a tree edge.
-                    tau[w] = -sigma[u] * sign
-                    sigma[w] = tau[w] * incidence(w, eid)
+                    tau[w] = -sigma[u] * sign[h]
+                    sigma[w] = tau[w] * sign[t]
                     queue.append(w)
     return tree
 

@@ -169,15 +169,21 @@ def _by_component(complex: SurfaceComplex, dual: DualTree, candidate_edges, part
     """Per component of the dual forest, in its order: the candidate edges,
     the boundary circles and the contact components on it, each in the
     order they are given."""
-    comp_of_face = dual.tree_of
+    comp_of_face, edge_half = dual.tree_of, complex.edge_half
     out = [([], [], []) for _ in dual.roots]
     for eid in candidate_edges:
-        out[comp_of_face[complex.edge_faces[eid][0]]][0].append(eid)
+        out[comp_of_face[edge_half[eid] // 3]][0].append(eid)
     for cyc in partition.hole_components:
-        out[comp_of_face[complex.edge_faces[cyc.edges[0]][0]]][1].append(cyc)
+        out[comp_of_face[edge_half[cyc.edges[0]] // 3]][1].append(cyc)
     for comp in partition.contact_components:
-        out[comp_of_face[complex.edge_faces[comp[0]][0]]][2].append(comp)
+        out[comp_of_face[edge_half[comp[0]] // 3]][2].append(comp)
     return out
+
+
+def _faces(complex: SurfaceComplex, eid: int) -> tuple[int, int]:
+    """The lower and the upper face of interior edge ``eid``."""
+    h = complex.edge_half[eid]
+    return h // 3, complex.twin[h] // 3
 
 
 def _insulated_vertex(cyc: BoundaryCycle, contact) -> int:
@@ -240,7 +246,7 @@ def handles(
         if is_twisted(complex, dual, eid):
             twisted.append(eid)
         else:
-            f1, f2 = complex.edge_faces[eid]
+            f1, f2 = _faces(complex, eid)
             by_edge[eid] = transport(complex, dual, f1, f2, eid, eid)
 
     if not twisted:
@@ -248,7 +254,7 @@ def handles(
 
     twisted = _in_preorder(complex, preorder, twisted)
     for eid, succ in zip(twisted, twisted[1:]):
-        faces = complex.edge_faces[eid]
+        faces = _faces(complex, eid)
         by_edge[eid] = _to_anchor(complex, dual, faces, eid, succ, (eid, succ))
     anchor = twisted[-1]
     gens = [by_edge[eid] for eid in candidates if eid != anchor]
@@ -261,7 +267,7 @@ def _to_anchor(complex, dual, faces, edge, anchor, keep):
     ``contacts`` the anchor edge) on its first and second face; the edges in
     ``keep`` take the first transport's value alone.  The sum may hold
     zeros, which ``Cochain1`` drops."""
-    fa1, fa2 = complex.edge_faces[anchor]
+    fa1, fa2 = _faces(complex, anchor)
     out = transport(complex, dual, faces[0], fa1, edge, anchor)
     for k, v in transport(complex, dual, faces[1], fa2, edge, anchor).items():
         if k not in keep:
@@ -274,7 +280,7 @@ def _in_preorder(complex: SurfaceComplex, preorder, eids: list[int]) -> list[int
     if len(eids) < 2:
         return eids
     rank = preorder()
-    return sorted(eids, key=lambda eid: rank[complex.edge_faces[eid][0]])
+    return sorted(eids, key=lambda eid: rank[complex.edge_half[eid] // 3])
 
 
 def holes(complex: SurfaceComplex, cycles: list[BoundaryCycle]) -> list[dict[int, int]]:
@@ -314,7 +320,7 @@ def contacts(
     last one to the anchor edge, the last twisted candidate (see ``handles``).
     """
     ends = _in_preorder(complex, preorder, list(map(min, comps)))
-    faces = [complex.edge_faces[eid][0] for eid in ends]
+    faces = [complex.edge_half[eid] // 3 for eid in ends]
     out = [
         transport(complex, dual, faces[j - 1], faces[j], ends[j - 1], ends[j])
         for j in range(1, len(ends))

@@ -9,7 +9,6 @@ def refine(complex: SurfaceComplex) -> SurfaceComplex:
     """Split every triangle into four; midpoints get ids after the old
     vertices, in edge-id order, so refinement is deterministic."""
     base = complex.num_vertices
-    midpoint = [base + eid for eid in range(complex.num_edges)]
 
     coords = None
     if complex.coords is not None:
@@ -20,9 +19,10 @@ def refine(complex: SurfaceComplex) -> SurfaceComplex:
             coords.append(((xa + xb) / 2.0, (ya + yb) / 2.0, (za + zb) / 2.0))
 
     faces = []
-    # A face's edges are listed in the order ab, bc, ca.
-    for (a, b, c), ((eab, _), (ebc, _), (eca, _)) in zip(complex.faces, complex.face_edges):
-        mab, mbc, mca = midpoint[eab], midpoint[ebc], midpoint[eca]
+    # Half-edges 3f, 3f + 1 and 3f + 2 are the sides ab, bc and ca of face f;
+    # mid holds the midpoint of each one's edge.
+    mid = [base + eid for eid in complex.half]
+    for (a, b, c), mab, mbc, mca in zip(complex.faces, mid[0::3], mid[1::3], mid[2::3]):
         faces.extend(
             [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
         )

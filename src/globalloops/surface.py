@@ -9,9 +9,12 @@ the surface itself.
 ``build_complex`` indexes and validates the faces in one pass over flat
 half-edge lists, with edges keyed by the integer ``a * V + b``; a failed
 check rescans the faces in order, so a fault of one face wins over a fault
-between faces.  ``boundary_components`` walks two boundary neighbours per
-vertex.  Connected components are numbered by the dual forest
-(``forest.py``), not here.
+between faces.  The complex keeps that pass's half-edge tables (``half``,
+``sign``, ``twin`` and ``edge_half``, see ``SurfaceComplex``) and no
+per-face or per-edge tuples, so an edge's faces and a face's sign on an
+edge are O(1) reads.  ``boundary_components`` walks two boundary
+neighbours per vertex.  Connected components are numbered by the dual
+forest (``forest.py``), not here.
 """
 
 from __future__ import annotations
@@ -38,19 +41,23 @@ class SurfaceComplex(NamedTuple):
 
     Edges are stored as vertex pairs (a, b) with a < b; the pair order is the
     edge orientation (tail a, head b).  Faces keep their input vertex order,
-    which fixes each face orientation.  ``face_edges[f]`` lists the three
-    (edge id, sign) pairs of face f, where the sign is +1 when the edge
-    orientation agrees with the traversal induced by the face, in the order
-    ab, bc, ca of its vertices (a, b, c).  ``edge_faces[e]`` lists the one or
-    two faces of edge e in ascending face id, since an edge is indexed from
-    its half-edge on its lower face.
+    which fixes each face orientation.  Half-edge h = 3f + i is side i of
+    face f (a, b, c), in the order ab, bc, ca, so its face is h // 3.  Four
+    flat lists hold the incidence: ``half[h]`` is the edge id of half-edge
+    h and ``sign[h]`` is +1 when the edge orientation agrees with the
+    traversal the face induces, else -1; ``twin[h]`` is the other half-edge
+    of the same edge, on the other face, or -1 on the boundary; and
+    ``edge_half[e]`` is the half-edge of edge e on its lower face, since an
+    edge is indexed from its first half-edge.
     """
 
     num_vertices: int
     edges: list[Edge]
     faces: list[Face]
-    face_edges: list[tuple[tuple[int, int], tuple[int, int], tuple[int, int]]]
-    edge_faces: list[tuple[int, ...]]
+    half: list[int]
+    sign: list[int]
+    twin: list[int]
+    edge_half: list[int]
     edge_index: dict[Edge, int]
     vertex_edges: list[list[tuple[int, int]]]  # per vertex: (edge id, other vertex)
     coords: list[tuple[float, float, float]] | None
@@ -65,14 +72,19 @@ class SurfaceComplex(NamedTuple):
         return len(self.faces)
 
     def is_boundary_edge(self, edge_id: int) -> bool:
-        return len(self.edge_faces[edge_id]) == 1
+        return self.twin[self.edge_half[edge_id]] < 0
 
     def incidence(self, face_id: int, edge_id: int) -> int:
-        """Signed incidence of an edge on a face; 0 when the edge is not on it."""
-        for eid, sign in self.face_edges[face_id]:
-            if eid == edge_id:
-                return sign
-        return 0
+        """Signed incidence of an edge on a face; 0 when the edge is not on
+        it, or is no edge of the complex."""
+        if not 0 <= edge_id < len(self.edge_half):
+            return 0
+        h = self.edge_half[edge_id]
+        if h // 3 != face_id:
+            h = self.twin[h]
+            if h < 0 or h // 3 != face_id:
+                return 0
+        return self.sign[h]
 
     def __repr__(self) -> str:
         return (
@@ -138,15 +150,17 @@ def build_complex(
     edges: list[Edge] = []
     first: list[int] = []  # per edge: its half-edge on the first face
     twin = [-1] * len(tail)
-    half_edges = []  # per half-edge: (edge id, sign)
+    half: list[int] = []
+    sign: list[int] = []
     vertex_edges: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     for h, u, w, x in zip(count(), tail, head, apex):
         if u < w:
             eid = new_edge(u * vertex_count + w, len(first))
-            half_edges.append((eid, 1))
+            sign.append(1)
         else:
             eid = new_edge(w * vertex_count + u, len(first))
-            half_edges.append((eid, -1))
+            sign.append(-1)
+        half.append(eid)
         if eid == len(first):
             edges.append((u, w) if u < w else (w, u))
             first.append(h)
@@ -169,8 +183,10 @@ def build_complex(
         num_vertices=vertex_count,
         edges=edges,
         faces=clean_faces,
-        face_edges=list(zip(half_edges[0::3], half_edges[1::3], half_edges[2::3])),
-        edge_faces=[(g // 3,) if twin[g] < 0 else (g // 3, twin[g] // 3) for g in first],
+        half=half,
+        sign=sign,
+        twin=twin,
+        edge_half=first,
         edge_index=dict(zip(edges, count())),
         vertex_edges=vertex_edges,
         coords=list(coords) if coords is not None else None,

@@ -15,7 +15,8 @@ A self-pair (start = end = e, between faces f1 and f2) must come back as
 +1; it comes back as -1, the loop through e reversing orientation, exactly
 when sigma(f1) inc(f1, e) sigma(f2) inc(f2, e) = +1.  These are the paper's
 twisted edges (E_M_II), which ``is_twisted`` finds in O(1) before any path
-is walked.
+is walked: its faces and signs are O(1) reads of the complex's half-edge
+tables, as is every ``SurfaceComplex.incidence`` that ``transport`` reads.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .surface import SurfaceComplex
 
 def is_twisted(complex: SurfaceComplex, dual: DualTree, edge: int) -> bool:
     """True when the loop that crosses interior ``edge`` once and closes
-    through the dual tree reverses orientation."""
-    f1, f2 = complex.edge_faces[edge]
-    return (
-        dual.sigma[f1] * complex.incidence(f1, edge)
-        * dual.sigma[f2] * complex.incidence(f2, edge)
-    ) == 1
+    through the dual tree reverses orientation.  Raises EdgeNotOnFace when
+    ``edge`` lies on fewer than two faces."""
+    if not 0 <= edge < complex.num_edges or complex.is_boundary_edge(edge):
+        raise EdgeNotOnFace(f"edge {edge} is not on two faces")
+    h = complex.edge_half[edge]
+    t = complex.twin[h]
+    sign, sigma = complex.sign, dual.sigma
+    return sigma[h // 3] * sign[h] * sigma[t // 3] * sign[t] == 1
 
 
 def transport(

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from globalloops import build_complex
+from reference import edge_faces
 
 
 def triangle():
@@ -135,14 +136,7 @@ def klein_minus_disk(n=5, m=4):
 def torus_with_hole(n=4, m=4):
     """Torus minus two faces sharing an edge: one quad-shaped hole."""
     closed = torus_grid(n, m)
-    shared = None
-    for eid in range(closed.num_edges):
-        if len(closed.edge_faces[eid]) == 2:
-            f1, f2 = closed.edge_faces[eid]
-            if f1 == 0 and f2 == 1 or f1 == 1 and f2 == 0:
-                shared = eid
-                break
-    assert shared is not None
+    assert (0, 1) in edge_faces(closed)
     faces = [f for i, f in enumerate(closed.faces) if i not in (0, 1)]
     return build_complex(closed.num_vertices, faces)
 

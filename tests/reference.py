@@ -16,13 +16,18 @@ are a ``forest.Tree``, parent for parent.
 are the original indexing and boundary walk: tuple-keyed edges, one
 frozenset per face for duplicates, a fan walk that searches each face for
 its other edge at the vertex, and a dict of boundary neighbours sorted per
-circle.  The package makes the same complex and cycles in one pass over
-flat half-edge arrays.  ``parse_off`` is the original OFF parser, which
-fetches each non-blank line through a closure.
+circle; it derives the complex's half-edge tables from its per-face
+(edge id, sign) triples and per-edge face lists last.  The package makes
+the same complex and cycles in one pass over flat half-edge arrays.
+``face_edges`` and ``edge_faces`` are views of a complex's tables in those
+two former shapes, for tests that read a face's edges or an edge's faces.
+``parse_off`` is the original OFF parser, which fetches each non-blank
+line through a closure.
 
 ``refine`` is the original 1-to-4 refinement, which looks each face's
-edge ids up by vertex pair; the package reads them off ``face_edges``.  ``write_vtk`` is the original VTK overlay writer, which
-builds one row per support edge before writing any block.
+edge ids up by vertex pair; the package reads them off ``half``.
+``write_vtk`` is the original VTK overlay writer, which builds one row per
+support edge before writing any block.
 
 ``report_to_generators`` reads a parsed report back into generators, so a
 test can check that the report loses nothing.
@@ -300,7 +305,7 @@ def build_complex(
 
     edge_index: dict[Edge, int] = {}
     edges: list[Edge] = []
-    face_edges = []
+    triples = []
     edge_face_lists: list[list[int]] = []
     for fid, (a, b, c) in enumerate(clean_faces):
         triple = []
@@ -317,7 +322,7 @@ def build_complex(
                 raise NonManifoldEdge(f"edge {pair} lies on more than two faces")
             incident.append(fid)
             triple.append((eid, 1 if u < w else -1))
-        face_edges.append(tuple(triple))
+        triples.append(tuple(triple))
 
     vertex_edges: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     for eid, (a, b) in enumerate(edges):
@@ -328,17 +333,28 @@ def build_complex(
         if not vertex_edges[v]:
             raise IsolatedVertex(f"vertex {v} belongs to no face")
 
-    _check_vertex_links(clean_faces, edges, edge_face_lists, face_edges, vertex_edges)
+    _check_vertex_links(clean_faces, edges, edge_face_lists, triples, vertex_edges)
 
     boundary_edge_ids = [
         eid for eid, fl in enumerate(edge_face_lists) if len(fl) == 1
     ]
+    # The flat tables, read off the per-face triples and per-edge face lists.
+    half = [eid for triple in triples for eid, _ in triple]
+    twin = [-1] * len(half)
+    edge_half = []
+    for eid, fl in enumerate(edge_face_lists):
+        ends = [3 * f + [e for e, _ in triples[f]].index(eid) for f in fl]
+        edge_half.append(ends[0])
+        if len(ends) == 2:
+            twin[ends[0]], twin[ends[1]] = ends[1], ends[0]
     return SurfaceComplex(
         num_vertices=vertex_count,
         edges=edges,
         faces=clean_faces,
-        face_edges=face_edges,
-        edge_faces=[tuple(fl) for fl in edge_face_lists],
+        half=half,
+        sign=[sign for triple in triples for _, sign in triple],
+        twin=twin,
+        edge_half=edge_half,
         edge_index=edge_index,
         vertex_edges=vertex_edges,
         coords=list(coords) if coords is not None else None,
@@ -346,7 +362,7 @@ def build_complex(
     )
 
 
-def _check_vertex_links(faces, edges, edge_face_lists, face_edges, vertex_edges):
+def _check_vertex_links(faces, edges, edge_face_lists, triples, vertex_edges):
     # The faces around each vertex must form a single fan (path or cycle);
     # two fans meeting at a point is a pinch, which the algorithms do not
     # support.  Walk the fan from a boundary edge (or anywhere on a closed
@@ -357,7 +373,7 @@ def _check_vertex_links(faces, edges, edge_face_lists, face_edges, vertex_edges)
             face_count_at[v] += 1
 
     def other_edge_at(fid, v, eid):
-        for eid2, _ in face_edges[fid]:
+        for eid2, _ in triples[fid]:
             if eid2 != eid:
                 a, b = edges[eid2]
                 if a == v or b == v:
@@ -629,6 +645,20 @@ def write_vtk(path, complex, generators):
     pathlib.Path(path).write_text("\n".join(lines) + "\n")
 
 
+def face_edges(complex):
+    """Per face, its three (edge id, sign) pairs in the order ab, bc, ca:
+    a view of ``half`` and ``sign`` in the complex's former per-face shape."""
+    pairs = list(zip(complex.half, complex.sign))
+    return [tuple(pairs[h : h + 3]) for h in range(0, len(pairs), 3)]
+
+
+def edge_faces(complex):
+    """Per edge, its one or two faces in ascending id: a view of
+    ``edge_half`` and ``twin`` in the complex's former per-edge shape."""
+    twin = complex.twin
+    return [(h // 3,) if twin[h] < 0 else (h // 3, twin[h] // 3) for h in complex.edge_half]
+
+
 def evaluate(cochain, chain):
     """Scalar pairing: sum of coefficient products over shared cells."""
     return sum(v * cochain.coeffs.get(k, 0) for k, v in chain.items())
@@ -645,6 +675,7 @@ def coboundary0(complex, vertex_cochain):
 def connected_components(complex):
     """Face-connectivity components as ascending lists of face ids, in
     ascending order of their minimal face id."""
+    triples, incident = face_edges(complex), edge_faces(complex)
     seen = [False] * complex.num_faces
     components = []
     for seed in range(complex.num_faces):
@@ -655,8 +686,8 @@ def connected_components(complex):
         while queue:
             fid = queue.popleft()
             comp.append(fid)
-            for eid, _ in complex.face_edges[fid]:
-                for other in complex.edge_faces[eid]:
+            for eid, _ in triples[fid]:
+                for other in incident[eid]:
                     if not seen[other]:
                         seen[other] = True
                         queue.append(other)

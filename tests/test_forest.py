@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import meshes
 import reference
+from reference import face_edges
 from globalloops import forest
 from globalloops.errors import CountMismatch, DualDisconnected, NodeNotInTree
 from globalloops.forest import Tree, build_dual_tree, build_primal_tree, build_tree_cotree
@@ -126,8 +127,9 @@ def transport_support(K, dual, a, b):
     """Support of a transport from face a to face b minus its two end edges,
     the ends chosen off the tree path (three edges per face leave room)."""
     path_edges = set(reference.tree_path(dual, a, b).edges)
-    start = next(e for e, _ in K.face_edges[a] if e not in path_edges)
-    end = next(e for e, _ in K.face_edges[b] if e != start and e not in path_edges)
+    triples = face_edges(K)
+    start = next(e for e, _ in triples[a] if e not in path_edges)
+    end = next(e for e, _ in triples[b] if e != start and e not in path_edges)
     support = set(transport(K, dual, a, b, start, end))
     assert {start, end} <= support
     return support - {start, end}
@@ -192,7 +194,7 @@ class TestTreePaths:
         tree.add_root(0)
         tree.attach(1, 0, 7)
         with pytest.raises(NodeNotInTree):
-            transport(K, tree, 0, 2, K.face_edges[0][0][0], K.face_edges[2][0][0])
+            transport(K, tree, 0, 2, face_edges(K)[0][0][0], face_edges(K)[2][0][0])
 
     def test_path_between_trees_raises(self):
         torus = meshes.csaszar_torus()
@@ -200,7 +202,7 @@ class TestTreePaths:
         dual, _ = decompose(K)
         far = torus.num_faces
         with pytest.raises(NodeNotInTree):
-            transport(K, dual, 0, far, K.face_edges[0][0][0], K.face_edges[far][0][0])
+            transport(K, dual, 0, far, face_edges(K)[0][0][0], face_edges(K)[far][0][0])
         _, primal = build_primal_tree(K, boundary_components(K))
         assert primal.roots == [0, torus.num_vertices]
 
@@ -216,7 +218,7 @@ class TestTreePaths:
     ],
 )
 def test_dual_orientation_matches_its_definition(K):
-    # sigma and tau, read off face_edges while the forest grows, equal the
+    # sigma and tau, read off sign and twin while the forest grows, equal the
     # defining formulas evaluated with incidence() on the finished forest.
     dual, _ = decompose(K)
     sigma, tau = list(dual.sigma), list(dual.tau)

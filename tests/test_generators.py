@@ -18,7 +18,7 @@ from globalloops.surface import (
     classify_boundary,
 )
 from globalloops.transport import is_twisted
-from reference import coboundary0, connected_components, evaluate, of_kind
+from reference import coboundary0, connected_components, edge_faces, evaluate, of_kind
 
 
 def primal_tree(K):
@@ -312,13 +312,14 @@ class TestAnchorEdge:
             holes = classify_boundary(K, contact).hole_components
             _, dual, candidates = build_tree_cotree(K, holes)
             rank = dual.preorder()
+            incident = edge_faces(K)
             for cid, meta in enumerate(gens.components):
-                own = [e for e in candidates if dual.tree_of[K.edge_faces[e][0]] == cid]
+                own = [e for e in candidates if dual.tree_of[incident[e][0]] == cid]
                 twisted = [e for e in own if is_twisted(K, dual, e)]
                 if not twisted:
                     assert meta.anchor_edge is None, (name, cid)
                     continue
-                anchor = max(twisted, key=lambda e: (rank[K.edge_faces[e][0]], e))
+                anchor = max(twisted, key=lambda e: (rank[incident[e][0]], e))
                 assert meta.anchor_edge == anchor, (name, cid)
                 ha = [g for g in gens.generators if (g.component, g.kind) == (cid, "ha")]
                 kept = [e for e in own if e != anchor]
@@ -457,7 +458,8 @@ class TestSinglePass:
         gens = compute_generators(K, contact)
         partition = classify_boundary(K, contact)
         _, dual, candidates = build_tree_cotree(K, partition.hole_components)
-        tree_of = [dual.tree_of[faces[0]] for faces in K.edge_faces]
+        incident = edge_faces(K)
+        tree_of = [dual.tree_of[faces[0]] for faces in incident]
         rank = dual.preorder()
         metas = gens.components
         for field, whole in (
@@ -469,7 +471,7 @@ class TestSinglePass:
         for cid, meta in enumerate(metas):
             owned = [c.edges[0] for c in meta.circles] + [c[0] for c in meta.contact_components]
             assert {tree_of[e] for e in owned + meta.candidate_edges} <= {cid}
-            first_faces = [rank[K.edge_faces[e][0]] for e in meta.twisted_edges]
+            first_faces = [rank[incident[e][0]] for e in meta.twisted_edges]
             assert first_faces == sorted(first_faces)
             assert set(meta.twisted_edges) == {
                 e for e in meta.candidate_edges if is_twisted(K, dual, e)

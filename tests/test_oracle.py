@@ -33,7 +33,9 @@ from reference import (
     closed_edges,
     coboundary0,
     dict_roots,
+    edge_faces,
     exact_rank,
+    face_edges,
     is_orientable,
     rim,
     signed_cofaces,
@@ -506,7 +508,7 @@ def cycle_zero(change):
     class Planted(GeneratorSet):
         def cycles(self, complex, limit=None):
             out = super().cycles(complex, limit)
-            pad = dict(complex.face_edges[complex.edge_faces[-1][0]])
+            pad = dict(face_edges(complex)[edge_faces(complex)[-1][0]])
             return [change(complex, out[0], pad)] + out[1:]
 
     return lambda K, gens: (classify_boundary(K, set()), Planted(*gens))
@@ -921,7 +923,19 @@ class TestIndependence:
         edges = sorted(
             {(min(u, w), max(u, w)) for a, b, c in faces for u, w in ((a, b), (b, c), (c, a))}
         )
-        K = SurfaceComplex(5, edges, faces, [], [], {}, [], None, [])
+        K = SurfaceComplex(
+            num_vertices=5,
+            edges=edges,
+            faces=faces,
+            half=[],
+            sign=[],
+            twin=[],
+            edge_half=[],
+            edge_index={},
+            vertex_edges=[],
+            coords=None,
+            boundary_edge_ids=[],
+        )
         partition = BoundaryPartition([], [], set())
         with pytest.raises(ValueError, match=f"edge {edges.index((0, 1))} lies on a third face"):
             verify(K, partition, GeneratorSet())

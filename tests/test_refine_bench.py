@@ -57,8 +57,8 @@ WITH_COORDS = [
 
 @pytest.mark.parametrize("build", WITH_COORDS, ids=lambda build: build.__name__)
 def test_matches_the_edge_index_lookup(build):
-    # Edge ids read off face_edges give the faces and coordinates that the
-    # lookup by vertex pair gave, twice over.
+    # Edge ids read off ``half`` in the order ab, bc, ca give the faces and
+    # coordinates that the lookup by vertex pair gave, twice over.
     K = build()
     assert K.coords is not None
     once = refine(K)

@@ -1,7 +1,9 @@
 """Complex construction, boundary structure, and components as the dual
 forest numbers them."""
 
+import random
 import warnings
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import meshes
 import reference
+from reference import edge_faces, face_edges
 from globalloops.forest import build_tree_cotree
 from globalloops.generators import compute_generators
 from globalloops.surface import (
@@ -47,7 +50,7 @@ class TestBuildComplex:
     def test_single_triangle(self):
         K = meshes.triangle()
         assert (K.num_vertices, K.num_edges, K.num_faces) == (3, 3, 1)
-        assert all(abs(s) == 1 for _, s in K.face_edges[0])
+        assert all(abs(s) == 1 for _, s in face_edges(K)[0])
         # Face (0, 1, 2) runs along edge (0, 1) from tail to head.
         assert K.incidence(0, K.edge_index[(0, 1)]) == 1
 
@@ -55,8 +58,8 @@ class TestBuildComplex:
         K = meshes.two_triangles()
         assert K.num_edges == 5
         shared = K.edge_index[(1, 2)]
-        assert len(K.edge_faces[shared]) == 2
-        f0, f1 = K.edge_faces[shared]
+        assert len(edge_faces(K)[shared]) == 2
+        f0, f1 = edge_faces(K)[shared]
         assert K.incidence(f0, shared) == -K.incidence(f1, shared)
         assert K.incidence(f0, shared) == 1
         assert K.incidence(f1, shared) == -1
@@ -100,9 +103,9 @@ class TestBuildComplex:
     def test_face_boundary_closes(self):
         # The vertex sum of every face boundary telescopes to zero.
         for K in corpus():
-            for fid in range(K.num_faces):
+            for triple in face_edges(K):
                 sums = {}
-                for eid, sign in K.face_edges[fid]:
+                for eid, sign in triple:
                     a, b = K.edges[eid]
                     sums[b] = sums.get(b, 0) + sign
                     sums[a] = sums.get(a, 0) - sign
@@ -112,8 +115,7 @@ class TestBuildComplex:
         a = meshes.pair_of_pants()
         b = meshes.pair_of_pants()
         assert a.edges == b.edges
-        assert a.face_edges == b.face_edges
-        assert a.edge_faces == b.edge_faces
+        assert (a.half, a.sign, a.twin, a.edge_half) == (b.half, b.sign, b.twin, b.edge_half)
 
 
 class TestEulerCharacteristic:
@@ -303,11 +305,64 @@ class TestConnectedComponents:
         counts = []
         for face_ids in parts:
             verts = {v for f in face_ids for v in K.faces[f]}
-            edges = {eid for f in face_ids for eid, _ in K.face_edges[f]}
+            edges = {eid for f in face_ids for eid, _ in face_edges(K)[f]}
             # No edge reaches a face of another component.
-            assert {g for e in edges for g in K.edge_faces[e]} == set(face_ids)
+            assert {g for e in edges for g in edge_faces(K)[e]} == set(face_ids)
             counts.append((len(verts), len(edges), len(face_ids)))
         assert counts == [(7, 21, 14), (12, 24, 12)]
+
+
+# --- the half-edge tables --------------------------------------------------
+
+
+def table_meshes(kind):
+    """The corpus, or three seeds of a sample family (non-orientable ones
+    among them), each also with a seeded random half of its faces reversed."""
+    if kind == "corpus":
+        plain = corpus()
+    else:
+        plain = [meshes.sample(kind, seed) for seed in range(3 if kind != "mixed_surface" else 1)]
+    out = []
+    for seed, K in enumerate(plain):
+        rng = random.Random(seed)
+        flipped = [(a, c, b) if rng.random() < 0.5 else (a, b, c) for a, b, c in K.faces]
+        out += [K, build_complex(K.num_vertices, flipped)]
+    return out
+
+
+@pytest.mark.parametrize("kind", ("corpus",) + meshes.SAMPLE_KINDS)
+def test_half_edge_tables_match_a_scan_of_the_faces(kind):
+    for K in table_meshes(kind):
+        index = {pair: eid for eid, pair in enumerate(K.edges)}
+        sides = [(u, w) for a, b, c in K.faces for u, w in ((a, b), (b, c), (c, a))]
+        assert K.half == [index[min(u, w), max(u, w)] for u, w in sides]
+        halves = [[] for _ in K.edges]
+        for h, eid in enumerate(K.half):
+            halves[eid].append(h)
+        # twin pairs the two half-edges of an edge, on two different faces,
+        # and is -1 on an edge with one; edge_half is an edge's lowest.
+        for eid, hs in enumerate(halves):
+            assert K.edge_half[eid] == min(hs)
+            if len(hs) == 1:
+                assert K.twin[hs[0]] == -1
+            else:
+                g, h = hs
+                assert (K.twin[g], K.twin[h]) == (h, g)
+                assert g // 3 != h // 3
+        assert all(K.twin[t] == h for h, t in enumerate(K.twin) if t >= 0)
+        # Every face against every edge id, and the ids just off the list.
+        ids = range(-1, K.num_edges + 1)
+        for fid, (a, b, c) in enumerate(K.faces):
+            row = [0] * len(ids)
+            for u, w in ((a, b), (b, c), (c, a)):
+                row[index[min(u, w), max(u, w)] + 1] = 1 if u < w else -1
+            assert list(map(K.incidence, repeat(fid), ids)) == row
+        on_one_face = [eid for eid, hs in enumerate(halves) if len(hs) == 1]
+        assert K.boundary_edge_ids == on_one_face
+        assert on_one_face == [eid for eid, h in enumerate(K.edge_half) if K.twin[h] < 0]
+        assert [K.is_boundary_edge(eid) for eid in range(K.num_edges)] == [
+            len(hs) == 1 for hs in halves
+        ]
 
 
 # --- the one-pass index against the original --------------------------------
@@ -345,8 +400,9 @@ def outcome(build, boundary, vertex_count, faces, coords=None):
 @given(st.sampled_from(INDEX_KINDS), st.integers(0, 10**6), st.booleans())
 def test_index_matches_the_original(kind, seed, as_lists):
     # The named-tuple equality compares every field, with tuples and lists
-    # kept apart, so face_edges, edge_faces and vertex_edges must match in
-    # order and in type; faces given as lists still come out as tuples.
+    # kept apart, so the half-edge tables, which the reference reads off its
+    # per-face and per-edge tuples, and vertex_edges must match in order and
+    # in type; faces given as lists still come out as tuples.
     vertex_count, faces, coords = valid_input(kind, seed)
     if as_lists:
         faces = [list(f) for f in faces]
@@ -354,8 +410,8 @@ def test_index_matches_the_original(kind, seed, as_lists):
     ref = outcome(reference.build_complex, reference.boundary_components, vertex_count, faces, coords)
     assert isinstance(new[0], SurfaceComplex)
     assert new == ref
-    # Handles and contacts read an edge's faces unsorted.
-    for incident in new[0].edge_faces:
+    # Handles and contacts read an edge's lower face first.
+    for incident in edge_faces(new[0]):
         assert list(incident) == sorted(set(incident))
 
 
@@ -401,7 +457,7 @@ def inject(draw, fault, K, vertex_count, faces):
     elif fault == "third_face":
         # Fresh apexes until the edge carries three faces.
         u, w = draw(st.sampled_from(K.edges))
-        for _ in range(3 - len(K.edge_faces[K.edge_index[(u, w)]])):
+        for _ in range(3 - len(edge_faces(K)[K.edge_index[(u, w)]])):
             faces.insert(draw(st.integers(0, len(faces))), (u, w, n))
             n += 1
     elif fault == "open_pinch":

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import meshes
 import reference
+from reference import edge_faces, face_edges
 from globalloops.errors import CountMismatch, EdgeNotOnFace
 from globalloops.forest import DualTree, build_tree_cotree
 from globalloops.surface import boundary_components, build_complex
@@ -46,7 +47,7 @@ def test_self_pairs_succeed_on_orientable_surfaces():
         assert candidates
         for eid in candidates:
             assert not is_twisted(K, dual, eid)
-            f1, f2 = sorted(K.edge_faces[eid])
+            f1, f2 = sorted(edge_faces(K)[eid])
             g = transport(K, dual, f1, f2, eid, eid)
             assert g[eid] == 1
             assert set(g.values()) <= {-1, 1}
@@ -57,7 +58,7 @@ def test_self_pair_fails_on_moebius():
     assert not reference.is_orientable(K)
     dual, (eid,) = decompose(K)
     assert is_twisted(K, dual, eid)
-    f1, f2 = sorted(K.edge_faces[eid])
+    f1, f2 = sorted(edge_faces(K)[eid])
     stepwise = reference.transport(K, reference.tree_path(dual, f1, f2), eid, eid)
     assert not stepwise.consistent
     with pytest.raises(CountMismatch, match="twisted"):
@@ -70,7 +71,7 @@ def test_facewise_sums_vanish_along_the_path():
     K = meshes.csaszar_torus()
     dual, candidates = decompose(K)
     eid = candidates[0]
-    f1, f2 = sorted(K.edge_faces[eid])
+    f1, f2 = sorted(edge_faces(K)[eid])
     g = transport(K, dual, f1, f2, eid, eid)
     for fid in reference.tree_path(dual, f1, f2).nodes:
         total = sum(K.incidence(fid, e2) * val for e2, val in g.items())
@@ -86,6 +87,32 @@ def test_bad_edge_pair_rejected():
         transport(K, tree, 1, 1, off_face, shared)
     with pytest.raises(EdgeNotOnFace):
         transport(K, tree, 1, 1, shared, off_face)
+
+
+def test_edge_ids_off_the_complex_are_on_no_face():
+    # incidence reads an edge's faces by its id; an id outside 0..E-1 must
+    # be on no face, not wrap around (-1) or index past the end (E).
+    K = meshes.two_triangles()
+    shared = K.edge_index[(1, 2)]
+    off_face = K.edge_index[(0, 1)]  # on face 0 only
+    tree = hand_built(K, [(1, 0, shared)])
+    for eid in (-1, K.num_edges, off_face):
+        assert K.incidence(1, eid) == 0
+        with pytest.raises(EdgeNotOnFace, match=f"edge {eid} is not on face 1"):
+            transport(K, tree, 1, 0, eid, shared)
+        with pytest.raises(EdgeNotOnFace, match=f"edge {eid} is not on face 1"):
+            transport(K, tree, 0, 1, shared, eid)
+    assert K.incidence(0, -1) == K.incidence(0, K.num_edges) == 0
+
+
+def test_twisted_test_refuses_an_edge_on_one_face():
+    # The twisted test reads the two faces of an interior edge; a boundary
+    # edge, or an id off the complex, has no second face to read.
+    K = meshes.moebius(6)
+    dual, _ = decompose(K)
+    for eid in (K.boundary_edge_ids[0], -1, K.num_edges):
+        with pytest.raises(EdgeNotOnFace, match=f"edge {eid} is not on two faces"):
+            is_twisted(K, dual, eid)
 
 
 def test_path_through_the_start_edge_raises():
@@ -120,11 +147,11 @@ def test_orientation_of_faces_does_not_matter(flip, data):
     )
     path_edges = reference.tree_path(dual, start, end).edges
     e_start = next(
-        eid for eid, _ in base.face_edges[start] if eid not in path_edges
+        eid for eid, _ in face_edges(base)[start] if eid not in path_edges
     )
     e_end = next(
         eid
-        for eid, _ in base.face_edges[end]
+        for eid, _ in face_edges(base)[end]
         if eid != e_start and eid not in path_edges
     )
     result = transport(base, dual, start, end, e_start, e_end)
@@ -204,8 +231,9 @@ def test_closed_form_matches_stepwise(surface, data):
     a = data.draw(st.integers(min_value=0, max_value=K.num_faces - 1), label="a")
     same_tree = [f for f in range(K.num_faces) if dual.tree_of[f] == dual.tree_of[a]]
     b = data.draw(st.sampled_from(same_tree), label="b")
-    start = data.draw(st.sampled_from([e for e, _ in K.face_edges[a]]), label="start")
-    end = data.draw(st.sampled_from([e for e, _ in K.face_edges[b]]), label="end")
+    triples = face_edges(K)
+    start = data.draw(st.sampled_from([e for e, _ in triples[a]]), label="start")
+    end = data.draw(st.sampled_from([e for e, _ in triples[b]]), label="end")
     assume(end != start)
     path = reference.tree_path(dual, a, b)
     expected = outcome(lambda: reference.transport(K, path, start, end).cochain.coeffs)
@@ -215,10 +243,10 @@ def test_closed_form_matches_stepwise(surface, data):
 def check_self_pairs(K, dual, candidates):
     """Every interior edge's self-pair: the O(1) twisted test agrees with a
     failed stepwise transport, and the untwisted ones transport alike."""
-    for eid in range(K.num_edges):
+    for eid, incident in enumerate(edge_faces(K)):
         if K.is_boundary_edge(eid):
             continue
-        f1, f2 = sorted(K.edge_faces[eid])
+        f1, f2 = sorted(incident)
         path = reference.tree_path(dual, f1, f2)
         closed = outcome(lambda: transport(K, dual, f1, f2, eid, eid))
         if eid in path.edges:  # a dual-tree edge: its own path crosses it
@@ -234,9 +262,10 @@ def check_self_pairs(K, dual, candidates):
 
 
 def check_twisted_iff_non_orientable(K, dual, candidates):
+    incident = edge_faces(K)
     for faces in reference.connected_components(K):
         members = set(faces)
-        own = [e for e in candidates if K.edge_faces[e][0] in members]
+        own = [e for e in candidates if incident[e][0] in members]
         has_twisted = any(is_twisted(K, dual, e) for e in own)
         ids: dict[int, int] = {}
         alone = [tuple(ids.setdefault(v, len(ids)) for v in K.faces[f]) for f in faces]
