@@ -7,14 +7,15 @@ holds what the generator pipeline runs and nothing else: the oracle
 the surface itself.
 
 ``build_complex`` indexes and validates the faces in one pass over flat
-half-edge lists, with edges keyed by the integer ``a * V + b``; a failed
-check rescans the faces in order, so a fault of one face wins over a fault
-between faces.  The complex keeps that pass's half-edge tables (``half``,
-``sign``, ``twin`` and ``edge_half``, see ``SurfaceComplex``) and no
-per-face or per-edge tuples, so an edge's faces and a face's sign on an
-edge are O(1) reads.  ``boundary_components`` walks two boundary
-neighbours per vertex.  Connected components are numbered by the dual
-forest (``forest.py``), not here.
+half-edge lists; it numbers the edges, in order of first appearance, in
+the one dict it returns as ``edge_index``, keyed by the vertex pair (a, b)
+with a < b.  A failed check rescans the faces in order, so a fault of one
+face wins over a fault between faces.  The complex keeps that pass's
+half-edge tables (``half``, ``sign``, ``twin`` and ``edge_half``, see
+``SurfaceComplex``) and no per-face or per-edge tuples, so an edge's faces
+and a face's sign on an edge are O(1) reads.  ``boundary_components``
+walks two boundary neighbours per vertex.  Connected components are
+numbered by the dual forest (``forest.py``), not here.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class SurfaceComplex(NamedTuple):
         return len(self.faces)
 
     def is_boundary_edge(self, edge_id: int) -> bool:
-        return self.twin[self.edge_half[edge_id]] < 0
+        """Whether the edge lies on one face; False for an id off the list."""
+        return 0 <= edge_id < len(self.edge_half) and self.twin[self.edge_half[edge_id]] < 0
 
     def incidence(self, face_id: int, edge_id: int) -> int:
         """Signed incidence of an edge on a face; 0 when the edge is not on
@@ -146,23 +148,18 @@ def build_complex(
     if tail and (min(tail) < 0 or max(tail) >= vertex_count or any(map(eq, tail, head))):
         raise _face_fault(faces, vertex_count)
 
-    new_edge = {}.setdefault  # edge id by key a * vertex_count + b
-    edges: list[Edge] = []
+    edge_index: dict[Edge, int] = {}  # edge id by vertex pair, a < b
+    new_edge = edge_index.setdefault
     first: list[int] = []  # per edge: its half-edge on the first face
     twin = [-1] * len(tail)
     half: list[int] = []
-    sign: list[int] = []
+    sign = [1 if u < w else -1 for u, w in zip(tail, head)]
     vertex_edges: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     for h, u, w, x in zip(count(), tail, head, apex):
-        if u < w:
-            eid = new_edge(u * vertex_count + w, len(first))
-            sign.append(1)
-        else:
-            eid = new_edge(w * vertex_count + u, len(first))
-            sign.append(-1)
+        key = (u, w) if u < w else (w, u)
+        eid = new_edge(key, len(first))
         half.append(eid)
         if eid == len(first):
-            edges.append((u, w) if u < w else (w, u))
             first.append(h)
             vertex_edges[u].append((eid, w))
             vertex_edges[w].append((eid, u))
@@ -171,7 +168,7 @@ def build_complex(
             # A second face on an edge with the same apex repeats the first.
             if twin[g] >= 0 or apex[g] == x:
                 raise _face_fault(faces, vertex_count) or NonManifoldEdge(
-                    f"edge {edges[eid]} lies on more than two faces"
+                    f"edge {key} lies on more than two faces"
                 )
             twin[g], twin[h] = h, g
 
@@ -181,13 +178,13 @@ def build_complex(
 
     return SurfaceComplex(
         num_vertices=vertex_count,
-        edges=edges,
+        edges=list(edge_index),
         faces=clean_faces,
         half=half,
         sign=sign,
         twin=twin,
         edge_half=first,
-        edge_index=dict(zip(edges, count())),
+        edge_index=edge_index,
         vertex_edges=vertex_edges,
         coords=list(coords) if coords is not None else None,
         boundary_edge_ids=[eid for eid, g in enumerate(first) if twin[g] < 0],

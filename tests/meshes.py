@@ -320,6 +320,138 @@ def scrambled(seed):
     return build_complex(s.num_vertices, s.faces)
 
 
+def random_gluing(F0, seed, orientable, holes=0):
+    """A random surface glued from ``F0`` triangles, as a benchmark
+    ``Surface`` whose component topology is counted from the gluing.
+
+    The 3 * F0 sides are paired at random and glued, reversed when
+    ``orientable`` and in a random direction otherwise, so the surface may
+    have several components and irregular vertex degrees.  A union-find
+    over the corners names the vertices, and two barycentric subdivisions
+    (36 faces per triangle) make the result simplicial.  Then ``holes``
+    faces that share no vertex are deleted, and each new circle gets a
+    contact arc of one or two edges, or none.  Each component's Euler
+    characteristic comes from the gluing's own vertex, side and triangle
+    counts and its orientability from a two-colouring of the triangles, so
+    neither is read off the code under test.
+    """
+    if F0 < 2 or F0 % 2:
+        raise ValueError(f"cannot pair the sides of {F0} triangles")
+    rng = random.Random(seed)
+    wl = workloads()
+    sides = list(range(3 * F0))  # side s runs from corner s to corner _next(s)
+    rng.shuffle(sides)
+    root = list(range(3 * F0))  # union-find over the corners
+
+    def find(c):
+        while root[c] != c:
+            root[c] = root[root[c]]
+            c = root[c]
+        return c
+
+    # Per side: its edge (the pair it belongs to) and whether it runs
+    # against the edge, which runs along the pair's first side.
+    edge_of, against = [0] * (3 * F0), [False] * (3 * F0)
+    glued = [[] for _ in range(F0)]  # per triangle: (other triangle, flipped)
+    for e in range(0, 3 * F0, 2):
+        s, t = sides[e], sides[e + 1]
+        reverse = orientable or rng.random() < 0.5
+        edge_of[s] = edge_of[t] = e // 2
+        against[t] = reverse
+        ends = (_next(t), t) if reverse else (t, _next(t))
+        root[find(s)] = find(ends[0])
+        root[find(_next(s))] = find(ends[1])
+        # A reversed side keeps both orientations of the triangles coherent.
+        glued[s // 3].append((t // 3, not reverse))
+        glued[t // 3].append((s // 3, not reverse))
+
+    comp, flip, coherent = [-1] * F0, [False] * F0, []
+    for start in range(F0):
+        if comp[start] < 0:
+            comp[start], stack = len(coherent), [start]
+            coherent.append(True)
+            while stack:
+                t = stack.pop()
+                for u, flipped in glued[t]:
+                    if comp[u] < 0:
+                        comp[u], flip[u] = comp[t], flip[t] ^ flipped
+                        stack.append(u)
+                    elif flip[u] != flip[t] ^ flipped:
+                        coherent[comp[t]] = False
+
+    label, vertex_count = {}, [0] * len(coherent)
+    for c in range(3 * F0):
+        if find(c) not in label:
+            label[find(c)] = len(label)
+            vertex_count[comp[c // 3]] += 1
+    tris = [
+        (tuple(label[find(c)] for c in range(3 * t, 3 * t + 3)),
+         [(edge_of[s], against[s]) for s in range(3 * t, 3 * t + 3)])
+        for t in range(F0)
+    ]
+    nv, ne = len(label), 3 * F0 // 2
+    for _ in range(2):
+        nv, ne, tris = _subdivide(nv, ne, tris)
+    faces = [vs for vs, _ in tris]
+
+    dropped, used = [], set()
+    for fid in rng.sample(range(len(faces)), len(faces)):
+        if len(dropped) == holes:
+            break
+        if used.isdisjoint(faces[fid]):
+            dropped.append(fid)
+            used.update(faces[fid])
+    circles, arcs = [], []
+    hole_count, contact_count = [0] * len(coherent), [0] * len(coherent)
+    for fid in dropped:
+        a, b, c = faces[fid]
+        circles.append([a, b, c])
+        hole_count[comp[fid // 36]] += 1
+        length = rng.randrange(3)
+        if length:
+            arcs.append([(a, b), (b, c)][:length])
+            contact_count[comp[fid // 36]] += 1
+    components = []
+    for k, ok in enumerate(coherent):
+        chi = vertex_count[k] - comp.count(k) // 2  # V - E + F with E = 3F / 2
+        components.append(
+            wl.Component(ok, (2 - chi) // 2 if ok else 2 - chi, hole_count[k], contact_count[k])
+        )
+    for fid in sorted(dropped, reverse=True):
+        del faces[fid]
+    return wl.Surface(nv, faces, [(0.0, 0.0, 0.0)] * nv, components, circles, arcs)
+
+
+def _next(side):
+    """The corner a triangle side runs to: side 3t + i ends at corner
+    3t + (i + 1) % 3."""
+    return side - side % 3 + (side + 1) % 3
+
+
+def _subdivide(nv, ne, tris):
+    """The barycentric subdivision of a Delta-complex of ``nv`` vertices
+    and ``ne`` edges.  Each triangle is its three corners and, per side i
+    from corner i to corner i + 1, its edge and whether it runs against it.
+
+    Midpoints and centres number after the old vertices; the halves of edge
+    e are 2e (at its tail) and 2e + 1 (at its head), and triangle t adds
+    the spokes 2 * ne + 6t + i to corner i and 2 * ne + 6t + 3 + i to the
+    midpoint of side i, each run toward the centre.  Triangle t becomes
+    triangles 6t to 6t + 5, in its own orientation.
+    """
+    out = []
+    for t, (vs, sides) in enumerate(tris):
+        centre, spoke = nv + ne + t, 2 * ne + 6 * t
+        for i, (e, back) in enumerate(sides):
+            mid = nv + e
+            out.append(((vs[i], mid, centre),
+                        [(2 * e + back, back), (spoke + 3 + i, False), (spoke + i, True)]))
+            out.append(((mid, vs[(i + 1) % 3], centre),
+                        [(2 * e + 1 - back, back), (spoke + (i + 1) % 3, False),
+                         (spoke + 3 + i, True)]))
+    return nv + ne + len(tris), 2 * ne + 6 * len(tris), out
+
+
 @functools.cache
 def _mixed():
     return mixed_surface()[0]

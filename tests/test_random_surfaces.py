@@ -7,6 +7,9 @@ minus a disk with contact arcs on their circles.  Each construction knows its
 topology, so the expected class sizes come from the dimension formulas
 without asking the code under test.  ``punch`` adds the one shape those
 constructions lack: chains with genus that carry boundary circles.
+``meshes.random_gluing`` adds random topology: triangles glued in random
+pairs, with irregular vertex degrees, genus of the order of the face count
+and several components, their topology counted from the gluing.
 
 The oracle's closed forms (rank d0, rank d1 and torsion as counts) and the
 generators' independence over GF(2) and GF(3) are held to ``sparse_rank``
@@ -16,6 +19,7 @@ on the oracle's own rows of every surface drawn.
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -227,6 +231,26 @@ def test_a_twisted_chain_with_a_contact_arc_passes_the_oracle():
 @given(st.lists(punched_chains(), min_size=1, max_size=2), st.integers(0, 2**32 - 1))
 def test_punched_chains_pass_the_oracle(pieces, seed):
     check(wl.union(pieces), seed)
+
+
+@st.composite
+def gluings(draw):
+    """A random gluing of two to twelve triangles, orientable or not, with
+    up to three punched holes and arcs of one or two edges."""
+    return meshes.random_gluing(
+        draw(st.sampled_from(range(2, 13, 2))),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.booleans()),
+        holes=draw(st.integers(0, 3)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:.*one-edge port")
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gluings(), st.integers(0, 2**32 - 1))
+def test_random_gluings_pass_the_oracle(surface, seed):
+    # Irregular vertex degrees, and genus of the order of the face count.
+    check(surface, seed)
 
 
 def oracle_rows(K, contact):

@@ -54,6 +54,13 @@ class TestBuildComplex:
         # Face (0, 1, 2) runs along edge (0, 1) from tail to head.
         assert K.incidence(0, K.edge_index[(0, 1)]) == 1
 
+    def test_ids_off_the_edge_list_are_not_boundary_edges(self):
+        # -1 would otherwise read the last edge, and E would raise.
+        K = meshes.triangle()
+        assert all(map(K.is_boundary_edge, range(3)))
+        assert not K.is_boundary_edge(-1)
+        assert not K.is_boundary_edge(3)
+
     def test_two_triangles_shared_edge(self):
         K = meshes.two_triangles()
         assert K.num_edges == 5
@@ -333,6 +340,9 @@ def table_meshes(kind):
 @pytest.mark.parametrize("kind", ("corpus",) + meshes.SAMPLE_KINDS)
 def test_half_edge_tables_match_a_scan_of_the_faces(kind):
     for K in table_meshes(kind):
+        # The edges are numbered in edge_index itself, in order.
+        assert list(K.edge_index) == K.edges
+        assert list(K.edge_index.values()) == list(range(K.num_edges))
         index = {pair: eid for eid, pair in enumerate(K.edges)}
         sides = [(u, w) for a, b, c in K.faces for u, w in ((a, b), (b, c), (c, a))]
         assert K.half == [index[min(u, w), max(u, w)] for u, w in sides]
