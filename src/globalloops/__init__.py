@@ -10,11 +10,13 @@ counts of the Betti number and torsion, and a pairing certificate of a
 basis over the integers.
 
 The package exports the documented entry points and their result types;
-the building blocks live in their submodules.
+the building blocks live in their submodules.  ``verify`` and
+``VerificationReport`` load the oracle on first use, so that importing the
+package (and the command line, which runs the oracle only under
+``--verify``) does not.
 """
 
 from .generators import GeneratorSet, compute_generators
-from .oracle import VerificationReport, verify
 from .surface import BoundaryPartition, SurfaceComplex, build_complex, classify_boundary
 
 __version__ = "0.1.0"
@@ -29,3 +31,12 @@ __all__ = [
     "compute_generators",
     "verify",
 ]
+
+
+def __getattr__(name):
+    if name not in ("verify", "VerificationReport"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value

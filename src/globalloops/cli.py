@@ -16,8 +16,9 @@ import argparse
 import sys
 from contextlib import contextmanager
 
-from . import meshio, oracle
+from . import meshio
 from .errors import (
+    DEFAULT_WORK_CAP,
     ContactSpecError,
     InternalError,
     MeshTooLargeForOracle,
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .forest import build_tree_cotree
 from .generators import compute_generators
-from .oracle import DEFAULT_WORK_CAP
 from .surface import boundary_components, classify_boundary, euler_characteristic
 from .transport import is_twisted
 
@@ -115,6 +115,8 @@ def cmd_compute(args) -> int:
     verification = None
     exit_code = 0
     if args.verify:
+        from . import oracle  # only --verify pays for loading the oracle
+
         # Checked against the contact file, not against the generators' own record.
         partition = classify_boundary(complex, contact_edges)
         verification = oracle.verify(complex, partition, generators, cap=args.oracle_cap)

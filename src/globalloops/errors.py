@@ -1,4 +1,9 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the oracle's work cap.
+
+``DEFAULT_WORK_CAP`` lives here, beside the refusal it bounds, so that the
+command line can show it as the ``--oracle-cap`` default without loading
+the oracle; ``oracle`` re-exports it.
+"""
 
 
 class TopologyError(Exception):
@@ -60,6 +65,10 @@ class EdgeNotOnFace(ValueError, InternalError):
 
 class UsageError(Exception):
     """Command-line options the command cannot honour."""
+
+
+# E + sum |support| + sum |witness cycles|.  Sizes near it: BENCH_23.json; refusals: BENCH_24.json.
+DEFAULT_WORK_CAP = 2_000_000
 
 
 class MeshTooLargeForOracle(Exception):

@@ -10,10 +10,12 @@ CLI does not produce it that way.  CPython's C encoder only runs when
 support edge of every generator) through the pure-Python encoder, and
 ``report_dict`` first builds one dict per support edge that nothing else
 reads.  ``report_text`` writes the same bytes straight from the
-``GeneratorSet``: each edge record is one ``%``-format of a fixed template
-and each generator record a fixed frame around them, while the small
-``meta`` and ``verification`` blocks, built by the helper ``report_dict``
-also uses, are dumped by ``json`` and indented one level further.
+``GeneratorSet``: a generator's edge records are one ``%``-format of the
+record template repeated once per edge, over the flat list of each edge's
+coefficient and two vertices, and each generator record is a fixed frame
+around them, while the small ``meta`` and ``verification`` blocks, built
+by the helper ``report_dict`` also uses, are dumped by ``json`` and
+indented one level further.
 ``report_dict`` stays for library callers that want the report as data.
 """
 
@@ -34,11 +36,63 @@ def parse_off(text: str) -> tuple[int, list[tuple[float, float, float]], list[tu
 
     Only triangles are accepted.  Parse errors carry 1-based line numbers;
     an error at the end of the file names its last line, or line 1 when the
-    text has none.  Each line is split once.  The blocks read no more lines
-    than the text has, so header counts, which come from outside, size
-    nothing.
+    text has none.  Well-formed text is read in blocks (``_parse_blocks``);
+    any other text goes to the line-by-line reader, which raises the error.
+    Both split the text with ``splitlines`` and each line with
+    ``str.split``.  The blocks read no more lines than the text has, so
+    header counts, which come from outside, size nothing.
     """
     lines = text.splitlines()
+    return ("#" not in text and _parse_blocks(lines)) or _parse_lines(lines)
+
+
+def _parse_blocks(lines):
+    """The parse of text with no '#', an 'OFF' line, a line of three
+    integer counts, nv rows of three numbers and nf rows '3 i j k' with
+    indices in range, then nothing but whitespace; None for any other text.
+    Each block is converted by one ``map`` over its tokens."""
+    if len(lines) < 2 or lines[0].split() != ["OFF"]:
+        return None
+    try:
+        nv, nf, _ = map(int, lines[1].split())
+    except ValueError:
+        return None
+    end = 2 + nv + nf
+    if nv < 0 or nf < 0 or len(lines) < end or "".join(lines[end:]).strip():
+        return None
+    vertex_tokens = _row_tokens(lines[2:2 + nv], 3)
+    face_tokens = _row_tokens(lines[2 + nv:end], 4)
+    if vertex_tokens is None or face_tokens is None or face_tokens[::4].count("3") != nf:
+        return None
+    del face_tokens[::4]
+    try:
+        numbers = map(float, vertex_tokens)
+        coords = list(zip(numbers, numbers, numbers))
+        values = list(map(int, face_tokens))
+    except ValueError:
+        return None
+    if values and (min(values) < 0 or max(values) >= nv):
+        return None
+    indices = iter(values)
+    return nv, coords, list(zip(indices, indices, indices))
+
+
+def _row_tokens(rows, width):
+    """The tokens of ``rows`` in order, or None unless each row has
+    ``width`` of them.  The rows hold no '#', so in one split of the rows
+    joined by ' # ' (and one after the last) each row ends at a '#' token,
+    and every ``width + 1``-th token is one of those when, and only when,
+    each row has ``width`` tokens."""
+    tokens = " # ".join(rows + [""]).split()
+    if tokens[width::width + 1] != ["#"] * len(rows):
+        return None
+    del tokens[width::width + 1]
+    return tokens
+
+
+def _parse_lines(lines):
+    """The parse of any text, line by line, or the OffParseError of its
+    first fault."""
     rows = _token_lines(lines)
     last = max(len(lines), 1)
     end = last, None
@@ -214,7 +268,11 @@ def report_text(
     separator = "\n"
     for gen in generators.generators:
         items = sorted(gen.cochain.coeffs.items())
-        rows = ",\n".join([_EDGE % (val, *edges[eid]) for eid, val in items])
+        values = []
+        for eid, val in items:
+            values.append(val)
+            values += edges[eid]
+        rows = ",\n".join([_EDGE] * len(items)) % tuple(values)
         out.append(separator)
         out.append(_GENERATOR % (
             json.dumps(gen.kind),

@@ -41,6 +41,10 @@ eliminates:
   generator of an annulus with an arc on each circle stalls it.  The
   pipeline's own generators peel on every input tried.
 
+The cap on that sum, ``DEFAULT_WORK_CAP``, is defined in ``errors`` beside
+``MeshTooLargeForOracle`` and re-exported here, so the command line shows
+it without loading this module, which it imports only under ``--verify``.
+
 The dense references these counts are tested against, the sparse modular
 rank the oracle once used and the closed-up complex live in
 ``tests/reference.py``.
@@ -51,11 +55,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import MeshTooLargeForOracle
+from .errors import DEFAULT_WORK_CAP, MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
-
-# E + sum |support| + sum |witness cycles|.  Sizes near it: BENCH_23.json; refusals: BENCH_24.json.
-DEFAULT_WORK_CAP = 2_000_000
 
 
 class _Incidence:

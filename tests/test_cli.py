@@ -11,13 +11,14 @@ import pytest
 import meshes
 import reference
 import globalloops
-from globalloops import cli, generators, meshio
+from globalloops import cli, errors, generators, meshio, oracle
 from globalloops.cli import main
 from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
 from globalloops.meshio import render_report, report_dict
 from globalloops.oracle import verify
 from globalloops.surface import classify_boundary
 from meshes import write_off
+from test_golden import corpus
 from test_oracle import every_test_mesh
 
 
@@ -420,3 +421,80 @@ def test_cli_import_loads_no_dataclasses():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def oracle_loaded_by(code):
+    """Whether a fresh interpreter that runs ``code`` has loaded the oracle
+    by its end; ``code`` must run without an exception."""
+    env = dict(os.environ, PYTHONPATH=str(Path(globalloops.__file__).parents[1]))
+    probe = f"import sys\n{code}\nprint('globalloops.oracle' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return out.splitlines()[-1] == "True"
+
+
+def run_main(argv):
+    return f"from globalloops.cli import main\nassert main({argv!r}) == 0"
+
+
+class TestLazyOracle:
+    """Only ``compute --verify`` and the package's ``verify`` and
+    ``VerificationReport`` load the oracle."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        K, contacts = corpus()["annulus+arc"]()
+        mesh, arcs = tmp_path / "annulus.off", tmp_path / "arcs.txt"
+        write_off(mesh, K)
+        arcs.write_text("".join("%d %d\n" % K.edges[e] for e in sorted(contacts)))
+        return str(mesh), str(arcs), str(tmp_path / "report.json")
+
+    @pytest.mark.parametrize("module", ["globalloops.cli", "globalloops"])
+    def test_import_leaves_the_oracle_unloaded(self, module):
+        assert not oracle_loaded_by(f"import {module}")
+
+    def test_commands_without_verify_leave_it_unloaded(self, files):
+        mesh, arcs, out = files
+        assert not oracle_loaded_by(run_main(["compute", mesh, "--contacts", arcs, "--out", out]))
+        assert not oracle_loaded_by(run_main(["info", mesh]))
+        assert not oracle_loaded_by(run_main(["bench", mesh, "--levels", "1", "--repeats", "1"]))
+
+    def test_verify_loads_it_and_passes(self, files):
+        mesh, arcs, out = files
+        argv = ["compute", mesh, "--contacts", arcs, "--verify", "--out", out]
+        assert oracle_loaded_by(run_main(argv))
+        assert json.loads(Path(out).read_text())["verification"]["passed"] is True
+
+    def test_the_package_loads_it_on_first_use(self):
+        assert oracle_loaded_by(
+            "import globalloops\n"
+            "assert 'globalloops.oracle' not in sys.modules\n"
+            "from globalloops import VerificationReport, verify\n"
+            "from globalloops import oracle\n"
+            "assert verify is globalloops.verify is oracle.verify\n"
+            "assert VerificationReport is oracle.VerificationReport\n"
+            "assert {'verify', 'VerificationReport'} <= set(vars(globalloops))"
+        )
+
+    def test_the_package_names_are_unchanged(self):
+        assert globalloops.__all__ == [
+            "BoundaryPartition",
+            "GeneratorSet",
+            "SurfaceComplex",
+            "VerificationReport",
+            "build_complex",
+            "classify_boundary",
+            "compute_generators",
+            "verify",
+        ]
+        assert globalloops.verify is oracle.verify
+        with pytest.raises(AttributeError, match="no_such_name"):
+            globalloops.no_such_name
+
+    def test_cap_default_needs_no_oracle(self, capsys):
+        assert oracle.DEFAULT_WORK_CAP is errors.DEFAULT_WORK_CAP == 2_000_000
+        with pytest.raises(SystemExit) as done:
+            main(["compute", "--help"])
+        assert done.value.code == 0
+        assert "(default 2000000)" in " ".join(capsys.readouterr().out.split())

@@ -153,16 +153,63 @@ def parsed(parse, text):
         return exc.line, str(exc)
 
 
+def triangle_off(vertex="0 1 0", face="3 0 1 2", newline="\n", end="\n", nv=3):
+    """A one-triangle OFF text with its last vertex row, its face row, its
+    line ends and its vertex count replaceable, for examples at the edges
+    of the block reader."""
+    rows = ["OFF", f"{nv} 1 0", "0 0 0", "1 0 0", *["0 0 1"] * (nv - 3), vertex, face]
+    return newline.join(rows) + end
+
+
 @settings(deadline=None, max_examples=300)
 @given(mutated_off())
 @example("OFF\n99999999999999999999 1 0\n0 0 0\n")
 @example("OFF\r\n1 1 0\r\n0 0 0 # origin\r\n\r\n3 0 0 0\r\n")
 @example("")
+@example("OFF\n0 0 0\n")
+@example(triangle_off(newline="\r\n", end="\r\n"))
+@example(triangle_off(newline="\r", end="\r"))
+@example(triangle_off(vertex="0\x0c1 0"))
+@example(triangle_off(vertex="0 1\x850"))
+@example(triangle_off(face="3 0 1\u20282"))
+@example(triangle_off(vertex="0\t1 0  ", face="3\t0 1 2\t "))
+@example(triangle_off(face="4 0 1 2"))
+@example(triangle_off(face="+3 0 1 2"))
+@example(triangle_off(face="03 0 1 2"))
+@example(triangle_off(face="\u0663 0 1 2"))
+@example(triangle_off(face="3 0 1 1_0"))
+@example(triangle_off(face="3 0 1 1_0", nv=11))
+@example(triangle_off(face="3 0 1 3"))
+@example(triangle_off(face="3 -1 1 2"))
+@example(triangle_off(vertex="nan -inf 1e3"))
+@example(triangle_off(vertex="0 1 0 0 0 0 0"))
+@example("OFF\n3 1 0\n0 0\n1 0 0 0\n0 1 0\n3 0 1 2\n")
+@example("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n2 3 0 2 1\n")
+@example(triangle_off(end=""))
+@example(triangle_off(end="\n\n \n\t\n"))
 def test_off_parser_matches_the_original(text):
     # The one intended difference: on text with no line at all the original
     # named line 0, and the parser names line 1.
     expected = parsed(reference.parse_off, text) if text else (1, "line 1: expected OFF header")
     assert parsed(parse_off, text) == expected
+
+
+@pytest.mark.parametrize("kind", meshes.SAMPLE_KINDS)
+def test_written_meshes_are_read_in_blocks(kind, tmp_path, monkeypatch):
+    # With the line reader's tokenizer disabled, a file as ``write_off``
+    # writes it still parses, to what the line reader makes of it.
+    K = meshes.sample(kind, 3)
+    path = tmp_path / "mesh.off"
+    write_off(path, K)
+    text = path.read_text()
+    expected = meshio._parse_lines(text.splitlines())
+
+    def refuse(lines):
+        raise AssertionError("the line reader ran on a well-formed file")
+
+    monkeypatch.setattr(meshio, "_token_lines", refuse)
+    assert parsed(parse_off, text) == repr(expected)
+    assert expected[0] == K.num_vertices and expected[2] == K.faces
 
 
 class TestContactParsing:
