@@ -120,6 +120,7 @@ def build_primal_tree(
     taken = bytearray(complex.num_edges)
     primal = Tree(nv)
     tree_of, attach = primal.tree_of, primal.attach
+    edges, vertex_edges = complex.edges, complex.vertex_edges
     queue: deque[int] = deque()
 
     def absorb(entry: int) -> None:
@@ -155,7 +156,9 @@ def build_primal_tree(
             u = queue.popleft()
             # Circles are taken whole, so every boundary edge leads to a
             # vertex already in the forest.
-            for eid, w in complex.vertex_edges[u]:
+            for eid in vertex_edges[u]:
+                a, b = edges[eid]
+                w = b if a == u else a
                 if tree_of[w] < 0:
                     taken[eid] = 1
                     attach(w, u, eid)

@@ -30,7 +30,7 @@ the class sizes stand.
 Every id is the complex's own.  All coefficients are integers; the same
 representatives serve as a basis over the reals.
 
-Only when asked, ``GeneratorSet.cycles`` builds one relative 1-cycle per
+Only when asked, ``GeneratorSet.cycles`` yields one relative 1-cycle per
 generator, closed through the primal forest, the witness with which
 ``oracle.verify`` certifies a basis over the integers.
 """
@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import warnings
 from functools import cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .cochain import Cochain1
-from .errors import MeshTooLargeForOracle, UnsupportedContactLayout
+from .errors import UnsupportedContactLayout
 from .forest import DualTree, Tree, build_tree_cotree
 from .surface import BoundaryCycle, SurfaceComplex, classify_boundary
 from .transport import is_twisted, transport
@@ -83,16 +83,14 @@ class GeneratorSet(NamedTuple):
     def orientable(self) -> bool:
         return not any(m.twisted_edges for m in self.components)
 
-    def cycles(
-        self, complex: SurfaceComplex, limit: int | None = None
-    ) -> list[dict[int, int]] | None:
-        """One relative 1-cycle per generator, as {edge id: coefficient},
-        component by component and class by class as the generators come:
-        the witness of ``oracle.verify``'s pairing check, read off each
-        component's record in ``components``.  None when there are
-        generators but no primal forest to close them through.  Raises
-        MeshTooLargeForOracle as soon as the cycles built hold more than
-        ``limit`` entries together.
+    def cycles(self, complex: SurfaceComplex) -> Iterator[dict[int, int]]:
+        """Yield one relative 1-cycle per generator, as {edge id:
+        coefficient}, component by component and class by class as the
+        generators come: the witness of ``oracle.verify``'s pairing check,
+        read off each component's record in ``components``.  Raises
+        ValueError when there are generators but no primal forest to close
+        them through.  A caller that caps the work counts the entries as
+        they come, and stops before the rest are built.
 
         Paths run in the primal forest of ``forest.build_primal_tree``,
         whose edges the dual forest does not cross and which are not
@@ -117,19 +115,10 @@ class GeneratorSet(NamedTuple):
         anchor loop, the twisted chain.
         """
         if not self.generators:
-            return []
+            return
         primal = self.primal
         if primal is None:
-            return None
-        out, size = [], 0
-
-        def counted(cycle: dict[int, int]) -> dict[int, int]:
-            nonlocal size
-            size += len(cycle)
-            if limit is not None and size > limit:
-                raise MeshTooLargeForOracle(f"the witness cycles pass {limit} entries")
-            return cycle
-
+            raise ValueError("no primal forest to close the witness cycles through")
         for meta in self.components:
             circles, anchor, runs = meta.circles, meta.anchor_edge, []
             if meta.contact_components:
@@ -149,20 +138,17 @@ class GeneratorSet(NamedTuple):
                 if eid in twisted:
                     for run in runs:
                         _cancel(loop, run, min(run))
-                return counted(loop)
+                return loop
 
-            out += [closed(eid) for eid in meta.candidate_edges if eid != anchor]
+            yield from (closed(eid) for eid in meta.candidate_edges if eid != anchor)
             if circles:
                 contact = set().union(*meta.contact_components)
                 fixed = _insulated_vertex(circles[-1], contact)
-                out += [
-                    counted(_path(complex, primal, _insulated_vertex(cyc, contact), fixed))
-                    for cyc in circles[:-1]
-                ]
-            out += [counted(run) for run in runs[:-1]]
+                for cyc in circles[:-1]:
+                    yield _path(complex, primal, _insulated_vertex(cyc, contact), fixed)
+            yield from runs[:-1]
             if cancels:
-                out.append(closed(anchor))
-        return out
+                yield closed(anchor)
 
 
 def _by_component(complex: SurfaceComplex, dual: DualTree, candidate_edges, partition):
@@ -297,10 +283,11 @@ def holes(complex: SurfaceComplex, cycles: list[BoundaryCycle]) -> list[dict[int
         members = set(cyc.vertices)
         coeffs: dict[int, int] = {}
         for v in cyc.vertices:
-            for eid, w in complex.vertex_edges[v]:
-                if w not in members:
+            for eid in complex.vertex_edges[v]:
+                a, b = complex.edges[eid]
+                if (b if a == v else a) not in members:
                     # Indicator coboundary: +1 when the circle holds the head.
-                    coeffs[eid] = 1 if complex.edges[eid][1] == v else -1
+                    coeffs[eid] = 1 if b == v else -1
         out.append(coeffs)
     return out
 

@@ -1,22 +1,14 @@
 """File formats: OFF meshes, contact-edge lists, JSON reports, VTK overlays.
 
-Report output is byte-deterministic: keys are sorted, edge records are
-sorted, and no timestamps appear anywhere in the body.
+OFF and contact files are read as UTF-8, a byte-order mark allowed.
 
-The report text is defined as ``render_report(report_dict(...))``, that is
-``json.dumps(report, indent=2, sort_keys=True)`` followed by a newline.  The
-CLI does not produce it that way.  CPython's C encoder only runs when
-``indent`` is None, so an indented dump sends every edge record (one per
-support edge of every generator) through the pure-Python encoder, and
-``report_dict`` first builds one dict per support edge that nothing else
-reads.  ``report_text`` writes the same bytes straight from the
-``GeneratorSet``: a generator's edge records are one ``%``-format of the
-record template repeated once per edge, over the flat list of each edge's
-coefficient and two vertices, and each generator record is a fixed frame
-around them, while the small ``meta`` and ``verification`` blocks, built
-by the helper ``report_dict`` also uses, are dumped by ``json`` and
-indented one level further.
-``report_dict`` stays for library callers that want the report as data.
+The report is ``json.dumps(report, indent=2, sort_keys=True)`` plus a
+newline: keys and edge records are sorted and no timestamps appear, so it
+is byte-deterministic.  ``report_text`` writes it from the generator set:
+a generator's edge records are one template repeated once per edge, since
+``json`` sends an indented dump through its pure-Python encoder, and only
+the small ``meta`` and ``verification`` blocks are dumped by ``json``.
+``report_dict`` parses that text, for library callers that want data.
 """
 
 from __future__ import annotations
@@ -151,7 +143,7 @@ def _token_lines(lines):
 
 
 def load_off(path: str | Path) -> SurfaceComplex:
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     nv, coords, faces = parse_off(text)
     return build_complex(nv, faces, coords=coords)
 
@@ -184,7 +176,7 @@ def parse_contacts(text: str, complex: SurfaceComplex) -> set[int]:
 
 
 def load_contacts(path: str | Path, complex: SurfaceComplex) -> set[int]:
-    return parse_contacts(Path(path).read_text(encoding="utf-8"), complex)
+    return parse_contacts(Path(path).read_text(encoding="utf-8-sig"), complex)
 
 
 def _summary(generators: GeneratorSet, verification=None) -> dict:
@@ -219,25 +211,13 @@ def _summary(generators: GeneratorSet, verification=None) -> dict:
 def report_dict(
     complex: SurfaceComplex, generators: GeneratorSet, verification=None
 ) -> dict:
-    """Structured report with one record per generator plus a meta block."""
-    edges = complex.edges
-    gen_records = [
-        {
-            "class": gen.kind,
-            "component_id": gen.component,
-            "edges": [
-                {"v_a": edges[eid][0], "v_b": edges[eid][1], "coefficient": val}
-                for eid, val in sorted(gen.cochain.coeffs.items())
-            ],
-        }
-        for gen in generators.generators
-    ]
-    return {"generators": gen_records, **_summary(generators, verification)}
+    """The report as data: one record per generator plus a meta block."""
+    return json.loads(report_text(complex, generators, verification))
 
 
 def render_report(report: dict) -> str:
-    """The report text of a structured report: the definition that
-    ``report_text`` matches byte for byte."""
+    """The report text of a structured report; the inverse of
+    ``report_dict``."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
@@ -260,8 +240,9 @@ _GENERATOR = (
 def report_text(
     complex: SurfaceComplex, generators: GeneratorSet, verification=None
 ) -> str:
-    """Report text, byte-equal to ``render_report(report_dict(complex,
-    generators, verification))`` (see the module docstring)."""
+    """The report text: one record per generator, its edges by id, plus
+    the meta block and, if given, the verification block (see the module
+    docstring)."""
     edges = complex.edges
     # The pieces are joined once at the end, not concatenated as they come.
     out = ['{\n  "generators": [']

@@ -255,9 +255,10 @@ def verify(
 ) -> VerificationReport:
     """Full validation of a generator set against the oracle, in one order:
     E and the generators' entries are counted, the edge list is checked
-    against the faces (ValueError on a mismatch), the witness cycles of
-    ``generators.cycles`` are built in what ``cap`` leaves, and only then
-    the other tables.  A count past ``cap`` raises MeshTooLargeForOracle.
+    against the faces (ValueError on a mismatch), the witness cycles that
+    ``generators.cycles`` yields are counted into the same budget as they
+    come, and only then the other tables are built.  A count past ``cap``
+    raises MeshTooLargeForOracle as soon as it is seen.
 
     Checks, in order: every contact id is a boundary edge; every generator
     is a relative cocycle; the count matches the Betti number; the witness
@@ -273,7 +274,15 @@ def verify(
             f"the edges and the generators hold {work} entries, past the oracle cap of {cap}"
         )
     inc = _Incidence(complex)
-    cycles = generators.cycles(complex, cap - work)
+    cycles = None  # a set with generators but no primal forest offers none
+    if generators.primal is not None or not generators.generators:
+        # Counted as they come, so a refusal builds none of the rest.
+        cycles, left = [], cap - work
+        for cycle in generators.cycles(complex):
+            left -= len(cycle)
+            if left < 0:
+                raise MeshTooLargeForOracle(f"the witness cycles pass {cap - work} entries")
+            cycles.append(cycle)
     contact = set(partition.contact_edges)
     failures = [f"contact edge {e} is not a boundary edge" for e in sorted(contact - inc.boundary)]
     contact &= inc.boundary

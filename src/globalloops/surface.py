@@ -60,7 +60,7 @@ class SurfaceComplex(NamedTuple):
     twin: list[int]
     edge_half: list[int]
     edge_index: dict[Edge, int]
-    vertex_edges: list[list[tuple[int, int]]]  # per vertex: (edge id, other vertex)
+    vertex_edges: list[list[int]]  # per vertex: its edge ids, ascending
     coords: list[tuple[float, float, float]] | None
     boundary_edge_ids: list[int]
 
@@ -154,15 +154,15 @@ def build_complex(
     twin = [-1] * len(tail)
     half: list[int] = []
     sign = [1 if u < w else -1 for u, w in zip(tail, head)]
-    vertex_edges: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    vertex_edges: list[list[int]] = [[] for _ in range(vertex_count)]
     for h, u, w, x in zip(count(), tail, head, apex):
         key = (u, w) if u < w else (w, u)
         eid = new_edge(key, len(first))
         half.append(eid)
         if eid == len(first):
             first.append(h)
-            vertex_edges[u].append((eid, w))
-            vertex_edges[w].append((eid, u))
+            vertex_edges[u].append(eid)
+            vertex_edges[w].append(eid)
         else:
             g = first[eid]
             # A second face on an edge with the same apex repeats the first.
@@ -219,7 +219,7 @@ def _check_fans(tail, twin, first, vertex_edges):
     before = list(chain.from_iterable(zip(range(2, len(tail), 3), third, range(1, len(tail), 3))))
     after = list(chain.from_iterable(zip(range(1, len(tail), 3), range(2, len(tail), 3), third)))
     for v, local in enumerate(vertex_edges):
-        start = first[local[0][0]]
+        start = first[local[0]]
         h, walked = start, 0
         while True:
             walked += 1

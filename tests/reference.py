@@ -29,8 +29,12 @@ edge ids up by vertex pair; the package reads them off ``half``.
 ``write_vtk`` is the original VTK overlay writer, which builds one row per
 support edge before writing any block.
 
-``report_to_generators`` reads a parsed report back into generators, so a
-test can check that the report loses nothing.
+``report_dict`` is the original report builder, one dict per support edge
+and one meta row per component; ``meshio.report_text`` must be its
+indented JSON dump byte for byte, and the package's ``report_dict``, the
+parse of that text, must equal it.  ``report_to_generators`` reads a
+parsed report back into generators, so a test can check that the report
+loses nothing.
 
 ``sparse_rank`` is the oracle's former elimination, a sparse rank modulo
 a prime (``PRIME`` by default) with Markowitz-style pivoting; the tests
@@ -262,7 +266,9 @@ def build_primal_tree(
         absorb(root, -1, -1)
         while queue:
             u = queue.popleft()
-            for eid, w in complex.vertex_edges[u]:
+            for eid in complex.vertex_edges[u]:
+                a, b = complex.edges[eid]
+                w = b if a == u else a
                 if eid in boundary or tree.tree_of[w] >= 0:
                     continue
                 absorb(w, u, eid)
@@ -324,10 +330,10 @@ def build_complex(
             triple.append((eid, 1 if u < w else -1))
         triples.append(tuple(triple))
 
-    vertex_edges: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    vertex_edges: list[list[int]] = [[] for _ in range(vertex_count)]
     for eid, (a, b) in enumerate(edges):
-        vertex_edges[a].append((eid, b))
-        vertex_edges[b].append((eid, a))
+        vertex_edges[a].append(eid)
+        vertex_edges[b].append(eid)
 
     for v in range(vertex_count):
         if not vertex_edges[v]:
@@ -384,12 +390,12 @@ def _check_vertex_links(faces, edges, edge_face_lists, triples, vertex_edges):
         if face_count_at[v] <= 1:
             continue
         entry = None
-        for eid, _ in local:
+        for eid in local:
             if len(edge_face_lists[eid]) == 1:
                 entry = eid
                 break
         if entry is None:
-            entry = local[0][0]
+            entry = local[0]
         start = edge_face_lists[entry][0]
         cur, in_edge = start, entry
         visited = 1
@@ -504,6 +510,42 @@ def classify_boundary(
         contact_components=components,
         contact_edges=contact,
     )
+
+
+def report_dict(complex, generators, verification=None):
+    """The report as data, built record by record from the generator set."""
+    edges = complex.edges
+    records = [
+        {
+            "class": gen.kind,
+            "component_id": gen.component,
+            "edges": [
+                {"v_a": edges[eid][0], "v_b": edges[eid][1], "coefficient": val}
+                for eid, val in sorted(gen.cochain.coeffs.items())
+            ],
+        }
+        for gen in generators.generators
+    ]
+    rows = [
+        {
+            "component_id": cid,
+            "N_ho": len(meta.circles),
+            "N_co": len(meta.contact_components),
+            "E_M": len(meta.candidate_edges),
+            "E_M_II": len(meta.twisted_edges),
+            "orientable": not meta.twisted_edges,
+            "betti1": sum(gen.component == cid for gen in generators.generators),
+        }
+        for cid, meta in enumerate(generators.components)
+    ]
+    meta = {key: sum(row[key] for row in rows) for key in ("N_ho", "N_co", "E_M", "E_M_II")}
+    meta["components"] = rows
+    meta["orientable"] = all(row["orientable"] for row in rows)
+    meta["betti1"] = len(generators.generators)
+    report = {"generators": records, "meta": meta}
+    if verification is not None:
+        report["verification"] = {**verification._asdict(), "passed": verification.passed}
+    return report
 
 
 def report_to_generators(report, complex):

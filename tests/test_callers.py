@@ -8,6 +8,11 @@ is read anywhere.  Names match by spelling, not by type, so two methods of
 one name share their references.  Dunder methods are called by the
 language and are not checked.
 
+Every parameter with a default there must be passed, by keyword or by
+position, in some call in ``src/`` to a function or method of its name
+(the class name for ``__init__``), or be named in ``ALLOWED_OPTIONS`` with
+a reason: an option no caller sets is code nobody runs.
+
 Every field of a record there (a ``@dataclass`` or a ``NamedTuple``
 subclass), and every attribute that an ``__init__`` there sets on its
 instance, must likewise be read as an attribute somewhere in ``src/``, or
@@ -22,8 +27,16 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "globalloops"
 
 ALLOWED = {
-    "meshio.report_dict": "perfbench's passing tests call it",
-    "meshio.render_report": "perfbench's passing tests call it",
+    "meshio.report_dict": "the report as data for library callers; perfbench's tests read it",
+    "meshio.render_report": "the text of report data for library callers; perfbench's "
+    "tests compare it with the report",
+}
+
+ALLOWED_OPTIONS = {
+    "cli.main.argv": "the console script passes none; tests and embedding callers pass "
+    "their own arguments",
+    "meshio.report_dict.verification": "library callers and perfbench's tests ask for "
+    "the verification block",
 }
 
 ALLOWED_FIELDS = {
@@ -54,13 +67,13 @@ def sources():
 
 
 def definitions(body, owner: str, in_class: bool = False):
-    """(qualified name, is a method) of each def and class in ``body``,
-    nested ones included."""
+    """(qualified name, is a method, node) of each def and class in
+    ``body``, nested ones included."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             name = f"{owner}.{node.name}"
             is_class = isinstance(node, ast.ClassDef)
-            yield name, in_class and not is_class
+            yield name, in_class and not is_class, node
             yield from definitions(node.body, name, is_class)
 
 
@@ -76,7 +89,7 @@ def unreferenced() -> set[str]:
                 if isinstance(node.value, ast.Name):
                     qualified.add(f"{node.value.id}.{node.attr}")
     out = set()
-    for name, is_method in defined:
+    for name, is_method, _ in defined:
         module, short = name.split(".")[0], name.rpartition(".")[2]
         if short.startswith("__") and short.endswith("__"):
             continue
@@ -86,6 +99,45 @@ def unreferenced() -> set[str]:
             used = short in names or f"{module}.{short}" in qualified
         if not used:
             out.add(name)
+    return out
+
+
+def unpassed_options() -> set[str]:
+    """The parameters with a default that no call in ``src/`` passes."""
+    calls = {}  # callee name: (positions passed, keywords passed) per call
+    for _, tree in sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {k.arg for k in node.keywords}  # None for a ** argument
+                calls.setdefault(callee, []).append(
+                    (float("inf") if starred else len(node.args), keywords)
+                )
+    out = set()
+    for path, tree in sources():
+        for name, is_method, node in definitions(tree.body, path.stem):
+            owner, _, short = name.rpartition(".")
+            if isinstance(node, ast.ClassDef) or (short.startswith("__") and short != "__init__"):
+                continue
+            callee = owner.rpartition(".")[2] if short == "__init__" else short
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            # A method's receiver is not among a call's arguments.
+            options = [(arg.arg, i - is_method) for i, arg in enumerate(positional) if i >= first]
+            options += [
+                (arg.arg, None)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+            for option, position in options:
+                if not any(
+                    option in keywords or None in keywords
+                    or position is not None and count > position
+                    for count, keywords in calls.get(callee, ())
+                ):
+                    out.add(f"{name}.{option}")
     return out
 
 
@@ -133,6 +185,10 @@ def test_every_definition_has_a_caller_or_a_reason():
     # Equality, not inclusion: a name that gains a caller or goes leaves
     # the allowlist with it.
     assert unreferenced() == set(ALLOWED)
+
+
+def test_every_option_has_a_caller_or_a_reason():
+    assert unpassed_options() == set(ALLOWED_OPTIONS)
 
 
 def test_every_dataclass_field_has_a_reader_or_a_reason():

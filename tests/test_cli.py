@@ -14,7 +14,7 @@ import globalloops
 from globalloops import cli, errors, generators, meshio, oracle
 from globalloops.cli import main
 from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
-from globalloops.meshio import render_report, report_dict
+from globalloops.meshio import render_report
 from globalloops.oracle import verify
 from globalloops.surface import classify_boundary
 from meshes import write_off
@@ -155,7 +155,7 @@ class TestCompute:
         with pytest.warns(UserWarning):
             gens = generators.compute_generators(K, {port})
             partition = classify_boundary(K, {port})
-        expected = render_report(report_dict(K, gens, verify(K, partition, gens)))
+        expected = render_report(reference.report_dict(K, gens, verify(K, partition, gens)))
         assert out.read_text() == expected
 
     def test_missing_file_is_exit_one(self, tmp_path, capsys):
@@ -253,7 +253,7 @@ class TestCompute:
         contacts.write_text("".join(f"{K.edges[e][0]} {K.edges[e][1]}\n" for e in sorted(arc)))
         argv = ["compute", str(mesh), "--contacts", str(contacts), "--out", str(tmp_path / "r.json")]
 
-        def refused(self, complex, limit=None):
+        def refused(self, complex):
             raise AssertionError("cycle builder called")
 
         monkeypatch.setattr(generators.GeneratorSet, "cycles", refused)
@@ -330,6 +330,29 @@ class TestCompute:
         assert main(["compute", str(mesh), "--contacts", str(bad)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
+
+    def test_mesh_with_a_byte_order_mark(self, tmp_path, capsys):
+        plain = write_annulus(tmp_path)
+        marked = tmp_path / "marked.off"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["compute", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["compute", str(marked)]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_contacts_with_a_byte_order_mark(self, tmp_path, capsys):
+        K = meshes.annulus(6)
+        mesh = write_annulus(tmp_path)
+        arc = sorted(meshes.boundary_arc(K, 0, 3))
+        pairs = "".join(f"{K.edges[e][0]} {K.edges[e][1]}\n" for e in arc)
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(pairs, encoding="utf-8")
+        marked.write_text(pairs, encoding="utf-8-sig")
+        assert main(["compute", str(mesh), "--contacts", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert '"N_co": 1' in expected
+        assert main(["compute", str(mesh), "--contacts", str(marked)]) == 0
+        assert capsys.readouterr() == (expected, "")
 
     @pytest.mark.parametrize("flag", ["--out", "--vtk"])
     def test_output_into_missing_directory_is_exit_one(self, tmp_path, capsys, flag):

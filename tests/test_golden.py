@@ -4,11 +4,11 @@ anchor edges, so a change that claims "same bytes" proves it here.
 The digest covers the report text exactly as ``global-loops compute``
 writes it with ``meshio.report_text``, with the ``--verify`` block wherever
 the mesh has at most ``VERIFY_MAX_EDGES`` edges, followed by each
-component's anchor edge; a second test holds that text to its definition,
-``json.dumps(report_dict(...), indent=2, sort_keys=True)``, and a third
-checks the whole table again in a ``python -O`` subprocess, where ``assert``
-statements are stripped.  A change that
-alters output on purpose regenerates the table with
+component's anchor edge; a second test holds that text to the indented
+JSON dump of the report that ``reference.report_dict`` builds record by
+record, apart from the writer, and a third checks the whole table again
+in a ``python -O`` subprocess, where ``assert`` statements are stripped.
+A change that alters output on purpose regenerates the table with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import meshes
+import reference
 import globalloops
 from globalloops import meshio
 from globalloops.generators import compute_generators
@@ -186,7 +187,7 @@ def test_digest_unchanged(name):
 def test_cli_text_is_the_indented_json(name):
     complex, contact_edges = corpus()[name]()
     gens, verification = outputs(complex, contact_edges)
-    report = meshio.report_dict(complex, gens, verification)
+    report = reference.report_dict(complex, gens, verification)
     expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
     text = meshio.report_text(complex, gens, verification)
     if text != expected:

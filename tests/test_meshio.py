@@ -477,15 +477,16 @@ class TestRenderBytes:
     @example(GeneratorSet(), None)
     @example(SHARED_EDGE, FAILED)
     def test_equals_indented_json(self, generators, verification):
-        expected = reference_render(report_dict(SMALL, generators, verification))
-        assert report_text(SMALL, generators, verification) == expected
+        report = reference.report_dict(SMALL, generators, verification)
+        assert report_text(SMALL, generators, verification) == reference_render(report)
+        assert report_dict(SMALL, generators, verification) == report
 
     def test_cli_report_on_every_class_with_arcs(self, tmp_path):
         K, contact, argv, out = mixed_surface_files(tmp_path)
         assert main([*argv, "--verify"]) == 0
 
         gens = compute_generators(K, contact)
-        report = report_dict(K, gens, verify(K, classify_boundary(K, contact), gens))
+        report = reference.report_dict(K, gens, verify(K, classify_boundary(K, contact), gens))
         assert len(report["meta"]["components"]) == 5
         assert out.read_text() == reference_render(report)
 

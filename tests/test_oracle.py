@@ -445,8 +445,8 @@ class MixedCycles(GeneratorSet):
     """Cycles 0 and 1 replaced by their sum and difference: on an identity
     pairing that block has determinant -2 and neither row peels."""
 
-    def cycles(self, complex, limit=None):
-        out = super().cycles(complex, limit)
+    def cycles(self, complex):
+        out = list(super().cycles(complex))
         first, second = {**out[0]}, {**out[0]}
         for k, v in out[1].items():
             first[k] = first.get(k, 0) + v
@@ -506,8 +506,8 @@ def cycle_zero(change):
     last edge's first face."""
 
     class Planted(GeneratorSet):
-        def cycles(self, complex, limit=None):
-            out = super().cycles(complex, limit)
+        def cycles(self, complex):
+            out = list(super().cycles(complex))
             pad = dict(face_edges(complex)[edge_faces(complex)[-1][0]])
             return [change(complex, out[0], pad)] + out[1:]
 
@@ -591,18 +591,29 @@ class TestVerify:
                 verify(K, bp, gens, cap=edges_and_support)
 
     def test_cycles_stop_at_their_limit(self, monkeypatch):
-        # The witness cycles are counted as they are built, so a refusal
-        # comes before the rest of them take memory.
+        # verify counts the witness cycles as they are built, so a refusal
+        # comes before the rest of them take memory: with room for the
+        # first of the four loops, the second is built and refused.
         K = meshes.genus2()
-        gens = compute_generators(K)
-        full = gens.cycles(K)
+        gens, bp = compute_generators(K), classify_boundary(K, set())
+        full = list(gens.cycles(K))
         assert len(full) == 4
-        assert gens.cycles(K, sum(len(z) for z in full)) == full
+        work = K.num_edges + sum(len(g.cochain.coeffs) for g in gens.generators)
         built, loop = [], generators._loop
         monkeypatch.setattr(generators, "_loop", lambda *args: built.append(1) or loop(*args))
         with pytest.raises(MeshTooLargeForOracle, match=f"pass {len(full[0])} entries"):
-            gens.cycles(K, len(full[0]))
+            verify(K, bp, gens, cap=work + len(full[0]))
         assert len(built) == 2
+        built.clear()
+        assert verify(K, bp, gens, cap=work + sum(map(len, full))).passed
+        assert len(built) == 4
+
+    def test_cycles_without_a_primal_forest_raise_a_named_error(self):
+        K = meshes.genus2()
+        gens = compute_generators(K)._replace(primal=None)
+        with pytest.raises(ValueError, match="no primal forest"):
+            next(gens.cycles(K))
+        assert list(GeneratorSet().cycles(K)) == []
 
     def test_the_cycles_are_refused_before_the_tables(self, monkeypatch):
         # The witness cycles come right after the edge list is checked, so a
