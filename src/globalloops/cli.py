@@ -1,18 +1,31 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 file, parse or usage error (a file that cannot
-be read or written, or is not UTF-8; a negative --oracle-cap; bench
-options that leave the growth fit fewer than two levels, a negative
+``main()`` with no arguments is what the ``global-loops`` console script
+and ``python -m globalloops.cli`` run, and it owns the process: it reads
+``sys.argv``, freezes everything loaded so far into the collector's
+permanent generation and runs the command with the cyclic collector off.
+The commands leave no reference cycles to free but a few dozen objects of
+the JSON encoder, whatever the mesh, so the collector would only traverse
+the start-up heap, in each young collection and again in the sweep at
+exit.  ``main(argv)`` runs one command inside its caller's process
+and leaves the collector as it found it.
+
+Exit codes: 0 success (and ``--help``), 1 usage, file or parse error (an
+unknown command, a missing argument or one that does not parse; a file
+that cannot be read or written, or is not UTF-8; a negative --oracle-cap;
+bench options that leave the growth fit fewer than two levels, a negative
 --fit-from, a --repeats below 1, or a bench mesh with no edges), 2
 topology error, 3 verification failure (including an oracle refusal under
 --verify), 4 internal error (a violated invariant of the computation, not
 bad input).  ``main`` maps each failure
-to its code and one ``error:`` line on stderr.
+to its code and its lines on stderr: one ``error:`` or ``internal error:``
+line, or one ``verification failure:`` line per failed check.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from contextlib import contextmanager
 
@@ -32,8 +45,17 @@ from .surface import boundary_components, classify_boundary, euler_characteristi
 from .transport import is_twisted
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` where argparse would print the usage and exit
+    2, the topology error's code; its subcommands' parsers are of this
+    class too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="global-loops",
         description=(
             "Compute a basis of relative cohomology generators (global loops) "
@@ -177,9 +199,15 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command that ``argv`` names (``sys.argv[1:]`` when None)
+    and return its exit code; without ``argv`` it owns the process and
+    leaves the collector frozen and off (see the module docstring)."""
+    if argv is None:
+        gc.freeze()
+        gc.disable()
     # The one place where a failure becomes an exit code and a stderr line.
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "compute":
             return cmd_compute(args)
         if args.command == "info":

@@ -1,5 +1,6 @@
 """Command line behavior and exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ from globalloops.cli import main
 from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
 from globalloops.meshio import render_report
 from globalloops.oracle import verify
-from globalloops.surface import classify_boundary
+from globalloops.refine import refine
+from globalloops.surface import build_complex, classify_boundary
 from meshes import write_off
 from test_golden import corpus
 from test_oracle import every_test_mesh
@@ -422,6 +424,25 @@ class TestBench:
         assert err == ["error: the growth fit needs a mesh with at least one edge"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mesh.off"], "argument command: invalid choice: 'mesh.off'"),
+        (["compute"], "the following arguments are required: mesh"),
+        (
+            ["compute", "mesh.off", "--oracle-cap", "abc"],
+            "argument --oracle-cap: invalid int value: 'abc'",
+        ),
+    ],
+)
+def test_usage_error_is_exit_one(capsys, argv, message):
+    # argparse's own exit 2 and usage text would read as a topology error.
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+
+
 def test_cli_import_leaves_bench_unloaded():
     # `compute` and `info` pay no import of the refinement bench.
     env = dict(os.environ, PYTHONPATH=str(Path(globalloops.__file__).parents[1]))
@@ -521,3 +542,100 @@ class TestLazyOracle:
             main(["compute", "--help"])
         assert done.value.code == 0
         assert "(default 2000000)" in " ".join(capsys.readouterr().out.split())
+
+
+def run_as_console_script(argv):
+    """Run ``main()`` in a fresh interpreter whose ``sys.argv`` carries
+    ``argv``: (exit code, stdout lines), the last line being the collector's
+    ``isenabled()`` and whether anything is frozen, after ``main`` returned."""
+    probe = (
+        "import gc, sys\n"
+        "from globalloops.cli import main\n"
+        f"sys.argv = ['global-loops', *{argv!r}]\n"
+        "code = main()\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(globalloops.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300
+    )
+    return run.returncode, run.stdout.splitlines()
+
+
+def cyclic_garbage(K, contacts):
+    """Objects ``gc.collect()`` finds unreachable after each step of the
+    pipeline, run with the collector off."""
+    counts = {}
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        K = build_complex(K.num_vertices, K.faces, coords=K.coords)
+        counts["build_complex"] = gc.collect()
+        gens = generators.compute_generators(K, contacts)
+        counts["compute_generators"] = gc.collect()
+        result = verify(K, classify_boundary(K, contacts), gens)
+        assert result.passed
+        counts["verify"] = gc.collect()
+        meshio.report_text(K, gens, result)
+        counts["report_text"] = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    return counts
+
+
+class TestCollector:
+    """``main()`` owns its process: the collector stays frozen and off, on
+    the premise that the commands leave no cyclic garbage.  ``main(argv)``
+    leaves its caller's collector as it found it."""
+
+    def test_the_pipeline_leaves_no_cyclic_garbage(self):
+        # The report writer's count is the json encoder's own and must not
+        # grow with the mesh.
+        K, contacts = corpus()["disjoint_union+arcs"]()
+        fine = refine(refine(K))
+        fine_contacts = set().union(*(meshes.boundary_arc(fine, c, 4) for c in range(3)))
+        small, large = cyclic_garbage(K, contacts), cyclic_garbage(fine, fine_contacts)
+        for counts in (small, large):
+            assert counts == {
+                "build_complex": 0,
+                "compute_generators": 0,
+                "verify": 0,
+                "report_text": small["report_text"],
+            }
+
+    def test_console_script_turns_the_collector_off(self, tmp_path):
+        K, contacts = corpus()["disjoint_union+arcs"]()
+        mesh, arcs = tmp_path / "union.off", tmp_path / "arcs.txt"
+        write_off(mesh, K)
+        arcs.write_text("".join("%d %d\n" % K.edges[e] for e in sorted(contacts)))
+        argv = ["compute", str(mesh), "--contacts", str(arcs), "--verify", "--out"]
+        code, out = run_as_console_script([*argv, str(tmp_path / "child.json")])
+        assert (code, out) == (0, ["False True"])
+        assert main([*argv, str(tmp_path / "in_process.json")]) == 0
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
+
+    def test_bench_runs_with_the_collector_off(self, tmp_path):
+        mesh = write_annulus(tmp_path)
+        code, out = run_as_console_script(["bench", str(mesh), "--levels", "1", "--repeats", "1"])
+        assert code == 0
+        assert "fitted exponent" in "\n".join(out)
+        assert out[-1] == "False True"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_with_argv_leaves_the_collector_alone(self, tmp_path, capsys, enabled):
+        mesh = str(write_annulus(tmp_path))
+        frozen, was_enabled = gc.get_freeze_count(), gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in [
+                (["compute", mesh], 0),
+                (["info", mesh], 0),
+                (["compute", str(tmp_path / "missing.off")], 1),
+            ]:
+                assert main(argv) == code
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
