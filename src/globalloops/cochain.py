@@ -1,8 +1,9 @@
 """Sparse integer edge cochains, the form every generator takes.
 
-``Cochain1`` wraps a dict mapping edge id to an integer coefficient and
-drops stored zeros.  Whether a cochain is a relative cocycle is checked in
-one place only: ``oracle.verify``, on the oracle's own incidence.
+``Cochain1`` wraps a dict mapping edge id to an integer coefficient,
+without copying it unless it holds a zero to drop.  Whether a cochain is a
+relative cocycle is checked in one place only: ``oracle.verify``, on the
+oracle's own incidence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ class Cochain1:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs = {k: v for k, v in coeffs.items() if v} if coeffs else {}
+        if coeffs is None:
+            coeffs = {}
+        elif 0 in coeffs.values():
+            coeffs = {k: v for k, v in coeffs.items() if v}
+        self.coeffs = coeffs
 
     def __repr__(self) -> str:
         return f"Cochain1({dict(sorted(self.coeffs.items()))!r})"

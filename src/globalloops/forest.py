@@ -174,7 +174,8 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> DualTree:
     and ``tau`` are set when it is attached (see the module docstring).
     """
     tree = DualTree(complex.num_faces)
-    sigma, tau, tree_of, attach = tree.sigma, tree.tau, tree.tree_of, tree.attach
+    sigma, tau, tree_of = tree.sigma, tree.tau, tree.tree_of
+    parent, parent_edge, depth = tree.parent, tree.parent_edge, tree.depth
     half, sign, twin = complex.half, complex.sign, complex.twin
     queue: deque[int] = deque()
     for root in range(complex.num_faces):
@@ -198,8 +199,10 @@ def build_dual_tree(complex: SurfaceComplex, taken: bytearray) -> DualTree:
                     continue
                 w = t // 3
                 if tree_of[w] < 0:
+                    # Tree.attach, written out.
                     taken[half[h]] = 1
-                    attach(w, u, half[h])
+                    parent[w], parent_edge[w] = u, half[h]
+                    depth[w], tree_of[w] = depth[u] + 1, tree_of[u]
                     # sigma(w) inc(w, e) = -sigma(u) inc(u, e) on a tree edge.
                     tau[w] = -sigma[u] * sign[h]
                     sigma[w] = tau[w] * sign[t]

@@ -248,17 +248,17 @@ def report_text(
     out = ['{\n  "generators": [']
     separator = "\n"
     for gen in generators.generators:
-        items = sorted(gen.cochain.coeffs.items())
+        coeffs = gen.cochain.coeffs
         values = []
-        for eid, val in items:
-            values.append(val)
+        for eid in sorted(coeffs):
+            values.append(coeffs[eid])
             values += edges[eid]
-        rows = ",\n".join([_EDGE] * len(items)) % tuple(values)
+        rows = ",\n".join([_EDGE] * len(coeffs)) % tuple(values)
         out.append(separator)
         out.append(_GENERATOR % (
             json.dumps(gen.kind),
             gen.component,
-            f"[\n{rows}\n      ]" if items else "[]",
+            f"[\n{rows}\n      ]" if coeffs else "[]",
         ))
         separator = ",\n"
     out.append("\n  ]" if generators.generators else "]")

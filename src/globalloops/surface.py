@@ -251,13 +251,17 @@ def boundary_components(complex: SurfaceComplex) -> list[BoundaryCycle]:
     # edge1 is -1 off the boundary and once the vertex is walked.
     n = complex.num_vertices
     edge1, end1, edge2, end2 = [-1] * n, [-1] * n, [-1] * n, [-1] * n
+    edges = complex.edges
     for eid in complex.boundary_edge_ids:
-        a, b = complex.edges[eid]
-        for u, w in ((a, b), (b, a)):
-            if edge1[u] < 0:
-                edge1[u], end1[u] = eid, w
-            else:
-                edge2[u], end2[u] = eid, w
+        a, b = edges[eid]
+        if edge1[a] < 0:
+            edge1[a], end1[a] = eid, b
+        else:
+            edge2[a], end2[a] = eid, b
+        if edge1[b] < 0:
+            edge1[b], end1[b] = eid, a
+        else:
+            edge2[b], end2[b] = eid, a
 
     cycles: list[BoundaryCycle] = []
     for start in range(n):
@@ -296,26 +300,27 @@ def classify_boundary(
     ``compute_generators`` warns of a one-edge component.
     """
     contact = set(contact_edges)
+    edges, edge_half, twin = complex.edges, complex.edge_half, complex.twin
     for eid in sorted(contact):
-        if eid < 0 or eid >= complex.num_edges:
+        if eid < 0 or eid >= len(edges):
             raise NotABoundaryEdge(f"edge id {eid} is not an edge of the mesh")
-        if not complex.is_boundary_edge(eid):
+        if twin[edge_half[eid]] >= 0:
             raise NotABoundaryEdge(
-                f"edge {complex.edges[eid]} (id {eid}) is not a boundary edge"
+                f"edge {edges[eid]} (id {eid}) is not a boundary edge"
             )
 
     holes = boundary_components(complex)
 
     components: list[list[int]] = []
     for cyc in holes:
-        edges = cyc.edges
+        ring = cyc.edges
         # Start just past an insulated edge so that no run wraps around.
-        start = next((i + 1 for i, eid in enumerate(edges) if eid not in contact), 0)
-        rotated = edges[start:] + edges[:start]
+        start = next((i + 1 for i, eid in enumerate(ring) if eid not in contact), 0)
+        rotated = ring[start:] + ring[:start]
         for in_contact, run in groupby(rotated, contact.__contains__):
             if in_contact:
                 components.append(sorted(run))
-    components.sort(key=lambda comp: min(complex.edges[e][0] for e in comp))
+    components.sort(key=lambda comp: min([edges[e][0] for e in comp]))
     return BoundaryPartition(
         hole_components=holes,
         contact_components=components,

@@ -313,7 +313,9 @@ def scrambled(seed):
     parts = [
         wl.annulus(3 + seed % 5, 2 + seed % 3),
         wl.moebius(3 + seed % 4),
-        wl.pants(4 + seed % 3, 3),
+        # Four rings: with fewer the removed quad touches the outer ring,
+        # which leaves two circles, not the three the pants declares.
+        wl.pants(4 + seed % 3, 4),
         wl.klein_minus_strip(5, 4),
     ]
     s = wl.scramble(wl.union(parts), random.Random(seed))
@@ -457,12 +459,16 @@ def _mixed():
     return mixed_surface()[0]
 
 
-SAMPLE_KINDS = ("random_annulus", "random_disk", "union", "scrambled", "mixed_surface")
+SAMPLE_KINDS = (
+    "random_annulus", "random_disk", "union", "scrambled", "random_gluing", "mixed_surface",
+)
 
 
 def sample(kind, seed):
     """One seeded mesh of a family in SAMPLE_KINDS, for property tests;
-    ``mixed_surface`` ignores the seed and is built once."""
+    ``mixed_surface`` ignores the seed and is built once.  A
+    ``random_gluing`` sample glues 4, 6 or 8 triangles, orientably or not,
+    and cuts up to two holes."""
     if kind == "random_annulus":
         return random_annulus(seed)
     if kind == "random_disk":
@@ -471,4 +477,7 @@ def sample(kind, seed):
         return disjoint_union(random_annulus(seed), moebius(6), random_disk(seed + 1))
     if kind == "scrambled":
         return scrambled(seed)
+    if kind == "random_gluing":
+        s = random_gluing(4 + 2 * (seed // 3 % 3), seed, seed % 2 == 0, holes=seed % 3)
+        return build_complex(s.num_vertices, s.faces)
     return _mixed()

@@ -30,6 +30,13 @@ class TestCochainArithmetic:
     def test_normalization_drops_zeros(self):
         assert Cochain1({0: 0, 1: 2}).coeffs == {1: 2}
 
+    @given(sparse_ints(24))
+    def test_a_zero_free_dict_is_kept_not_copied(self, coeffs):
+        if 0 in coeffs.values():
+            assert Cochain1(coeffs).coeffs == {k: v for k, v in coeffs.items() if v}
+        else:
+            assert Cochain1(coeffs).coeffs is coeffs
+
     @given(sparse_ints(24), sparse_ints(24))
     def test_pairing_is_bilinear_in_the_chain(self, a, b):
         g = Cochain1(a)

@@ -334,6 +334,24 @@ def test_primal_forest_matches_the_circle_search(K):
         assert getattr(primal, field) == getattr(tree, field), field
 
 
+@settings(deadline=None, max_examples=100)
+@given(samples)
+def test_dual_forest_fields_agree_across_each_tree_edge(K):
+    # The dual search writes parent, parent_edge, depth and tree_of itself.
+    # Each root heads its own tree at depth 0; each other face hangs one
+    # deeper than its parent, in its tree, across an edge of both faces.
+    dual, _ = decompose(K)
+    parent, parent_edge, depth, tree_of = dual.parent, dual.parent_edge, dual.depth, dual.tree_of
+    for k, root in enumerate(dual.roots):
+        assert (parent[root], parent_edge[root], depth[root], tree_of[root]) == (-1, -1, 0, k)
+    for w in set(range(K.num_faces)) - set(dual.roots):
+        u = parent[w]
+        assert u >= 0
+        assert depth[w] == depth[u] + 1
+        assert tree_of[w] == tree_of[u]
+        assert set(K.edges[parent_edge[w]]) <= set(K.faces[w]) & set(K.faces[u])
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12])
 def test_circle_leftover_is_the_middle_edge(n):
     # The rim of disk(n) is traversed 1, 2, ..., n: a search from vertex 1

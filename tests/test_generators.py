@@ -241,6 +241,27 @@ class TestAssembly:
             report = verify(K, bp, gens)
             assert report.passed, f"{name}: {report.failures}"
 
+    @pytest.mark.filterwarnings("ignore:contact component")
+    @pytest.mark.parametrize("kind", meshes.SAMPLE_KINDS)
+    def test_each_generator_is_its_own_zero_free_dict(self, kind):
+        # Cochain1 keeps the dict it is handed, so no two generators may
+        # share one, and none may hold a zero.
+        for seed in range(3 if kind != "mixed_surface" else 1):
+            K = meshes.sample(kind, seed)
+            contact = meshes.random_contact_arc(K, seed) if K.boundary_edge_ids else set()
+            coeffs = [g.cochain.coeffs for g in compute_generators(K, contact).generators]
+            assert not any(0 in c.values() for c in coeffs), (kind, seed)
+            assert len(set(map(id, coeffs))) == len(coeffs), (kind, seed)
+
+    def test_scrambled_unions_hold_pants(self):
+        # A component with three circles and so two hole generators, which
+        # walks the boundary of a pants relabelled at random.
+        for seed in range(3):
+            gens = compute_generators(meshes.sample("scrambled", seed))
+            holes = [sum(g.kind == "ho" and g.component == c for g in gens.generators)
+                     for c in range(len(gens.components))]
+            assert 2 in holes, seed
+
     def test_disjoint_union_reindexes(self):
         torus = meshes.csaszar_torus()
         annulus = meshes.annulus(6)

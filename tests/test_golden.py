@@ -183,6 +183,14 @@ def test_digest_unchanged(name):
 
 
 @pytest.mark.filterwarnings("ignore:contact component")
+def test_no_generator_holds_a_zero():
+    # Cochain1 copies a generator's dict only to drop a zero; none is left.
+    for name, factory in sorted(corpus().items()):
+        gens = compute_generators(*factory())
+        assert not any(0 in g.cochain.coeffs.values() for g in gens.generators), name
+
+
+@pytest.mark.filterwarnings("ignore:contact component")
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_cli_text_is_the_indented_json(name):
     complex, contact_edges = corpus()[name]()
