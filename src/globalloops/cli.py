@@ -12,10 +12,8 @@ and leaves the collector as it found it.
 
 Exit codes: 0 success (and ``--help``), 1 usage, file or parse error (an
 unknown command, a missing argument or one that does not parse; a file
-that cannot be read or written, or is not UTF-8; a negative --oracle-cap;
-bench options that leave the growth fit fewer than two levels, a negative
---fit-from, a --repeats below 1, or a bench mesh with no edges), 2
-topology error, 3 verification failure (including an oracle refusal under
+that cannot be read or written, or is not UTF-8; a negative --oracle-cap),
+2 topology error, 3 verification failure (including an oracle refusal under
 --verify), 4 internal error (a violated invariant of the computation, not
 bad input).  ``main`` maps each failure
 to its code and its lines on stderr: one ``error:`` or ``internal error:``
@@ -85,24 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("info", help="print mesh summary")
     p_info.add_argument("mesh", help="OFF mesh file")
 
-    p_bench = sub.add_parser(
-        "bench", help="time the pipeline over a 1-to-4 refinement family"
-    )
-    p_bench.add_argument("mesh", help="OFF base mesh file")
-    p_bench.add_argument("--levels", type=int, default=4, help="refinement levels")
-    p_bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing rounds over all levels (best time per level kept)",
-    )
-    p_bench.add_argument(
-        "--fit-from",
-        type=int,
-        default=0,
-        help="first level of the growth fit, which needs at least two levels "
-        "up to --levels (exit 1 otherwise)",
-    )
     return parser
 
 
@@ -175,29 +155,6 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from . import bench  # only this command needs refinement and its timers
-
-    if args.repeats < 1:
-        raise UsageError(f"--repeats {args.repeats} leaves no timing round; give at least 1")
-    if args.fit_from < 0:
-        raise UsageError(f"--fit-from {args.fit_from} is not a level; levels start at 0")
-    fitted = args.levels + 1 - args.fit_from
-    if fitted < 2:
-        raise UsageError(
-            f"the growth fit needs at least two levels; --levels {args.levels} "
-            f"--fit-from {args.fit_from} leaves {max(fitted, 0)}"
-        )
-    complex = _load_mesh(args.mesh)
-    if not complex.num_edges:
-        raise UsageError("the growth fit needs a mesh with at least one edge")
-    levels = bench.run_refinement_bench(
-        complex, levels=args.levels, repeats=args.repeats
-    )
-    print(bench.format_table(levels, fit_from=args.fit_from))
-    return 0
-
-
 def main(argv=None) -> int:
     """Run the command that ``argv`` names (``sys.argv[1:]`` when None)
     and return its exit code; without ``argv`` it owns the process and
@@ -210,9 +167,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "compute":
             return cmd_compute(args)
-        if args.command == "info":
-            return cmd_info(args)
-        return cmd_bench(args)
+        return cmd_info(args)
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

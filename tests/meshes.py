@@ -1,17 +1,20 @@
-"""Concrete test meshes used throughout the suite.
+"""Concrete test meshes used throughout the suite, the 1-to-4 refinement,
+and the refinement-family timer and growth fit of ``test_linear_scaling``.
 
 All builders are deterministic; the random ones take an explicit seed.
 Coordinates are attached only where a test needs export (OFF or VTK).
 """
 
 import functools
+import gc
 import importlib.util
 import math
 import random
 import sys
+import time
 from pathlib import Path
 
-from globalloops import build_complex
+from globalloops import build_complex, compute_generators
 from reference import edge_faces
 
 
@@ -196,6 +199,86 @@ def write_off(path, complex):
     for a, b, c in complex.faces:
         lines.append(f"3 {a} {b} {c}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def refine(complex):
+    """Split every triangle into four; midpoints get ids after the old
+    vertices, in edge-id order, so refinement is deterministic."""
+    base = complex.num_vertices
+
+    coords = None
+    if complex.coords is not None:
+        coords = list(complex.coords)
+        for a, b in complex.edges:
+            xa, ya, za = complex.coords[a]
+            xb, yb, zb = complex.coords[b]
+            coords.append(((xa + xb) / 2.0, (ya + yb) / 2.0, (za + zb) / 2.0))
+
+    faces = []
+    # Half-edges 3f, 3f + 1 and 3f + 2 are the sides ab, bc and ca of face f;
+    # mid holds the midpoint of each one's edge.
+    mid = [base + eid for eid in complex.half]
+    for (a, b, c), mab, mbc, mca in zip(complex.faces, mid[0::3], mid[1::3], mid[2::3]):
+        faces.extend(
+            [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+        )
+    return build_complex(base + complex.num_edges, faces, coords=coords)
+
+
+def _time_pipeline(complex):
+    """Wall time of one rebuild of ``complex`` plus ``compute_generators``.
+
+    The collector is paused during the timed region so allocation bursts do
+    not distort the growth fit.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        rebuilt = build_complex(
+            complex.num_vertices, complex.faces, coords=complex.coords
+        )
+        compute_generators(rebuilt, frozenset())
+        seconds = time.perf_counter() - t0
+        gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    return seconds
+
+
+def refinement_timings(base, levels, repeats):
+    """(edges, faces, seconds) of ``base`` and of ``levels`` successive
+    refinements of it, seconds being the best ``_time_pipeline`` of each.
+
+    Each of the ``repeats`` rounds times every level once.  A slow spell of
+    a shared machine outlasts one timing, so timing a level's repeats back
+    to back lets one spell slow them all and tilt the growth fit; spread
+    over rounds, it costs each level at most the rounds it overlaps.
+    """
+    family = [base]
+    for _ in range(levels):
+        family.append(refine(family[-1]))
+    best = [math.inf] * len(family)
+    for _ in range(repeats):
+        for level, K in enumerate(family):
+            best[level] = min(best[level], _time_pipeline(K))
+    return [(K.num_edges, K.num_faces, seconds) for K, seconds in zip(family, best)]
+
+
+def fit_exponent(points):
+    """Least-squares slope of log(time) against log(edge count) over
+    (edges, seconds) points."""
+    if len(points) < 2:
+        raise ValueError("need at least two points to fit a growth exponent")
+    xs = [math.log(edges) for edges, _ in points]
+    ys = [math.log(seconds) for _, seconds in points]
+    n = len(points)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return sxy / sxx
 
 
 def boundary_arc(complex, circle_index, length, start=0):

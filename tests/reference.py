@@ -25,7 +25,7 @@ two former shapes, for tests that read a face's edges or an edge's faces.
 line through a closure.
 
 ``refine`` is the original 1-to-4 refinement, which looks each face's
-edge ids up by vertex pair; the package reads them off ``half``.
+edge ids up by vertex pair; ``meshes.refine`` reads them off ``half``.
 ``write_vtk`` is the original VTK overlay writer, which builds one row per
 support edge before writing any block.
 

@@ -12,7 +12,6 @@ from globalloops.forest import build_tree_cotree
 from globalloops.generators import compute_generators
 from globalloops.oracle import verify
 from globalloops.surface import boundary_components, classify_boundary
-from globalloops.bench import fit_exponent, run_refinement_bench
 from globalloops.cli import main as cli_main
 from meshes import write_off
 from reference import closed_d2, evaluate, is_orientable, of_kind, sparse_rank
@@ -168,13 +167,12 @@ def test_randomized_robustness():
 
 @criterion("linear-scaling")
 def test_linear_scaling():
-    levels = run_refinement_bench(meshes.annulus(8), levels=5, repeats=5)
-    fitted = fit_exponent(
-        [(l.num_edges, l.seconds) for l in levels if l.level >= 2]
-    )
+    levels = meshes.refinement_timings(meshes.annulus(8), levels=5, repeats=5)
+    fitted = meshes.fit_exponent([(edges, seconds) for edges, _, seconds in levels[2:]])
     assert fitted <= 1.2, f"fitted growth exponent {fitted:.3f}"
-    assert levels[-1].num_edges > 20000
-    assert levels[-1].seconds < 5.0
+    edges, _, seconds = levels[-1]
+    assert edges > 20000
+    assert seconds < 5.0
 
 
 @criterion("byte-identical-reports")

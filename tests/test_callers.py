@@ -18,6 +18,10 @@ subclass), and every attribute that an ``__init__`` there sets on its
 instance, must likewise be read as an attribute somewhere in ``src/``, or
 be named in ``ALLOWED_FIELDS`` with a reason: a field that is only written
 is a copy nobody needs.
+
+Every module there but the entry points, ``__init__`` and ``cli``, must be
+imported by another of its modules, at module level or inside a function:
+a module nothing imports is code nobody runs.
 """
 
 import ast
@@ -60,6 +64,8 @@ ALLOWED_FIELDS = {
         for name in ("OffParseError", "ContactSpecError")
     },
 }
+
+ENTRY_POINTS = {"__init__", "cli"}
 
 
 def sources():
@@ -181,6 +187,25 @@ def unread_fields() -> set[str]:
             elif isinstance(node, ast.ClassDef):
                 fields += [f"{path.stem}.{node.name}.{name}" for name in field_names(node)]
     return {name for name in fields if name.rpartition(".")[2] not in read}
+
+
+def imported_modules() -> set[str]:
+    """The modules of the package that another of its modules imports, at
+    module level or inside a function; the package imports itself by
+    relative imports only."""
+    found = set()
+    for path, tree in sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # ``from .x import a`` imports x, ``from . import x, y`` x and y.
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                found.update(set(names) - {path.stem})
+    return found
+
+
+def test_every_module_is_imported_by_another():
+    modules = {path.stem for path, _ in sources()}
+    assert modules - imported_modules() - ENTRY_POINTS == set()
 
 
 def test_every_definition_has_a_caller_or_a_reason():

@@ -17,9 +17,8 @@ from globalloops.cli import main
 from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
 from globalloops.meshio import render_report
 from globalloops.oracle import verify
-from globalloops.refine import refine
 from globalloops.surface import build_complex, classify_boundary
-from meshes import write_off
+from meshes import refine, write_off
 from test_golden import corpus
 from test_oracle import every_test_mesh
 
@@ -384,46 +383,6 @@ class TestCompute:
         assert report["meta"]["betti1"] == 1
 
 
-class TestBench:
-    def test_smoke(self, tmp_path, capsys):
-        mesh = write_annulus(tmp_path)
-        code = main(
-            ["bench", str(mesh), "--levels", "2", "--repeats", "1", "--fit-from", "0"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fitted exponent" in out
-        assert out.splitlines()[0].startswith("level")
-
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--levels", "0"],
-            ["--levels", "1", "--fit-from", "3"],
-            ["--fit-from", "-1"],
-            ["--repeats", "0"],
-        ],
-    )
-    def test_fewer_than_two_fitted_levels_is_exit_one(self, tmp_path, capsys, flags):
-        # The growth fit needs two levels from level 0 on, each timed at
-        # least once; refuse before refining or timing, naming the option.
-        mesh = write_annulus(tmp_path)
-        assert main(["bench", str(mesh), "--repeats", "1", *flags]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: ") and flags[-2] in err[0]
-        if "--levels" in flags:
-            assert "two levels" in err[0]
-
-    def test_mesh_without_edges_is_exit_one(self, tmp_path, capsys):
-        # An edgeless mesh leaves the growth fit nothing to fit against.
-        mesh = tmp_path / "empty.off"
-        mesh.write_text("OFF\n0 0 0\n")
-        assert main(["bench", str(mesh), "--levels", "2"]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: the growth fit needs a mesh with at least one edge"]
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -433,6 +392,7 @@ class TestBench:
             ["compute", "mesh.off", "--oracle-cap", "abc"],
             "argument --oracle-cap: invalid int value: 'abc'",
         ),
+        (["bench", "mesh.off"], "argument command: invalid choice: 'bench'"),
     ],
 )
 def test_usage_error_is_exit_one(capsys, argv, message):
@@ -441,18 +401,6 @@ def test_usage_error_is_exit_one(capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
-
-
-def test_cli_import_leaves_bench_unloaded():
-    # `compute` and `info` pay no import of the refinement bench.
-    env = dict(os.environ, PYTHONPATH=str(Path(globalloops.__file__).parents[1]))
-    probe = "import sys, globalloops.cli; print(sorted(m for m in sys.modules if m.startswith('globalloops')))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert "'globalloops.cli'" in out
-    assert "globalloops.bench" not in out
-    assert "globalloops.refine" not in out
 
 
 def test_cli_import_loads_no_dataclasses():
@@ -502,7 +450,6 @@ class TestLazyOracle:
         mesh, arcs, out = files
         assert not oracle_loaded_by(run_main(["compute", mesh, "--contacts", arcs, "--out", out]))
         assert not oracle_loaded_by(run_main(["info", mesh]))
-        assert not oracle_loaded_by(run_main(["bench", mesh, "--levels", "1", "--repeats", "1"]))
 
     def test_verify_loads_it_and_passes(self, files):
         mesh, arcs, out = files
@@ -616,13 +563,6 @@ class TestCollector:
         assert (code, out) == (0, ["False True"])
         assert main([*argv, str(tmp_path / "in_process.json")]) == 0
         assert (tmp_path / "child.json").read_bytes() == (tmp_path / "in_process.json").read_bytes()
-
-    def test_bench_runs_with_the_collector_off(self, tmp_path):
-        mesh = write_annulus(tmp_path)
-        code, out = run_as_console_script(["bench", str(mesh), "--levels", "1", "--repeats", "1"])
-        assert code == 0
-        assert "fitted exponent" in "\n".join(out)
-        assert out[-1] == "False True"
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_main_with_argv_leaves_the_collector_alone(self, tmp_path, capsys, enabled):

@@ -16,7 +16,6 @@ from globalloops import generators, oracle
 from globalloops.cochain import Cochain1
 from globalloops.generators import GeneratorSet, compute_generators
 from globalloops.oracle import DEFAULT_WORK_CAP, verify
-from globalloops.refine import refine
 from globalloops.surface import (
     BoundaryPartition,
     SurfaceComplex,
@@ -25,6 +24,7 @@ from globalloops.surface import (
     euler_characteristic,
 )
 from globalloops.errors import MeshTooLargeForOracle
+from meshes import refine
 from reference import (
     PRIME,
     betti1_relative,

@@ -269,8 +269,9 @@ def oracle_rows(K, contact):
     return inc, insulated, list(d0.values()), rank_d0
 
 
+@pytest.mark.filterwarnings("ignore:.*one-edge port")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.one_of(parts(), punched_chains()), min_size=1, max_size=3))
+@given(st.lists(st.one_of(parts(), punched_chains(), gluings()), min_size=1, max_size=3))
 def test_closed_forms_match_the_eliminations(pieces):
     K, contact = complex_of(wl.union(pieces))
     inc, insulated, d0, rank_d0 = oracle_rows(K, contact)
@@ -286,8 +287,9 @@ def test_closed_forms_match_the_eliminations(pieces):
     assert report.torsion_coefficients == [2] * (sparse_rank(d2) - sparse_rank(d2, 2))
 
 
+@pytest.mark.filterwarnings("ignore:.*one-edge port")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.one_of(parts(), punched_chains()), min_size=1, max_size=3))
+@given(st.lists(st.one_of(parts(), punched_chains(), gluings()), min_size=1, max_size=3))
 def test_generators_are_independent_over_two_and_three(pieces):
     # d0 is totally unimodular, so its rank is the same over every field.
     K, contact = complex_of(wl.union(pieces))

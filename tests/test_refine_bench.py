@@ -1,11 +1,11 @@
-"""Refinement arithmetic and the growth-exponent fit."""
+"""Refinement arithmetic, the refinement-family timer and the
+growth-exponent fit, all of ``tests/meshes.py``."""
 
 import pytest
 
 import meshes
 import reference
-from globalloops.bench import fit_exponent, run_refinement_bench
-from globalloops.refine import refine
+from meshes import fit_exponent, refine, refinement_timings
 from globalloops.surface import boundary_components, euler_characteristic
 
 
@@ -83,12 +83,12 @@ def test_fit_exponent_needs_two_points(points):
 
 
 def test_bench_levels_report_sizes():
-    levels = run_refinement_bench(meshes.annulus(6), levels=2, repeats=1)
-    assert [l.num_faces for l in levels] == [12, 48, 192]
-    assert all(l.seconds > 0 for l in levels)
+    levels = refinement_timings(meshes.annulus(6), levels=2, repeats=1)
+    assert [(edges, faces) for edges, faces, _ in levels] == [(24, 12), (84, 48), (312, 192)]
+    assert all(seconds > 0 for _, _, seconds in levels)
 
 
 def test_torus_family_timings_are_monotone():
-    levels = run_refinement_bench(meshes.torus_grid(6, 6), levels=3, repeats=3)
-    times = [l.seconds for l in levels]
+    levels = refinement_timings(meshes.torus_grid(6, 6), levels=3, repeats=3)
+    times = [seconds for _, _, seconds in levels]
     assert times == sorted(times)
