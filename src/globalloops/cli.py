@@ -4,11 +4,14 @@
 and ``python -m globalloops.cli`` run, and it owns the process: it reads
 ``sys.argv``, freezes everything loaded so far into the collector's
 permanent generation and runs the command with the cyclic collector off.
-The commands leave no reference cycles to free but a few dozen objects of
-the JSON encoder, whatever the mesh, so the collector would only traverse
-the start-up heap, in each young collection and again in the sweep at
-exit.  ``main(argv)`` runs one command inside its caller's process
-and leaves the collector as it found it.
+The commands leave no reference cycles to free, whatever the mesh, so the
+collector would only traverse the start-up heap, in each young collection
+and again in the sweep at exit.  ``main(argv)`` runs one command inside
+its caller's process and leaves the collector as it found it.
+
+Start-up loads neither argparse nor json: ``_plain_args`` reads the argv
+users type, and argparse, the one source of help and error text, loads
+only for help, a usage error or an argv that reader declines.
 
 Exit codes: 0 success (and ``--help``), 1 usage, file or parse error (an
 unknown command, a missing argument or one that does not parse; a file
@@ -22,10 +25,10 @@ line, or one ``verification failure:`` line per failed check.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 from . import meshio
 from .errors import (
@@ -43,16 +46,17 @@ from .surface import boundary_components, classify_boundary, euler_characteristi
 from .transport import is_twisted
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises ``UsageError`` where argparse would print the usage and exit
-    2, the topology error's code; its subcommands' parsers are of this
-    class too."""
+def build_parser():
+    """The argparse parser of every argv, the reference of ``_plain_args``."""
+    import argparse
 
-    def error(self, message):
-        raise UsageError(message)
+    class _Parser(argparse.ArgumentParser):
+        """Raises ``UsageError`` where argparse would print the usage and exit
+        2, the topology error's code; the subcommands' parsers are one too."""
 
+        def error(self, message):
+            raise UsageError(message)
 
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="global-loops",
         description=(
@@ -84,6 +88,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("mesh", help="OFF mesh file")
 
     return parser
+
+
+# The attributes of ``compute``'s options, with their defaults, by option.
+_DEFAULTS = {"contacts": None, "out": None, "vtk": None, "oracle_cap": DEFAULT_WORK_CAP,
+             "verify": False}
+_OPTIONS = {"--" + name.replace("_", "-"): name for name in _DEFAULTS}
+
+
+def _plain_args(argv):
+    """What ``build_parser`` reads from ``info MESH``, or ``compute MESH`` with each option
+    in full at most once, in any order, where no mesh or value starts with '-' and
+    --oracle-cap's is decimal digits; None for any other argv, which goes to argparse."""
+    command, *rest = argv or [""]
+    if command not in ("compute", "info"):
+        return None
+    options = _OPTIONS if command == "compute" else {}
+    args, tokens = {}, iter(rest)
+    for token in tokens:
+        key = options.get(token, "mesh")
+        value = True if key == "verify" else token if key == "mesh" else next(tokens, "-")
+        if key in args or value is not True and value.startswith("-"):
+            return None
+        if key == "oracle_cap":
+            if not value.isdecimal() or len(value) > 640:  # int() reads 640 digits at least
+                return None
+            value = int(value)
+        args[key] = value
+    if "mesh" not in args:
+        return None
+    return SimpleNamespace(command=command, **{**(_DEFAULTS if options else {}), **args})
 
 
 @contextmanager
@@ -164,7 +198,8 @@ def main(argv=None) -> int:
         gc.disable()
     # The one place where a failure becomes an exit code and a stderr line.
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_args(sys.argv[1:] if argv is None else argv)
+        args = args or build_parser().parse_args(argv)
         if args.command == "compute":
             return cmd_compute(args)
         return cmd_info(args)

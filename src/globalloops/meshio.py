@@ -4,16 +4,15 @@ OFF and contact files are read as UTF-8, a byte-order mark allowed.
 
 The report is ``json.dumps(report, indent=2, sort_keys=True)`` plus a
 newline: keys and edge records are sorted and no timestamps appear, so it
-is byte-deterministic.  ``report_text`` writes it from the generator set:
-a generator's edge records are one template repeated once per edge, since
-``json`` sends an indented dump through its pure-Python encoder, and only
-the small ``meta`` and ``verification`` blocks are dumped by ``json``.
-``report_dict`` parses that text, for library callers that want data.
+is byte-deterministic.  ``report_text`` writes it from the generator set
+without ``json``, whose indented dump runs its pure-Python encoder: a
+generator's edge records are one template repeated once per edge, and
+``_dump`` writes the small ``meta`` and ``verification`` blocks.
+``report_dict`` parses the text, for library callers that want data.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import islice
 from pathlib import Path
@@ -212,12 +211,14 @@ def report_dict(
     complex: SurfaceComplex, generators: GeneratorSet, verification=None
 ) -> dict:
     """The report as data: one record per generator plus a meta block."""
+    import json
     return json.loads(report_text(complex, generators, verification))
 
 
 def render_report(report: dict) -> str:
     """The report text of a structured report; the inverse of
     ``report_dict``."""
+    import json
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
@@ -256,17 +257,40 @@ def report_text(
         rows = ",\n".join([_EDGE] * len(coeffs)) % tuple(values)
         out.append(separator)
         out.append(_GENERATOR % (
-            json.dumps(gen.kind),
+            _dump(gen.kind, ""),
             gen.component,
             f"[\n{rows}\n      ]" if coeffs else "[]",
         ))
         separator = ",\n"
     out.append("\n  ]" if generators.generators else "]")
     for key, value in sorted(_summary(generators, verification).items()):
-        block = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-        out.append(f',\n  "{key}": {block}')
+        out.append(f',\n  "{key}": {_dump(value, "  ")}')
     out.append("\n}\n")
     return "".join(out)
+
+
+def _dump(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` with ``pad`` before
+    each line but the first.  Dicts, lists, booleans, integers and class
+    names are written here; json quotes any other text, such as a failure."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if type(value) is int:
+        return "%d" % value
+    if value in ("ha", "ho", "co"):
+        return f'"{value}"'
+    if not isinstance(value, (dict, list)):
+        import json
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        # The keys are the report's field names, which need no escape.
+        items, brackets = [f'"{key}": {_dump(value[key], inner)}' for key in sorted(value)], "{}"
+    else:
+        items, brackets = [_dump(item, inner) for item in value], "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
 def write_vtk(path: str | Path, complex: SurfaceComplex, generators: GeneratorSet) -> None:

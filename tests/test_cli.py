@@ -5,15 +5,18 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import meshes
 import reference
 import globalloops
 from globalloops import cli, errors, generators, meshio, oracle
-from globalloops.cli import main
+from globalloops.cli import _plain_args, build_parser, main
 from globalloops.errors import CountMismatch, EdgeNotOnFace, NodeNotInTree
 from globalloops.meshio import render_report
 from globalloops.oracle import verify
@@ -415,32 +418,50 @@ def test_cli_import_loads_no_dataclasses():
     assert out == "[]\n"
 
 
-def oracle_loaded_by(code):
-    """Whether a fresh interpreter that runs ``code`` has loaded the oracle
-    by its end; ``code`` must run without an exception."""
+def _modules_at_end(code):
     env = dict(os.environ, PYTHONPATH=str(Path(globalloops.__file__).parents[1]))
-    probe = f"import sys\n{code}\nprint('globalloops.oracle' in sys.modules)"
+    probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    return out.splitlines()[-1] == "True"
+    return set(out.splitlines()[-1].split())
+
+
+@cache
+def _bare_modules():
+    return _modules_at_end("pass")
+
+
+def modules_loaded_by(code):
+    """The modules that a fresh interpreter that runs ``code`` has loaded
+    by its end and a bare one has not, so that what a site preloads does
+    not count; ``code`` must run without an exception."""
+    return _modules_at_end(code) - _bare_modules()
+
+
+def oracle_loaded_by(code):
+    """Whether a fresh interpreter that runs ``code`` has loaded the oracle
+    by its end."""
+    return "globalloops.oracle" in modules_loaded_by(code)
 
 
 def run_main(argv):
     return f"from globalloops.cli import main\nassert main({argv!r}) == 0"
 
 
+@pytest.fixture
+def files(tmp_path):
+    """An annulus with a contact arc on disk: (mesh, contacts, report path)."""
+    K, contacts = corpus()["annulus+arc"]()
+    mesh, arcs = tmp_path / "annulus.off", tmp_path / "arcs.txt"
+    write_off(mesh, K)
+    arcs.write_text("".join("%d %d\n" % K.edges[e] for e in sorted(contacts)))
+    return str(mesh), str(arcs), str(tmp_path / "report.json")
+
+
 class TestLazyOracle:
     """Only ``compute --verify`` and the package's ``verify`` and
     ``VerificationReport`` load the oracle."""
-
-    @pytest.fixture
-    def files(self, tmp_path):
-        K, contacts = corpus()["annulus+arc"]()
-        mesh, arcs = tmp_path / "annulus.off", tmp_path / "arcs.txt"
-        write_off(mesh, K)
-        arcs.write_text("".join("%d %d\n" % K.edges[e] for e in sorted(contacts)))
-        return str(mesh), str(arcs), str(tmp_path / "report.json")
 
     @pytest.mark.parametrize("module", ["globalloops.cli", "globalloops"])
     def test_import_leaves_the_oracle_unloaded(self, module):
@@ -491,6 +512,122 @@ class TestLazyOracle:
         assert "(default 2000000)" in " ".join(capsys.readouterr().out.split())
 
 
+class TestLeanStartUp:
+    """Start-up and a plain run load neither argparse nor json: the plain
+    argv reader stands in for the parser, and the report writer for the
+    encoder.  Help and usage errors still go to argparse."""
+
+    HEAVY = {"argparse", "json"}
+
+    def test_import_loads_neither(self):
+        assert not self.HEAVY & modules_loaded_by("import globalloops.cli")
+
+    def test_plain_commands_load_neither(self, files):
+        mesh, arcs, out = files
+        argv = ["compute", mesh, "--contacts", arcs, "--out", out]
+        assert not self.HEAVY & modules_loaded_by(run_main(argv))
+        assert not self.HEAVY & modules_loaded_by(run_main(["info", mesh]))
+
+    def test_passing_verify_loads_neither(self, files):
+        mesh, arcs, out = files
+        argv = ["compute", mesh, "--contacts", arcs, "--verify", "--out", out]
+        assert not self.HEAVY & modules_loaded_by(run_main(argv))
+        assert json.loads(Path(out).read_text())["verification"]["passed"] is True
+
+    @pytest.mark.parametrize("argv", [["compute", "--help"], ["unknown", "mesh.off"]])
+    def test_help_and_usage_errors_load_argparse(self, argv):
+        code = (
+            "import contextlib\n"
+            "from globalloops.cli import main\n"
+            f"with contextlib.suppress(SystemExit):\n    main({argv!r})"
+        )
+        # Loaded by the end, whether or not the site had loaded it first.
+        assert "argparse" in _modules_at_end(code)
+
+
+# Words of argv: the commands, every option, their abbreviations and
+# '=' forms, help, '--', negative and odd numbers ('²' is a digit that
+# int() refuses, '٣' a decimal digit it reads), the empty string and
+# values with spaces.
+OPTIONS = ["--contacts", "--out", "--vtk", "--oracle-cap", "--verify"]
+WORDS = [
+    "compute", "info", "m.off", "arcs.txt", "x y", *OPTIONS,
+    "--opt=v", "--out=r.json", "--cont", "--oracle", "--verify=1",
+    "-h", "--help", "--", "-", "-1",
+    "5", "007", "٣", "²", "1_0", " 5", "",
+]
+VALUES = [word for word in WORDS if not word.startswith("-")]
+words = st.sampled_from(WORDS)
+
+
+def phrase(option):
+    """An option and its value, or --verify alone."""
+    if option == "--verify":
+        return st.just([option])
+    numbers = [word for word in VALUES if word.isdecimal()]
+    return st.sampled_from(numbers if option == "--oracle-cap" else VALUES).map(
+        lambda value: [option, value]
+    )
+
+
+# ``info MESH``, or ``compute MESH`` with each option at most once, in any
+# order: the argv the reader reads.
+plain_argvs = st.sampled_from(VALUES).map(lambda mesh: ["info", mesh]) | st.builds(
+    lambda mesh, phrases, at: ["compute", *sum(phrases[:at] + [[mesh]] + phrases[at:], [])],
+    st.sampled_from(VALUES),
+    st.lists(st.sampled_from(OPTIONS), unique=True, max_size=5).flatmap(
+        lambda options: st.tuples(*map(phrase, options)).map(list)
+    ),
+    st.integers(0, 5),
+)
+# Any words, and plain argv with a word put in, repeated or taken out.
+argvs = st.lists(words, max_size=9) | st.builds(
+    lambda argv, at, word, change: (
+        argv[:at] + [word] + argv[at:] if change == "put" else
+        argv[:at] + argv[at:at + 1] + argv[at:] if change == "repeat" else
+        argv[:at] + argv[at + 1:]
+    ),
+    plain_argvs,
+    st.integers(0, 12),
+    words,
+    st.sampled_from(["put", "repeat", "take"]),
+)
+
+
+class TestPlainArgs:
+    """``_plain_args`` reads the plain argv as the argparse parser does and
+    leaves every other argv to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_argvs)
+    def test_reads_the_plain_argv(self, argv):
+        args = _plain_args(argv)
+        assert args is not None
+        assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs)
+    @example(["compute", "m.off", "--contacts", "arcs.txt", "--verify", "--out", "",
+              "--oracle-cap", "007", "--vtk", "x y"])
+    @example(["compute", "--oracle-cap", "٣", "compute"])
+    def test_agrees_with_argparse_where_it_accepts(self, argv):
+        args = _plain_args(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["compute", "--help"], ["unknown", "m.off"], ["compute"],
+        ["info", "m.off", "--verify"], ["compute", "m.off", "--cont", "c.txt"],
+        ["compute", "m.off", "--out=r.json"], ["compute", "m.off", "--out"],
+        ["compute", "m.off", "--verify", "--verify"], ["compute", "a.off", "b.off"],
+        ["compute", "--", "m.off"], ["compute", "m.off", "--oracle-cap", "-1"],
+        ["compute", "m.off", "--oracle-cap", "²"], ["compute", "m.off", "--oracle-cap", "1_0"],
+        ["compute", "m.off", "--oracle-cap", "9" * 641],
+    ])
+    def test_leaves_every_other_argv_to_argparse(self, argv):
+        assert _plain_args(argv) is None
+
+
 def run_as_console_script(argv):
     """Run ``main()`` in a fresh interpreter whose ``sys.argv`` carries
     ``argv``: (exit code, stdout lines), the last line being the collector's
@@ -539,8 +676,6 @@ class TestCollector:
     leaves its caller's collector as it found it."""
 
     def test_the_pipeline_leaves_no_cyclic_garbage(self):
-        # The report writer's count is the json encoder's own and must not
-        # grow with the mesh.
         K, contacts = corpus()["disjoint_union+arcs"]()
         fine = refine(refine(K))
         fine_contacts = set().union(*(meshes.boundary_arc(fine, c, 4) for c in range(3)))
@@ -550,7 +685,7 @@ class TestCollector:
                 "build_complex": 0,
                 "compute_generators": 0,
                 "verify": 0,
-                "report_text": small["report_text"],
+                "report_text": 0,
             }
 
     def test_console_script_turns_the_collector_off(self, tmp_path):

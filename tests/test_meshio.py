@@ -453,6 +453,14 @@ FAILED = VerificationReport(
     failures=['count "0" \\ expected 1 \u2014 caf\u00e9'],
 )
 
+# A kind outside the three classes, and failure texts with a quote, a
+# backslash, control characters and non-ASCII ones: texts that only json
+# quotes.
+ODD_KIND = GeneratorSet(generators=[Generator('loop "7"\\', 2, Cochain1({5: 3}))])
+ESCAPED = FAILED._replace(
+    failures=['say "no"', "back\\slash", "bell \x07 tab \t nul \x00", "caf\u00e9 \u2028 \U0001f600"]
+)
+
 
 def mixed_surface_files(tmp_path):
     """``mixed_surface`` with two contact arcs on every circle of eight or
@@ -476,6 +484,8 @@ class TestRenderBytes:
     @given(generator_sets, st.none() | verifications)
     @example(GeneratorSet(), None)
     @example(SHARED_EDGE, FAILED)
+    @example(ODD_KIND, ESCAPED)
+    @example(ODD_KIND, None)
     def test_equals_indented_json(self, generators, verification):
         report = reference.report_dict(SMALL, generators, verification)
         assert report_text(SMALL, generators, verification) == reference_render(report)
