@@ -9,7 +9,7 @@ collector would only traverse the start-up heap, in each young collection
 and again in the sweep at exit.  ``main(argv)`` runs one command inside
 its caller's process and leaves the collector as it found it.
 
-Start-up loads neither argparse nor json: ``_plain_args`` reads the argv
+Start-up loads no argparse, json or pathlib: ``_plain_args`` reads the argv
 users type, and argparse, the one source of help and error text, loads
 only for help, a usage error or an argv that reader declines.
 
@@ -40,10 +40,9 @@ from .errors import (
     TopologyError,
     UsageError,
 )
-from .forest import build_tree_cotree
+from .forest import build_tree_cotree, is_twisted
 from .generators import compute_generators
 from .surface import boundary_components, classify_boundary, euler_characteristic
-from .transport import is_twisted
 
 
 def build_parser():

@@ -10,9 +10,9 @@ and per component the pipeline produces:
 
 * handle generators, one per candidate edge (edges in neither spanning
   tree), via self-pair transport around the dual tree; on non-orientable
-  components the twisted candidates (an O(1) sign test, see
-  ``transport``) are chained instead, each combined with the next, and the
-  last one is the anchor edge,
+  components the twisted candidates (an O(1) sign test, see ``forest``)
+  are chained instead, each combined with the next, and the last one is
+  the anchor edge,
 * hole generators, one per boundary circle except a fixed one, as vertex
   coboundaries of circle indicators,
 * contact generators, one per contact component but the last, via
@@ -27,8 +27,9 @@ first-face paths, sum to at most 2(F_c - 1) on F_c faces, whatever the
 layout.  The chains recombine one fixed target per class unimodularly, so
 the class sizes stand.
 
-Every id is the complex's own.  All coefficients are integers; the same
-representatives serve as a basis over the reals.
+Every id is the complex's own.  Each generator is a ``Cochain1`` of integer
+coefficients, checked as a relative cocycle only by ``oracle.verify``; the
+same representatives serve as a basis over the reals.
 
 Only when asked, ``GeneratorSet.cycles`` yields one relative 1-cycle per
 generator, closed through the primal forest, the witness with which
@@ -41,15 +42,29 @@ import warnings
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from .cochain import Cochain1
 from .errors import UnsupportedContactLayout
-from .forest import DualTree, Tree, build_tree_cotree
+from .forest import DualTree, Tree, build_tree_cotree, is_twisted, transport
 from .surface import BoundaryCycle, SurfaceComplex, classify_boundary
-from .transport import is_twisted, transport
 
 HANDLE = "ha"
 HOLE = "ho"
 CONTACT = "co"
+
+
+class Cochain1:
+    """Integer-valued 1-cochain stored as a sparse edge -> coefficient map."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict[int, int] | None = None):
+        if coeffs is None:
+            coeffs = {}
+        elif 0 in coeffs.values():
+            coeffs = {k: v for k, v in coeffs.items() if v}
+        self.coeffs = coeffs
+
+    def __repr__(self) -> str:
+        return f"Cochain1({dict(sorted(self.coeffs.items()))!r})"
 
 
 class Generator(NamedTuple):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice
-from pathlib import Path
+from os import PathLike
 
 from .errors import ContactSpecError, NotABoundaryEdge, OffParseError
 from .generators import GeneratorSet
@@ -141,8 +141,9 @@ def _token_lines(lines):
             yield lineno, tokens
 
 
-def load_off(path: str | Path) -> SurfaceComplex:
-    text = Path(path).read_text(encoding="utf-8-sig")
+def load_off(path: str | PathLike[str]) -> SurfaceComplex:
+    with open(path, encoding="utf-8-sig") as handle:
+        text = handle.read()
     nv, coords, faces = parse_off(text)
     return build_complex(nv, faces, coords=coords)
 
@@ -174,8 +175,9 @@ def parse_contacts(text: str, complex: SurfaceComplex) -> set[int]:
     return out
 
 
-def load_contacts(path: str | Path, complex: SurfaceComplex) -> set[int]:
-    return parse_contacts(Path(path).read_text(encoding="utf-8-sig"), complex)
+def load_contacts(path: str | PathLike[str], complex: SurfaceComplex) -> set[int]:
+    with open(path, encoding="utf-8-sig") as handle:
+        return parse_contacts(handle.read(), complex)
 
 
 def _summary(generators: GeneratorSet, verification=None) -> dict:
@@ -293,7 +295,7 @@ def _dump(value, pad: str) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
 
 
-def write_vtk(path: str | Path, complex: SurfaceComplex, generators: GeneratorSet) -> None:
+def write_vtk(path: str | PathLike[str], complex: SurfaceComplex, generators: GeneratorSet) -> None:
     """Line-set overlay of generator supports (legacy ASCII POLYDATA).
 
     Each supported edge becomes one line cell; cell data carries the
@@ -318,4 +320,5 @@ def write_vtk(path: str | Path, complex: SurfaceComplex, generators: GeneratorSe
     lines += [str(gi) for gi, items in enumerate(supports) for _ in items]
     lines += ["SCALARS coefficient int 1", "LOOKUP_TABLE default"]
     lines += [str(val) for items in supports for _, val in items]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")

@@ -63,7 +63,6 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from globalloops.cochain import Cochain1
 from globalloops.errors import (
     CountMismatch,
     DegenerateFace,
@@ -77,7 +76,7 @@ from globalloops.errors import (
     PinchVertex,
 )
 from globalloops.forest import Tree
-from globalloops.generators import GeneratorSet
+from globalloops.generators import Cochain1, GeneratorSet
 from globalloops.oracle import DEFAULT_WORK_CAP, _face_components, _Incidence, verify
 from globalloops.surface import build_complex as package_build_complex
 from globalloops.surface import (

@@ -418,12 +418,13 @@ def test_cli_import_loads_no_dataclasses():
     assert out == "[]\n"
 
 
-def _modules_at_end(code):
+def _modules_at_end(code, *flags):
+    """The modules of a fresh interpreter, started with ``flags``, at the end
+    of ``code``."""
     env = dict(os.environ, PYTHONPATH=str(Path(globalloops.__file__).parents[1]))
     probe = f"import sys\n{code}\nprint(' '.join(sys.modules))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    argv = [sys.executable, *flags, "-c", probe]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
     return set(out.splitlines()[-1].split())
 
 
@@ -533,6 +534,14 @@ class TestLeanStartUp:
         argv = ["compute", mesh, "--contacts", arcs, "--verify", "--out", out]
         assert not self.HEAVY & modules_loaded_by(run_main(argv))
         assert json.loads(Path(out).read_text())["verification"]["passed"] is True
+
+    @pytest.mark.parametrize("run", ["import", "compute"])
+    def test_without_site_hooks_pathlib_stays_out_too(self, files, run):
+        # Under -S no site hook preloads a module, so everything loaded counts.
+        mesh, arcs, out = files
+        argv = ["compute", mesh, "--contacts", arcs, "--out", out]
+        code = run_main(argv) if run == "compute" else "import globalloops.cli"
+        assert not (self.HEAVY | {"pathlib"}) & _modules_at_end(code, "-S")
 
     @pytest.mark.parametrize("argv", [["compute", "--help"], ["unknown", "mesh.off"]])
     def test_help_and_usage_errors_load_argparse(self, argv):

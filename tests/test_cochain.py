@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import meshes
-from globalloops.cochain import Cochain1
+from globalloops.generators import Cochain1
 from globalloops.surface import boundary_components
 from reference import coboundary0, evaluate
 

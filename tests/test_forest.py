@@ -11,9 +11,14 @@ import reference
 from reference import face_edges
 from globalloops import forest
 from globalloops.errors import CountMismatch, DualDisconnected, NodeNotInTree
-from globalloops.forest import Tree, build_dual_tree, build_primal_tree, build_tree_cotree
+from globalloops.forest import (
+    Tree,
+    build_dual_tree,
+    build_primal_tree,
+    build_tree_cotree,
+    transport,
+)
 from globalloops.surface import boundary_components
-from globalloops.transport import transport
 
 
 def decompose(K):
@@ -193,8 +198,11 @@ class TestTreePaths:
         tree = Tree(K.num_faces)
         tree.add_root(0)
         tree.attach(1, 0, 7)
-        with pytest.raises(NodeNotInTree):
-            transport(K, tree, 0, 2, face_edges(K)[0][0][0], face_edges(K)[2][0][0])
+        sides = face_edges(K)
+        # One face outside the forest, then two, which share its tree index -1.
+        for first, last in ((0, 2), (2, 3)):
+            with pytest.raises(NodeNotInTree):
+                transport(K, tree, first, last, sides[first][0][0], sides[last][0][0])
 
     def test_path_between_trees_raises(self):
         torus = meshes.csaszar_torus()

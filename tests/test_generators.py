@@ -8,7 +8,7 @@ import globalloops
 import meshes
 import reference
 from globalloops.errors import NotABoundaryEdge, UnsupportedContactLayout
-from globalloops.forest import Tree, build_tree_cotree
+from globalloops.forest import Tree, build_tree_cotree, is_twisted
 from globalloops.generators import ComponentMeta, compute_generators
 from globalloops.oracle import verify
 from globalloops.surface import (
@@ -17,7 +17,6 @@ from globalloops.surface import (
     build_complex,
     classify_boundary,
 )
-from globalloops.transport import is_twisted
 from reference import coboundary0, connected_components, edge_faces, evaluate, of_kind
 
 

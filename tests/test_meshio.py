@@ -12,8 +12,8 @@ import reference
 import test_golden
 from globalloops import meshio
 from globalloops.cli import main
-from globalloops.cochain import Cochain1
 from globalloops.generators import (
+    Cochain1,
     ComponentMeta,
     Generator,
     GeneratorSet,

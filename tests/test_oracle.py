@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import meshes
 from globalloops import generators, oracle
-from globalloops.cochain import Cochain1
-from globalloops.generators import GeneratorSet, compute_generators
+from globalloops.generators import Cochain1, GeneratorSet, compute_generators
 from globalloops.oracle import DEFAULT_WORK_CAP, verify
 from globalloops.surface import (
     BoundaryPartition,

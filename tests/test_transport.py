@@ -11,9 +11,8 @@ import meshes
 import reference
 from reference import edge_faces, face_edges
 from globalloops.errors import CountMismatch, EdgeNotOnFace
-from globalloops.forest import DualTree, build_tree_cotree
+from globalloops.forest import DualTree, build_tree_cotree, is_twisted, transport
 from globalloops.surface import boundary_components, build_complex
-from globalloops.transport import is_twisted, transport
 
 
 def decompose(K):
