@@ -244,7 +244,10 @@ def build_tree_cotree(
         raise DualDisconnected(
             "constrained dual graph does not connect all faces of a component"
         )
-    candidates = [eid for eid, mark in enumerate(taken) if not mark]
+    candidates, eid = [], taken.find(0)
+    while eid >= 0:
+        candidates.append(eid)
+        eid = taken.find(0, eid + 1)
     expected = 2 * len(primal.roots) - euler_characteristic(complex) - len(holes)
     if len(candidates) != expected:
         raise CountMismatch(
@@ -300,13 +303,19 @@ def transport(
     down = -up
     coeffs = {start_edge: 1}
     a, b = first, last
-    while a != b:  # the deeper end steps toward the meeting node
-        if depth[a] >= depth[b]:
-            coeffs[parent_edge[a]] = up * tau[a]
-            a = parent[a]
-        else:
-            coeffs[parent_edge[b]] = down * tau[b]
-            b = parent[b]
+    # The deeper end rises, then both step together; one past a root raises.
+    for _ in range(depth[a] - depth[b]):
+        coeffs[parent_edge[a]] = up * tau[a]
+        a = parent[a]
+    for _ in range(depth[b] - depth[a]):
+        coeffs[parent_edge[b]] = down * tau[b]
+        b = parent[b]
+    while a != b:
+        coeffs[parent_edge[a]] = up * tau[a]
+        coeffs[parent_edge[b]] = down * tau[b]
+        a, b = parent[a], parent[b]
+        if a < 0 or b < 0:
+            raise CountMismatch(f"the walk from faces {first} and {last} passed a root")
 
     steps = depth[first] + depth[last] - 2 * depth[a]
     if len(coeffs) != 1 + steps or (end_edge != start_edge and end_edge in coeffs):

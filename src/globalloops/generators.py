@@ -39,10 +39,11 @@ generator, closed through the primal forest, the witness with which
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator, NamedTuple
 
-from .errors import UnsupportedContactLayout
+from .errors import NodeNotInTree, UnsupportedContactLayout
 from .forest import DualTree, Tree, build_tree_cotree, is_twisted, transport
 from .surface import BoundaryCycle, SurfaceComplex, classify_boundary
 
@@ -67,32 +68,33 @@ class Cochain1:
         return f"Cochain1({dict(sorted(self.coeffs.items()))!r})"
 
 
-class Generator(NamedTuple):
-    kind: str  # "ha" | "ho" | "co"
-    component: int
-    cochain: Cochain1
+class Generator(namedtuple("Generator", "kind component cochain")):
+    __slots__ = ()  # kind is "ha", "ho" or "co"; cochain a Cochain1
 
 
-class ComponentMeta(NamedTuple):
+class ComponentMeta(
+    namedtuple(
+        "ComponentMeta",
+        "circles contact_components candidate_edges twisted_edges anchor_edge",
+        defaults=(None,),
+    )
+):
     """One component's record: the lists ``compute_generators`` sized its
-    classes from, whose lengths the report counts.  The circles come by
-    minimal vertex id, the last one fixed; the twisted candidates in
-    preorder, the last one the anchor edge, which the handle chain drops."""
+    classes from, whose lengths the report counts (N_ho, N_co, E_M and
+    E_M_II).  The circles come by minimal vertex id, the last one fixed; the
+    twisted candidates in preorder, the last one the anchor edge, which the
+    handle chain drops."""
 
-    circles: list[BoundaryCycle]  # N_ho
-    contact_components: list[list[int]]  # N_co
-    candidate_edges: list[int]  # E_M
-    twisted_edges: list[int]  # E_M_II
-    anchor_edge: int | None = None
+    __slots__ = ()
 
 
-class GeneratorSet(NamedTuple):
+class GeneratorSet(
+    namedtuple("GeneratorSet", "generators components primal", defaults=((), (), None))
+):
     """The basis, each component's record and the primal forest, for
     ``cycles``.  No boundary partition: ``oracle.verify`` takes the caller's."""
 
-    generators: list[Generator] = ()
-    components: list[ComponentMeta] = ()
-    primal: Tree | None = None
+    __slots__ = ()
 
     @property
     def orientable(self) -> bool:
@@ -196,16 +198,24 @@ def _path(complex: SurfaceComplex, primal: Tree, a: int, b: int) -> dict[int, in
     """The primal path from vertex ``a`` to vertex ``b`` as a chain: +1 on
     an edge it runs along from tail to head, -1 against."""
     parent, parent_edge, depth = primal.parent, primal.parent_edge, primal.depth
-    out = {}
-    while a != b:  # the deeper end steps toward the meeting vertex
-        if depth[a] >= depth[b]:
-            eid = parent_edge[a]
-            out[eid] = 1 if complex.edges[eid][0] == a else -1
-            a = parent[a]
-        else:
-            eid = parent_edge[b]
-            out[eid] = -1 if complex.edges[eid][0] == b else 1
-            b = parent[b]
+    edges, out, ends = complex.edges, {}, (a, b)
+    # As in ``transport``: the deeper end rises, then both step together.
+    for _ in range(depth[a] - depth[b]):
+        eid = parent_edge[a]
+        out[eid] = 1 if edges[eid][0] == a else -1
+        a = parent[a]
+    for _ in range(depth[b] - depth[a]):
+        eid = parent_edge[b]
+        out[eid] = -1 if edges[eid][0] == b else 1
+        b = parent[b]
+    while a != b:
+        eid = parent_edge[a]
+        out[eid] = 1 if edges[eid][0] == a else -1
+        eid = parent_edge[b]
+        out[eid] = -1 if edges[eid][0] == b else 1
+        a, b = parent[a], parent[b]
+        if a < 0 or b < 0:
+            raise NodeNotInTree(f"vertices {ends[0]} and {ends[1]} are not in one primal tree")
     return out
 
 

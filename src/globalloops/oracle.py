@@ -52,8 +52,7 @@ rank the oracle once used and the closed-up complex live in
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from .errors import DEFAULT_WORK_CAP, MeshTooLargeForOracle
 from .surface import BoundaryPartition, SurfaceComplex
@@ -232,15 +231,14 @@ def _peel(rows: list[dict[int, int]]) -> str | None:
     return None
 
 
-class VerificationReport(NamedTuple):
-    betti1_relative: int
-    generator_count: int
-    cocycle_ok: list[bool]
-    independence_ok: bool
-    orientable: bool
-    torsion_coefficients: list[int]
-    dimension_formula_ok: bool
-    failures: list[str]
+class VerificationReport(
+    namedtuple(
+        "VerificationReport",
+        "betti1_relative generator_count cocycle_ok independence_ok orientable"
+        " torsion_coefficients dimension_formula_ok failures",
+    )
+):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

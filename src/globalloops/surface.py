@@ -7,22 +7,24 @@ holds what the generator pipeline runs and nothing else: the oracle
 the surface itself.
 
 ``build_complex`` indexes and validates the faces in one pass over flat
-half-edge lists; it numbers the edges, in order of first appearance, in
-the one dict it returns as ``edge_index``, keyed by the vertex pair (a, b)
-with a < b.  A failed check rescans the faces in order, so a fault of one
-face wins over a fault between faces.  The complex keeps that pass's
-half-edge tables (``half``, ``sign``, ``twin`` and ``edge_half``, see
-``SurfaceComplex``) and no per-face or per-edge tuples, so an edge's faces
-and a face's sign on an edge are O(1) reads.  ``boundary_components``
-walks two boundary neighbours per vertex.  Connected components are
-numbered by the dual forest (``forest.py``), not here.
+half-edge lists; the heads and apexes are the vertex list rotated, each
+face's wrapped corner put back by slicing.  It numbers the edges, in order
+of first appearance, in the one dict it returns as ``edge_index``, keyed
+by the vertex pair (a, b) with a < b.  A failed check rescans the faces in
+order, so a fault of one face wins over a fault between faces.  The
+complex keeps that pass's half-edge tables (``half``, ``sign``, ``twin``
+and ``edge_half``, see ``SurfaceComplex``) and no per-face or per-edge
+tuples, so an edge's faces and a face's sign on an edge are O(1) reads.
+``boundary_components`` walks two boundary neighbours per vertex.
+Connected components are numbered by the dual forest (``forest.py``), not
+here.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, count, groupby
 from operator import eq
-from typing import NamedTuple
 
 from .errors import (
     DegenerateFace,
@@ -37,7 +39,13 @@ Edge = tuple[int, int]
 Face = tuple[int, int, int]
 
 
-class SurfaceComplex(NamedTuple):
+class SurfaceComplex(
+    namedtuple(
+        "SurfaceComplex",
+        "num_vertices edges faces half sign twin edge_half edge_index vertex_edges"
+        " coords boundary_edge_ids",
+    )
+):
     """A triangulated surface, immutable after construction.
 
     Edges are stored as vertex pairs (a, b) with a < b; the pair order is the
@@ -49,20 +57,11 @@ class SurfaceComplex(NamedTuple):
     traversal the face induces, else -1; ``twin[h]`` is the other half-edge
     of the same edge, on the other face, or -1 on the boundary; and
     ``edge_half[e]`` is the half-edge of edge e on its lower face, since an
-    edge is indexed from its first half-edge.
+    edge is indexed from its first half-edge.  ``vertex_edges[v]`` lists
+    the edge ids at v in ascending order.
     """
 
-    num_vertices: int
-    edges: list[Edge]
-    faces: list[Face]
-    half: list[int]
-    sign: list[int]
-    twin: list[int]
-    edge_half: list[int]
-    edge_index: dict[Edge, int]
-    vertex_edges: list[list[int]]  # per vertex: its edge ids, ascending
-    coords: list[tuple[float, float, float]] | None
-    boundary_edge_ids: list[int]
+    __slots__ = ()
 
     @property
     def num_edges(self) -> int:
@@ -95,17 +94,18 @@ class SurfaceComplex(NamedTuple):
         )
 
 
-class BoundaryCycle(NamedTuple):
+class BoundaryCycle(namedtuple("BoundaryCycle", "vertices edges")):
     """One boundary circle, listed in traversal order.
 
     ``edges[i]`` joins ``vertices[i]`` and ``vertices[(i + 1) % len]``.
     """
 
-    vertices: list[int]
-    edges: list[int]
+    __slots__ = ()
 
 
-class BoundaryPartition(NamedTuple):
+class BoundaryPartition(
+    namedtuple("BoundaryPartition", "hole_components contact_components contact_edges")
+):
     """Split of the boundary into contact components and the insulated rest.
 
     The insulated part is a closed subcomplex: every non-contact boundary
@@ -114,9 +114,7 @@ class BoundaryPartition(NamedTuple):
     not stored: the boundary edges not in ``contact_edges``.
     """
 
-    hole_components: list[BoundaryCycle]
-    contact_components: list[list[int]]
-    contact_edges: set[int]
+    __slots__ = ()
 
 
 def build_complex(
@@ -142,9 +140,11 @@ def build_complex(
     # Half-edge h = 3f + i runs from tail[h] to head[h] along face f, whose
     # third vertex is apex[h]; twin[h] is the other half-edge of its edge.
     tail = list(chain.from_iterable(clean_faces))
-    a, b, c = tail[0::3], tail[1::3], tail[2::3]
-    head = list(chain.from_iterable(zip(b, c, a)))
-    apex = list(chain.from_iterable(zip(c, a, b)))
+    head = tail[1:] + tail[:1]
+    head[2::3] = tail[0::3]
+    apex = tail[2:] + tail[:2]
+    apex[1::3] = tail[0::3]
+    apex[2::3] = tail[1::3]
     if tail and (min(tail) < 0 or max(tail) >= vertex_count or any(map(eq, tail, head))):
         raise _face_fault(faces, vertex_count)
 
@@ -155,18 +155,20 @@ def build_complex(
     half: list[int] = []
     sign = [1 if u < w else -1 for u, w in zip(tail, head)]
     vertex_edges: list[list[int]] = [[] for _ in range(vertex_count)]
-    for h, u, w, x in zip(count(), tail, head, apex):
+    edge_count = 0
+    for h, u, w in zip(count(), tail, head):
         key = (u, w) if u < w else (w, u)
-        eid = new_edge(key, len(first))
+        eid = new_edge(key, edge_count)
         half.append(eid)
-        if eid == len(first):
+        if eid == edge_count:
+            edge_count += 1
             first.append(h)
             vertex_edges[u].append(eid)
             vertex_edges[w].append(eid)
         else:
             g = first[eid]
             # A second face on an edge with the same apex repeats the first.
-            if twin[g] >= 0 or apex[g] == x:
+            if twin[g] >= 0 or apex[g] == apex[h]:
                 raise _face_fault(faces, vertex_count) or NonManifoldEdge(
                     f"edge {key} lies on more than two faces"
                 )
@@ -215,9 +217,10 @@ def _check_fans(tail, twin, first, vertex_edges):
     # not a pinch of several.  Walk a fan both ways from one edge at v,
     # leaving each face by its other edge at v: a lone fan reaches every
     # edge at v, and an open fan has one edge more than it has faces.
-    third = range(0, len(tail), 3)
-    before = list(chain.from_iterable(zip(range(2, len(tail), 3), third, range(1, len(tail), 3))))
-    after = list(chain.from_iterable(zip(range(1, len(tail), 3), range(2, len(tail), 3), third)))
+    before = list(range(-1, len(tail) - 1))
+    before[0::3] = range(2, len(tail), 3)
+    after = list(range(1, len(tail) + 1))
+    after[2::3] = range(0, len(tail), 3)
     for v, local in enumerate(vertex_edges):
         start = first[local[0]]
         h, walked = start, 0

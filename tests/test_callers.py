@@ -13,11 +13,11 @@ position, in some call in ``src/`` to a function or method of its name
 (the class name for ``__init__``), or be named in ``ALLOWED_OPTIONS`` with
 a reason: an option no caller sets is code nobody runs.
 
-Every field of a record there (a ``@dataclass`` or a ``NamedTuple``
-subclass), and every attribute that an ``__init__`` there sets on its
-instance, must likewise be read as an attribute somewhere in ``src/``, or
-be named in ``ALLOWED_FIELDS`` with a reason: a field that is only written
-is a copy nobody needs.
+Every field of a record there (a ``@dataclass``, or a subclass of
+``NamedTuple`` or of a ``namedtuple(...)`` call), and every attribute that
+an ``__init__`` there sets on its instance, must likewise be read as an
+attribute somewhere in ``src/``, or be named in ``ALLOWED_FIELDS`` with a
+reason: a field that is only written is a copy nobody needs.
 
 Every module there but the entry points, ``__init__`` and ``cli``, must be
 imported by another of its modules, at module level or inside a function:
@@ -162,11 +162,23 @@ def is_record(node: ast.ClassDef) -> bool:
     )
 
 
+def namedtuple_fields(node: ast.ClassDef) -> list[str]:
+    """The fields of a class whose base is a ``namedtuple(name, "a b ...")``
+    call, as spelled in its string; none for any other class."""
+    return [
+        name
+        for base in node.bases
+        if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+        for name in ast.literal_eval(base.args[1]).replace(",", " ").split()
+    ]
+
+
 def field_names(node: ast.ClassDef):
     """The fields of a record, and the attributes its ``__init__`` sets on
     its first argument."""
     if is_record(node):
         yield from (item.target.id for item in node.body if isinstance(item, ast.AnnAssign))
+    yield from namedtuple_fields(node)
     for item in node.body:
         if isinstance(item, ast.FunctionDef) and item.name == "__init__":
             this = item.args.args[0].arg

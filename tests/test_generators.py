@@ -7,7 +7,8 @@ import pytest
 import globalloops
 import meshes
 import reference
-from globalloops.errors import NotABoundaryEdge, UnsupportedContactLayout
+from globalloops import generators
+from globalloops.errors import NodeNotInTree, NotABoundaryEdge, UnsupportedContactLayout
 from globalloops.forest import Tree, build_tree_cotree, is_twisted
 from globalloops.generators import ComponentMeta, compute_generators
 from globalloops.oracle import verify
@@ -497,3 +498,17 @@ class TestSinglePass:
                 e for e in meta.candidate_edges if is_twisted(K, dual, e)
             }
             assert meta.anchor_edge == (meta.twisted_edges or [None])[-1]
+
+
+def test_a_primal_walk_past_a_root_raises():
+    # Depths that disagree with the parent pointers must not send the
+    # witness path round and round through parent[-1]: an end that passes a
+    # root raises.
+    K = meshes.triangle()
+    primal = Tree(3)
+    primal.add_root(0)
+    primal.attach(1, 0, K.edge_index[(0, 1)])
+    primal.attach(2, 1, K.edge_index[(1, 2)])
+    primal.depth[0] = 1
+    with pytest.raises(NodeNotInTree, match="not in one primal tree"):
+        generators._path(K, primal, 2, 0)

@@ -425,6 +425,27 @@ def test_index_matches_the_original(kind, seed, as_lists):
         assert list(incident) == sorted(set(incident))
 
 
+@pytest.mark.parametrize(
+    "vertex_count, faces",
+    [
+        (0, []),
+        (1, []),
+        (3, [(0, 1, 2)]),
+        (3, [[2, 1, 0]]),
+        (4, [(3, 1, 2)]),
+        (3, [(0, 1, 1)]),
+        (2, [(0, 1, 2)]),
+        (3, [(0, 1)]),
+    ],
+)
+def test_index_matches_the_original_on_zero_and_one_face(vertex_count, faces):
+    # head and apex rotate the flat vertex list and put each face's wrapped
+    # corner back by slice, so the shortest lists are the edge cases.
+    new = outcome(build_complex, boundary_components, vertex_count, faces)
+    ref = outcome(reference.build_complex, reference.boundary_components, vertex_count, faces)
+    assert new == ref
+
+
 FAULTS = (
     "arity",
     "repeat",

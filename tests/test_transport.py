@@ -127,6 +127,18 @@ def test_path_through_the_start_edge_raises():
         transport(K, tree, 1, 0, end, shared)
 
 
+def test_a_walk_past_a_root_raises():
+    # Depths that disagree with the parent pointers must not send the walk
+    # round and round through parent[-1]: an end that passes a root raises,
+    # even under python -O.
+    K = meshes.two_triangles()
+    shared = K.edge_index[(1, 2)]
+    tree = hand_built(K, [(1, 0, shared)])
+    tree.depth[0] = 1
+    with pytest.raises(CountMismatch, match="passed a root"):
+        transport(K, tree, 1, 0, K.edge_index[(1, 3)], K.edge_index[(0, 1)])
+
+
 @given(st.integers(min_value=0, max_value=11), st.data())
 def test_orientation_of_faces_does_not_matter(flip, data):
     # Reversing any stored face orientation leaves the transported values
