@@ -122,7 +122,7 @@ def build_primal_tree(
     neighbour toward the touched one and joins the queue outward, one per
     arm in turn, the arm toward ``vertices[0]`` first (from ``vertices[0]``
     itself, the arm through ``vertices[1]``).  That order fixes the rest of
-    the search.
+    the search.  The arms are slices of the circle rotated to the touched one.
     """
     nv = complex.num_vertices
     circle_of = [-1] * nv
@@ -133,6 +133,7 @@ def build_primal_tree(
             position[v] = i
     taken = bytearray(complex.num_edges)
     primal = Tree(nv)
+    parent, parent_edge, depth = primal.parent, primal.parent_edge, primal.depth
     tree_of, attach = primal.tree_of, primal.attach
     edges, vertex_edges = complex.edges, complex.vertex_edges
     queue: deque[int] = deque()
@@ -148,18 +149,19 @@ def build_primal_tree(
             taken[eid] = 1
         n, i = len(verts), position[entry]
         up = (n // 2 - i) % n  # steps toward increasing index before the leftover
-        arms = [(-1, n - 1 - up), (1, up)]  # (direction, length)
-        if not 0 < i <= n // 2:
-            arms.reverse()
-        for step in range(1, max(up, n - 1 - up) + 1):
-            for direction, length in arms:
-                if step <= length:
-                    j = (i + direction * step) % n
-                    # The parent is the previous vertex on the arm, and
-                    # edges[j] joins verts[j] and verts[j + 1].
-                    eid = edges[j] if direction < 0 else edges[j - 1]
-                    attach(verts[j], verts[(j - direction) % n], eid)
-                    queue.append(verts[j])
+        # Rotated to start at the entry, es[s] joins vs[s] and vs[s + 1]; each
+        # arm vertex hangs from the one before it on its arm.
+        vs, es = verts[i:] + verts[:i], edges[i:] + edges[:i]
+        forward, backward = vs[1:up + 1], vs[:up:-1]
+        d, t = depth[entry] + 1, tree_of[entry]
+        for arm, above, via in ((forward, vs, es), (backward, [entry] + backward, es[:up:-1])):
+            for step, v, p, eid in zip(range(d, d + n), arm, above, via):
+                parent[v], parent_edge[v], depth[v], tree_of[v] = p, eid, step, t
+        first, second = (backward, forward) if 0 < i <= n // 2 else (forward, backward)
+        m = min(len(first), len(second))
+        turns = [0] * (2 * m)
+        turns[0::2], turns[1::2] = first[:m], second[:m]
+        queue.extend(turns + first[m:] + second[m:])
 
     for root in range(nv):
         if tree_of[root] >= 0:

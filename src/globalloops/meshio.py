@@ -13,6 +13,7 @@ generator's edge records are one template repeated once per edge, and
 
 from __future__ import annotations
 
+from codecs import BOM_UTF8
 from collections import Counter
 from itertools import islice
 from os import PathLike
@@ -141,10 +142,16 @@ def _token_lines(lines):
             yield lineno, tokens
 
 
+def _read_text(path: str | PathLike[str]) -> str:
+    """The file as ``utf-8-sig`` reads it: empty if it is a byte-order mark
+    or the start of one, else UTF-8 after one leading mark."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return "" if BOM_UTF8.startswith(data) else data.removeprefix(BOM_UTF8).decode()
+
+
 def load_off(path: str | PathLike[str]) -> SurfaceComplex:
-    with open(path, encoding="utf-8-sig") as handle:
-        text = handle.read()
-    nv, coords, faces = parse_off(text)
+    nv, coords, faces = parse_off(_read_text(path))
     return build_complex(nv, faces, coords=coords)
 
 
@@ -176,8 +183,7 @@ def parse_contacts(text: str, complex: SurfaceComplex) -> set[int]:
 
 
 def load_contacts(path: str | PathLike[str], complex: SurfaceComplex) -> set[int]:
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_contacts(handle.read(), complex)
+    return parse_contacts(_read_text(path), complex)
 
 
 def _summary(generators: GeneratorSet, verification=None) -> dict:

@@ -145,6 +145,7 @@ def _roots(n: int, pairs) -> list[int]:
     """Union-find over the vertex ids 0..n-1 joined by ``pairs``: the root
     of each vertex's class, by id.  Every find halves its path."""
     parent = list(range(n))
+    # Links point up a forest (unions join roots), so a find takes < n steps.
     for a, b in pairs:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]

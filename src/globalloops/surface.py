@@ -10,21 +10,20 @@ the surface itself.
 half-edge lists; the heads and apexes are the vertex list rotated, each
 face's wrapped corner put back by slicing.  It numbers the edges, in order
 of first appearance, in the one dict it returns as ``edge_index``, keyed
-by the vertex pair (a, b) with a < b.  A failed check rescans the faces in
-order, so a fault of one face wins over a fault between faces.  The
-complex keeps that pass's half-edge tables (``half``, ``sign``, ``twin``
-and ``edge_half``, see ``SurfaceComplex``) and no per-face or per-edge
-tuples, so an edge's faces and a face's sign on an edge are O(1) reads.
-``boundary_components`` walks two boundary neighbours per vertex.
-Connected components are numbered by the dual forest (``forest.py``), not
-here.
+by the vertex pair (a, b) with a < b, whose comparison also gives the
+half-edge's sign and rejects a repeated vertex.  A failed check rescans the
+faces in order, so a fault of one face wins over a fault between faces.
+The complex keeps that pass's half-edge tables (``half``, ``sign``,
+``twin`` and ``edge_half``, see ``SurfaceComplex``) and no per-face or
+per-edge tuples, so an edge's faces and a face's sign on an edge are O(1)
+reads.  ``boundary_components`` walks two boundary neighbours per vertex.
+Connected components are numbered by the dual forest (``forest.py``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, count, groupby
-from operator import eq
 
 from .errors import (
     DegenerateFace,
@@ -145,7 +144,8 @@ def build_complex(
     apex = tail[2:] + tail[:2]
     apex[1::3] = tail[0::3]
     apex[2::3] = tail[1::3]
-    if tail and (min(tail) < 0 or max(tail) >= vertex_count or any(map(eq, tail, head))):
+    # A negative id would index vertex_edges from the end.
+    if tail and (min(tail) < 0 or max(tail) >= vertex_count):
         raise _face_fault(faces, vertex_count)
 
     edge_index: dict[Edge, int] = {}  # edge id by vertex pair, a < b
@@ -153,11 +153,19 @@ def build_complex(
     first: list[int] = []  # per edge: its half-edge on the first face
     twin = [-1] * len(tail)
     half: list[int] = []
-    sign = [1 if u < w else -1 for u, w in zip(tail, head)]
+    sign: list[int] = []
+    signed = sign.append
     vertex_edges: list[list[int]] = [[] for _ in range(vertex_count)]
     edge_count = 0
     for h, u, w in zip(count(), tail, head):
-        key = (u, w) if u < w else (w, u)
+        if u < w:
+            key = (u, w)
+            signed(1)
+        elif u > w:
+            key = (w, u)
+            signed(-1)
+        else:
+            raise _face_fault(faces, vertex_count)
         eid = new_edge(key, edge_count)
         half.append(eid)
         if eid == edge_count:
@@ -224,6 +232,7 @@ def _check_fans(tail, twin, first, vertex_edges):
     for v, local in enumerate(vertex_edges):
         start = first[local[0]]
         h, walked = start, 0
+        # At most one step per face at v: twin is an involution, so none repeats.
         while True:
             walked += 1
             h = twin[before[h] if tail[h] == v else after[h]]
@@ -276,6 +285,7 @@ def boundary_components(complex: SurfaceComplex) -> list[BoundaryCycle]:
             prev_edge, cur = edge2[start], end2[start]
         edge1[start] = -1
         verts, cyc_edges = [start], [prev_edge]
+        # At most one step per vertex of the circle, a simple cycle.
         while cur != start:
             verts.append(cur)
             e1, edge1[cur] = edge1[cur], -1

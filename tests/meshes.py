@@ -39,12 +39,13 @@ def octahedron():
     return build_complex(6, faces, coords=coords)
 
 
-def disk(n=6):
-    """Triangle fan: center 0, rim vertices 1..n."""
-    faces = [(0, 1 + i, 1 + (i + 1) % n) for i in range(n)]
+def disk(n=6, shift=0):
+    """Triangle fan: center 0, rim vertices 1..n; the rim's labels are
+    rotated by ``shift``, so the first face reaches the rim at 1 + shift."""
+    faces = [(0, 1 + (i + shift) % n, 1 + (i + 1 + shift) % n) for i in range(n)]
     coords = [(0.0, 0.0, 0.0)] + [
         (math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n), 0.0)
-        for i in range(n)
+        for i in range(-shift, n - shift)
     ]
     return build_complex(n + 1, faces, coords=coords)
 

@@ -516,9 +516,10 @@ class TestLazyOracle:
 class TestLeanStartUp:
     """Start-up and a plain run load neither argparse nor json: the plain
     argv reader stands in for the parser, and the report writer for the
-    encoder.  Help and usage errors still go to argparse."""
+    encoder.  Nor do they load the ``utf-8-sig`` codec: the input files are
+    read as bytes.  Help and usage errors still go to argparse."""
 
-    HEAVY = {"argparse", "json"}
+    HEAVY = {"argparse", "json", "encodings.utf_8_sig"}
 
     def test_import_loads_neither(self):
         assert not self.HEAVY & modules_loaded_by("import globalloops.cli")

@@ -328,18 +328,35 @@ def reference_marks(K, tree, holes):
     return taken
 
 
-@settings(deadline=None, max_examples=100)
-@given(samples)
-def test_primal_forest_matches_the_circle_search(K):
+def assert_primal_forest_is_the_reference(K, holes):
     # Circle paths read off the traversal order give the forest of the
     # reference's search inside each circle, absorbed re-rooted: the same
     # marks, roots, parents, parent edges, depths and tree labels.
-    holes = boundary_components(K)
     taken, primal = build_primal_tree(K, holes)
     tree, _ = reference.build_primal_tree(K, holes)
     assert taken == reference_marks(K, tree, holes)
     for field in ("roots", "parent", "parent_edge", "depth", "tree_of"):
         assert getattr(primal, field) == getattr(tree, field), field
+
+
+@settings(deadline=None, max_examples=100)
+@given(samples)
+def test_primal_forest_matches_the_circle_search(K):
+    assert_primal_forest_is_the_reference(K, boundary_components(K))
+
+
+@pytest.mark.parametrize("n, i", [(n, i) for n in range(3, 9) for i in range(n)])
+def test_primal_forest_enters_a_circle_anywhere(n, i):
+    # The centre of disk(n) takes its first edge to the rim first, and the
+    # circle is walked from label 1 upward, so rotating the rim's labels by
+    # i enters the circle at vertices[i].  Over every i this covers the
+    # entries 0, n // 2, n // 2 + 1 and n - 1 and both arm orders.  The
+    # rim's vertices have no neighbour left to claim, so the order in which
+    # the arms are queued shows only in the sampled forests above.
+    K = meshes.disk(n, shift=i)
+    holes = boundary_components(K)
+    assert holes[0].vertices[i] == K.edges[0][1]
+    assert_primal_forest_is_the_reference(K, holes)
 
 
 @settings(deadline=None, max_examples=100)
